@@ -57,7 +57,7 @@ def test_bench_checkpoint_overhead(suite_cases, effort):
             seed=1,
             engine="sequential",
             snapshot_every=snapshot_every,
-            workers=1,  # checkpointing forces the sharded path; compare like with like
+            workers=1,  # plain and checkpointed runs share this shard plan
             **knobs,
         )
 

@@ -13,6 +13,7 @@ from typing import Callable, Sequence
 from repro.bench.spec import BenchSpec, nominal_work
 from repro.bench.suite import BenchSuite, CaseResult
 from repro.bench.timing import calibration_seconds, measure
+from repro.engine.options import ExecutionOptions
 from repro.engine.errors import ConfigurationError
 from repro.kernels import availability, compile_warmup
 from repro.scenarios.runner import run_scenario
@@ -33,9 +34,9 @@ def run_case(spec: BenchSpec, *, warmup: int = 1, repeats: int = 3) -> CaseResul
         run_scenario(
             spec.scenario,
             effort=spec.effort,
-            engine=spec.engine,
-            workers=spec.workers,
-            jit=spec.jit,
+            options=ExecutionOptions(
+                engine=spec.engine, workers=spec.workers, jit=spec.jit
+            ),
         )
 
     warmup_fn = None

@@ -93,14 +93,12 @@ from repro.engine.registry import (
     register_vectorized,
     registered_counts_protocols,
     registered_protocols,
+    validate_engine_request,
     vectorized_for,
 )
 from repro.engine.rng import RandomSource, SeedTree, make_rng, spawn_streams
 from repro.engine.runner import (
     AggregatedSeries,
-    EnsembleSpec,
-    TrialOutcome,
-    TrialRunner,
     aggregate_series,
     run_engine_trials,
 )
@@ -144,7 +142,6 @@ __all__ = [
     "EngineError",
     "EnsembleRunResult",
     "EnsembleSimulator",
-    "EnsembleSpec",
     "EstimateRecorder",
     "EventRecorder",
     "ExecutionOptions",
@@ -177,8 +174,6 @@ __all__ = [
     "SizeAdversary",
     "SnapshotStats",
     "StreamingEstimateRecorder",
-    "TrialOutcome",
-    "TrialRunner",
     "TrialShard",
     "UnknownAgentError",
     "VectorizedProtocol",
@@ -206,6 +201,7 @@ __all__ = [
     "resolve_workers",
     "run_engine_trials",
     "spawn_streams",
+    "validate_engine_request",
     "vectorized_for",
     "weighted_quantiles",
     "write_checkpoint",

@@ -43,6 +43,7 @@ __all__ = [
     "CHECKPOINT_MAGIC",
     "CHECKPOINT_SCHEMA_VERSION",
     "CheckpointInterrupted",
+    "atomic_write",
     "write_checkpoint",
     "read_checkpoint",
 ]
@@ -90,20 +91,29 @@ def write_checkpoint(path: str | Path, payload: Any, *, kind: str) -> Path:
         json.dumps(header, sort_keys=True).encode("ascii"),
         body,
     )
+    atomic_write(target, blob)
+    return target
+
+
+def atomic_write(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` through a temporary file and :func:`os.replace`.
+
+    Readers see the previous file or the complete new one, never a partial
+    write; the temporary file is removed if the write fails.
+    """
     handle, tmp_name = tempfile.mkstemp(
-        prefix=target.name + ".", suffix=".tmp", dir=target.parent
+        prefix=path.name + ".", suffix=".tmp", dir=path.parent
     )
     try:
         with os.fdopen(handle, "wb") as stream:
-            stream.write(blob)
-        os.replace(tmp_name, target)
+            stream.write(data)
+        os.replace(tmp_name, path)
     except BaseException:
         try:
             os.unlink(tmp_name)
         except OSError:
             pass
         raise
-    return target
 
 
 def read_checkpoint(path: str | Path, *, kind: str | None = None) -> Any:

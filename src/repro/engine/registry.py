@@ -44,7 +44,7 @@ from repro.engine.array_engine import ArraySimulator
 from repro.engine.batch_engine import BatchedSimulator, VectorizedProtocol
 from repro.engine.counts_engine import CountsKernel, CountsSimulator
 from repro.engine.ensemble_engine import EnsembleSimulator
-from repro.engine.errors import ConfigurationError
+from repro.engine.errors import ConfigurationError, UnsupportedEngineError
 from repro.engine.population import Population
 from repro.engine.recorder import Recorder
 from repro.engine.rng import RandomSource
@@ -59,6 +59,7 @@ __all__ = [
     "engine_names",
     "engine_info",
     "engine_capabilities",
+    "validate_engine_request",
     "register_vectorized",
     "has_vectorized",
     "vectorized_for",
@@ -178,6 +179,29 @@ def engine_info(name: str) -> EngineInfo:
         raise ConfigurationError(
             f"unknown engine {name!r}; available engines: {', '.join(_ENGINE_TABLE)}"
         ) from None
+
+
+def validate_engine_request(engine: str | None, scenario: Any = None) -> None:
+    """Reject a bad engine request before any simulation work starts.
+
+    ``None`` and ``"auto"`` defer to the caller's selection policy and
+    always pass.  Any other name must be registered
+    (:class:`ConfigurationError` otherwise) and, when ``scenario`` (a
+    :class:`repro.scenarios.spec.ScenarioSpec`) is given, supported by it
+    (:class:`~repro.engine.errors.UnsupportedEngineError` otherwise).
+    """
+    if engine is None or engine == "auto":
+        return
+    if engine not in _ENGINE_TABLE:
+        raise ConfigurationError(
+            f"unknown engine {engine!r}; available engines: "
+            f"{', '.join(_ENGINE_TABLE)} (or 'auto')"
+        )
+    if scenario is not None and not scenario.supports_engine(engine):
+        raise UnsupportedEngineError(
+            f"scenario {scenario.name!r} supports engine(s) "
+            f"{', '.join(scenario.engines)}, got {engine!r}"
+        )
 
 
 def engine_capabilities() -> list[dict[str, Any]]:
@@ -677,7 +701,7 @@ def make_engine(
         Number of stacked trials for the ensemble engine (defaults to 1);
         rejected for every engine without ``supports_trials`` — they run
         one trial per instance and are looped by
-        :class:`repro.engine.runner.TrialRunner`.
+        :func:`repro.engine.runner.run_engine_trials`.
     jit:
         Upgrade the vectorised kernels to the compiled backend of
         :mod:`repro.kernels` (best effort: when numba is unavailable or

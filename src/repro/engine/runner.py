@@ -1,84 +1,56 @@
 """Multi-trial orchestration.
 
 Every data point in the paper's evaluation aggregates 96 independent
-simulation runs.  The :class:`TrialRunner` reproduces this pattern: it fans a
-root seed out into independent per-trial random streams, builds a fresh
-simulator per trial via a user-supplied factory, runs them, and aggregates
-the recorded series (element-wise min / median / max across trials).
+simulation runs.  :func:`run_engine_trials` reproduces this pattern: it runs
+``trials`` repetitions of one workload on a named engine and returns the
+per-trial snapshot series, which :func:`aggregate_series` reduces
+element-wise to the min / median / max the paper plots.
 
-Trials are independent by construction — every trial's random stream is
-derived from its *address* in a :class:`repro.engine.rng.SeedTree`
-(``root seed -> trial index``), not from its position in an execution
-schedule — so the runner can execute them synchronously in-process (the
-default — the experiment presets are sized so that a full figure
-regenerates in minutes on a laptop) or shard them across a process pool
-via the opt-in ``workers`` parameter (see :mod:`repro.engine.parallel`).
-All modes produce bit-identical outcomes for the same root seed.
-
-For workloads that fit the struct-of-arrays engines there is a stacked
-mode: pass an :class:`EnsembleSpec` and the runner executes trials as
-``(trials, n)`` stacked state on the :class:`repro.engine.ensemble_engine.
-EnsembleSimulator` — no per-trial Python loop at all — while still
-returning the same ``list[TrialOutcome]`` shape as the looped modes.
-Combined with ``workers``, the stack is split into row-shards (layout
-independent of the worker count, each shard's stream derived from the
-seed tree) and the shards run across the pool.
+Every run goes through one shard runner.  Looped engines get one freshly
+built engine per trial, on the stream at the trial's *address* in a
+:class:`repro.engine.rng.SeedTree` (``root seed -> trial index``); the
+``ensemble`` engine stacks a shard's trials into one ``(trials, n)`` engine.
+With ``workers=None`` (the default) the runner is called once, in-process,
+on the root stream; with ``workers`` the trials are split into row-shards
+whose layout does not depend on the worker count, run serially or across a
+process pool (see :mod:`repro.engine.parallel`).  Checkpointing is a write
+hook at segment boundaries and never changes results.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import os
-import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.engine.api import RunResult, matrix_quantiles
+from repro.engine.api import matrix_quantiles
 from repro.engine.checkpoint import (
     CheckpointInterrupted,
+    atomic_write,
     read_checkpoint,
     write_checkpoint,
 )
 from repro.engine.errors import CheckpointError, ConfigurationError
-from repro.engine.options import ExecutionOptions
 from repro.engine.parallel import (
     ShardTiming,
+    TrialShard,
     execute_shards,
     merge_shard_results,
     plan_shards,
     resolve_workers,
 )
-from repro.engine.rng import RandomSource, SeedTree, spawn_streams
-from repro.engine.simulator import SimulationResult
+from repro.engine.rng import RandomSource, SeedTree
 
 __all__ = [
-    "TrialOutcome",
     "AggregatedSeries",
-    "EnsembleSpec",
     "SHARD_NAMESPACE",
-    "TrialRunner",
     "aggregate_series",
+    "recorded_checkpoint_every",
     "run_engine_trials",
 ]
-
-
-@dataclass
-class TrialOutcome:
-    """Result of a single trial: the simulation summary plus extracted data.
-
-    ``result`` is the engine's run summary — a
-    :class:`repro.engine.simulator.SimulationResult` for looped trials, a
-    per-trial :class:`repro.engine.api.RunResult` for ensemble trials.
-    """
-
-    trial: int
-    seed_stream: int
-    result: RunResult
-    data: dict[str, Any] = field(default_factory=dict)
 
 
 @dataclass
@@ -144,58 +116,20 @@ def aggregate_series(
 #: worker runs it or how many siblings exist.
 SHARD_NAMESPACE = "shard"
 
-
-def _run_looped_engine_shard(payload: dict[str, Any]) -> list[dict[str, list[float]]]:
-    """Run one row-shard of looped-engine trials; module-level for pickling.
-
-    Each trial in the shard gets the stream at its own tree address
-    (``tree.trial(t)``) — bit-identical to the serial per-trial loop no
-    matter how trials are grouped into shards.
-    """
-    tree: SeedTree = payload["tree"]
-    all_series = []
-    for trial in range(payload["start"], payload["stop"]):
-        simulator = payload["factory"](payload["engine"], tree.trial(trial).source(), None)
-        result = simulator.run(
-            payload["parallel_time"], snapshot_every=payload["snapshot_every"]
-        )
-        all_series.append(result.series())
-    return all_series
-
-
-def _run_ensemble_engine_shard(payload: dict[str, Any]) -> list[dict[str, list[float]]]:
-    """Run one row-shard of an ensemble workload as its own stacked engine."""
-    tree: SeedTree = payload["tree"]
-    rng = tree.child(SHARD_NAMESPACE, payload["start"]).source()
-    simulator = payload["factory"](
-        "ensemble", rng, payload["stop"] - payload["start"]
-    )
-    result = simulator.run(
-        payload["parallel_time"], snapshot_every=payload["snapshot_every"]
-    )
-    return [trial_result.series() for trial_result in result.trial_results]
+#: Name of the workload manifest inside a checkpoint directory.
+CHECKPOINT_MANIFEST = "manifest.json"
 
 
 # --------------------------------------------------------------- checkpoints
 #
-# Long-horizon runs segment each shard's engine at multiples of
-# ``checkpoint_every`` parallel time: roughly every ``checkpoint_every``
-# of parallel time (mid-trial segment boundaries, plus trial boundaries
-# once the cadence has elapsed since the last write) the shard writes
-# one atomic, checksummed ``shard_<start>-<stop>.ckpt`` file (see
-# :mod:`repro.engine.checkpoint`) holding everything needed to continue —
-# the series of already-finished trials, the in-flight engine's
-# :meth:`~repro.engine.api.Engine.checkpoint_payload`, and the partial
-# segment series of the in-flight trial.  Because every random stream is
-# derived from a seed-tree *address* and engine counters persist across
-# ``run()`` calls, a resumed shard replays bit-identically to an
-# uninterrupted one.  The parent writes a ``manifest.json`` pinning the
-# workload; resuming against a different workload fails loudly with
+# A checkpointed shard writes one atomic, checksummed
+# ``shard_<start>-<stop>.ckpt`` file (see :mod:`repro.engine.checkpoint`)
+# holding everything needed to continue: the series of already-finished
+# trials, the in-flight engine's checkpoint payload and its partial segment
+# series.  The parent writes a ``manifest.json`` pinning the workload;
+# resuming against a different workload fails loudly with
 # :class:`~repro.engine.errors.CheckpointError` instead of silently mixing
 # runs.
-
-#: Name of the workload manifest inside a checkpoint directory.
-CHECKPOINT_MANIFEST = "manifest.json"
 
 
 def _shard_checkpoint_path(directory: str | Path, start: int, stop: int) -> Path:
@@ -208,8 +142,8 @@ def _shard_workload(payload: Mapping[str, Any]) -> dict[str, Any]:
 
     A checkpoint is a *same-workload* recovery mechanism, not a migration
     format: every knob that shapes the shard's trajectory (engine, trial
-    range, horizon, cadences, root seed) is recorded and must match
-    exactly on resume.
+    range, horizon, cadences, root seed, stream addressing) is recorded and
+    must match exactly on resume.
     """
     return {
         "engine": payload["engine"],
@@ -219,6 +153,7 @@ def _shard_workload(payload: Mapping[str, Any]) -> dict[str, Any]:
         "snapshot_every": int(payload["snapshot_every"]),
         "checkpoint_every": int(payload["checkpoint_every"]),
         "seed": payload["seed"],
+        "root_stream": payload["root_stream"],
     }
 
 
@@ -243,201 +178,158 @@ def _load_shard_checkpoint(
     return state
 
 
-def _write_shard_checkpoint(
-    path: Path,
-    state: dict[str, Any],
-    *,
-    writes: int,
-    interrupt_after: int | None,
-) -> int:
-    """Persist one shard checkpoint; returns the updated write count.
-
-    ``interrupt_after`` is the deterministic fault-injection knob: after
-    the N-th *completed* write this raises
-    :class:`~repro.engine.checkpoint.CheckpointInterrupted`, so tests and
-    CI can kill a run at an exactly reproducible point and resume from a
-    checkpoint that is guaranteed to be on disk.
-    """
-    write_checkpoint(path, state, kind="shard")
-    writes += 1
-    if interrupt_after is not None and writes >= interrupt_after:
-        raise CheckpointInterrupted(
-            f"injected interruption after checkpoint write {writes} ({path.name})"
-        )
-    return writes
-
-
-def _concat_series(
-    segments: Sequence[Mapping[str, list[float]]],
-) -> dict[str, list[float]]:
+def _concat_series(segments: Sequence[Mapping[str, list[float]]]) -> dict[str, list[float]]:
     """Stitch per-segment series columns into one continuous series.
 
     Engine counters persist across ``run()`` calls and each call returns
     only its own snapshots, so concatenation reproduces exactly the series
     of one uninterrupted run over the whole horizon.
     """
-    if not segments:
-        return {}
+    if len(segments) == 1:
+        return dict(segments[0])
     return {
         key: [value for segment in segments for value in segment[key]]
         for key in segments[0]
     }
 
 
-def _run_looped_engine_shard_checkpointed(
-    payload: dict[str, Any],
-) -> list[dict[str, list[float]]]:
-    """Checkpointed variant of :func:`_run_looped_engine_shard`.
+def _run_shard(payload: dict[str, Any]) -> list[dict[str, list[float]]]:
+    """Run trials ``[start, stop)``; returns their series in trial order.
 
-    Trials run in order; the engine of the in-flight trial is segmented at
-    multiples of ``checkpoint_every`` parallel time.  A checkpoint is
-    written at every mid-trial segment boundary, and at the first trial
-    boundary once at least ``checkpoint_every`` parallel time has accrued
-    since the last write — so when trials are shorter than the cadence,
-    write frequency still follows the cadence instead of the trial count.
-    The final ``done`` checkpoint is always written.  Streams are still
-    addressed ``tree.trial(t)`` and the restored RNG state overwrites
-    whatever the factory drew, so an interrupted-and-resumed shard is
-    bit-identical to an uninterrupted one.
+    Module-level so worker processes can unpickle it.  Looped engines build
+    one engine per trial on the stream at ``tree.trial(t)``, so results do
+    not depend on how trials are grouped into shards.  The ``ensemble``
+    engine runs the shard as one stack: on the root stream when the run is
+    a single ``workers=None`` shard, else at ``tree.child(SHARD_NAMESPACE,
+    start)``.
+
+    Each engine runs in segments of ``checkpoint_every`` parallel time (one
+    segment when not checkpointing).  The checkpoint hook writes at every
+    segment boundary inside an engine's horizon, and at an engine boundary
+    once ``checkpoint_every`` parallel time has accrued since the last
+    write — so short trials do not pay one write each — and always after
+    the last engine (the ``done`` write).  Engine counters persist across
+    ``run()`` calls and the restored RNG state overwrites whatever the
+    factory drew, so a resumed shard is bit-identical to an uninterrupted
+    one.
     """
+    factory, engine = payload["factory"], payload["engine"]
     tree: SeedTree = payload["tree"]
     start, stop = payload["start"], payload["stop"]
-    parallel_time = payload["parallel_time"]
-    snapshot_every = payload["snapshot_every"]
-    checkpoint_every = payload["checkpoint_every"]
-    interrupt_after = payload.get("interrupt_after")
-    workload = _shard_workload(payload)
-    path = _shard_checkpoint_path(payload["checkpoint_dir"], start, stop)
+    horizon, snapshot_every = payload["parallel_time"], payload["snapshot_every"]
+    cadence = payload["checkpoint_every"]
+    checkpointing = cadence is not None
+    ensemble = engine == "ensemble"
 
     completed: list[dict[str, list[float]]] = []
     trial = start
-    engine_payload: dict[str, Any] | None = None
-    segments: list[dict[str, list[float]]] = []
-    resume_from = payload.get("resume_from")
-    if resume_from is not None:
-        state = _load_shard_checkpoint(
-            _shard_checkpoint_path(resume_from, start, stop), workload
-        )
-        if state is not None:
-            if state["done"]:
-                return state["completed"]
-            completed = state["completed"]
-            trial = state["trial"]
-            engine_payload = state["engine_payload"]
-            segments = state["segments"]
-
-    writes = 0
-    since_last_write = 0
-    while trial < stop:
-        simulator = payload["factory"](payload["engine"], tree.trial(trial).source(), None)
-        if engine_payload is not None:
-            simulator.apply_checkpoint_payload(engine_payload)
-            engine_payload = None
-        else:
-            segments = []
-        while simulator.parallel_time < parallel_time:
-            step = min(checkpoint_every, parallel_time - simulator.parallel_time)
-            result = simulator.run(step, snapshot_every=snapshot_every)
-            segments.append(result.series())
-            since_last_write += step
-            if simulator.parallel_time < parallel_time:
-                writes = _write_shard_checkpoint(
-                    path,
-                    {
-                        "workload": workload,
-                        "completed": completed,
-                        "trial": trial,
-                        # copy=False: the payload is pickled by the write
-                        # below, before the simulator advances again.
-                        "engine_payload": simulator.checkpoint_payload(copy=False),
-                        "segments": segments,
-                        "done": False,
-                    },
-                    writes=writes,
-                    interrupt_after=interrupt_after,
-                )
-                since_last_write = 0
-        completed.append(_concat_series(segments))
-        segments = []
-        trial += 1
-        if trial >= stop or since_last_write >= checkpoint_every:
-            writes = _write_shard_checkpoint(
-                path,
-                {
-                    "workload": workload,
-                    "completed": completed,
-                    "trial": trial,
-                    "engine_payload": None,
-                    "segments": [],
-                    "done": trial >= stop,
-                },
-                writes=writes,
-                interrupt_after=interrupt_after,
-            )
-            since_last_write = 0
-    return completed
-
-
-def _run_ensemble_engine_shard_checkpointed(
-    payload: dict[str, Any],
-) -> list[dict[str, list[float]]]:
-    """Checkpointed variant of :func:`_run_ensemble_engine_shard`.
-
-    The whole shard is one stacked engine, so the checkpoint carries the
-    stack's engine payload plus the per-segment lists of per-trial series;
-    the per-trial view is stitched only once the horizon is reached.
-    """
-    tree: SeedTree = payload["tree"]
-    start, stop = payload["start"], payload["stop"]
-    parallel_time = payload["parallel_time"]
-    snapshot_every = payload["snapshot_every"]
-    checkpoint_every = payload["checkpoint_every"]
-    interrupt_after = payload.get("interrupt_after")
-    workload = _shard_workload(payload)
-    path = _shard_checkpoint_path(payload["checkpoint_dir"], start, stop)
-
+    engine_state: dict[str, Any] | None = None
     segments: list[list[dict[str, list[float]]]] = []
-    engine_payload: dict[str, Any] | None = None
-    resume_from = payload.get("resume_from")
-    if resume_from is not None:
-        state = _load_shard_checkpoint(
-            _shard_checkpoint_path(resume_from, start, stop), workload
-        )
-        if state is not None:
-            segments = state["segments"]
-            engine_payload = state["engine_payload"]
-            if state["done"]:
-                return [
-                    _concat_series([segment[i] for segment in segments])
-                    for i in range(stop - start)
-                ]
-
-    rng = tree.child(SHARD_NAMESPACE, start).source()
-    simulator = payload["factory"]("ensemble", rng, stop - start)
-    if engine_payload is not None:
-        simulator.apply_checkpoint_payload(engine_payload)
+    if checkpointing:
+        workload = _shard_workload(payload)
+        path = _shard_checkpoint_path(payload["checkpoint_dir"], start, stop)
+        if payload["resume_from"] is not None:
+            state = _load_shard_checkpoint(
+                _shard_checkpoint_path(payload["resume_from"], start, stop), workload
+            )
+            if state is not None:
+                completed, trial = state["completed"], state["trial"]
+                engine_state, segments = state["engine_payload"], state["segments"]
+    else:
+        cadence = horizon
     writes = 0
-    while simulator.parallel_time < parallel_time:
-        step = min(checkpoint_every, parallel_time - simulator.parallel_time)
-        result = simulator.run(step, snapshot_every=snapshot_every)
-        segments.append([tr.series() for tr in result.trial_results])
-        done = simulator.parallel_time >= parallel_time
-        writes = _write_shard_checkpoint(
+
+    def save(engine_payload: dict[str, Any] | None) -> None:
+        nonlocal writes
+        write_checkpoint(
             path,
             {
                 "workload": workload,
-                # copy=False: pickled by the write below, before the next segment.
-                "engine_payload": None if done else simulator.checkpoint_payload(copy=False),
+                "completed": completed,
+                "trial": trial,
+                "engine_payload": engine_payload,
                 "segments": segments,
-                "done": done,
+                "done": trial >= stop,
             },
-            writes=writes,
-            interrupt_after=interrupt_after,
+            kind="shard",
         )
-    return [
-        _concat_series([segment[i] for segment in segments])
-        for i in range(stop - start)
-    ]
+        writes += 1
+        interrupt_after = payload["interrupt_after"]
+        if interrupt_after is not None and writes >= interrupt_after:
+            # Deterministic fault injection: the N-th write is on disk.
+            raise CheckpointInterrupted(
+                f"injected interruption after checkpoint write {writes} ({path.name})"
+            )
+
+    since_write = 0
+    while trial < stop:
+        if ensemble:
+            stream = tree if payload["root_stream"] else tree.child(SHARD_NAMESPACE, start)
+            simulator = factory(engine, stream.source(), stop - start)
+        else:
+            simulator = factory(engine, tree.trial(trial).source(), None)
+        if engine_state is not None:
+            simulator.apply_checkpoint_payload(engine_state)
+            engine_state = None
+        while True:
+            step = min(cadence, horizon - simulator.parallel_time)
+            result = simulator.run(step, snapshot_every=snapshot_every)
+            runs = result.trial_results if ensemble else (result,)
+            segments.append([run.series() for run in runs])
+            since_write += step
+            if simulator.parallel_time >= horizon:
+                break
+            if checkpointing:
+                # copy=False: the payload is pickled by this write, before
+                # the engine advances again.
+                save(simulator.checkpoint_payload(copy=False))
+                since_write = 0
+        completed.extend(
+            _concat_series([segment[row] for segment in segments])
+            for row in range(len(segments[0]))
+        )
+        segments = []
+        trial = stop if ensemble else trial + 1
+        if checkpointing and (trial >= stop or since_write >= cadence):
+            save(None)
+            since_write = 0
+    return completed
+
+
+def _read_manifest(path: Path) -> dict[str, Any] | None:
+    """A checkpoint manifest's contents, or ``None`` when it does not exist.
+
+    An unreadable manifest raises :class:`~repro.engine.errors.
+    CheckpointError`: it is never skipped or treated as a fresh start.
+    """
+    if not path.exists():
+        return None
+    try:
+        return json.loads(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise CheckpointError(f"unreadable checkpoint manifest {path}: {exc}") from exc
+
+
+def recorded_checkpoint_every(directory: str | Path, *, depth: int = 0) -> int | None:
+    """The checkpoint cadence pinned by the manifests under ``directory``.
+
+    Lets ``resume_from`` alone continue a run.  ``depth`` is the number of
+    directory levels between ``directory`` and the manifests: 0 for one
+    :func:`run_engine_trials` directory, 1 for a scenario's per-point
+    subdirectories, 2 for a sweep's per-combination ones.  Every manifest of
+    one invocation shares the cadence, so the first in path order answers;
+    ``None`` means no manifest exists yet (a fresh start).  An unreadable
+    manifest raises :class:`~repro.engine.errors.CheckpointError`.
+    """
+    for path in sorted(Path(directory).glob("*/" * depth + CHECKPOINT_MANIFEST)):
+        manifest = _read_manifest(path)
+        try:
+            return int(manifest["checkpoint_every"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"unreadable checkpoint manifest {path}: {exc!r}"
+            ) from exc
+    return None
 
 
 def _prepare_checkpoint_run(
@@ -454,13 +346,8 @@ def _prepare_checkpoint_run(
     """
 
     def check(path: Path) -> None:
-        if not path.exists():
-            return
-        try:
-            existing = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            raise CheckpointError(f"unreadable checkpoint manifest {path}: {exc}") from exc
-        if existing != manifest:
+        existing = _read_manifest(path)
+        if existing is not None and existing != manifest:
             raise CheckpointError(
                 f"checkpoint manifest {path} does not match this workload "
                 f"({existing!r} != {manifest!r}); checkpoints are same-workload "
@@ -473,19 +360,7 @@ def _prepare_checkpoint_run(
     target = checkpoint_dir / CHECKPOINT_MANIFEST
     check(target)
     if not target.exists():
-        fd, tmp = tempfile.mkstemp(
-            prefix=CHECKPOINT_MANIFEST + ".", suffix=".tmp", dir=checkpoint_dir
-        )
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(json.dumps(manifest, indent=2, sort_keys=True))
-            os.replace(tmp, target)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        atomic_write(target, json.dumps(manifest, indent=2, sort_keys=True).encode())
 
 
 def run_engine_trials(
@@ -496,7 +371,6 @@ def run_engine_trials(
     seed: int | None,
     parallel_time: int,
     snapshot_every: int = 1,
-    options: "ExecutionOptions | None" = None,
     workers: int | str | None = None,
     timing_sink: list[ShardTiming] | None = None,
     checkpoint_every: int | None = None,
@@ -506,92 +380,48 @@ def run_engine_trials(
 ) -> list[dict[str, list[float]]]:
     """Run ``trials`` repetitions of one workload and return per-trial series.
 
-    This is the one place that knows how a multi-trial workload maps onto an
-    engine: the looped engines get one freshly built engine per trial, each
-    with its own random stream derived from the root ``seed`` (identical to
-    what :class:`TrialRunner` does), while the ``"ensemble"`` engine stacks
-    trials into struct-of-arrays passes.
-
     ``engine_factory(engine_name, rng, trials)`` builds the engine; it
-    receives ``trials`` only in ensemble mode (``None`` otherwise, where the
-    engine runs exactly one trial).  Each returned entry is one trial's
+    receives ``trials`` only for ``"ensemble"`` (``None`` otherwise, where
+    the engine runs exactly one trial).  Each returned entry is one trial's
     snapshot series (:meth:`repro.engine.api.RunResult.series` columns), in
-    trial order — the same shape regardless of the execution mode.
+    trial order.
 
-    ``workers`` selects the sharded execution path of
-    :mod:`repro.engine.parallel`: ``None`` (default) keeps the historical
-    serial behaviour, ``1`` runs the sharded path serially in-process, and
-    higher counts (or ``"auto"``) fan the shards over a process pool —
-    ``engine_factory`` must then be picklable (a module-level function or
-    :func:`functools.partial` over one).  The shard layout is independent
-    of the worker count, and every random stream is derived from its seed-
-    tree address, so any two worker counts produce bit-identical per-trial
-    results.  For the looped engines the sharded path is additionally
-    bit-identical to ``workers=None``; the stacked ensemble engine reseeds
-    per shard, so its sharded results differ from the single-stack
-    ``workers=None`` run (statistically equivalent, pinned by the
-    conformance tests).  ``timing_sink``, when given, receives one
-    :class:`~repro.engine.parallel.ShardTiming` per executed shard.
+    ``workers=None`` (default) runs every trial as one in-process shard on
+    the root stream, so an ensemble run is one stack seeded by ``seed``.
+    ``1`` runs the row-shards of :func:`~repro.engine.parallel.plan_shards`
+    serially in-process, and higher counts (or ``"auto"``) fan them over a
+    process pool — ``engine_factory`` must then be picklable (a
+    module-level function or :func:`functools.partial` over one).  The
+    shard layout does not depend on the worker count, so any two counts
+    give bit-identical per-trial results.  Looped engines are also
+    bit-identical to ``workers=None``; a sharded ensemble run reseeds per
+    shard, so it differs from the single stack (statistically equivalent,
+    pinned by the conformance tests).  ``timing_sink``, when given,
+    receives one :class:`~repro.engine.parallel.ShardTiming` per shard of a
+    sharded run.
 
-    Long-horizon runs opt into crash recovery with ``checkpoint_every=C``
-    (parallel time between checkpoints, a multiple of ``snapshot_every``)
-    and ``checkpoint_dir=D``: each shard persists an atomic, checksummed
-    ``shard_<start>-<stop>.ckpt`` roughly every ``C`` of parallel time (an
-    interrupted run loses at most about that much progress per shard), and
-    a ``manifest.json`` pins the workload.  ``resume_from=D`` continues an
-    interrupted run from those files (``checkpoint_dir`` defaults to the
-    resume directory); missing files mean a fresh start, corrupt files or
-    a workload mismatch raise :class:`~repro.engine.errors.
-    CheckpointError`.  A resumed run is bit-identical to an uninterrupted
-    one.  Checkpointing always uses the sharded execution path (serially
-    when ``workers`` is ``None``), so a checkpointed ensemble run matches
-    ``workers=1``, not the single-stack mode.  ``interrupt_after=N``
-    injects a deterministic :class:`~repro.engine.checkpoint.
-    CheckpointInterrupted` after the N-th checkpoint write (per shard) for
-    kill-and-resume tests.
-
-    ``options`` bundles the execution knobs this layer consumes (workers +
-    the four checkpoint fields) as an
-    :class:`~repro.engine.options.ExecutionOptions`; passing the object
-    together with a conflicting legacy keyword raises a
-    :class:`~repro.engine.errors.ConfigurationError`.  The bundle's
-    effort/preset/engine/jit fields do not apply here — the workload is the
-    explicit ``engine``/``engine_factory`` pair.
+    ``checkpoint_every=C`` (parallel time, a multiple of ``snapshot_every``)
+    with ``checkpoint_dir=D`` opts into crash recovery: each shard writes an
+    atomic, checksummed ``shard_<start>-<stop>.ckpt`` roughly every ``C``
+    of parallel time, and a ``manifest.json`` pins the workload.
+    ``resume_from=D`` continues an interrupted run (``checkpoint_dir`` and
+    ``C`` default to the directory and its manifest); missing files mean a
+    fresh start, corrupt files or a workload mismatch raise
+    :class:`~repro.engine.errors.CheckpointError`.  Checkpointing never
+    changes results: plain, checkpointed and resumed runs at the same
+    ``workers`` are bit-identical.  ``interrupt_after=N`` raises
+    :class:`~repro.engine.checkpoint.CheckpointInterrupted` after the N-th
+    checkpoint write of a shard, for kill-and-resume tests.
     """
-    if options is not None:
-        opts = ExecutionOptions.merge(
-            options,
-            workers=workers,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=checkpoint_dir,
-            resume_from=resume_from,
-            interrupt_after=interrupt_after,
-        )
-        workers = opts.workers
-        checkpoint_every, checkpoint_dir = opts.checkpoint_every, opts.checkpoint_dir
-        resume_from, interrupt_after = opts.resume_from, opts.interrupt_after
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     resolved = resolve_workers(workers)
-    checkpointing = (
-        checkpoint_every is not None
-        or checkpoint_dir is not None
-        or resume_from is not None
+    checkpointing = any(
+        knob is not None for knob in (checkpoint_every, checkpoint_dir, resume_from)
     )
     if checkpointing:
         if checkpoint_every is None and resume_from is not None:
-            # Resuming re-reads the cadence from the run's own manifest, so
-            # `resume_from=dir` alone is enough to continue a run.
-            manifest_path = Path(resume_from) / CHECKPOINT_MANIFEST
-            if manifest_path.exists():
-                try:
-                    checkpoint_every = int(
-                        json.loads(manifest_path.read_text())["checkpoint_every"]
-                    )
-                except (OSError, ValueError, KeyError, TypeError) as exc:
-                    raise CheckpointError(
-                        f"unreadable checkpoint manifest {manifest_path}: {exc}"
-                    ) from exc
+            checkpoint_every = recorded_checkpoint_every(resume_from)
         if checkpoint_every is None:
             raise ConfigurationError(
                 "checkpoint_every is required when checkpoint_dir is given "
@@ -613,57 +443,20 @@ def run_engine_trials(
                     "checkpoint_every requires checkpoint_dir (or resume_from)"
                 )
             checkpoint_dir = resume_from
-        if resolved is None:
-            resolved = 1
     elif interrupt_after is not None:
         raise ConfigurationError(
             "interrupt_after only applies to checkpointed runs "
             "(pass checkpoint_every/checkpoint_dir)"
         )
-    if resolved is None:
-        if engine == "ensemble":
-            simulator = engine_factory(engine, RandomSource.from_seed(seed), trials)
-            result = simulator.run(parallel_time, snapshot_every=snapshot_every)
-            return [trial_result.series() for trial_result in result.trial_results]
-        all_series = []
-        for generator in spawn_streams(seed, trials):
-            simulator = engine_factory(engine, RandomSource(generator), None)
-            result = simulator.run(parallel_time, snapshot_every=snapshot_every)
-            all_series.append(result.series())
-        return all_series
 
-    tree = SeedTree.from_seed(seed)
-    shards = plan_shards(trials)
-    if checkpointing:
-        shard_fn = (
-            _run_ensemble_engine_shard_checkpointed
-            if engine == "ensemble"
-            else _run_looped_engine_shard_checkpointed
-        )
-    else:
-        shard_fn = (
-            _run_ensemble_engine_shard
-            if engine == "ensemble"
-            else _run_looped_engine_shard
-        )
-    payloads = [
-        {
-            "factory": engine_factory,
-            "engine": engine,
-            "tree": tree,
-            "start": shard.start,
-            "stop": shard.stop,
-            "parallel_time": parallel_time,
-            "snapshot_every": snapshot_every,
-        }
-        for shard in shards
-    ]
+    root_stream = resolved is None
+    shards = (TrialShard(index=0, start=0, stop=trials),) if root_stream else plan_shards(trials)
     if checkpointing:
         _prepare_checkpoint_run(
             Path(checkpoint_dir),
             None if resume_from is None else Path(resume_from),
             {
-                "schema_version": 1,
+                "schema_version": 2,
                 "kind": "trial-run",
                 "engine": engine,
                 "trials": trials,
@@ -671,324 +464,34 @@ def run_engine_trials(
                 "parallel_time": parallel_time,
                 "snapshot_every": snapshot_every,
                 "checkpoint_every": checkpoint_every,
+                "root_stream": root_stream,
                 "shards": [[shard.start, shard.stop] for shard in shards],
             },
         )
-        for payload in payloads:
-            payload["checkpoint_every"] = checkpoint_every
-            payload["checkpoint_dir"] = str(checkpoint_dir)
-            payload["resume_from"] = None if resume_from is None else str(resume_from)
-            payload["seed"] = seed
-            payload["interrupt_after"] = interrupt_after
+    tree = SeedTree.from_seed(seed)
+    payloads = [
+        {
+            "factory": engine_factory,
+            "engine": engine,
+            "tree": tree,
+            "seed": seed,
+            "root_stream": root_stream,
+            "start": shard.start,
+            "stop": shard.stop,
+            "parallel_time": parallel_time,
+            "snapshot_every": snapshot_every,
+            "checkpoint_every": checkpoint_every,
+            "checkpoint_dir": None if checkpoint_dir is None else str(checkpoint_dir),
+            "resume_from": None if resume_from is None else str(resume_from),
+            "interrupt_after": interrupt_after,
+        }
+        for shard in shards
+    ]
+    if root_stream:
+        return _run_shard(payloads[0])
     per_shard, timings = execute_shards(
-        shard_fn, payloads, workers=resolved, shards=shards
+        _run_shard, payloads, workers=resolved, shards=shards
     )
     if timing_sink is not None:
         timing_sink.extend(timings)
     return merge_shard_results(shards, per_shard)
-
-
-@dataclass(frozen=True)
-class EnsembleSpec:
-    """Workload description for the stacked single-pass trial mode.
-
-    Passing one of these to :class:`TrialRunner` replaces the per-trial
-    loop with a single :class:`repro.engine.ensemble_engine.
-    EnsembleSimulator` run holding all trials as ``(trials, n)`` stacked
-    arrays.
-
-    Attributes
-    ----------
-    protocol:
-        A scalar protocol with a registered vectorised counterpart, or a
-        :class:`repro.engine.batch_engine.VectorizedProtocol` directly.
-    n:
-        Population size of every trial.
-    parallel_time:
-        Horizon each trial runs for.
-    snapshot_every / resize_schedule / initial_arrays / sub_batches:
-        Forwarded to the ensemble engine (see
-        :func:`repro.engine.registry.make_engine`).
-    data_fn:
-        Optional extractor ``(RunResult) -> dict`` building each outcome's
-        ``data``; defaults to the result's :meth:`~repro.engine.api.
-        RunResult.series` columns, which is what
-        :meth:`TrialRunner.run_and_aggregate` consumes.
-    """
-
-    protocol: Any
-    n: int
-    parallel_time: int
-    snapshot_every: int = 1
-    resize_schedule: tuple[tuple[int, int], ...] = ()
-    initial_arrays: Mapping[str, np.ndarray] | None = None
-    sub_batches: int = 8
-    data_fn: Callable[[RunResult], dict[str, Any]] | None = None
-
-
-def _run_trial_fn_shard(
-    payload: dict[str, Any],
-) -> list[tuple[int, SimulationResult, dict[str, Any]]]:
-    """Run one row-shard of ``trial_fn`` trials; module-level for pickling.
-
-    Every trial's stream is the one at its seed-tree address
-    (``tree.trial(t)``): the root entropy is mixed into every derivation,
-    so two runners with the same trial count but distinct base seeds can
-    never silently reuse streams, and the result is independent of how
-    trials are grouped into shards.
-    """
-    tree: SeedTree = payload["tree"]
-    trial_fn = payload["trial_fn"]
-    outcomes = []
-    for trial in range(payload["start"], payload["stop"]):
-        result, data = trial_fn(trial, tree.trial(trial).source())
-        outcomes.append((trial, result, data))
-    return outcomes
-
-
-def _shard_initial_arrays(
-    initial_arrays: Mapping[str, np.ndarray] | None,
-    total_trials: int,
-    start: int,
-    stop: int,
-) -> dict[str, np.ndarray] | None:
-    """Restrict an ensemble's initial arrays to one row-shard's trials.
-
-    Per-trial 2-D ``(trials, n)`` state planes are sliced to the shard's
-    rows; shared 1-D length-``n`` arrays (every trial starts identically)
-    pass through untouched.
-    """
-    if initial_arrays is None:
-        return None
-    sliced: dict[str, np.ndarray] = {}
-    for key, value in initial_arrays.items():
-        arr = np.asarray(value)
-        if arr.ndim == 2 and arr.shape[0] == total_trials:
-            arr = arr[start:stop]
-        sliced[key] = arr
-    return sliced
-
-
-def _run_ensemble_spec_shard(payload: dict[str, Any]) -> list[RunResult]:
-    """Run one row-shard of an :class:`EnsembleSpec` as its own stack.
-
-    Module-level for pickling; returns the shard's per-trial
-    :class:`RunResult` objects.  The payload carries the spec's plain-data
-    fields only — ``data_fn`` extraction happens in the parent, and the
-    initial arrays arrive pre-sliced to the shard's rows — so the spec's
-    callable never crosses the process boundary.
-    """
-    from repro.engine.registry import make_engine
-
-    spec: EnsembleSpec = payload["spec"]
-    tree: SeedTree = payload["tree"]
-    engine = make_engine(
-        "ensemble",
-        spec.protocol,
-        spec.n,
-        trials=payload["stop"] - payload["start"],
-        rng=tree.child(SHARD_NAMESPACE, payload["start"]).source(),
-        resize_schedule=spec.resize_schedule,
-        initial_arrays=payload["initial_arrays"],
-        sub_batches=spec.sub_batches,
-    )
-    result = engine.run(spec.parallel_time, snapshot_every=spec.snapshot_every)
-    return list(result.trial_results)
-
-
-class TrialRunner:
-    """Runs several independent trials of the same experiment.
-
-    Parameters
-    ----------
-    trial_fn:
-        Callable ``(trial_index, rng) -> (SimulationResult, data)`` that
-        builds and runs one simulation.  ``data`` is a free-form dictionary
-        of extracted series (e.g. the estimate min/median/max over time).
-        Omit it (pass ``None``) when running in ensemble mode.
-    trials:
-        Number of independent repetitions.
-    seed:
-        Root seed of the runner's :class:`~repro.engine.rng.SeedTree`;
-        looped modes derive per-trial streams from it (``tree.trial(t)``),
-        the single-stack ensemble mode feeds it to the stacked engine's
-        stream, and the sharded modes derive per-shard streams from the
-        same tree.
-    workers:
-        Opt-in sharded execution (see :mod:`repro.engine.parallel`):
-        ``None`` keeps the historical serial behaviour, ``1`` runs the
-        sharded path serially, higher counts (or ``"auto"``) fan the
-        row-shards over a process pool — ``trial_fn`` (and the data it
-        returns) must then be picklable, in practice a module-level
-        function.  The shard layout never depends on the worker count, so
-        any two worker counts are bit-identical per trial; for looped
-        trials they are additionally bit-identical to ``workers=None``.
-    processes:
-        Backwards-compatible alias for ``workers`` (the pre-shard
-        multiprocessing knob); ignored when ``workers`` is given.
-    ensemble:
-        Opt-in stacked execution: an :class:`EnsembleSpec` describing the
-        workload.  With ``workers=None`` all trials run in one
-        :class:`repro.engine.ensemble_engine.EnsembleSimulator` pass — the
-        fastest single-core mode for vectorisable protocols; with
-        ``workers`` the stack is split into row-shards, one stacked engine
-        per shard, seeded by shard address.  Outcomes keep the exact
-        ``list[TrialOutcome]`` shape of the looped modes either way.
-        Mutually exclusive with ``trial_fn``.
-    """
-
-    def __init__(
-        self,
-        trial_fn: Callable[[int, RandomSource], tuple[SimulationResult, dict[str, Any]]]
-        | None = None,
-        *,
-        trials: int,
-        seed: int | None = None,
-        workers: int | str | None = None,
-        processes: int | None = None,
-        ensemble: EnsembleSpec | None = None,
-    ) -> None:
-        if trials < 1:
-            raise ValueError(f"trials must be at least 1, got {trials}")
-        if processes is not None and processes < 1:
-            raise ValueError(f"processes must be at least 1, got {processes}")
-        if ensemble is None and trial_fn is None:
-            raise ValueError("provide either trial_fn or an EnsembleSpec")
-        if ensemble is not None and trial_fn is not None:
-            raise ValueError(
-                "trial_fn and ensemble are mutually exclusive; the ensemble "
-                "spec already describes the whole workload"
-            )
-        if ensemble is not None and processes is not None:
-            raise ValueError(
-                "processes does not apply to ensemble mode (it predates "
-                "sharding); pass workers=N to split the stack into row-shards"
-            )
-        if workers is None and processes is not None:
-            workers = processes
-        self._trial_fn = trial_fn
-        self.trials = trials
-        self.seed = seed
-        self.workers = resolve_workers(workers)
-        self.processes = processes
-        self.ensemble = ensemble
-        #: Per-shard wall-clock timings of the last sharded :meth:`run`.
-        self.shard_timings: list[ShardTiming] = []
-
-    def run(self) -> list[TrialOutcome]:
-        """Execute all trials and return their outcomes in trial order."""
-        self.shard_timings = []
-        if self.ensemble is not None:
-            if self.workers is None:
-                return self._run_ensemble(self.ensemble)
-            return self._run_ensemble_sharded(self.ensemble)
-        tree = SeedTree.from_seed(self.seed)
-        shards = plan_shards(self.trials)
-        payloads = [
-            {
-                "trial_fn": self._trial_fn,
-                "tree": tree,
-                "start": shard.start,
-                "stop": shard.stop,
-            }
-            for shard in shards
-        ]
-        per_shard, timings = execute_shards(
-            _run_trial_fn_shard,
-            payloads,
-            workers=self.workers if self.workers is not None else 1,
-            shards=shards,
-        )
-        self.shard_timings = timings
-        triples = merge_shard_results(shards, per_shard)
-        return [
-            TrialOutcome(trial=trial, seed_stream=trial, result=result, data=data)
-            for trial, result, data in triples
-        ]
-
-    def _run_ensemble(self, spec: EnsembleSpec) -> list[TrialOutcome]:
-        """Run all trials as one stacked ensemble pass."""
-        from repro.engine.registry import make_engine
-
-        engine = make_engine(
-            "ensemble",
-            spec.protocol,
-            spec.n,
-            trials=self.trials,
-            seed=self.seed,
-            resize_schedule=spec.resize_schedule,
-            initial_arrays=dict(spec.initial_arrays)
-            if spec.initial_arrays is not None
-            else None,
-            sub_batches=spec.sub_batches,
-        )
-        result = engine.run(spec.parallel_time, snapshot_every=spec.snapshot_every)
-        return self._ensemble_outcomes(spec, list(enumerate(result.trial_results)))
-
-    def _run_ensemble_sharded(self, spec: EnsembleSpec) -> list[TrialOutcome]:
-        """Run the stacked workload as row-shards over the worker pool.
-
-        Each shard is its own :class:`EnsembleSimulator` stack seeded at
-        the shard's seed-tree address, so the shard layout (fixed by the
-        trial count) fully determines every stream — any worker count
-        reproduces the same per-trial results.  ``data_fn`` is applied in
-        the parent process, so only the spec itself must be picklable.
-        """
-        tree = SeedTree.from_seed(self.seed)
-        shards = plan_shards(self.trials)
-        # Ship a plain-data spec: data_fn stays in the parent (it may be a
-        # lambda), and each shard receives only its rows of any per-trial
-        # initial arrays.
-        portable_spec = dataclasses.replace(spec, data_fn=None, initial_arrays=None)
-        payloads = [
-            {
-                "spec": portable_spec,
-                "tree": tree,
-                "start": shard.start,
-                "stop": shard.stop,
-                "initial_arrays": _shard_initial_arrays(
-                    spec.initial_arrays, self.trials, shard.start, shard.stop
-                ),
-            }
-            for shard in shards
-        ]
-        per_shard, timings = execute_shards(
-            _run_ensemble_spec_shard,
-            payloads,
-            workers=self.workers if self.workers is not None else 1,
-            shards=shards,
-        )
-        self.shard_timings = timings
-        results = merge_shard_results(shards, per_shard)
-        return self._ensemble_outcomes(spec, list(enumerate(results)))
-
-    def _ensemble_outcomes(
-        self, spec: EnsembleSpec, results: list[tuple[int, RunResult]]
-    ) -> list[TrialOutcome]:
-        outcomes = []
-        for trial, trial_result in results:
-            data = (
-                spec.data_fn(trial_result)
-                if spec.data_fn is not None
-                else trial_result.series()
-            )
-            outcomes.append(
-                TrialOutcome(
-                    trial=trial, seed_stream=trial, result=trial_result, data=data
-                )
-            )
-        return outcomes
-
-    def run_and_aggregate(
-        self,
-        series_key: str,
-        index_key: str = "parallel_time",
-    ) -> tuple[list[TrialOutcome], AggregatedSeries]:
-        """Run all trials and aggregate ``data[series_key]`` across them.
-
-        The index (x-axis) is taken from the first trial's ``data[index_key]``.
-        """
-        outcomes = self.run()
-        index = outcomes[0].data.get(index_key, [])
-        per_trial = [outcome.data[series_key] for outcome in outcomes]
-        return outcomes, aggregate_series(series_key, index, per_trial)

@@ -28,6 +28,7 @@ from typing import Any
 
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.engine.adversary import RemoveAllButAt
+from repro.engine.options import ExecutionOptions
 from repro.engine.recorder import EstimateRecorder, MemoryRecorder
 from repro.engine.rng import RandomSource, spawn_streams
 from repro.engine.simulator import Simulator
@@ -173,7 +174,9 @@ def run_baseline_comparison(
     engine: str = "sequential",
 ) -> ExperimentResult:
     """Compare our protocol, Doty–Eftekhari, and static counting under decimation."""
-    return run_scenario(BASELINE, effort=effort, preset=preset, engine=engine)
+    return run_scenario(
+        BASELINE, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation helper

@@ -12,9 +12,6 @@ over parameter grids::
     repro-experiments sweep fig4 --set keep=50,200 --set drop_time=300
     repro-experiments fuzz --seed 7 --count 25
 
-The historical single-experiment invocations keep working as aliases
-(``repro-experiments fig4 --effort quick`` is ``run fig4 ...``).
-
 Engine/effort combinations are validated for *every* selected scenario
 before any simulation starts, so a bad flag fails in milliseconds with a
 one-line error instead of a traceback halfway through a sweep.
@@ -64,8 +61,6 @@ EXPERIMENT_RUNNERS: dict[str, Callable[..., ExperimentResult]] = {
     "phase_clock": run_phase_clock_experiment,
     "baseline": run_baseline_comparison,
 }
-
-_COMMANDS = ("run", "list", "sweep", "fuzz")
 
 
 def _parse_workers(text: str) -> int | str:
@@ -260,13 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _normalize_argv(argv: list[str]) -> list[str]:
-    """Map the historical ``repro-experiments <name>`` form onto ``run <name>``."""
-    if argv and not argv[0].startswith("-") and argv[0] not in _COMMANDS:
-        return ["run"] + argv
-    return argv
-
-
 def _parse_axis_value(text: str) -> Any:
     for convert in (int, float):
         try:
@@ -425,8 +413,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         try:
             result = run_scenario(
                 name,
+                effort=args.effort,
                 options=ExecutionOptions(
-                    effort=args.effort,
                     engine=args.engine,
                     workers=args.workers,
                     jit=args.jit,
@@ -464,8 +452,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         started = time.time()
         results = run_sweep(
             sweep,
+            effort=args.effort,
             options=ExecutionOptions(
-                effort=args.effort,
                 engine=args.engine,
                 workers=args.workers,
                 jit=args.jit,
@@ -548,7 +536,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     parser = build_parser()
-    args = parser.parse_args(_normalize_argv(list(sys.argv[1:] if argv is None else argv)))
+    args = parser.parse_args(sys.argv[1:] if argv is None else argv)
     if args.command == "list":
         return _cmd_list(args)
     if args.command == "run":

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 
 from repro.analysis.convergence import measure_convergence
+from repro.engine.options import ExecutionOptions
 from repro.engine.recorder import SnapshotStats
 from repro.experiments.base import ExperimentPreset, ExperimentResult
 from repro.experiments.figures import EstimateTrace
@@ -109,7 +110,9 @@ def run_convergence_table(
     engine: str = "batched",
 ) -> ExperimentResult:
     """Measure convergence time across population sizes and initial estimates."""
-    return run_scenario(CONVERGENCE, effort=effort, preset=preset, engine=engine)
+    return run_scenario(
+        CONVERGENCE, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation helper

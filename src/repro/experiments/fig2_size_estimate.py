@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 
+from repro.engine.options import ExecutionOptions
 from repro.experiments.base import ExperimentPreset, ExperimentResult
 from repro.scenarios.registry import register
 from repro.scenarios.runner import run_scenario
@@ -78,7 +79,9 @@ def run_fig2(
     engine: str = "batched",
 ) -> ExperimentResult:
     """Regenerate Fig. 2: estimate of ``log n`` over parallel time."""
-    return run_scenario(FIG2, effort=effort, preset=preset, engine=engine)
+    return run_scenario(
+        FIG2, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation helper

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 
+from repro.engine.options import ExecutionOptions
 from repro.experiments.base import ExperimentPreset, ExperimentResult
 from repro.scenarios.registry import register
 from repro.scenarios.runner import run_scenario
@@ -60,7 +61,9 @@ def run_fig3(
     engine: str = "batched",
 ) -> ExperimentResult:
     """Regenerate Fig. 3: relative deviation from ``log n`` for varying ``n``."""
-    return run_scenario(FIG3, effort=effort, preset=preset, engine=engine)
+    return run_scenario(
+        FIG3, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation helper

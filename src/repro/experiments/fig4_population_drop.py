@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 
+from repro.engine.options import ExecutionOptions
 from repro.experiments.base import ExperimentPreset, ExperimentResult
 from repro.experiments.config import decimation_knobs
 from repro.scenarios.registry import register
@@ -122,7 +123,9 @@ def run_fig4(
     engine: str = "batched",
 ) -> ExperimentResult:
     """Regenerate Fig. 4: estimate over time with a decimation event."""
-    return run_scenario(FIG4, effort=effort, preset=preset, engine=engine)
+    return run_scenario(
+        FIG4, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation helper

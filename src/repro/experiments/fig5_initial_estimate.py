@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 
+from repro.engine.options import ExecutionOptions
 from repro.experiments.base import ExperimentPreset, ExperimentResult
 from repro.scenarios.registry import register
 from repro.scenarios.runner import run_scenario
@@ -95,7 +96,9 @@ def run_fig5(
     engine: str = "batched",
 ) -> ExperimentResult:
     """Regenerate Fig. 5: recovery from an initial estimate of 60."""
-    return run_scenario(FIG5, effort=effort, preset=preset, engine=engine)
+    return run_scenario(
+        FIG5, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation helper

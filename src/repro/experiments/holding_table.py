@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 
 from repro.analysis.convergence import loose_stabilization_report
+from repro.engine.options import ExecutionOptions
 from repro.experiments.base import ExperimentPreset, ExperimentResult
 from repro.experiments.convergence_table import trace_to_snapshots
 from repro.scenarios.registry import register
@@ -75,7 +76,9 @@ def run_holding_table(
     engine: str = "batched",
 ) -> ExperimentResult:
     """Measure how long the converged estimate band holds within the horizon."""
-    return run_scenario(HOLDING, effort=effort, preset=preset, engine=engine)
+    return run_scenario(
+        HOLDING, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation helper

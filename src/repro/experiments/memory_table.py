@@ -22,6 +22,7 @@ import math
 
 from repro.analysis.memory import summarize_memory
 from repro.core.dynamic_counting import DynamicSizeCounting
+from repro.engine.options import ExecutionOptions
 from repro.engine.recorder import MemoryRecorder
 from repro.engine.rng import RandomSource, spawn_streams
 from repro.engine.simulator import Simulator
@@ -114,7 +115,9 @@ def run_memory_table(
     engine: str = "sequential",
 ) -> ExperimentResult:
     """Regenerate the space-complexity comparison (ours vs Doty–Eftekhari)."""
-    return run_scenario(MEMORY, effort=effort, preset=preset, engine=engine)
+    return run_scenario(
+        MEMORY, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation helper

@@ -24,6 +24,7 @@ import math
 
 from repro.analysis.synchronization import analyze_synchrony
 from repro.core.phase_clock import UniformPhaseClock
+from repro.engine.options import ExecutionOptions
 from repro.engine.recorder import EventRecorder
 from repro.engine.rng import RandomSource, spawn_streams
 from repro.engine.simulator import Simulator
@@ -108,7 +109,9 @@ def run_phase_clock_experiment(
     engine: str = "sequential",
 ) -> ExperimentResult:
     """Measure the burst/overlap structure of the clock (Theorem 2.2)."""
-    return run_scenario(PHASE_CLOCK, effort=effort, preset=preset, engine=engine)
+    return run_scenario(
+        PHASE_CLOCK, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
+    )
 
 
 if __name__ == "__main__":  # pragma: no cover - manual invocation helper

@@ -20,7 +20,9 @@ dynamic population model:
 * :mod:`repro.scenarios.catalog` — the adversarial scenarios beyond the
   paper's figures.
 
-Execution knobs (engine, workers, jit, checkpointing) bundle into
+:func:`run_scenario` and :func:`run_sweep` take ``effort``/``preset`` as
+keywords (what runs) and every execution setting (engine, workers, jit,
+checkpointing) only as ``options=``
 :class:`repro.engine.options.ExecutionOptions`, re-exported here.
 """
 

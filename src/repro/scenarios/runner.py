@@ -19,17 +19,16 @@ mid-run traceback.
 from __future__ import annotations
 
 import dataclasses
-import json
 import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.core.params import ProtocolParameters
-from repro.engine.errors import ConfigurationError, UnsupportedEngineError
+from repro.engine.errors import ConfigurationError
 from repro.engine.options import ExecutionOptions, execution_metadata
 from repro.engine.parallel import execute_shards, resolve_workers
-from repro.engine.registry import choose_engine, engine_names
-from repro.engine.runner import CHECKPOINT_MANIFEST
+from repro.engine.registry import choose_engine, validate_engine_request
+from repro.engine.runner import recorded_checkpoint_every
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec, SweepSpec
 
@@ -91,22 +90,6 @@ def resolve_params(spec: ScenarioSpec, preset: "ExperimentPreset") -> ProtocolPa
     return params
 
 
-def _validate_engine(spec: ScenarioSpec, engine: str | None) -> None:
-    """Reject bad engine requests before any simulation work starts."""
-    if engine is None or engine == "auto":
-        return
-    if engine not in engine_names():
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; available engines: "
-            f"{', '.join(engine_names())} (or 'auto')"
-        )
-    if not spec.supports_engine(engine):
-        raise UnsupportedEngineError(
-            f"scenario {spec.name!r} supports engine(s) "
-            f"{', '.join(spec.engines)}, got {engine!r}"
-        )
-
-
 def _engine_for_point(
     spec: ScenarioSpec,
     requested: str | None,
@@ -139,38 +122,12 @@ def _subdir(root: Any, label: str) -> str | None:
     return str(Path(root) / _checkpoint_slug(label))
 
 
-def _sniff_checkpoint_every(resume_from: Any) -> int | None:
-    """Recover the checkpoint cadence from any manifest under ``resume_from``.
-
-    Lets ``resume_from`` alone continue a multi-point run: every point of
-    one scenario invocation shares the same cadence, so the first readable
-    per-point manifest pins it; points that never started fall back to it.
-    Returns ``None`` when no manifest exists yet (fresh start — the caller
-    must then supply ``checkpoint_every``).
-    """
-    if resume_from is None:
-        return None
-    for manifest in sorted(Path(resume_from).glob(f"*/{CHECKPOINT_MANIFEST}")):
-        try:
-            return int(json.loads(manifest.read_text())["checkpoint_every"])
-        except (OSError, ValueError, KeyError, TypeError):
-            continue
-    return None
-
-
 def run_scenario(
     spec_or_name: ScenarioSpec | str,
     *,
-    options: ExecutionOptions | None = None,
     effort: str = "quick",
     preset: ExperimentPreset | None = None,
-    engine: str | None = None,
-    workers: int | str | None = None,
-    jit: bool = False,
-    checkpoint_every: int | None = None,
-    checkpoint_dir: Any = None,
-    resume_from: Any = None,
-    interrupt_after: int | None = None,
+    options: ExecutionOptions | None = None,
 ) -> ExperimentResult:
     """Run one scenario and return its :class:`ExperimentResult`.
 
@@ -178,75 +135,59 @@ def run_scenario(
     ----------
     spec_or_name:
         A :class:`ScenarioSpec` or the name of a registered scenario.
-    options:
-        A frozen :class:`repro.engine.options.ExecutionOptions` bundling
-        every execution knob below.  Passing ``options`` together with a
-        conflicting legacy keyword raises a
-        :class:`~repro.engine.errors.ConfigurationError`; the legacy
-        keywords remain fully supported and build an ``ExecutionOptions``
-        internally.
     effort:
         Preset effort level (``"quick"`` / ``"default"`` / ``"paper"``);
         ignored when an explicit ``preset`` is passed.
-    engine:
-        Engine name to force for every point, ``"auto"`` to auto-select per
-        point even if the spec pins an engine, or ``None`` (default) to use
-        the spec's pinned engine — falling back to auto-selection via
-        :func:`repro.engine.registry.choose_engine` when none is pinned.
-    workers:
-        Sharded execution of every point's trials (see
-        :mod:`repro.engine.parallel`): ``None`` (default) keeps the serial
-        path, ``"auto"`` uses the capped CPU count, an integer fans each
-        point's row-shards over that many worker processes.  Per-trial
-        results are bit-identical for any ``workers >= 1`` — only
-        wall-clock time changes.  Bespoke-executor scenarios (recorder
-        workloads pinned to the sequential engine) always run serially;
-        requesting workers for them is recorded in the result metadata but
-        has no effect.
-    jit:
-        Request the compiled kernel backend (:mod:`repro.kernels`) for
-        every point that runs on an engine supporting it.  Best effort
-        end to end: points on other engines, and machines where the
-        backend is unavailable, run the NumPy reference kernels — the
-        request and the availability outcome are recorded in the result
-        metadata.
-    checkpoint_every / checkpoint_dir / resume_from / interrupt_after:
-        Crash recovery for long-horizon runs (see
-        :func:`repro.engine.runner.run_engine_trials`): each workload
-        point checkpoints into its own subdirectory of ``checkpoint_dir``
-        (named after the point's series label), and ``resume_from``
-        continues an interrupted invocation — completed points return
-        instantly from their final checkpoints, the interrupted point
-        resumes mid-run, and the rest run fresh.  ``resume_from`` alone is
-        enough: the cadence is recovered from the run's own manifests.
-        Bespoke-executor scenarios run uncheckpointed (recorded in the
-        result metadata).  A resumed result is bit-identical to an
-        uninterrupted one.
+    preset:
+        An explicit :class:`~repro.experiments.base.ExperimentPreset`,
+        overriding the effort lookup.
+    options:
+        How to execute, as a frozen
+        :class:`repro.engine.options.ExecutionOptions` (defaults apply when
+        omitted):
+
+        * ``engine`` — a name forces that engine for every point,
+          ``"auto"`` auto-selects per point even if the spec pins an
+          engine, and ``None`` uses the spec's pinned engine, falling back
+          to :func:`repro.engine.registry.choose_engine` when none is
+          pinned.
+        * ``workers`` — shard every point's trials (see
+          :mod:`repro.engine.parallel`): ``None`` runs each point as one
+          in-process shard, ``"auto"`` uses the capped CPU count, an
+          integer fans each point's row-shards over that many worker
+          processes.  Per-trial results are bit-identical for any
+          ``workers >= 1``.  Bespoke-executor scenarios (recorder
+          workloads pinned to the sequential engine) always run serially;
+          a workers request for them is recorded in the result metadata.
+        * ``jit`` — request the compiled kernel backend
+          (:mod:`repro.kernels`) for every point on an engine supporting
+          it; elsewhere, and where the backend is unavailable, the NumPy
+          reference kernels run.  Request and outcome are recorded in the
+          result metadata.
+        * ``checkpoint_every`` / ``checkpoint_dir`` / ``resume_from`` /
+          ``interrupt_after`` — crash recovery (see
+          :func:`repro.engine.runner.run_engine_trials`): each point
+          checkpoints into its own subdirectory of ``checkpoint_dir``
+          (named after the point's series label), and ``resume_from``
+          continues an interrupted invocation — completed points return
+          from their final checkpoints, the interrupted point resumes
+          mid-run, the rest run fresh.  ``resume_from`` alone is enough:
+          the cadence is read from the run's own manifests.
+          Bespoke-executor scenarios run uncheckpointed (recorded in the
+          result metadata).  Checkpointing never changes results.
     """
     # Imported here: the experiments layer imports repro.scenarios at
     # definition time, so the reverse dependency must stay lazy.
     from repro.experiments.base import ExperimentResult
     from repro.experiments.figures import run_estimate_trace
 
-    opts = ExecutionOptions.merge(
-        options,
-        effort=effort,
-        preset=preset,
-        engine=engine,
-        workers=workers,
-        jit=jit,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-        resume_from=resume_from,
-        interrupt_after=interrupt_after,
-    )
-    effort, preset, engine = opts.effort, opts.preset, opts.engine
-    jit, interrupt_after = opts.jit, opts.interrupt_after
+    opts = options if options is not None else ExecutionOptions()
+    engine, jit, interrupt_after = opts.engine, opts.jit, opts.interrupt_after
     checkpoint_every, checkpoint_dir = opts.checkpoint_every, opts.checkpoint_dir
     resume_from = opts.resume_from
 
     spec = _resolve_spec(spec_or_name)
-    _validate_engine(spec, engine)
+    validate_engine_request(engine, spec)
     requested_workers = opts.workers
     workers = resolve_workers(opts.workers)
     preset = resolve_preset(spec, effort, preset)
@@ -255,8 +196,8 @@ def run_scenario(
     if checkpointing:
         if checkpoint_dir is None:
             checkpoint_dir = resume_from
-        if checkpoint_every is None:
-            checkpoint_every = _sniff_checkpoint_every(resume_from)
+        if checkpoint_every is None and resume_from is not None:
+            checkpoint_every = recorded_checkpoint_every(resume_from, depth=1)
 
     if spec.executor is not None:
         resolved = _engine_for_point(
@@ -373,97 +314,59 @@ def _run_sweep_combo(payload: dict[str, Any]) -> "ExperimentResult":
     may hold non-picklable factories) and is re-resolved in the worker.
     """
     return run_scenario(
-        payload["scenario"],
-        preset=payload["preset"],
-        engine=payload["engine"],
-        workers=payload["workers"],
-        jit=payload["jit"],
-        checkpoint_every=payload.get("checkpoint_every"),
-        checkpoint_dir=payload.get("checkpoint_dir"),
-        resume_from=payload.get("resume_from"),
-        interrupt_after=payload.get("interrupt_after"),
+        payload["scenario"], preset=payload["preset"], options=payload["options"]
     )
 
 
 def run_sweep(
     sweep: SweepSpec,
     *,
-    options: ExecutionOptions | None = None,
     effort: str = "quick",
     preset: ExperimentPreset | None = None,
-    engine: str | None = None,
-    workers: int | str | None = None,
-    jit: bool = False,
-    checkpoint_every: int | None = None,
-    checkpoint_dir: Any = None,
-    resume_from: Any = None,
-    interrupt_after: int | None = None,
+    options: ExecutionOptions | None = None,
 ) -> list[tuple[str, ExperimentResult]]:
     """Run every combination of a sweep grid; returns ``(label, result)`` pairs.
 
-    ``options`` bundles the execution knobs exactly as on
-    :func:`run_scenario`: pass either the object or the legacy keywords,
-    not both.
+    ``effort``, ``preset`` and ``options`` mean what they mean on
+    :func:`run_scenario`; ``preset`` is the base every combination
+    overrides.
 
     The whole grid is expanded and validated up front — protocol-parameter
     axes *and* workload points (schedules, population sizes) — so a bad axis
     value fails before the first simulation instead of mid-sweep after
     earlier combinations already ran.
 
-    ``workers`` shards the sweep: with more than one combination, each grid
-    point becomes an independent job and the jobs fan out over the worker
-    pool (each combination runs serially inside its worker); a single
-    combination instead delegates ``workers`` to :func:`run_scenario`,
+    ``options.workers`` shards the sweep: with more than one combination,
+    each grid point becomes an independent job and the jobs fan out over
+    the worker pool (each combination runs serially inside its worker); a
+    single combination instead passes ``workers`` to :func:`run_scenario`,
     which shards that combination's trials.  Either way the split is a pure
     function of the grid — results are bit-identical for any
     ``workers >= 1`` and are returned in grid order with per-combination
     wall-clock seconds in ``metadata["sweep_seconds"]``.
 
-    The checkpoint knobs behave as in :func:`run_scenario`, one level up:
+    The checkpoint fields behave as in :func:`run_scenario`, one level up:
     each grid combination checkpoints into its own subdirectory of
     ``checkpoint_dir`` named after the combination label, so an
     interrupted sweep resumed with ``resume_from`` skips completed
     combinations via their final checkpoints and continues the
     interrupted one mid-run.
     """
-    opts = ExecutionOptions.merge(
-        options,
-        effort=effort,
-        preset=preset,
-        engine=engine,
-        workers=workers,
-        jit=jit,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-        resume_from=resume_from,
-        interrupt_after=interrupt_after,
-    )
-    effort, preset, engine, workers = opts.effort, opts.preset, opts.engine, opts.workers
-    jit, interrupt_after = opts.jit, opts.interrupt_after
-    checkpoint_every, checkpoint_dir = opts.checkpoint_every, opts.checkpoint_dir
-    resume_from = opts.resume_from
-
+    opts = options if options is not None else ExecutionOptions()
     spec = _resolve_spec(sweep.scenario)
-    _validate_engine(spec, engine)
-    resolved_workers = resolve_workers(workers)
+    validate_engine_request(opts.engine, spec)
+    resolved_workers = resolve_workers(opts.workers)
     base = resolve_preset(spec, effort, preset)
     expanded = sweep.expand(base)
-    checkpointing = opts.checkpointing
-    if checkpointing:
+    checkpoint_dir, resume_from = opts.checkpoint_dir, opts.resume_from
+    if opts.checkpointing:
         if checkpoint_dir is None:
             checkpoint_dir = resume_from
-        if checkpoint_every is None and resume_from is not None:
+        if opts.checkpoint_every is None and resume_from is not None:
             # Combination subdirs nest point subdirs: */*/manifest.json.
-            for manifest in sorted(
-                Path(resume_from).glob(f"*/*/{CHECKPOINT_MANIFEST}")
-            ):
-                try:
-                    checkpoint_every = int(
-                        json.loads(manifest.read_text())["checkpoint_every"]
-                    )
-                    break
-                except (OSError, ValueError, KeyError, TypeError):
-                    continue
+            opts = opts.replace(
+                checkpoint_every=recorded_checkpoint_every(resume_from, depth=2)
+            )
     for _, combo_preset in expanded:
         combo_params = resolve_params(spec, combo_preset)
         if spec.executor is None:
@@ -471,21 +374,20 @@ def run_sweep(
             # and resize schedules for every engine.
             tuple(spec.points(combo_preset, combo_params))
 
+    def combo_options(label: str, workers: int | str | None) -> ExecutionOptions:
+        return opts.replace(
+            workers=workers,
+            checkpoint_dir=_subdir(checkpoint_dir, label),
+            resume_from=_subdir(resume_from, label),
+        )
+
     if resolved_workers is None or len(expanded) == 1:
         # Serial path (or a single combination, where trial-level sharding
         # inside run_scenario is the better use of the pool).
         results = []
         for label, combo_preset in expanded:
             result = run_scenario(
-                spec,
-                preset=combo_preset,
-                engine=engine,
-                workers=workers,
-                jit=jit,
-                checkpoint_every=checkpoint_every,
-                checkpoint_dir=_subdir(checkpoint_dir, label),
-                resume_from=_subdir(resume_from, label),
-                interrupt_after=interrupt_after,
+                spec, preset=combo_preset, options=combo_options(label, opts.workers)
             )
             result.metadata["sweep"] = label
             results.append((label, result))
@@ -495,15 +397,9 @@ def run_sweep(
         {
             "scenario": sweep.scenario,
             "preset": combo_preset,
-            "engine": engine,
             # Combinations are the unit of parallelism; each runs serially
             # inside its worker so results match workers=1 bit for bit.
-            "workers": None,
-            "jit": jit,
-            "checkpoint_every": checkpoint_every,
-            "checkpoint_dir": _subdir(checkpoint_dir, label),
-            "resume_from": _subdir(resume_from, label),
-            "interrupt_after": interrupt_after,
+            "options": combo_options(label, None),
         }
         for label, combo_preset in expanded
     ]

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
-from repro.engine.errors import ConfigurationError, UnsupportedEngineError
+from repro.engine.options import ExecutionOptions
 from repro.engine.parallel import resolve_workers
-from repro.engine.registry import engine_capabilities, engine_names
+from repro.engine.registry import engine_capabilities, validate_engine_request
 from repro.kernels import availability as kernels_availability
 from repro.scenarios.listing import scenario_listing
 from repro.scenarios.registry import get_scenario
@@ -43,7 +43,6 @@ from repro.serve.jobs import JobQueue, JobState
 from repro.serve.keys import canonical_cache_key
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports (layering)
-    from repro.engine.options import ExecutionOptions
     from repro.experiments.base import ExperimentPreset, ExperimentResult
     from repro.scenarios.spec import ScenarioSpec
 
@@ -79,8 +78,8 @@ class RunRequest:
     effort:
         Preset effort level (``"quick"`` / ``"default"`` / ``"paper"``).
     engine / workers / jit:
-        Execution knobs, exactly as :func:`repro.scenarios.runner.run_scenario`
-        takes them.
+        Execution knobs, forwarded to :func:`repro.scenarios.runner.run_scenario`
+        as the matching :class:`~repro.engine.options.ExecutionOptions` fields.
     seed:
         Root-seed override (defaults to the preset's pinned seed).
     overrides:
@@ -89,13 +88,6 @@ class RunRequest:
     sweep:
         When set, the run is a :func:`run_sweep` over this axis mapping
         instead of a single :func:`run_scenario`.
-    options:
-        Alternatively, bundle effort/engine/workers/jit into one
-        :class:`~repro.engine.options.ExecutionOptions`; it is flattened
-        onto the fields above at construction time (passing both raises),
-        so two requests describing the same run always compare equal.
-        Preset and checkpointing fields are rejected — the service manages
-        checkpointing itself (see ``SimulationService.checkpoint_every``).
     """
 
     scenario: str
@@ -106,45 +98,10 @@ class RunRequest:
     seed: int | None = None
     overrides: Mapping[str, Any] | None = None
     sweep: Mapping[str, Sequence[Any]] | None = None
-    options: "ExecutionOptions | None" = None
-
-    def __post_init__(self) -> None:
-        if self.options is None:
-            return
-        opts = self.options
-        if opts.preset is not None or opts.checkpointing or opts.interrupt_after is not None:
-            raise ConfigurationError(
-                "RunRequest options must not carry preset or checkpointing "
-                "fields; use effort plus the service's own checkpoint_every"
-            )
-        conflicts = [
-            name
-            for name, default in (
-                ("effort", "quick"),
-                ("engine", None),
-                ("workers", None),
-                ("jit", False),
-            )
-            if getattr(self, name) != default
-        ]
-        if conflicts:
-            raise ConfigurationError(
-                "pass execution settings either via options=ExecutionOptions(...) "
-                "or as request fields, not both; conflicting field(s): "
-                + ", ".join(sorted(conflicts))
-            )
-        object.__setattr__(self, "effort", opts.effort)
-        object.__setattr__(self, "engine", opts.engine)
-        object.__setattr__(self, "workers", opts.workers)
-        object.__setattr__(self, "jit", opts.jit)
-        object.__setattr__(self, "options", None)
 
     def summary(self) -> dict[str, Any]:
         """JSON-encodable echo stored on the job and shown by status APIs."""
         payload = dataclasses.asdict(self)
-        # Always None after __post_init__ flattening; dropped so the echo
-        # keeps its pre-options shape byte for byte.
-        payload.pop("options")
         payload["overrides"] = dict(self.overrides) if self.overrides else None
         payload["sweep"] = (
             {key: list(values) for key, values in self.sweep.items()}
@@ -152,22 +109,6 @@ class RunRequest:
             else None
         )
         return payload
-
-
-def _validate_engine_request(spec: "ScenarioSpec", engine: str | None) -> None:
-    """Mirror of the runner's pre-flight engine validation (public pieces)."""
-    if engine is None or engine == "auto":
-        return
-    if engine not in engine_names():
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; available engines: "
-            f"{', '.join(engine_names())} (or 'auto')"
-        )
-    if not spec.supports_engine(engine):
-        raise UnsupportedEngineError(
-            f"scenario {spec.name!r} supports engine(s) "
-            f"{', '.join(spec.engines)}, got {engine!r}"
-        )
 
 
 class SimulationService:
@@ -211,7 +152,7 @@ class SimulationService:
         malformed — nothing is enqueued and no simulation starts.
         """
         spec = get_scenario(request.scenario)
-        _validate_engine_request(spec, request.engine)
+        validate_engine_request(request.engine, spec)
         resolve_workers(request.workers)  # rejects bad values early
         preset = resolve_preset(spec, request.effort)
         if request.overrides:
@@ -250,36 +191,24 @@ class SimulationService:
         spec, preset, sweep, key = self.resolve(request)
 
         def work() -> CacheEntry:
-            checkpoints: dict[str, Any] = {}
+            options = ExecutionOptions(
+                engine=request.engine, workers=request.workers, jit=request.jit
+            )
             ckpt_dir: Path | None = None
             if self.checkpoint_every is not None:
                 # Content-addressed like the cache entry itself: a job that
                 # died mid-run resumes when the same request is re-submitted.
                 ckpt_dir = self._checkpoint_root / key
-                checkpoints = {
-                    "checkpoint_every": self.checkpoint_every,
-                    "checkpoint_dir": ckpt_dir,
-                    "resume_from": ckpt_dir if ckpt_dir.exists() else None,
-                }
-            if sweep is not None:
-                labelled = self._run_sweep(
-                    sweep,
-                    preset=preset,
-                    engine=request.engine,
-                    workers=request.workers,
-                    jit=request.jit,
-                    **checkpoints,
+                options = options.replace(
+                    checkpoint_every=self.checkpoint_every,
+                    checkpoint_dir=ckpt_dir,
+                    resume_from=ckpt_dir if ckpt_dir.exists() else None,
                 )
+            if sweep is not None:
+                labelled = self._run_sweep(sweep, preset=preset, options=options)
                 entry = self.cache.put(key, labelled, kind="sweep")
             else:
-                result = self._run_scenario(
-                    spec,
-                    preset=preset,
-                    engine=request.engine,
-                    workers=request.workers,
-                    jit=request.jit,
-                    **checkpoints,
-                )
+                result = self._run_scenario(spec, preset=preset, options=options)
                 entry = self.cache.put(key, [(None, result)], kind="scenario")
             if ckpt_dir is not None:
                 # The result is durable in the cache; the recovery state is

@@ -180,7 +180,8 @@ class TestKillAndResume:
         assert _run(engine, workers, resume_from=tmp_path) == baseline
 
     def test_serial_checkpointed_matches_workers_one(self, tmp_path):
-        # checkpointing forces the sharded path, so workers=None matches 1.
+        # Looped engines address every trial's stream the same way with or
+        # without shards, so a resumed workers=None run matches workers=1.
         baseline = _run("sequential", 1)
         with pytest.raises(CheckpointInterrupted):
             _run(
@@ -275,6 +276,93 @@ class TestCheckpointFailureModes:
         assert manifest["checkpoint_every"] == CHECKPOINT_EVERY
 
 
+class TestCheckpointingNeverChangesResults:
+    """Checkpointing is a write hook: same ``workers``, same results."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_serial_checkpointed_equals_plain(self, engine, tmp_path):
+        # workers=None is one shard on the root stream, checkpointed or not.
+        plain = _run(engine, None)
+        checkpointed = _run(
+            engine, None, checkpoint_every=CHECKPOINT_EVERY, checkpoint_dir=tmp_path
+        )
+        assert checkpointed == plain
+
+    def test_serial_ensemble_interrupted_resume_equals_plain(self, tmp_path):
+        plain = _run("ensemble", None)
+        with pytest.raises(CheckpointInterrupted):
+            _run(
+                "ensemble",
+                None,
+                checkpoint_every=CHECKPOINT_EVERY,
+                checkpoint_dir=tmp_path,
+                interrupt_after=1,
+            )
+        assert _run("ensemble", None, resume_from=tmp_path) == plain
+
+    def test_manifest_records_root_stream(self, tmp_path):
+        _run("ensemble", None, checkpoint_every=CHECKPOINT_EVERY, checkpoint_dir=tmp_path / "a")
+        _run("ensemble", 1, checkpoint_every=CHECKPOINT_EVERY, checkpoint_dir=tmp_path / "b")
+        serial = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        sharded = json.loads((tmp_path / "b" / "manifest.json").read_text())
+        assert serial["schema_version"] == sharded["schema_version"] == 2
+        assert serial["root_stream"] is True
+        assert sharded["root_stream"] is False
+
+    def test_serial_ensemble_dir_cannot_resume_sharded(self, tmp_path):
+        # With <= 8 trials both runs have the shard list [[0, trials)], so
+        # only the recorded stream keeps the resume from continuing the
+        # other run's state.
+        def run(workers, **knobs):
+            return run_engine_trials(
+                _factory,
+                engine="ensemble",
+                trials=6,
+                seed=SEED,
+                parallel_time=PARALLEL_TIME,
+                snapshot_every=SNAPSHOT_EVERY,
+                workers=workers,
+                **knobs,
+            )
+
+        with pytest.raises(CheckpointInterrupted):
+            run(
+                None,
+                checkpoint_every=CHECKPOINT_EVERY,
+                checkpoint_dir=tmp_path,
+                interrupt_after=1,
+            )
+        with pytest.raises(CheckpointError, match="manifest"):
+            run(1, resume_from=tmp_path)
+
+    def test_schema_one_checkpoint_dir_is_rejected(self, tmp_path):
+        # A schema-1 directory: no root_stream in the manifest or in the
+        # shard workloads.
+        with pytest.raises(CheckpointInterrupted):
+            _run(
+                "ensemble",
+                1,
+                checkpoint_every=CHECKPOINT_EVERY,
+                checkpoint_dir=tmp_path,
+                interrupt_after=1,
+            )
+        manifest_path = tmp_path / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["schema_version"] = 1
+        del manifest["root_stream"]
+        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+        with pytest.raises(CheckpointError, match="manifest"):
+            _run("ensemble", 1, resume_from=tmp_path)
+        # Even without a manifest, schema-1 shard workloads do not match.
+        manifest_path.unlink()
+        for shard in tmp_path.glob("shard_*.ckpt"):
+            state = read_checkpoint(shard, kind="shard")
+            del state["workload"]["root_stream"]
+            write_checkpoint(shard, state, kind="shard")
+        with pytest.raises(CheckpointError, match="different workload"):
+            _run("ensemble", 1, checkpoint_every=CHECKPOINT_EVERY, resume_from=tmp_path)
+
+
 class TestCheckpointCadenceBudget:
     """Write frequency follows ``checkpoint_every``, not the trial count.
 
@@ -284,42 +372,111 @@ class TestCheckpointCadenceBudget:
     cadence the caller asked for.
     """
 
-    def test_writes_follow_cadence_across_short_trials(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _count_writes(monkeypatch):
         import repro.engine.runner as runner_module
-        from repro.engine.rng import SeedTree
 
         written = []
         real_write = runner_module.write_checkpoint
 
         def counting_write(path, payload, *, kind):
-            written.append(dict(payload))
+            written.append((path.name, dict(payload)))
             return real_write(path, payload, kind=kind)
 
         monkeypatch.setattr(runner_module, "write_checkpoint", counting_write)
+        return written
 
-        payload = {
-            "factory": _factory,
-            "engine": "sequential",
-            "tree": SeedTree.from_seed(SEED),
-            "start": 0,
-            "stop": 6,
-            "parallel_time": PARALLEL_TIME,
-            "snapshot_every": SNAPSHOT_EVERY,
-            "checkpoint_every": 2 * PARALLEL_TIME,
-            "checkpoint_dir": str(tmp_path),
-            "seed": SEED,
-        }
-        series = runner_module._run_looped_engine_shard_checkpointed(payload)
+    def test_writes_follow_cadence_across_short_trials(self, tmp_path, monkeypatch):
+        written = self._count_writes(monkeypatch)
+
+        def run(**knobs):
+            return run_engine_trials(
+                _factory,
+                engine="sequential",
+                trials=6,
+                seed=SEED,
+                parallel_time=PARALLEL_TIME,
+                snapshot_every=SNAPSHOT_EVERY,
+                workers=1,
+                **knobs,
+            )
+
+        series = run(checkpoint_every=2 * PARALLEL_TIME, checkpoint_dir=tmp_path)
 
         assert len(series) == 6
         # Budget of 2 trials per write: after trials 2 and 4, plus the
         # final done write — not one write per trial.
-        assert len(written) == 3
-        assert [state["trial"] for state in written] == [2, 4, 6]
-        assert [state["done"] for state in written] == [False, False, True]
+        assert [state["trial"] for _, state in written] == [2, 4, 6]
+        assert [state["done"] for _, state in written] == [False, False, True]
 
         # The sparse checkpoints resume to the same result.
-        resumed = runner_module._run_looped_engine_shard_checkpointed(
-            {**payload, "resume_from": str(tmp_path)}
+        assert run(resume_from=tmp_path) == series
+
+    def test_ensemble_writes_each_segment_boundary(self, tmp_path, monkeypatch):
+        # Horizon 200 at cadence 50: three mid-run writes plus the done
+        # write per shard (16 trials are two shards of 8).
+        written = self._count_writes(monkeypatch)
+        run_engine_trials(
+            _factory,
+            engine="ensemble",
+            trials=16,
+            seed=SEED,
+            parallel_time=200,
+            snapshot_every=SNAPSHOT_EVERY,
+            workers=1,
+            checkpoint_every=50,
+            checkpoint_dir=tmp_path,
         )
-        assert resumed == series
+        for shard in ("shard_0-8.ckpt", "shard_8-16.ckpt"):
+            done = [state["done"] for name, state in written if name == shard]
+            assert done == [False, False, False, True]
+        assert len(written) == 8
+
+
+class TestScenarioCheckpointing:
+    @staticmethod
+    def _preset():
+        from repro.experiments.base import ExperimentPreset
+
+        return ExperimentPreset(
+            name="tiny", population_sizes=(200,), parallel_time=40, trials=4, seed=7
+        )
+
+    def test_ensemble_scenario_checkpointed_equals_plain(self, tmp_path):
+        from repro.engine.options import ExecutionOptions
+        from repro.scenarios.runner import run_scenario
+
+        plain = run_scenario(
+            "oscillate", preset=self._preset(), options=ExecutionOptions(engine="ensemble")
+        )
+        checkpointed = run_scenario(
+            "oscillate",
+            preset=self._preset(),
+            options=ExecutionOptions(
+                engine="ensemble", checkpoint_every=20, checkpoint_dir=tmp_path
+            ),
+        )
+        assert checkpointed.rows == plain.rows
+        assert checkpointed.series == plain.series
+
+    def test_unreadable_point_manifest_fails_resume(self, tmp_path):
+        from repro.engine.options import ExecutionOptions
+        from repro.scenarios.runner import run_scenario
+
+        with pytest.raises(CheckpointInterrupted):
+            run_scenario(
+                "oscillate",
+                preset=self._preset(),
+                options=ExecutionOptions(
+                    checkpoint_every=20, checkpoint_dir=tmp_path, interrupt_after=1
+                ),
+            )
+        manifests = sorted(tmp_path.glob("*/manifest.json"))
+        assert manifests
+        manifests[0].write_text("{ not json")
+        with pytest.raises(CheckpointError, match="unreadable"):
+            run_scenario(
+                "oscillate",
+                preset=self._preset(),
+                options=ExecutionOptions(resume_from=tmp_path),
+            )

@@ -11,8 +11,9 @@ run without re-deriving the auto policies.  Legacy metadata keys
 
 from __future__ import annotations
 
-from repro.engine.registry import choose_engine
+from repro.engine.options import ExecutionOptions
 from repro.engine.parallel import resolve_workers
+from repro.engine.registry import choose_engine
 from repro.experiments.base import ExperimentPreset
 from repro.scenarios.runner import run_scenario, run_sweep
 from repro.scenarios.spec import ScenarioSpec, SweepSpec
@@ -70,7 +71,9 @@ class TestEngineResolution:
 
     def test_engine_auto_same_resolution_as_none_for_unpinned_spec(self):
         spec, preset = make_spec(), tiny_preset()
-        auto = run_scenario(spec, preset=preset, engine="auto")
+        auto = run_scenario(
+            spec, preset=preset, options=ExecutionOptions(engine="auto")
+        )
         default = run_scenario(spec, preset=preset)
         assert execution_of(auto)["engine"] == execution_of(default)["engine"]
         assert execution_of(auto)["requested_engine"] == "auto"
@@ -80,7 +83,9 @@ class TestEngineResolution:
         result = run_scenario(pinned, preset=tiny_preset())
         assert execution_of(result)["engine"] == "batched"
         # "auto" re-enables per-point choice even against the pin.
-        auto = run_scenario(pinned, preset=tiny_preset(), engine="auto")
+        auto = run_scenario(
+            pinned, preset=tiny_preset(), options=ExecutionOptions(engine="auto")
+        )
         assert execution_of(auto)["engine"] == "array"
 
     def test_mixed_engines_across_points(self):
@@ -94,7 +99,11 @@ class TestEngineResolution:
         assert execution["engines"] == ["array", "ensemble"]
 
     def test_explicit_engine_is_recorded_verbatim(self):
-        result = run_scenario(make_spec(), preset=tiny_preset(), engine="batched")
+        result = run_scenario(
+            make_spec(),
+            preset=tiny_preset(),
+            options=ExecutionOptions(engine="batched"),
+        )
         execution = execution_of(result)
         assert execution["requested_engine"] == "batched"
         assert execution["engine"] == "batched"
@@ -109,14 +118,18 @@ class TestWorkersResolution:
         assert "workers" not in result.metadata  # legacy contract
 
     def test_workers_auto_records_resolved_count(self):
-        result = run_scenario(make_spec(), preset=tiny_preset(), workers="auto")
+        result = run_scenario(
+            make_spec(), preset=tiny_preset(), options=ExecutionOptions(workers="auto")
+        )
         execution = execution_of(result)
         assert execution["workers_requested"] == "auto"
         assert execution["workers"] == resolve_workers("auto")
         assert result.metadata["workers"] == execution["workers"]  # legacy key
 
     def test_explicit_workers_recorded(self):
-        result = run_scenario(make_spec(), preset=tiny_preset(), workers=2)
+        result = run_scenario(
+            make_spec(), preset=tiny_preset(), options=ExecutionOptions(workers=2)
+        )
         execution = execution_of(result)
         assert execution["workers_requested"] == 2
         assert execution["workers"] == 2
@@ -132,7 +145,9 @@ class TestJitResolution:
     def test_jit_request_records_availability_outcome(self):
         from repro.kernels import availability
 
-        result = run_scenario(make_spec(), preset=tiny_preset(), jit=True)
+        result = run_scenario(
+            make_spec(), preset=tiny_preset(), options=ExecutionOptions(jit=True)
+        )
         execution = execution_of(result)
         assert execution["jit_requested"] is True
         if availability().enabled:
@@ -146,7 +161,9 @@ class TestBespokeExecutor:
         # The memory table runs through a bespoke recorder executor: it is
         # always serial and never reaches the vectorised kernels, whatever
         # was requested.
-        result = run_scenario("memory", workers="auto", jit=True)
+        result = run_scenario(
+            "memory", options=ExecutionOptions(workers="auto", jit=True)
+        )
         execution = execution_of(result)
         assert execution["engine"] == "sequential"
         assert execution["workers"] is None
@@ -166,7 +183,11 @@ class TestSweepMetadata:
 
     def test_parallel_sweep_records_sweep_workers(self):
         sweep = SweepSpec.from_mapping(make_spec(), {"n": (64, 80)})
-        results = run_sweep(sweep, preset=tiny_preset(parallel_time=20), workers=2)
+        results = run_sweep(
+            sweep,
+            preset=tiny_preset(parallel_time=20),
+            options=ExecutionOptions(workers=2),
+        )
         for _, result in results:
             execution = execution_of(result)
             assert execution["sweep_workers"] == 2

@@ -1,12 +1,14 @@
-"""The unified ExecutionOptions API.
+"""The ExecutionOptions API: the one spelling of every execution setting.
 
-One frozen bundle, validated in one place, accepted by every entry point
-(`run_scenario`, `run_sweep`, `run_engine_trials`, serve's `RunRequest`),
-with the legacy keyword arguments still working — and passing both sides
-raising a clear error instead of silently preferring one.
+One frozen bundle, validated in one place.  ``run_scenario`` and
+``run_sweep`` take it as ``options=`` next to the ``effort``/``preset``
+keywords; a flat execution keyword is a ``TypeError``, so each setting has
+exactly one spelling.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -31,12 +33,21 @@ def tiny_preset(**overrides) -> ExperimentPreset:
 class TestValidation:
     def test_defaults_valid(self):
         opts = ExecutionOptions()
-        assert opts.effort == "quick"
+        assert opts.engine is None
         assert not opts.checkpointing
 
+    def test_fields_are_execution_settings_only(self):
+        assert [field.name for field in dataclasses.fields(ExecutionOptions)] == [
+            "engine",
+            "workers",
+            "jit",
+            "checkpoint_every",
+            "checkpoint_dir",
+            "resume_from",
+            "interrupt_after",
+        ]
+
     def test_rejects_bad_values(self):
-        with pytest.raises(ConfigurationError):
-            ExecutionOptions(effort="")
         with pytest.raises(ConfigurationError):
             ExecutionOptions(engine="warp_drive")
         with pytest.raises(ConfigurationError):
@@ -63,129 +74,71 @@ class TestValidation:
             opts.replace(workers=-1)
 
 
-class TestMerge:
-    def test_legacy_only_builds_options(self):
-        opts = ExecutionOptions.merge(None, effort="default", workers=2)
-        assert opts == ExecutionOptions(effort="default", workers=2)
-
-    def test_options_pass_through(self):
-        opts = ExecutionOptions(engine="batched")
-        assert ExecutionOptions.merge(opts, effort="quick", engine=None) is opts
-
-    def test_both_sides_conflict(self):
-        with pytest.raises(ConfigurationError, match="conflicting keyword"):
-            ExecutionOptions.merge(ExecutionOptions(engine="batched"), engine="counts")
-        with pytest.raises(ConfigurationError, match="effort"):
-            ExecutionOptions.merge(ExecutionOptions(), effort="paper")
-
-    def test_unknown_keyword_rejected(self):
-        with pytest.raises(ConfigurationError, match="unknown execution option"):
-            ExecutionOptions.merge(None, worker_count=3)
-
-
 class TestRunScenario:
-    def test_options_equivalent_to_legacy(self):
-        preset = tiny_preset()
-        legacy = run_scenario("oscillate", preset=preset, engine="batched")
-        bundled = run_scenario(
-            "oscillate", options=ExecutionOptions(preset=preset, engine="batched")
+    def test_options_select_the_engine(self):
+        result = run_scenario(
+            "oscillate",
+            preset=tiny_preset(),
+            options=ExecutionOptions(engine="batched"),
         )
-        assert bundled.rows == legacy.rows
-        assert bundled.metadata["execution"] == legacy.metadata["execution"]
+        assert result.metadata["execution"]["requested_engine"] == "batched"
+        assert result.metadata["execution"]["engines"] == ["batched"]
 
-    def test_both_sides_rejected(self):
-        with pytest.raises(ConfigurationError, match="conflicting keyword"):
-            run_scenario(
-                "oscillate",
-                options=ExecutionOptions(preset=tiny_preset()),
-                engine="batched",
-            )
+    def test_flat_execution_keywords_are_gone(self):
+        with pytest.raises(TypeError):
+            run_scenario("fig2", engine="batched")
+        with pytest.raises(TypeError):
+            run_scenario("fig2", workers=2)
 
 
 class TestRunSweep:
     def test_options_accepted(self):
         sweep = SweepSpec.from_mapping("oscillate", {"n": (60, 90)})
         results = run_sweep(
-            sweep, options=ExecutionOptions(preset=tiny_preset(), engine="batched")
+            sweep, preset=tiny_preset(), options=ExecutionOptions(engine="batched")
         )
         assert [label for label, _ in results] == ["n=60", "n=90"]
 
-    def test_both_sides_rejected(self):
+    def test_flat_execution_keywords_are_gone(self):
         sweep = SweepSpec.from_mapping("oscillate", {"n": (60,)})
-        with pytest.raises(ConfigurationError, match="conflicting keyword"):
-            run_sweep(sweep, options=ExecutionOptions(), effort="paper")
+        with pytest.raises(TypeError):
+            run_sweep(sweep, jit=True)
 
 
 class TestRunEngineTrials:
-    def _factory(self, engine, rng, ensemble_trials):
-        from repro.core.params import empirical_parameters
+    def test_takes_no_options_bundle(self):
+        def factory(engine, rng, ensemble_trials):
+            from repro.core.params import empirical_parameters
 
-        return _trace_engine_factory(
-            engine,
-            rng,
-            ensemble_trials,
-            n=64,
-            params=empirical_parameters(),
-            resize_schedule=(),
-            initial_estimate=None,
-            sub_batches=4,
-        )
+            return _trace_engine_factory(
+                engine,
+                rng,
+                ensemble_trials,
+                n=64,
+                params=empirical_parameters(),
+                resize_schedule=(),
+                initial_estimate=None,
+                sub_batches=4,
+            )
 
-    def test_options_equivalent_to_legacy(self):
-        legacy = run_engine_trials(
-            self._factory, engine="batched", trials=2, seed=5, parallel_time=10
-        )
-        bundled = run_engine_trials(
-            self._factory,
-            engine="batched",
-            trials=2,
-            seed=5,
-            parallel_time=10,
-            options=ExecutionOptions(),
-        )
-        assert bundled == legacy
-
-    def test_both_sides_rejected(self):
-        with pytest.raises(ConfigurationError, match="conflicting keyword"):
+        with pytest.raises(TypeError):
             run_engine_trials(
-                self._factory,
+                factory,
                 engine="batched",
                 trials=2,
                 seed=5,
                 parallel_time=10,
-                workers=2,
-                options=ExecutionOptions(workers=2),
+                options=ExecutionOptions(),
             )
 
 
 class TestRunRequest:
-    def test_options_flatten_to_fields(self):
-        via_options = RunRequest(
-            scenario="fig2",
-            options=ExecutionOptions(effort="default", engine="batched", workers=2),
-        )
-        via_fields = RunRequest(
-            scenario="fig2", effort="default", engine="batched", workers=2
-        )
-        # Equal requests -> equal summaries -> one cache key downstream.
-        assert via_options == via_fields
-        assert via_options.summary() == via_fields.summary()
-        assert "options" not in via_options.summary()
-
-    def test_both_sides_rejected(self):
-        with pytest.raises(ConfigurationError, match="conflicting field"):
-            RunRequest(
-                scenario="fig2",
-                engine="counts",
-                options=ExecutionOptions(engine="batched"),
-            )
-
-    def test_checkpoint_fields_rejected(self):
-        with pytest.raises(ConfigurationError, match="checkpointing"):
-            RunRequest(
-                scenario="fig2",
-                options=ExecutionOptions(checkpoint_every=10, checkpoint_dir="x"),
-            )
+    def test_execution_settings_are_flat_fields_only(self):
+        request = RunRequest(scenario="fig2", effort="default", engine="batched", workers=2)
+        assert request.summary()["engine"] == "batched"
+        assert "options" not in request.summary()
+        with pytest.raises(TypeError):
+            RunRequest(scenario="fig2", options=ExecutionOptions(engine="batched"))
 
 
 class TestMetadataHelpers:

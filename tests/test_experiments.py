@@ -271,7 +271,7 @@ class TestEngineSelectors:
         )
         for experiment in PRESETS:
             monkeypatch.setitem(PRESETS, experiment, {"quick": tiny_preset})
-        assert main(["all", "--effort", "quick", "--engine", "batched"]) == 0
+        assert main(["run", "all", "--effort", "quick", "--engine", "batched"]) == 0
         captured = capsys.readouterr()
         assert "[baseline] skipped:" in captured.out
         assert "[memory] skipped:" in captured.out
@@ -286,7 +286,7 @@ class TestEngineSelectors:
             raise ConfigurationError("boom")
 
         monkeypatch.setattr(cli_module, "run_scenario", broken)
-        assert main(["all", "--effort", "quick"]) == 2
+        assert main(["run", "all", "--effort", "quick"]) == 2
         captured = capsys.readouterr()
         assert "boom" in captured.err
         assert "skipped" not in captured.out
@@ -296,7 +296,7 @@ class TestEngineSelectors:
             name="quick", population_sizes=(50,), parallel_time=15, trials=1, seed=1
         )
         monkeypatch.setitem(PRESETS, "memory", {"quick": tiny_preset})
-        assert main(["memory", "--effort", "quick", "--engine", "batched"]) == 2
+        assert main(["run", "memory", "--effort", "quick", "--engine", "batched"]) == 2
         captured = capsys.readouterr()
         assert "error" in captured.err
 
@@ -309,7 +309,7 @@ class TestEngineSelectors:
         original = PRESETS["fig3"]
         PRESETS["fig3"] = preset_patch
         try:
-            assert main(["fig3", "--effort", "quick", "--engine", "array"]) == 0
+            assert main(["run", "fig3", "--effort", "quick", "--engine", "array"]) == 0
         finally:
             PRESETS["fig3"] = original
         captured = capsys.readouterr()
@@ -334,10 +334,10 @@ class TestScenarioCliCommands:
         assert "[fig3] completed" in out
         assert "[oscillate] completed" in out
 
-    def test_legacy_positional_alias(self, capsys, monkeypatch):
-        self._patch_tiny(monkeypatch)
-        assert main(["fig3", "--effort", "quick"]) == 0
-        assert "[fig3] completed" in capsys.readouterr().out
+    def test_positional_scenario_without_subcommand_is_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fig4"])
+        assert excinfo.value.code == 2
 
     def test_list_shows_catalog_scenarios(self, capsys):
         assert main(["list"]) == 0

@@ -23,6 +23,7 @@ import pytest
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.phase_clock import UniformPhaseClock
 from repro.engine.errors import ConfigurationError
+from repro.engine.options import ExecutionOptions
 from repro.engine.registry import choose_engine, engine_info, make_engine
 from repro.kernels import (
     availability,
@@ -277,7 +278,9 @@ class TestEngineWiring:
     def test_run_scenario_records_jit_metadata(self):
         from repro.scenarios.runner import run_scenario
 
-        result = run_scenario("fig3", effort="quick", jit=True)
+        result = run_scenario(
+            "fig3", effort="quick", options=ExecutionOptions(jit=True)
+        )
         assert "jit" in result.metadata
         expected = "compiled" if availability().enabled else "fallback"
         assert result.metadata["jit"].startswith(expected)

@@ -1,8 +1,8 @@
 """Tests for the sharded parallel execution layer (repro.engine.parallel).
 
 Covers the seed tree, shard planning, the executor, and the wiring through
-``TrialRunner`` / ``run_engine_trials`` / ``choose_engine`` /
-``run_scenario`` / ``run_sweep`` / the CLI.  The determinism contract —
+``run_engine_trials`` / ``choose_engine`` / ``run_scenario`` /
+``run_sweep`` / the CLI.  The determinism contract —
 bit-identical per-trial results across worker counts — has its own golden
 regression module (``test_parallel_determinism.py``); here we test the
 mechanisms and the API surface.
@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.engine.errors import ConfigurationError
+from repro.engine.options import ExecutionOptions
 from repro.engine.parallel import (
     DEFAULT_SHARD_SIZE,
     MAX_AUTO_WORKERS,
@@ -27,12 +27,9 @@ from repro.engine.parallel import (
     plan_shards,
     resolve_workers,
 )
-from repro.engine.recorder import EstimateRecorder
 from repro.engine.registry import choose_engine, make_engine
 from repro.engine.rng import SeedTree, spawn_streams
-from repro.engine.runner import EnsembleSpec, TrialRunner, run_engine_trials
-from repro.engine.simulator import Simulator
-from repro.protocols.static_counting import MaxGrvCounting
+from repro.engine.runner import run_engine_trials
 
 
 # ----------------------------------------------------------------- seed tree
@@ -259,116 +256,6 @@ class TestMergeShardResults:
             )
 
 
-# ------------------------------------------------------------- TrialRunner
-
-
-def _picklable_trial(trial_index, rng):
-    """Module-level trial function so that worker processes can unpickle it."""
-    recorder = EstimateRecorder()
-    simulator = Simulator(MaxGrvCounting(), 30, rng=rng, recorders=[recorder])
-    result = simulator.run(10)
-    series = recorder.series()
-    return result, {"maximum": series["maximum"]}
-
-
-class TestTrialRunnerWorkers:
-    def test_workers_none_matches_legacy_serial(self):
-        legacy = TrialRunner(_picklable_trial, trials=4, seed=11).run()
-        sharded = TrialRunner(_picklable_trial, trials=4, seed=11, workers=1).run()
-        assert [o.data for o in legacy] == [o.data for o in sharded]
-
-    def test_worker_counts_are_bit_identical(self):
-        one = TrialRunner(_picklable_trial, trials=5, seed=11, workers=1).run()
-        three = TrialRunner(_picklable_trial, trials=5, seed=11, workers=3).run()
-        assert [o.trial for o in three] == [0, 1, 2, 3, 4]
-        assert [o.data for o in one] == [o.data for o in three]
-
-    def test_processes_alias_still_works(self):
-        alias = TrialRunner(_picklable_trial, trials=3, seed=7, processes=2).run()
-        direct = TrialRunner(_picklable_trial, trials=3, seed=7, workers=2).run()
-        assert [o.data for o in alias] == [o.data for o in direct]
-
-    def test_distinct_base_seeds_produce_distinct_streams(self):
-        """Respawn-hazard regression at the runner level: same trial count,
-        different base seeds, no stream reuse anywhere."""
-        first = TrialRunner(_picklable_trial, trials=3, seed=100, workers=2).run()
-        second = TrialRunner(_picklable_trial, trials=3, seed=200, workers=2).run()
-        for left, right in zip(first, second):
-            assert left.data["maximum"] != right.data["maximum"]
-
-    def test_shard_timings_recorded(self):
-        runner = TrialRunner(_picklable_trial, trials=4, seed=1, workers=2)
-        runner.run()
-        assert len(runner.shard_timings) == 1  # 4 trials fit one shard
-        assert runner.shard_timings[0].stop == 4
-
-    def test_ensemble_sharded_matches_across_worker_counts(self):
-        spec = EnsembleSpec(protocol=DynamicSizeCounting(), n=150, parallel_time=6)
-        one = TrialRunner(trials=20, seed=9, ensemble=spec, workers=1).run()
-        four = TrialRunner(trials=20, seed=9, ensemble=spec, workers=4).run()
-        assert [o.trial for o in four] == list(range(20))
-        for left, right in zip(one, four):
-            assert left.data == right.data
-
-    def test_ensemble_sharded_splits_the_stack(self):
-        spec = EnsembleSpec(protocol=DynamicSizeCounting(), n=100, parallel_time=4)
-        runner = TrialRunner(trials=20, seed=9, ensemble=spec, workers=1)
-        runner.run()
-        assert [t.stop - t.start for t in runner.shard_timings] == [7, 7, 6]
-
-    def test_ensemble_data_fn_applied_in_parent(self):
-        spec = EnsembleSpec(
-            protocol=DynamicSizeCounting(),
-            n=60,
-            parallel_time=4,
-            # A lambda is deliberately non-picklable: it must never cross
-            # the process boundary.  18 trials span multiple shards, so
-            # workers=2 genuinely ships payloads through the pool.
-            data_fn=lambda result: {"final": result.snapshots[-1].median},
-        )
-        outcomes = TrialRunner(trials=18, seed=3, ensemble=spec, workers=2).run()
-        assert len(outcomes) == 18
-        assert all("final" in o.data for o in outcomes)
-
-    def test_ensemble_per_trial_initial_arrays_sliced_per_shard(self):
-        """A 2-D (trials, n) initial state must land row-by-row in the
-        right trial regardless of shard boundaries or worker count."""
-        import numpy as np
-
-        from repro.core.vectorized import VectorizedDynamicCounting
-
-        trials, n = 18, 40
-        vectorized = VectorizedDynamicCounting()
-        base = vectorized.initial_arrays_with_estimate(n, 12.0)
-        # Give every trial a distinct initial estimate plane.
-        stacked = {
-            key: np.stack(
-                [np.asarray(value) + (0.5 * t if key == "max" else 0.0)
-                 for t in range(trials)]
-            )
-            for key, value in base.items()
-        }
-        spec = EnsembleSpec(
-            protocol=vectorized,
-            n=n,
-            parallel_time=3,
-            initial_arrays=stacked,
-        )
-        serial = TrialRunner(trials=trials, seed=5, ensemble=spec, workers=1).run()
-        pooled = TrialRunner(trials=trials, seed=5, ensemble=spec, workers=3).run()
-        assert [o.data for o in serial] == [o.data for o in pooled]
-        # The per-trial planes really differ, so a mis-sliced shard would
-        # show up as shifted starting estimates.
-        first_points = [o.data["maximum"][0] for o in serial]
-        assert len(set(first_points)) > 1
-
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ConfigurationError):
-            TrialRunner(_picklable_trial, trials=2, workers=0)
-        with pytest.raises(ConfigurationError):
-            TrialRunner(_picklable_trial, trials=2, workers="many")
-
-
 # -------------------------------------------------------- run_engine_trials
 
 
@@ -440,6 +327,122 @@ class TestRunEngineTrialsWorkers:
         assert len(series) == 2
 
 
+class TestRunEngineTrialsShards:
+    """Stream addressing and shard layout, read through the public runner."""
+
+    def test_workers_none_matches_workers_one_for_looped_engines(self):
+        serial = run_engine_trials(
+            _counting_engine_factory, engine="sequential", trials=4, seed=11, parallel_time=5
+        )
+        sharded = run_engine_trials(
+            _counting_engine_factory,
+            engine="sequential",
+            trials=4,
+            seed=11,
+            parallel_time=5,
+            workers=1,
+        )
+        assert serial == sharded
+
+    def test_worker_counts_are_bit_identical(self):
+        one, three = (
+            run_engine_trials(
+                _counting_engine_factory,
+                engine="sequential",
+                trials=5,
+                seed=11,
+                parallel_time=5,
+                workers=workers,
+            )
+            for workers in (1, 3)
+        )
+        assert len(three) == 5
+        assert one == three
+
+    def test_distinct_base_seeds_produce_distinct_streams(self):
+        """Respawn-hazard regression at the runner level: same trial count,
+        different base seeds, no stream reuse anywhere."""
+        first, second = (
+            run_engine_trials(
+                _counting_engine_factory,
+                engine="sequential",
+                trials=3,
+                seed=seed,
+                parallel_time=10,
+                workers=2,
+            )
+            for seed in (100, 200)
+        )
+        for left, right in zip(first, second):
+            assert left != right
+
+    def test_shard_timings_recorded(self):
+        sink: list[ShardTiming] = []
+        run_engine_trials(
+            _counting_engine_factory,
+            engine="sequential",
+            trials=4,
+            seed=1,
+            parallel_time=3,
+            workers=2,
+            timing_sink=sink,
+        )
+        assert len(sink) == 1  # 4 trials fit one shard
+        assert sink[0].stop == 4
+
+    def test_ensemble_sharded_matches_across_worker_counts(self):
+        one, four = (
+            run_engine_trials(
+                _counting_engine_factory,
+                engine="ensemble",
+                trials=20,
+                seed=9,
+                parallel_time=6,
+                workers=workers,
+            )
+            for workers in (1, 4)
+        )
+        assert len(four) == 20
+        assert one == four
+
+    def test_ensemble_sharded_splits_the_stack(self):
+        sink: list[ShardTiming] = []
+        run_engine_trials(
+            _counting_engine_factory,
+            engine="ensemble",
+            trials=20,
+            seed=9,
+            parallel_time=4,
+            workers=1,
+            timing_sink=sink,
+        )
+        assert [t.stop - t.start for t in sink] == [7, 7, 6]
+
+    def test_serial_run_reports_no_shard_timings(self):
+        sink: list[ShardTiming] = []
+        run_engine_trials(
+            _counting_engine_factory,
+            engine="ensemble",
+            trials=20,
+            seed=9,
+            parallel_time=4,
+            timing_sink=sink,
+        )
+        assert sink == []
+
+    def test_rejects_bad_workers(self):
+        for bad in (0, "many"):
+            with pytest.raises(ConfigurationError):
+                run_engine_trials(
+                    _counting_engine_factory,
+                    engine="sequential",
+                    trials=2,
+                    seed=1,
+                    parallel_time=2,
+                    workers=bad,
+                )
+
+
 # ---------------------------------------------------- shard-aware selection
 
 
@@ -474,7 +477,9 @@ class TestScenarioWorkers:
         from repro.scenarios import run_scenario
 
         results = {
-            workers: run_scenario("fig3", effort="quick", workers=workers)
+            workers: run_scenario(
+                "fig3", effort="quick", options=ExecutionOptions(workers=workers)
+            )
             for workers in (1, 2)
         }
         assert results[1].rows == results[2].rows
@@ -486,7 +491,9 @@ class TestScenarioWorkers:
         from repro.scenarios import run_scenario
 
         serial = run_scenario("fig3", effort="quick")
-        sharded = run_scenario("fig3", effort="quick", workers=2)
+        sharded = run_scenario(
+            "fig3", effort="quick", options=ExecutionOptions(workers=2)
+        )
         # fig3 pins the batched engine (looped), so the sharded path must
         # reproduce the serial rows bit for bit.
         assert sharded.rows == serial.rows
@@ -495,7 +502,9 @@ class TestScenarioWorkers:
     def test_shard_timings_in_metadata(self):
         from repro.scenarios import run_scenario
 
-        result = run_scenario("fig3", effort="quick", workers=2)
+        result = run_scenario(
+            "fig3", effort="quick", options=ExecutionOptions(workers=2)
+        )
         timings = result.metadata["shard_timings"]
         assert timings
         for shards in timings.values():
@@ -504,14 +513,16 @@ class TestScenarioWorkers:
     def test_executor_scenarios_stay_serial(self):
         from repro.scenarios import run_scenario
 
-        result = run_scenario("memory", effort="quick", workers=2)
+        result = run_scenario(
+            "memory", effort="quick", options=ExecutionOptions(workers=2)
+        )
         assert result.metadata["workers"] == "serial-only (bespoke executor)"
 
     def test_rejects_bad_workers_before_running(self):
         from repro.scenarios import run_scenario
 
         with pytest.raises(ConfigurationError):
-            run_scenario("fig3", effort="quick", workers=0)
+            run_scenario("fig3", effort="quick", options=ExecutionOptions(workers=0))
 
     def test_run_sweep_bit_identical_across_worker_counts(self):
         from repro.scenarios import run_sweep
@@ -519,7 +530,9 @@ class TestScenarioWorkers:
 
         sweep = SweepSpec.from_mapping("fig4", {"keep": (50, 100)})
         by_workers = {
-            workers: run_sweep(sweep, effort="quick", workers=workers)
+            workers: run_sweep(
+                sweep, effort="quick", options=ExecutionOptions(workers=workers)
+            )
             for workers in (1, 2)
         }
         labels_1 = [label for label, _ in by_workers[1]]
@@ -536,7 +549,7 @@ class TestScenarioWorkers:
 
         sweep = SweepSpec.from_mapping("fig4", {"keep": (50, 100)})
         legacy = run_sweep(sweep, effort="quick")
-        sharded = run_sweep(sweep, effort="quick", workers=2)
+        sharded = run_sweep(sweep, effort="quick", options=ExecutionOptions(workers=2))
         for (_, left), (_, right) in zip(legacy, sharded):
             assert left.rows == right.rows
 

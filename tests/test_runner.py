@@ -4,19 +4,26 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.recorder import EstimateRecorder
-from repro.engine.runner import TrialRunner, aggregate_series
-from repro.engine.simulator import Simulator
+from repro.core.dynamic_counting import DynamicSizeCounting
+from repro.engine.registry import make_engine
+from repro.engine.runner import aggregate_series, run_engine_trials
 from repro.protocols.static_counting import MaxGrvCounting
 
 
-def _picklable_trial(trial_index, rng):
-    """Module-level trial function so that worker processes can unpickle it."""
-    recorder = EstimateRecorder()
-    simulator = Simulator(MaxGrvCounting(), 40, rng=rng, recorders=[recorder])
-    result = simulator.run(15)
-    series = recorder.series()
-    return result, {"parallel_time": series["parallel_time"], "maximum": series["maximum"]}
+def _maxgrv_factory(engine_name, rng, ensemble_trials):
+    """Module-level engine factory so that worker processes can unpickle it."""
+    return make_engine(engine_name, MaxGrvCounting(), 40, rng=rng)
+
+
+def _maxgrv_trials(trials, seed, **kwargs):
+    return run_engine_trials(
+        _maxgrv_factory,
+        engine="sequential",
+        trials=trials,
+        seed=seed,
+        parallel_time=15,
+        **kwargs,
+    )
 
 
 class TestAggregateSeries:
@@ -66,75 +73,52 @@ class TestAggregateSeries:
         assert agg.median == [4.0, 5.0]
 
 
-class TestTrialRunner:
-    @staticmethod
-    def _trial(trial_index, rng):
-        recorder = EstimateRecorder()
-        simulator = Simulator(MaxGrvCounting(), 50, rng=rng, recorders=[recorder])
-        result = simulator.run(20)
-        series = recorder.series()
-        return result, {"parallel_time": series["parallel_time"], "maximum": series["maximum"]}
-
+class TestLoopedTrials:
     def test_runs_requested_trials(self):
-        runner = TrialRunner(self._trial, trials=3, seed=1)
-        outcomes = runner.run()
-        assert len(outcomes) == 3
-        assert [o.trial for o in outcomes] == [0, 1, 2]
+        series = _maxgrv_trials(3, 1)
+        assert len(series) == 3
+        assert all(len(s["parallel_time"]) == 15 for s in series)
 
-    def test_rejects_zero_trials(self):
+    def test_rejects_negative_trials(self):
         with pytest.raises(ValueError):
-            TrialRunner(self._trial, trials=0, seed=1)
+            _maxgrv_trials(-1, 1)
 
     def test_trials_use_independent_streams(self):
-        runner = TrialRunner(self._trial, trials=2, seed=5)
-        outcomes = runner.run()
+        series = _maxgrv_trials(2, 5)
         # Different random streams almost surely give different trajectories.
-        assert outcomes[0].data["maximum"] != outcomes[1].data["maximum"]
+        assert series[0]["maximum"] != series[1]["maximum"]
 
     def test_run_and_aggregate(self):
-        runner = TrialRunner(self._trial, trials=3, seed=2)
-        outcomes, aggregated = runner.run_and_aggregate("maximum")
-        assert len(outcomes) == 3
+        series = _maxgrv_trials(3, 2)
+        aggregated = aggregate_series(
+            "maximum", series[0]["parallel_time"], [s["maximum"] for s in series]
+        )
         assert len(aggregated.maximum) == len(aggregated.index) > 0
         # The estimate is the max of GRVs, so it is at least 1 everywhere.
         assert all(value >= 1 for value in aggregated.minimum)
 
     def test_reproducible_with_same_seed(self):
-        first = TrialRunner(self._trial, trials=2, seed=9).run()
-        second = TrialRunner(self._trial, trials=2, seed=9).run()
-        assert first[0].data["maximum"] == second[0].data["maximum"]
+        assert _maxgrv_trials(2, 9) == _maxgrv_trials(2, 9)
 
 
 class TestMultiprocessing:
-    def test_rejects_non_positive_processes(self):
-        with pytest.raises(ValueError):
-            TrialRunner(_picklable_trial, trials=2, seed=1, processes=0)
-
-    def test_processes_one_is_synchronous(self):
-        serial = TrialRunner(_picklable_trial, trials=2, seed=7).run()
-        explicit = TrialRunner(_picklable_trial, trials=2, seed=7, processes=1).run()
-        assert [o.data["maximum"] for o in serial] == [
-            o.data["maximum"] for o in explicit
-        ]
-
     def test_parallel_matches_serial_exactly(self):
         """Fan-out over worker processes must not change any outcome.
 
-        Each trial owns a spawned random stream, so scheduling is
-        irrelevant: the parallel mode has to reproduce the serial results
-        bit for bit and preserve trial order.
+        Each trial owns the stream at its seed-tree address, so scheduling
+        is irrelevant: the parallel mode has to reproduce the serial
+        results bit for bit and preserve trial order.
         """
-        serial = TrialRunner(_picklable_trial, trials=4, seed=11).run()
-        parallel = TrialRunner(_picklable_trial, trials=4, seed=11, processes=2).run()
-        assert [o.trial for o in parallel] == [0, 1, 2, 3]
-        for left, right in zip(serial, parallel):
-            assert left.data["maximum"] == right.data["maximum"]
-            assert left.result.interactions == right.result.interactions
+        serial = _maxgrv_trials(4, 11)
+        parallel = _maxgrv_trials(4, 11, workers=2)
+        assert parallel == serial
 
     def test_parallel_run_and_aggregate(self):
-        runner = TrialRunner(_picklable_trial, trials=3, seed=13, processes=2)
-        outcomes, aggregated = runner.run_and_aggregate("maximum")
-        assert len(outcomes) == 3
+        series = _maxgrv_trials(3, 13, workers=2)
+        aggregated = aggregate_series(
+            "maximum", series[0]["parallel_time"], [s["maximum"] for s in series]
+        )
+        assert len(series) == 3
         assert len(aggregated.maximum) == len(aggregated.index) > 0
 
 
@@ -187,3 +171,28 @@ class TestRunEngineTrials:
             run_engine_trials(
                 self._factory, engine="sequential", trials=0, seed=5, parallel_time=4
             )
+
+    @pytest.mark.parametrize("engine", ["sequential", "ensemble"])
+    def test_uncheckpointed_engine_runs_once(self, engine):
+        """Without checkpointing each engine covers the horizon in one call."""
+        calls = []
+
+        def counting_factory(engine_name, rng, trials):
+            built = make_engine(
+                engine_name,
+                DynamicSizeCounting(),
+                60,
+                rng=rng,
+                trials=trials if engine_name == "ensemble" else None,
+            )
+            run = built.run
+
+            def counted(*args, **kwargs):
+                calls.append(args)
+                return run(*args, **kwargs)
+
+            built.run = counted
+            return built
+
+        run_engine_trials(counting_factory, engine=engine, trials=3, seed=5, parallel_time=6)
+        assert calls == [(6,)] * (1 if engine == "ensemble" else 3)

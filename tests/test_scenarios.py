@@ -14,6 +14,7 @@ from repro.engine.errors import (
 )
 from repro.experiments.base import ExperimentPreset, ExperimentResult
 from repro.scenarios import (
+    ExecutionOptions,
     ScenarioPoint,
     ScenarioSpec,
     SweepSpec,
@@ -219,18 +220,26 @@ class TestRunScenario:
         spec = make_spec(engine="batched")
         pinned = run_scenario(spec, preset=tiny_preset())
         assert pinned.metadata["engine"] == "batched"
-        auto = run_scenario(spec, preset=tiny_preset(), engine="auto")
+        auto = run_scenario(
+            spec, preset=tiny_preset(), options=ExecutionOptions(engine="auto")
+        )
         assert auto.metadata["engine"] == "array"
 
     def test_unknown_engine_rejected_before_work(self):
         with pytest.raises(ConfigurationError) as excinfo:
-            run_scenario(make_spec(), preset=tiny_preset(), engine="warp")
+            run_scenario(
+                make_spec(),
+                preset=tiny_preset(),
+                options=ExecutionOptions(engine="warp"),
+            )
         assert "auto" in str(excinfo.value)
 
     def test_unsupported_engine_rejected_before_work(self):
         spec = make_spec(engines=("sequential",), engine="sequential")
         with pytest.raises(UnsupportedEngineError):
-            run_scenario(spec, preset=tiny_preset(), engine="batched")
+            run_scenario(
+                spec, preset=tiny_preset(), options=ExecutionOptions(engine="batched")
+            )
 
     def test_missing_presets_give_one_line_error(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -522,7 +531,11 @@ class TestCatalogScenarios:
         preset = tiny_preset(
             population_sizes=(60,), parallel_time=40, trials=1, extra={"period": 10}
         )
-        result = run_scenario("repeated_decimation", preset=preset, engine=engine)
+        result = run_scenario(
+            "repeated_decimation",
+            preset=preset,
+            options=ExecutionOptions(engine=engine),
+        )
         assert result.metadata["engine"] == engine
 
     def test_catalog_has_quick_default_paper_presets(self):

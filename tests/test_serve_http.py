@@ -38,13 +38,13 @@ class Recorder:
         self.calls = 0
         self.gate = gate
 
-    def run_scenario(self, spec, *, preset, engine=None, workers=None, jit=False):
+    def run_scenario(self, spec, *, preset, options=None):
         self.calls += 1
         if self.gate is not None:
             self.gate.wait(timeout=30)
         return fake_result(f"call{self.calls}")
 
-    def run_sweep(self, sweep, *, preset, engine=None, workers=None, jit=False):
+    def run_sweep(self, sweep, *, preset, options=None):
         self.calls += 1
         return [(label, fake_result(label)) for label, _ in sweep.expand(preset)]
 
@@ -142,7 +142,7 @@ class TestErrorMapping:
             service.close()
 
     def test_failed_job_is_500(self, tmp_path):
-        def explode(spec, *, preset, engine=None, workers=None, jit=False):
+        def explode(spec, *, preset, options=None):
             raise RuntimeError("doom")
 
         service = SimulationService(tmp_path / "cache", scenario_runner=explode)

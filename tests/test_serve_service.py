@@ -46,7 +46,7 @@ class Recorder:
         self.gate = gate
         self.fail = fail
 
-    def run_scenario(self, spec, *, preset, engine=None, workers=None, jit=False):
+    def run_scenario(self, spec, *, preset, options=None):
         self.calls.append(("scenario", spec.name, preset.population_sizes))
         if self.gate is not None:
             self.gate.wait(timeout=30)
@@ -54,7 +54,7 @@ class Recorder:
             raise RuntimeError("simulated meltdown")
         return tiny_result(f"call{len(self.calls)}")
 
-    def run_sweep(self, sweep, *, preset, engine=None, workers=None, jit=False):
+    def run_sweep(self, sweep, *, preset, options=None):
         self.calls.append(("sweep", sweep.scenario))
         return [
             (label, tiny_result(label)) for label, _ in sweep.expand(preset)
@@ -383,3 +383,28 @@ class TestRealRunners:
             assert service.submit(req)["cached"] is True
         finally:
             service.close()
+
+    def test_checkpointing_service_stores_identical_rows(self, tmp_path):
+        # Checkpointing changes durability, never results: the run id and
+        # the stored rows match a service without checkpointing.
+        req = RunRequest(
+            scenario="oscillate",
+            engine="ensemble",
+            overrides={"n": 200, "parallel_time": 40, "trials": 4},
+        )
+        rows = []
+        run_ids = []
+        for name, checkpoint_every in (("plain", None), ("checkpointed", 20)):
+            service = SimulationService(
+                tmp_path / name, max_workers=1, checkpoint_every=checkpoint_every
+            )
+            try:
+                run_id = service.submit(req)["run_id"]
+                job = service.queue.wait(run_id, timeout=300)
+                assert job.state.value == "done", job.error
+                run_ids.append(run_id)
+                rows.append(service.result_payload(run_id)["results"][0]["rows"])
+            finally:
+                service.close()
+        assert run_ids[0] == run_ids[1]
+        assert rows[0] == rows[1]
