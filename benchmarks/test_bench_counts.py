@@ -53,9 +53,10 @@ FLATNESS_TIMED_STEPS = 20
 def test_bench_counts_speedup_vs_batched(suite_cases, effort):
     """Counts vs batched on dynamic counting at n = 10^6 (10^7 at paper).
 
-    Measured margins: the batched engine spends ~0.4 s per parallel step at
-    ``n = 10^6`` (per-agent work), the counts engine ~0.03 s amortized
-    (~0.007 s at steady state) — a 10x floor asserted at a measured ~14x.
+    Measured margins (quick effort, 2-core box): the batched engine spends
+    ~0.2-0.3 s per parallel step at ``n = 10^6`` (per-agent work), the
+    counts engine ~0.02 s amortized (~0.007 s at steady state) — a 10x
+    floor asserted at a measured 12-15x.
     """
     n, batched_steps, counts_steps = SPEEDUP[effort]
 

@@ -99,8 +99,12 @@ class DynamicCountingCountsKernel(PackedCountsKernel):
             ("interactions", tau_prime * value_cap + 2),
         )
         self._check_packing()
-        self._grv_pmf = grv_max_pmf(int(p.grv_samples))
-        self._grv_values = np.arange(1, GRV_VALUE_CAP + 1, dtype=np.int64)
+        # GRV outcomes in descending-probability order, so each row of the
+        # expansion multinomial stops after its few likely values.
+        pmf = grv_max_pmf(int(p.grv_samples))
+        order = np.argsort(-pmf, kind="stable")
+        self._grv_pmf = pmf[order]
+        self._grv_values = np.arange(1, GRV_VALUE_CAP + 1, dtype=np.int64)[order]
         self._total_ticks = 0
 
     # ------------------------------------------------------------------ setup
@@ -270,12 +274,14 @@ class DynamicCountingCountsKernel(PackedCountsKernel):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Split each cell's multiplicity across GRV outcomes.
 
-        One vectorised multinomial per call; returns parallel arrays
+        One vectorised multinomial per call, over the GRV values in
+        descending-probability order; returns parallel arrays
         ``(cell_index, grv_value, count)`` over the non-empty sub-cells.
         """
         table = rng.generator.multinomial(multiplicity, self._grv_pmf)
-        cell, bin_index = np.nonzero(table)
-        return cell, self._grv_values[bin_index], table[cell, bin_index]
+        sub_cells = np.flatnonzero(table)
+        cell, bin_index = np.divmod(sub_cells, table.shape[1])
+        return cell, self._grv_values[bin_index], table.ravel()[sub_cells]
 
     def _finish(
         self,

@@ -79,9 +79,12 @@ SMALL_POPULATION_THRESHOLD = 128
 #: At and above this population size the per-agent engines pay O(n) per
 #: parallel step while the counts engine stays O(|Q|^2), so
 #: :func:`choose_engine` switches to ``"counts"`` whenever the protocol has
-#: a counts kernel.  The crossover is far lower in practice (~10^4), but
-#: below this bound the per-agent engines are still comfortably fast and
-#: keep their stronger fidelity class.
+#: a counts kernel.  Measured on dynamic counting, in ms per parallel step
+#: of a 3-trial point over the first 35 steps from the initial
+#: configuration (2-core box), ``counts`` (three looped trials) against
+#: ``ensemble`` is 18 vs 4.6 at n = 10^4, 46 vs 44 at 10^5 and 124 vs 456
+#: at 10^6: the crossover sits near 10^5.  Below this bound the per-agent
+#: engines are still fast enough and keep their stronger fidelity class.
 LARGE_POPULATION_THRESHOLD = 1_000_000
 
 #: Scalar protocol class -> factory building its vectorised counterpart.

@@ -38,10 +38,13 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import (layering)
 
 __all__ = ["KEY_SCHEMA_VERSION", "canonical_cache_key", "normalize_engine_request", "run_encoding"]
 
-#: Bumped whenever the encoding below changes shape — old cache entries then
-#: miss (and are rewritten) instead of being served with stale semantics.
+#: Bumped whenever the encoding below changes shape, or the same request
+#: starts producing different rows — old cache entries then miss (and are
+#: rewritten) instead of being served with stale semantics.
 #: v2: ScenarioSpec.canonical_encoding gained ``schedule_kind``/``knobs``.
-KEY_SCHEMA_VERSION = 2
+#: v3: the counts engine draws different rows for the same request (its
+#: multinomials take their categories in descending-probability order).
+KEY_SCHEMA_VERSION = 3
 
 
 def normalize_engine_request(spec: ScenarioSpec, engine: str | None) -> str:

@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.engine.options import ExecutionOptions
-from repro.engine.parallel import resolve_workers
 from repro.engine.registry import engine_capabilities, validate_engine_request
 from repro.kernels import availability as kernels_availability
 from repro.scenarios.listing import scenario_listing
@@ -151,9 +150,19 @@ class SimulationService:
         Raises :class:`ConfigurationError` (or a subclass) on anything
         malformed — nothing is enqueued and no simulation starts.
         """
+        spec, preset, sweep, key, _ = self._admit(request)
+        return spec, preset, sweep, key
+
+    def _admit(
+        self, request: RunRequest
+    ) -> tuple["ScenarioSpec", "ExperimentPreset", SweepSpec | None, str, ExecutionOptions]:
+        """:meth:`resolve` plus the request's validated execution options."""
         spec = get_scenario(request.scenario)
         validate_engine_request(request.engine, spec)
-        resolve_workers(request.workers)  # rejects bad values early
+        # Built at admission so a bad workers/jit value never reaches a job.
+        options = ExecutionOptions(
+            engine=request.engine, workers=request.workers, jit=request.jit
+        )
         preset = resolve_preset(spec, request.effort)
         if request.overrides:
             preset = apply_axis_overrides(preset, dict(request.overrides))
@@ -176,7 +185,7 @@ class SimulationService:
             jit=request.jit,
             sweep=sweep,
         )
-        return spec, preset, sweep, key
+        return spec, preset, sweep, key, options
 
     # ----------------------------------------------------------- lifecycle
 
@@ -188,12 +197,10 @@ class SimulationService:
         :class:`~repro.serve.jobs.QueueFullError` propagates to the caller
         when the pending bound is reached.
         """
-        spec, preset, sweep, key = self.resolve(request)
+        spec, preset, sweep, key, admitted = self._admit(request)
 
         def work() -> CacheEntry:
-            options = ExecutionOptions(
-                engine=request.engine, workers=request.workers, jit=request.jit
-            )
+            options = admitted
             ckpt_dir: Path | None = None
             if self.checkpoint_every is not None:
                 # Content-addressed like the cache entry itself: a job that

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import repro.engine.counts_engine as counts_engine
+from repro.analysis.stats import chi_square_critical
 from repro.core.counts import DynamicCountingCountsKernel
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.engine.api import quantiles
@@ -401,3 +402,78 @@ class TestDynamicCountingKernelDetails:
         assert classes < engine.state.num_states
         for name in ("max", "last_max", "time"):
             assert columns[name].shape[0] >= classes
+
+
+# ------------------------------------------------- descending-probability draws
+
+
+def chi_square_gof(observed: np.ndarray, probabilities: np.ndarray) -> tuple[float, int]:
+    """Goodness-of-fit statistic and degrees of freedom against a pmf.
+
+    Bins expecting fewer than five draws (the GRV pmf's far tails) are
+    folded into their nearest kept neighbour; the kept bins of a unimodal
+    pmf form one contiguous run.
+    """
+    observed = np.asarray(observed, dtype=float)
+    expected = observed.sum() * np.asarray(probabilities, dtype=float)
+    kept = np.flatnonzero(expected >= 5.0)
+    low, high = int(kept[0]), int(kept[-1]) + 1
+    obs = observed[low:high].copy()
+    exp = expected[low:high].copy()
+    obs[0] += observed[:low].sum()
+    exp[0] += expected[:low].sum()
+    obs[-1] += observed[high:].sum()
+    exp[-1] += expected[high:].sum()
+    return float(((obs - exp) ** 2 / exp).sum()), obs.size - 1
+
+
+class TestDescendingProbabilityDraws:
+    """The multinomials draw their categories heaviest first; labels map back."""
+
+    def test_pairing_maps_responder_classes_back(self):
+        kernel = DynamicCountingCountsKernel()
+        # Responder classes sort by key (ascending max) while their mass
+        # grows with the key, so the draw order reverses the key order.
+        # The two max=6 states differ only in their interaction counter
+        # and share one responder class.
+        maxima = np.array([1, 2, 3, 4, 5, 6, 6])
+        columns = {
+            "max": maxima,
+            "last_max": np.ones(7, dtype=np.int64),
+            "time": 6 * maxima,
+            "interactions": np.array([0, 0, 0, 0, 0, 0, 3]),
+        }
+        state = kernel.state_from_columns(
+            columns, np.array([10, 20, 40, 80, 160, 200, 120])
+        )
+        engine = CountsSimulator(kernel, 630, seed=11, initial_state=state)
+        class_mass = np.array([10, 20, 40, 80, 160, 320])
+        initiators = np.array([2, 0, 5, 1, 9, 30, 3])
+        occupied = np.flatnonzero(initiators)
+        pooled = np.zeros(class_mass.size, dtype=np.int64)
+        for _ in range(300):
+            initiator_idx, responder_idx, pair_counts, responder_columns = (
+                engine._pair_with_replacement(initiators, occupied)
+            )
+            assert responder_columns["max"].tolist() == [1, 2, 3, 4, 5, 6]
+            rows = np.zeros(initiators.size, dtype=np.int64)
+            np.add.at(rows, initiator_idx, pair_counts)
+            assert rows.tolist() == initiators.tolist()
+            np.add.at(pooled, responder_idx, pair_counts)
+        statistic, df = chi_square_gof(pooled, class_mass / class_mass.sum())
+        assert statistic < chi_square_critical(df, 1e-3), (statistic, pooled)
+
+    def test_grv_expansion_maps_values_back(self):
+        kernel = DynamicCountingCountsKernel()
+        rng = RandomSource.from_seed(12)
+        multiplicity = np.array([1, 3, 7, 20, 100])
+        pooled = np.zeros(GRV_VALUE_CAP, dtype=np.int64)
+        for _ in range(300):
+            cell, grv, counts = kernel._expand_grv(multiplicity, rng)
+            rows = np.zeros(multiplicity.size, dtype=np.int64)
+            np.add.at(rows, cell, counts)
+            assert rows.tolist() == multiplicity.tolist()
+            np.add.at(pooled, grv - 1, counts)
+        pmf = grv_max_pmf(kernel.params.grv_samples)
+        statistic, df = chi_square_gof(pooled, pmf)
+        assert statistic < chi_square_critical(df, 1e-3), (statistic, pooled)

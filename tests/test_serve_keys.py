@@ -275,7 +275,7 @@ class TestGoldenPins:
             "sweep",
             "workers",
         ]
-        assert encoding["schema"] == 2
+        assert encoding["schema"] == 3
         assert sorted(encoding["preset"]) == [
             "extra",
             "name",

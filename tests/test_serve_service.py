@@ -111,6 +111,12 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             service.submit(request(workers="turbo"))
 
+    def test_bad_jit(self, tmp_path):
+        service, recorder = make_service(tmp_path)
+        with pytest.raises(ConfigurationError, match="jit"):
+            service.submit(request(jit="yes"))
+        assert recorder.calls == []
+
     def test_bad_override_values(self, tmp_path):
         service, _ = make_service(tmp_path)
         with pytest.raises(ConfigurationError):
