@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from repro.core import VectorizedDynamicCounting
-from repro.engine import BatchedSimulator
+from repro.engine import make_engine
 
 
 def print_row(snapshot, true_size: int) -> None:
@@ -43,7 +43,8 @@ def main() -> None:
     horizon = 2_600
 
     protocol = VectorizedDynamicCounting()
-    simulator = BatchedSimulator(
+    simulator = make_engine(
+        "batched",
         protocol,
         initial_flock,
         seed=7,

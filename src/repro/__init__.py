@@ -23,7 +23,6 @@ __version__ = "1.0.0"
 #: Top-level convenience re-exports, resolved lazily on attribute access.
 _LAZY_EXPORTS = {
     "Simulator": "repro.engine.simulator",
-    "BatchedSimulator": "repro.engine.batch_engine",
     "EnsembleSimulator": "repro.engine.ensemble_engine",
     "Population": "repro.engine.population",
     "RandomSource": "repro.engine.rng",

@@ -3,9 +3,10 @@
 The paper simulates populations of up to 10^6 agents for 5000 parallel time
 steps — about 5 * 10^9 interactions, far beyond a pure-Python loop.  This
 module provides a NumPy struct-of-arrays implementation of Algorithm 2 that
-plugs into :class:`repro.engine.batch_engine.BatchedSimulator`: each parallel
-time step draws ``n`` ordered interaction pairs and applies the transition
-to all of them with responder states read at the start of the batch.
+plugs into :class:`repro.engine.ensemble_engine.EnsembleSimulator` (the
+``"batched"`` and ``"ensemble"`` engines): each parallel time step draws
+``n`` ordered interaction pairs per trial and applies the transition to all
+of them with responder states read at the start of the batch.
 
 The vectorised transition mirrors :class:`repro.core.dynamic_counting.
 DynamicSizeCounting` line by line (the comments reference the same Algorithm
@@ -28,7 +29,11 @@ import numpy as np
 
 from repro.core.grv import grv_maximum
 from repro.core.params import ProtocolParameters, empirical_parameters
-from repro.engine.batch_engine import VectorizedProtocol, flat_state_view
+from repro.engine.batch_engine import (
+    VectorizedProtocol,
+    flat_pair_indices,
+    flat_state_view,
+)
 from repro.engine.rng import RandomSource
 
 __all__ = ["VectorizedDynamicCounting"]
@@ -41,7 +46,7 @@ _GRV_VALUE_CAP = 128.0
 
 
 class VectorizedDynamicCounting(VectorizedProtocol):
-    """Struct-of-arrays Algorithm 2 for the batched engine.
+    """Struct-of-arrays Algorithm 2 for the batched/ensemble engines.
 
     State arrays
     ------------
@@ -51,6 +56,9 @@ class VectorizedDynamicCounting(VectorizedProtocol):
     ``interactions`` int64   — interactions since the agent's last reset.
     ``resets``       int64   — cumulative reset count (tick counter; not part
                                of the protocol state, used by clock analysis).
+
+    The ensemble engine narrows the first four planes per
+    :attr:`ensemble_state_dtypes`.
     """
 
     name = "vectorized-dynamic-size-counting"
@@ -97,87 +105,7 @@ class VectorizedDynamicCounting(VectorizedProtocol):
             "resets": np.zeros(n, dtype=np.int64),
         }
 
-    # -------------------------------------------------------------- sampling
-
-    def _sample_grv_max(self, rng: RandomSource, count: int) -> np.ndarray:
-        """Maximum of ``grv_samples`` Geom(1/2) draws, for ``count`` agents at once."""
-        if count == 0:
-            return np.empty(0, dtype=np.float64)
-        k = self.params.grv_samples
-        samples = rng.generator.geometric(0.5, size=(count, k))
-        return samples.max(axis=1).astype(np.float64)
-
     # ------------------------------------------------------------ interaction
-
-    def _transition(
-        self,
-        u_max: np.ndarray,
-        u_last: np.ndarray,
-        u_time: np.ndarray,
-        u_inter: np.ndarray,
-        v_max: np.ndarray,
-        v_last: np.ndarray,
-        v_time: np.ndarray,
-        rng: RandomSource,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Algorithm 2 on gathered initiator/responder state of any shape.
-
-        Shared by :meth:`interact_batch` (1-D batches) and
-        :meth:`interact_ensemble` (2-D ``(trials, batch)`` stacks) — every
-        operation is element-wise apart from the masked GRV draws, which
-        flatten through boolean indexing.  Returns the new initiator state
-        plus the reset mask (for the tick counters).
-        """
-        params = self.params
-        tau1, tau2, tau3 = params.tau1, params.tau2, params.tau3
-        over = params.overestimation
-
-        u_scale = np.maximum(u_max, u_last)
-        v_scale = np.maximum(v_max, v_last)
-        u_exchange = u_time >= tau2 * u_scale
-        u_reset_phase = u_time < tau3 * u_scale
-        v_exchange = v_time >= tau2 * v_scale
-        v_reset_phase = v_time < tau3 * v_scale
-
-        # Lines 2-6: wrap-around / reset->exchange / hold->exchange resets.
-        reset_mask = (
-            (u_time <= 0)
-            | (u_reset_phase & v_exchange)
-            | (~u_exchange & (u_max != v_max))
-        )
-        fresh = np.zeros(u_max.shape, dtype=np.float64)
-        fresh[reset_mask] = over * self._sample_grv_max(rng, int(reset_mask.sum()))
-        new_time = np.where(reset_mask, tau1 * np.maximum(u_max, fresh), u_time)
-        new_last = np.where(reset_mask, u_max, u_last)
-        new_max = np.where(reset_mask, fresh, u_max)
-        new_inter = np.where(reset_mask, 0, u_inter)
-
-        # Lines 7-10: backup GRV generation.
-        backup_due = new_inter > params.tau_prime * np.maximum(new_max, new_last)
-        backup_raw = np.zeros(u_max.shape, dtype=np.float64)
-        backup_raw[backup_due] = self._sample_grv_max(rng, int(backup_due.sum()))
-        new_inter = np.where(backup_due, 0, new_inter)
-        adopt_backup = backup_due & (backup_raw > new_max)
-        boosted = over * backup_raw
-        new_time = np.where(adopt_backup, tau1 * boosted, new_time)
-        new_max = np.where(adopt_backup, boosted, new_max)
-
-        # Lines 11-12: adopt a larger maximum within the exchange phase.
-        u_exchange_now = new_time >= tau2 * np.maximum(new_max, new_last)
-        adopt = u_exchange_now & v_exchange & (new_max < v_max)
-        new_time = np.where(adopt, tau1 * v_max, new_time)
-        new_max = np.where(adopt, v_max, new_max)
-        new_last = np.where(adopt, v_last, new_last)
-
-        # Lines 13-14: exchange the trailing maximum.
-        u_exchange_final = new_time >= tau2 * np.maximum(new_max, new_last)
-        share_last = (new_max == v_max) & ~(u_exchange_final & v_reset_phase)
-        new_last = np.where(share_last, np.maximum(new_last, v_last), new_last)
-
-        # Line 15: CHVP countdown plus the interaction counter.
-        new_time = np.maximum(new_time, v_time) - 1
-        new_inter = new_inter + 1
-        return new_max, new_last, new_time, new_inter, reset_mask
 
     def interact_batch(
         self,
@@ -186,28 +114,17 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         responders: np.ndarray,
         rng: RandomSource,
     ) -> None:
-        # Snapshot of both participants at the start of the batch (fancy
-        # indexing already copies, so the gathers need no extra .copy()).
-        new_max, new_last, new_time, new_inter, reset_mask = self._transition(
-            arrays["max"][initiators],
-            arrays["last_max"][initiators],
-            arrays["time"][initiators],
-            arrays["interactions"][initiators],
-            arrays["max"][responders],
-            arrays["last_max"][responders],
-            arrays["time"][responders],
+        """One batch on 1-D state: :meth:`interact_ensemble` on ``(1, n)`` views.
+
+        Holds no rule of its own.  It stays because the benchmark's tracer
+        (``perfbench/tracer.py``) wraps this method by name.
+        """
+        self.interact_ensemble(
+            {key: arr[np.newaxis] for key, arr in arrays.items()},
+            initiators[np.newaxis],
+            responders[np.newaxis],
             rng,
         )
-
-        # Write back; duplicate initiators within one batch resolve to the
-        # last interaction (an accepted artefact of the batched engine).
-        arrays["max"][initiators] = new_max
-        arrays["last_max"][initiators] = new_last
-        arrays["time"][initiators] = new_time
-        arrays["interactions"][initiators] = new_inter
-        # Count effective resets: duplicate initiators within one batch
-        # resolve to a single surviving state, so they are one reset.
-        np.add.at(arrays["resets"], np.unique(initiators[reset_mask]), 1)
 
     #: Ensemble state is held in narrow planes: with integer-valued protocol
     #: constants (the paper's presets) every ``max`` / ``lastMax`` / ``time``
@@ -229,13 +146,12 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         responders: np.ndarray,
         rng: RandomSource,
     ) -> None:
-        """Fast path: one transition over all trials' batches at once.
+        """Algorithm 2 over one batch of every stacked trial at once.
 
         ``arrays`` holds ``(trials, n)`` stacks and the index matrices are
-        ``(trials, batch)``; row ``t`` follows exactly the
-        :meth:`interact_batch` semantics within trial ``t``.  The kernel is
-        tuned for the stacked hot loop rather than sharing
-        :meth:`_transition`:
+        ``(trials, batch)``, with the within-batch semantics of
+        :meth:`repro.engine.batch_engine.VectorizedProtocol.interact_ensemble`.
+        The kernel is tuned for the stacked hot loop:
 
         * flat-coordinate gathers/scatters (``trial * n + slot``) instead
           of broadcast 2-D fancy indexing;
@@ -248,20 +164,15 @@ class VectorizedDynamicCounting(VectorizedProtocol):
           CDF (:meth:`repro.engine.rng.RandomSource.geometric_max_array`)
           rather than ``k`` geometric draws per resetting agent.
 
-        Same distribution as :meth:`interact_batch` everywhere, but a
-        different slice of the random stream (see
-        ``tests/test_ensemble_engine.py`` for the statistical
-        cross-validation).
+        ``tests/test_engine_equivalence.py`` cross-validates the result
+        statistically against the exact engines.
         """
         params = self.params
         tau1, tau2, tau3 = params.tau1, params.tau2, params.tau3
         over = params.overestimation
         grv_k = params.grv_samples
 
-        trials, n = arrays["max"].shape
-        offsets = (np.arange(trials, dtype=initiators.dtype) * n)[:, None]
-        flat_u = np.add(initiators, offsets).ravel()
-        flat_v = np.add(responders, offsets).ravel()
+        flat_u, flat_v = flat_pair_indices(initiators, responders, arrays["max"].shape[1])
         max_flat = flat_state_view(arrays["max"])
         last_flat = flat_state_view(arrays["last_max"])
         time_flat = flat_state_view(arrays["time"])
@@ -350,17 +261,16 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         u_time -= 1.0
         u_inter += 1
 
-        # Write back; duplicate lanes resolve last-writer-wins, as on the
-        # batched engine.
+        # Write back; duplicate lanes resolve last-writer-wins.
         max_flat[flat_u] = u_max
         last_flat[flat_u] = u_last
         time_flat[flat_u] = u_time
         inter_flat[flat_u] = u_inter
 
-        # Count effective resets once per (trial, agent) slot, matching the
-        # batched engine's unique-initiator semantics.  Sparse reset sets
-        # dedupe through np.unique; dense ones (the warm-up storm) through
-        # a flag plane.
+        # Count effective resets once per (trial, agent) slot: duplicate
+        # initiators of one batch resolve to a single surviving state, so
+        # they are one reset.  Sparse reset sets dedupe through np.unique;
+        # dense ones (the warm-up storm) through a flag plane.
         if reset_lanes.size:
             slots = flat_u[reset_lanes]
             resets_flat = flat_state_view(arrays["resets"])

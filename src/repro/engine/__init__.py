@@ -2,14 +2,14 @@
 
 The engine package is independent of the paper's specific protocol: it
 provides the random scheduler, the dynamic population, size-change
-adversaries, recorders, multi-trial orchestration, and five execution
-engines behind one :class:`repro.engine.api.Engine` contract — exact
+adversaries, recorders, multi-trial orchestration, and four execution
+engine classes behind one :class:`repro.engine.api.Engine` contract — exact
 sequential (:class:`Simulator`), exact struct-of-arrays
-(:class:`ArraySimulator`), batched/vectorised (:class:`BatchedSimulator`),
-whole-ensemble stacked (:class:`EnsembleSimulator`), and count-vector
-multiset (:class:`CountsSimulator`, per-step cost independent of the
-population size) — selectable by name through
-:func:`repro.engine.registry.make_engine`.
+(:class:`ArraySimulator`), vectorised stacked trials
+(:class:`EnsembleSimulator`, registered as ``"ensemble"`` and, with one
+row, as ``"batched"``), and count-vector multiset
+(:class:`CountsSimulator`, per-step cost independent of the population
+size) — selectable by name through :func:`repro.engine.registry.make_engine`.
 """
 
 from repro.engine.adversary import (
@@ -24,12 +24,7 @@ from repro.engine.adversary import (
 )
 from repro.engine.api import Engine, EngineSnapshot, RunResult
 from repro.engine.array_engine import ArrayRunResult, ArraySimulator
-from repro.engine.batch_engine import (
-    BatchedRunResult,
-    BatchedSimulator,
-    BatchSnapshot,
-    VectorizedProtocol,
-)
+from repro.engine.batch_engine import VectorizedProtocol
 from repro.engine.counts_engine import (
     CountsKernel,
     CountsSimulator,
@@ -117,10 +112,7 @@ __all__ = [
     "AggregatedSeries",
     "ArrayRunResult",
     "ArraySimulator",
-    "BatchSnapshot",
     "BoundedRowBuffer",
-    "BatchedRunResult",
-    "BatchedSimulator",
     "CallbackRecorder",
     "CheckpointError",
     "CheckpointInterrupted",

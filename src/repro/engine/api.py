@@ -2,9 +2,10 @@
 
 Every engine in this package — the exact sequential
 :class:`repro.engine.simulator.Simulator`, the exact struct-of-arrays
-:class:`repro.engine.array_engine.ArraySimulator`, and the approximate
-vectorised :class:`repro.engine.batch_engine.BatchedSimulator` — implements
-the same contract:
+:class:`repro.engine.array_engine.ArraySimulator`, the approximate
+vectorised :class:`repro.engine.ensemble_engine.EnsembleSimulator` and the
+count-vector :class:`repro.engine.counts_engine.CountsSimulator` —
+implements the same contract:
 
 ``run(parallel_time, stop_when=..., snapshot_every=...) -> RunResult``
 

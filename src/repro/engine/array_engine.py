@@ -2,10 +2,10 @@
 
 :class:`ArraySimulator` executes the *textbook* sequential scheduler — one
 uniformly random ordered pair of distinct agents per interaction — but keeps
-the population in the same struct-of-arrays representation the batched
-engine uses, instead of a Python list of state objects.  Protocols plug in
+the population in the same struct-of-arrays representation the vectorised
+engines use, instead of a Python list of state objects.  Protocols plug in
 through :meth:`repro.engine.batch_engine.VectorizedProtocol.interact_one`,
-the single-pair counterpart of ``interact_batch``.
+the single-pair counterpart of ``interact_ensemble``.
 
 Because ``interact_one`` implementations mirror their scalar protocol's
 transition *including the order of random draws*, the array engine

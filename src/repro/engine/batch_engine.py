@@ -1,14 +1,17 @@
-"""Batched (vectorised) simulation engine for large populations.
+"""The vectorised protocol interface shared by the struct-of-arrays engines.
 
 The paper simulates populations of up to 10^6 agents.  Executing 5000
 parallel time steps at that size means 5 * 10^9 sequential interactions —
 out of reach for a pure-Python loop.  The authors solved this with a custom
-C++ simulator; we solve it with a *batched* NumPy engine.
+C++ simulator; we solve it with vectorised NumPy transitions over
+struct-of-arrays state.
 
 Approximation
 -------------
-The batched engine processes one parallel time step (``n`` interactions) at
-a time.  Within a batch it draws ``n`` ordered pairs of distinct agents and
+The vectorised engine (:class:`repro.engine.ensemble_engine.
+EnsembleSimulator`, registered as ``"ensemble"`` and, with one row, as
+``"batched"``) processes one parallel time step (``n`` interactions) at a
+time.  Within a batch it draws ``n`` ordered pairs of distinct agents and
 applies the protocol's vectorised transition with the *responder state taken
 from the beginning of the batch*, while initiator updates are applied
 last-writer-wins.  This is the standard "synchronous rounds" approximation
@@ -24,39 +27,32 @@ Figs. 2–5 are insensitive to the within-round interleaving.
 
 Protocols opt in by implementing the :class:`VectorizedProtocol` interface,
 which represents the whole population as a struct-of-arrays dictionary of
-NumPy vectors.  The registry in :mod:`repro.engine.registry` maps scalar
+NumPy arrays.  The registry in :mod:`repro.engine.registry` maps scalar
 protocol classes to their vectorised counterparts.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Any, Callable, Iterable
+from typing import Any
 
 import numpy as np
 
-from repro.engine.api import ArrayStateEngine, EngineSnapshot, RunResult
 from repro.engine.errors import ConfigurationError
 from repro.engine.rng import RandomSource
 
-__all__ = [
-    "VectorizedProtocol",
-    "BatchSnapshot",
-    "BatchedRunResult",
-    "BatchedSimulator",
-    "flat_state_view",
-]
+__all__ = ["VectorizedProtocol", "flat_pair_indices", "flat_state_view"]
 
 
 def flat_state_view(arr: np.ndarray) -> np.ndarray:
     """Flat *view* of a stacked ``(trials, n)`` state array.
 
-    The ensemble fast paths index the stacked state through flat
-    coordinates (``trial * n + slot``), which is substantially faster than
-    broadcast 2-D fancy indexing — but only safe on a view: a silent copy
-    would discard every write.  The ensemble engine always keeps its state
-    C-contiguous; this guard turns any violation into a loud error.
+    The ensemble kernels index the stacked state through flat coordinates
+    (``trial * n + slot``, see :func:`flat_pair_indices`), which is
+    substantially faster than broadcast 2-D fancy indexing — but only safe
+    on a view: a silent copy would discard every write.  The ensemble
+    engine always keeps its state C-contiguous; this guard turns any
+    violation into a loud error.
     """
     if not arr.flags.c_contiguous:
         raise ConfigurationError(
@@ -66,13 +62,29 @@ def flat_state_view(arr: np.ndarray) -> np.ndarray:
     return arr.reshape(-1)
 
 
+def flat_pair_indices(
+    initiators: np.ndarray, responders: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat coordinates (``trial * n + slot``) of ``(trials, batch)`` pair matrices.
+
+    Row ``t`` of the index matrices addresses row ``t`` of the ``(trials,
+    n)`` planes seen through :func:`flat_state_view`.  Both results are
+    1-D in row-major ``(trial, batch)`` order — the order broadcast 2-D
+    fancy indexing visits the lanes in — so last-writer-wins scatters and
+    ``np.maximum.at`` merges resolve exactly as they would on the 2-D
+    planes.
+    """
+    offsets = (np.arange(initiators.shape[0], dtype=initiators.dtype) * n)[:, None]
+    return np.add(initiators, offsets).ravel(), np.add(responders, offsets).ravel()
+
+
 class VectorizedProtocol(abc.ABC):
     """Interface for protocols that support the struct-of-arrays engines.
 
     The population state is a dictionary mapping variable names to NumPy
-    arrays of equal length ``n`` ("struct of arrays").  The protocol defines
-    how to create initial arrays, how to apply one batch of interactions,
-    and how to compute the reported output per agent.
+    arrays.  The protocol defines how to create initial arrays of length
+    ``n``, how to apply one batch of interactions to a stack of ``(trials,
+    n)`` planes, and how to compute the reported output per agent.
 
     Protocols that additionally implement :meth:`interact_one` — the same
     transition applied to a single ``(initiator, responder)`` slot pair —
@@ -89,7 +101,7 @@ class VectorizedProtocol(abc.ABC):
     #: state values are exactly representable in narrower types can halve
     #: the memory traffic of the stacked hot loop; ``None`` keeps the
     #: dtypes of :meth:`initial_arrays`.  Only the ensemble engine applies
-    #: these — the 1-D array/batched engines are unaffected.
+    #: these — the exact array engine is unaffected.
     ensemble_state_dtypes: dict[str, np.dtype] | None = None
 
     @abc.abstractmethod
@@ -97,20 +109,22 @@ class VectorizedProtocol(abc.ABC):
         """Create the state arrays for a fresh population of ``n`` agents."""
 
     @abc.abstractmethod
-    def interact_batch(
+    def interact_ensemble(
         self,
         arrays: dict[str, np.ndarray],
         initiators: np.ndarray,
         responders: np.ndarray,
         rng: RandomSource,
     ) -> None:
-        """Apply one batch of interactions in place.
+        """Apply one batch of interactions to every trial of a stacked ensemble.
 
-        ``initiators`` and ``responders`` are index arrays of equal length;
-        element ``i`` describes the ``i``-th interaction of the batch.
-        Responder states are read from the arrays as they are at call time
-        (start of the batch); initiator writes may overlap, in which case
-        later interactions of the batch win.
+        ``arrays`` holds C-contiguous 2-D state of shape ``(trials, n)`` and
+        ``initiators`` / ``responders`` are ``(trials, batch)`` index
+        matrices: element ``[t, i]`` describes the ``i``-th interaction of
+        trial ``t``'s batch.  Rows never interact.  Responder states are
+        read from the arrays as they are at call time (start of the batch);
+        initiator writes may overlap, in which case later interactions of
+        the batch win.
         """
 
     def interact_one(
@@ -130,33 +144,8 @@ class VectorizedProtocol(abc.ABC):
         """
         raise NotImplementedError(
             f"{type(self).__name__} does not implement interact_one(); it can "
-            "run on the batched engine but not on the exact array engine"
+            "run on the batched/ensemble engines but not on the exact array engine"
         )
-
-    def interact_ensemble(
-        self,
-        arrays: dict[str, np.ndarray],
-        initiators: np.ndarray,
-        responders: np.ndarray,
-        rng: RandomSource,
-    ) -> None:
-        """Apply one batch of interactions to every trial of a stacked ensemble.
-
-        ``arrays`` holds 2-D state of shape ``(trials, n)`` and
-        ``initiators`` / ``responders`` are ``(trials, batch)`` index
-        matrices: row ``t`` describes the batch of trial ``t``, with the
-        same within-batch semantics as :meth:`interact_batch`.
-
-        The default implementation applies :meth:`interact_batch` row by
-        row over views of the stacked arrays, so every existing vectorised
-        protocol runs on the :class:`repro.engine.ensemble_engine.
-        EnsembleSimulator` unchanged.  Protocols override this with a fully
-        2-D transition to remove the per-trial Python loop (see
-        :class:`repro.core.vectorized.VectorizedDynamicCounting`).
-        """
-        for row in range(initiators.shape[0]):
-            row_arrays = {key: arr[row] for key, arr in arrays.items()}
-            self.interact_batch(row_arrays, initiators[row], responders[row], rng)
 
     @abc.abstractmethod
     def output_array(self, arrays: dict[str, np.ndarray]) -> np.ndarray:
@@ -168,112 +157,3 @@ class VectorizedProtocol(abc.ABC):
 
     def describe(self) -> dict[str, Any]:
         return {"name": self.name, "class": type(self).__name__}
-
-
-#: Shared snapshot type under its historical batched-engine name.
-BatchSnapshot = EngineSnapshot
-
-
-@dataclass
-class BatchedRunResult(RunResult):
-    """Outcome of a batched run: per-snapshot statistics plus metadata.
-
-    A :class:`repro.engine.api.RunResult` under its historical name; the
-    ``stopped_early`` flag records whether a ``stop_when`` condition fired
-    before the horizon, exactly as on the sequential engine.
-    """
-
-
-class BatchedSimulator(ArrayStateEngine):
-    """Vectorised engine executing one parallel time step per batch.
-
-    Parameters
-    ----------
-    protocol:
-        A :class:`VectorizedProtocol`.
-    n:
-        Initial population size.
-    rng / seed:
-        Random source (or a seed to build one).
-    resize_schedule:
-        Optional list of ``(parallel_time, target_size)`` pairs applied at
-        snapshot granularity; shrinking keeps a uniformly random subset,
-        growing appends agents in the protocol's initial state.  This mirrors
-        :class:`repro.engine.adversary.ResizeSchedule` for the array world.
-    sub_batches:
-        Number of sub-batches one parallel time step is split into.  Larger
-        values refresh the responder snapshot more often and bring the
-        dynamics closer to the exact sequential scheduler at a modest cost;
-        the default of 8 keeps the round length of the dynamic size counting
-        protocol within a few percent of the exact engine (see
-        ``tests/test_engine_equivalence.py``).
-    """
-
-    name = "batched"
-
-    def __init__(
-        self,
-        protocol: VectorizedProtocol,
-        n: int,
-        *,
-        rng: RandomSource | None = None,
-        seed: int | None = None,
-        resize_schedule: Iterable[tuple[int, int]] = (),
-        initial_arrays: dict[str, np.ndarray] | None = None,
-        sub_batches: int = 8,
-    ) -> None:
-        if sub_batches < 1:
-            raise ConfigurationError(f"sub_batches must be at least 1, got {sub_batches}")
-        self.sub_batches = int(sub_batches)
-        super().__init__(
-            protocol,
-            n,
-            rng=rng,
-            seed=seed,
-            resize_schedule=resize_schedule,
-            initial_arrays=initial_arrays,
-        )
-
-    # ------------------------------------------------------------------- run
-
-    def run(
-        self,
-        parallel_time: int,
-        *,
-        snapshot_every: int = 1,
-        stop_when: Callable[..., bool] | None = None,
-    ) -> BatchedRunResult:
-        """Run for ``parallel_time`` steps, recording a snapshot every ``snapshot_every``."""
-        result = super().run(
-            parallel_time, stop_when=stop_when, snapshot_every=snapshot_every
-        )
-        assert isinstance(result, BatchedRunResult)
-        return result
-
-    def _advance_one_parallel_step(self) -> None:
-        self.step_parallel_round()
-
-    def step_parallel_round(self) -> None:
-        """Execute one parallel time step (``n`` interactions, in sub-batches)."""
-        n = self._require_interactable()
-        remaining = n
-        chunk = max(1, n // self.sub_batches)
-        while remaining > 0:
-            batch = min(chunk, remaining)
-            initiators, responders = self.rng.ordered_pairs(n, batch)
-            self.protocol.interact_batch(self.arrays, initiators, responders, self.rng)
-            remaining -= batch
-        self.interactions_executed += n
-        self.parallel_time += 1
-
-    def _build_result(
-        self, snapshots: list[EngineSnapshot], stopped_early: bool
-    ) -> BatchedRunResult:
-        return BatchedRunResult(
-            parallel_time=self.parallel_time,
-            interactions=self.interactions_executed,
-            final_size=self.size,
-            stopped_early=stopped_early,
-            snapshots=snapshots,
-            metadata={"protocol": self.protocol.describe(), "engine": self.name},
-        )

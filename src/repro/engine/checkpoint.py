@@ -49,7 +49,11 @@ __all__ = [
 ]
 
 CHECKPOINT_MAGIC = b"repro-checkpoint"
-CHECKPOINT_SCHEMA_VERSION = 1
+#: v2: the ``batched`` engine became a one-row ensemble.  A v1 file may hold
+#: the old engine's 1-D planes or trial series from its random stream, and a
+#: shard saved between trials carries no engine state to catch that, so a
+#: resume would append new-stream trials to old ones; v1 files are refused.
+CHECKPOINT_SCHEMA_VERSION = 2
 
 
 class CheckpointInterrupted(RuntimeError):

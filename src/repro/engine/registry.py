@@ -41,7 +41,7 @@ import numpy as np
 from repro.engine.adversary import ResizeSchedule, SizeAdversary
 from repro.engine.api import Engine
 from repro.engine.array_engine import ArraySimulator
-from repro.engine.batch_engine import BatchedSimulator, VectorizedProtocol
+from repro.engine.batch_engine import VectorizedProtocol
 from repro.engine.counts_engine import CountsKernel, CountsSimulator
 from repro.engine.ensemble_engine import EnsembleSimulator
 from repro.engine.errors import ConfigurationError, UnsupportedEngineError
@@ -396,14 +396,7 @@ def registered_counts_protocols() -> list[str]:
     return sorted(cls.__name__ for cls in _COUNTS_REGISTRY)
 
 
-def choose_engine(
-    protocol: Any,
-    trials: int,
-    n: int,
-    *,
-    workers: int | None = None,
-    jit: bool = False,
-) -> str:
+def choose_engine(protocol: Any, trials: int, n: int) -> str:
     """Pick the best engine name for a workload.
 
     The policy mirrors the measured trade-offs of the engine benchmarks,
@@ -422,32 +415,6 @@ def choose_engine(
       ``"ensemble"`` engine (trials in stacked passes);
     * a single large trial runs on the ``"batched"`` engine.
 
-    ``workers`` declares that the workload will run on the sharded
-    execution layer (:mod:`repro.engine.parallel`), where the unit that
-    actually executes is a row-shard of
-    :func:`~repro.engine.parallel.plan_shards` rather than the whole
-    point.  The stacked-vs-batched decision is then a *per-shard* one —
-    and because the balanced layout guarantees every shard of a
-    multi-trial point holds at least two trials (a single-trial shard
-    exists only when ``trials == 1``), the per-shard choice provably
-    coincides with the per-point choice for every workload.  The counts
-    tier keeps that equivalence trivially: its trigger depends only on the
-    protocol and ``n``, which every shard of a point shares.  The
-    equivalence is pinned by the registry tests.  The parameter is
-    validated and kept so callers state their execution context
-    explicitly and alternative shard layouts can change the policy
-    without touching call sites.
-
-    ``jit`` declares that the caller will pass ``jit=True`` to
-    :func:`make_engine`.  It does not change the tiering: the compiled
-    kernels accelerate exactly the engines this policy already prefers for
-    large per-agent workloads (``"batched"`` / ``"ensemble"``), and the
-    tiers where they don't apply (``"sequential"``, ``"array"``,
-    ``"counts"``) are chosen for exactness or asymptotics that compilation
-    cannot buy back.  Like ``workers``, the parameter keeps call sites
-    explicit so a future backend with different crossovers can shift the
-    policy centrally.
-
     Experiments that pin an engine for reproducibility of published outputs
     bypass this helper; everything else (new scenarios, ``--engine auto``)
     routes through it.
@@ -456,8 +423,6 @@ def choose_engine(
         raise ConfigurationError(f"trials must be at least 1, got {trials}")
     if n < 2:
         raise ConfigurationError(f"population size must be at least 2, got {n}")
-    if workers is not None and workers < 1:
-        raise ConfigurationError(f"workers must be at least 1, got {workers}")
     if not has_vectorized(protocol):
         return "sequential"
     if n <= SMALL_POPULATION_THRESHOLD:
@@ -528,6 +493,12 @@ def _jit_wrapped(protocol: Any, jit: bool) -> VectorizedProtocol:
     return jit_wrap(vectorized)
 
 
+class _BatchedEnsemble(EnsembleSimulator):
+    """The ``"batched"`` engine: a one-row ensemble that reports its own name."""
+
+    name = "batched"
+
+
 def _build_batched(
     protocol,
     population,
@@ -540,7 +511,7 @@ def _build_batched(
     jit,
     **_,
 ):
-    return BatchedSimulator(
+    return _BatchedEnsemble(
         _jit_wrapped(protocol, jit),
         population,
         rng=rng,
@@ -620,7 +591,7 @@ register_engine(
     EngineInfo(
         name="batched",
         builder=_build_batched,
-        description="approximate synchronous-rounds batching, one trial",
+        description="approximate synchronous-rounds batching, one trial (one-row ensemble)",
         supports_initial_arrays=True,
         supports_jit=True,
         supports_checkpoint=True,

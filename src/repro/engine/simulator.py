@@ -12,8 +12,9 @@ paper's C++ simulator, which reports a snapshot every ``n`` interactions
 granularity.
 
 For figure-scale populations (n >= 10^5) use
-:class:`repro.engine.batch_engine.BatchedSimulator`, which trades exactness
-of the interleaving for vectorised speed, or
+:class:`repro.engine.ensemble_engine.EnsembleSimulator` (the ``"batched"``
+and ``"ensemble"`` engines), which trades exactness of the interleaving
+for vectorised speed, or
 :class:`repro.engine.array_engine.ArraySimulator`, which keeps exact
 sequential semantics with a lower-overhead struct-of-arrays state
 representation.  All engines implement the shared

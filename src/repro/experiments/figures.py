@@ -10,11 +10,12 @@ aggregates across trials exactly like the paper does over its 96 runs: the
 reported minimum is the minimum over all runs' minima, the maximum the
 maximum over all maxima, and the median the median of the runs' medians.
 
-The batched engine is the default; the ensemble engine additionally stacks
-all trials of a data point into one ``(trials, n)`` engine and removes the
-per-trial Python loop entirely — the fastest way to regenerate a figure at
-the paper's populations.  The counts engine drops the per-agent state for
-a count vector, making huge populations (n = 10^7 and beyond) affordable.
+The batched engine (one single-row ensemble engine per trial) is the
+default; the ensemble engine stacks all trials of a data point into one
+``(trials, n)`` engine and removes the per-trial Python loop entirely —
+the fastest way to regenerate a figure at the paper's populations.  The
+counts engine drops the per-agent state for a count vector, making huge
+populations (n = 10^7 and beyond) affordable.
 The exact engines are available for small-n cross-validation and for
 workloads where the interleaving matters.
 """
@@ -225,9 +226,7 @@ def run_estimate_trace(
     resize_schedule = tuple(resize_schedule)
     workers = resolve_workers(workers)
     if engine is None or engine == "auto":
-        engine = choose_engine(
-            DynamicSizeCounting(params), trials, n, workers=workers, jit=jit
-        )
+        engine = choose_engine(DynamicSizeCounting(params), trials, n)
 
     per_trial_min: list[list[float]] = []
     per_trial_med: list[list[float]] = []

@@ -50,7 +50,7 @@ def register_jit_kernel(protocol_cls: type, factory: Callable[[Any], Any]) -> No
     receives the protocol instance (scalar or vectorised — register both
     classes, like the counts kernels do) and returns a
     :class:`~repro.engine.batch_engine.VectorizedProtocol` whose
-    ``interact_batch`` / ``interact_ensemble`` run the fused kernels.
+    ``interact_ensemble`` runs the fused kernels.
     Registering a class again replaces the previous factory.
     """
     _JIT_REGISTRY[protocol_cls] = factory
@@ -176,12 +176,13 @@ def jit_wrap(protocol: Any) -> Any:
 def compile_warmup() -> float:
     """Trigger numba compilation of every fused kernel; return wall seconds.
 
-    Runs two tiny steps of each registered protocol on the batched and the
-    ensemble engine with ``jit=True``, hitting the dtype specialisations
-    the real workloads use, so first-call compilation happens here instead
-    of inside a measurement.  A no-op (returning ~0) when the compiled
-    backend is unavailable.  ``repro.bench`` passes this as ``warmup_fn``
-    for jit cases and reports the cost as ``compile_seconds``.
+    Runs two tiny steps of each registered protocol on the ensemble engine
+    with ``jit=True``, hitting the dtype specialisations the real workloads
+    use (the one-row ``"batched"`` engine shares them), so first-call
+    compilation happens here instead of inside a measurement.  A no-op
+    (returning ~0) when the compiled backend is unavailable.
+    ``repro.bench`` passes this as ``warmup_fn`` for jit cases and reports
+    the cost as ``compile_seconds``.
     """
     started = time.perf_counter()
     if not availability().enabled:
@@ -199,7 +200,6 @@ def compile_warmup() -> float:
         JuntaElection,
         ApproximateMajority,
     ):
-        make_engine("batched", protocol_cls(), 64, seed=0, jit=True).run(2)
         make_engine(
             "ensemble", protocol_cls(), 64, seed=0, trials=2, jit=True
         ).run(2)

@@ -1,10 +1,10 @@
 """Fused loop kernels for the hot protocols, compiled with Numba when present.
 
 Each kernel below is an explicit-loop reformulation of one vectorised
-protocol's ``interact_batch`` / ``interact_ensemble``: the gather → branch →
-scatter sequence that NumPy spreads over dozens of full-width temporaries
-(and compressed lane indices for the rare branches) becomes a single pass
-over preallocated scratch buffers.  The functions are written in the
+protocol's ``interact_ensemble``: the gather → branch → scatter sequence
+that NumPy spreads over dozens of full-width temporaries (and compressed
+lane indices for the rare branches) becomes a single pass over
+preallocated scratch buffers.  The functions are written in the
 numba-compilable subset of Python and are *bit-parity* replacements — under
 a shared seed they must produce exactly the arrays the NumPy kernels
 produce (``tests/test_jit_kernels.py`` asserts element-for-element
@@ -49,7 +49,6 @@ from repro.protocols.vectorized import (
     VectorizedInfectionEpidemic,
     VectorizedJuntaElection,
     VectorizedMaxEpidemic,
-    _row_indices,
 )
 
 __all__ = [
@@ -66,28 +65,6 @@ __all__ = [
 
 
 # ----------------------------------------------------------- majority kernels
-
-
-def _majority_batch(opinion, initiators, responders, new_u, new_v):
-    m = initiators.shape[0]
-    for i in range(m):
-        u = opinion[initiators[i]]
-        v = opinion[responders[i]]
-        nu = u
-        if u == 0 and v != 0:
-            nu = v
-        if v == 0 and u != 0:
-            nv = u
-        elif u != 0 and v != 0 and u == -v:
-            nv = 0
-        else:
-            nv = v
-        new_u[i] = nu
-        new_v[i] = nv
-    for i in range(m):
-        opinion[initiators[i]] = new_u[i]
-    for i in range(m):
-        opinion[responders[i]] = new_v[i]
 
 
 def _majority_ensemble(opinion, initiators, responders, new_u, new_v):
@@ -119,23 +96,6 @@ def _majority_ensemble(opinion, initiators, responders, new_u, new_v):
 # ----------------------------------------------------------- epidemic kernels
 
 
-def _max_epidemic_batch(value, initiators, responders, peak, two_way):
-    m = initiators.shape[0]
-    for i in range(m):
-        a = value[initiators[i]]
-        b = value[responders[i]]
-        peak[i] = a if a >= b else b
-    for i in range(m):
-        j = initiators[i]
-        if peak[i] > value[j]:
-            value[j] = peak[i]
-    if two_way:
-        for i in range(m):
-            j = responders[i]
-            if peak[i] > value[j]:
-                value[j] = peak[i]
-
-
 def _max_epidemic_ensemble(value, initiators, responders, peak, two_way):
     trials = initiators.shape[0]
     m = initiators.shape[1]
@@ -155,27 +115,6 @@ def _max_epidemic_ensemble(value, initiators, responders, peak, two_way):
                 j = responders[t, i]
                 if peak[t, i] > value[t, j]:
                     value[t, j] = peak[t, i]
-
-
-def _infection_batch(infected, initiators, responders, peak, one_way):
-    m = initiators.shape[0]
-    if one_way:
-        for i in range(m):
-            peak[i] = infected[responders[i]]
-    else:
-        for i in range(m):
-            a = infected[initiators[i]]
-            b = infected[responders[i]]
-            peak[i] = a if a >= b else b
-    for i in range(m):
-        j = initiators[i]
-        if peak[i] > infected[j]:
-            infected[j] = peak[i]
-    if not one_way:
-        for i in range(m):
-            j = responders[i]
-            if peak[i] > infected[j]:
-                infected[j] = peak[i]
 
 
 def _infection_ensemble(infected, initiators, responders, peak, one_way):
@@ -205,48 +144,6 @@ def _infection_ensemble(infected, initiators, responders, peak, one_way):
 
 
 # -------------------------------------------------------------- junta kernels
-
-
-def _junta_batch(
-    level, climbing, max_seen, initiators, responders, coins, max_level,
-    new_level, new_climb, top,
-):
-    m = initiators.shape[0]
-    c = 0
-    for i in range(m):
-        u = initiators[i]
-        v = responders[i]
-        u_level = level[u]
-        climb = climbing[u] != 0
-        coin = False
-        if climb:
-            coin = coins[c]
-            c += 1
-        up = climb and coin and (u_level < max_level)
-        nl = u_level + 1 if up else u_level
-        new_level[i] = nl
-        new_climb[i] = 1 if up else 0
-        t_val = nl
-        if max_seen[u] > t_val:
-            t_val = max_seen[u]
-        if level[v] > t_val:
-            t_val = level[v]
-        if max_seen[v] > t_val:
-            t_val = max_seen[v]
-        top[i] = t_val
-    for i in range(m):
-        level[initiators[i]] = new_level[i]
-    for i in range(m):
-        climbing[initiators[i]] = new_climb[i]
-    for i in range(m):
-        j = initiators[i]
-        if top[i] > max_seen[j]:
-            max_seen[j] = top[i]
-    for i in range(m):
-        j = responders[i]
-        if top[i] > max_seen[j]:
-            max_seen[j] = top[i]
-    return c
 
 
 def _junta_ensemble(
@@ -294,132 +191,6 @@ def _junta_ensemble(
             j = responders[t, i]
             if top[t, i] > max_seen[t, j]:
                 max_seen[t, j] = top[t, i]
-    return c
-
-
-# -------------------------------------------- dynamic counting, batched (f64)
-#
-# Phased because the number of GRV draws is data-dependent: gather returns
-# the reset count, Python draws, reset returns the backup count, Python
-# draws again, finish scatters.  Lane order is batch index order, matching
-# the boolean-mask assignments of the NumPy kernel.
-
-
-def _counting_batch_gather(
-    max_a, last_a, time_a, inter_a, initiators, responders,
-    u_max, u_last, u_time, u_inter, v_max, v_last, v_time,
-    reset_mask, tau2, tau3,
-):
-    m = initiators.shape[0]
-    count = 0
-    for i in range(m):
-        u = initiators[i]
-        v = responders[i]
-        um = max_a[u]
-        ul = last_a[u]
-        ut = time_a[u]
-        vm = max_a[v]
-        u_max[i] = um
-        u_last[i] = ul
-        u_time[i] = ut
-        u_inter[i] = inter_a[u]
-        v_max[i] = vm
-        v_last[i] = last_a[v]
-        v_time[i] = time_a[v]
-        u_scale = um if um >= ul else ul
-        v_scale = vm if vm >= last_a[v] else last_a[v]
-        v_exchange = time_a[v] >= tau2 * v_scale
-        # Lines 2-6: wrap-around / reset->exchange / hold->exchange resets.
-        reset = ut <= 0.0
-        if not reset and (ut < tau3 * u_scale) and v_exchange:
-            reset = True
-        if not reset and (not (ut >= tau2 * u_scale)) and um != vm:
-            reset = True
-        reset_mask[i] = reset
-        if reset:
-            count += 1
-    return count
-
-
-def _counting_batch_reset(
-    u_max, u_last, u_time, u_inter, reset_mask, fresh_vals,
-    backup_mask, tau1, tau_prime,
-):
-    m = u_max.shape[0]
-    c = 0
-    count = 0
-    for i in range(m):
-        if reset_mask[i]:
-            fresh = fresh_vals[c]
-            c += 1
-            old_max = u_max[i]
-            peak = old_max if old_max >= fresh else fresh
-            u_time[i] = tau1 * peak
-            u_last[i] = old_max
-            u_max[i] = fresh
-            u_inter[i] = 0
-        # Lines 7-8: is a backup GRV due?
-        scale = u_max[i] if u_max[i] >= u_last[i] else u_last[i]
-        due = u_inter[i] > tau_prime * scale
-        backup_mask[i] = due
-        if due:
-            count += 1
-    return count
-
-
-def _counting_batch_finish(
-    max_a, last_a, time_a, inter_a, initiators,
-    u_max, u_last, u_time, u_inter, v_max, v_last, v_time,
-    backup_mask, backup_raw, boosted_vals, tau1, tau2, tau3,
-):
-    m = u_max.shape[0]
-    c = 0
-    for i in range(m):
-        nm = u_max[i]
-        nl = u_last[i]
-        nt = u_time[i]
-        ni = u_inter[i]
-        vm = v_max[i]
-        vl = v_last[i]
-        vt = v_time[i]
-        # Lines 9-10: adopt the backup GRV when it beats the current max.
-        if backup_mask[i]:
-            raw = backup_raw[c]
-            boosted = boosted_vals[c]
-            c += 1
-            ni = 0
-            if raw > nm:
-                nt = tau1 * boosted
-                nm = boosted
-        v_scale = vm if vm >= vl else vl
-        v_exchange = vt >= tau2 * v_scale
-        # Lines 11-12: adopt a larger maximum within the exchange phase.
-        scale = nm if nm >= nl else nl
-        if (nt >= tau2 * scale) and v_exchange and nm < vm:
-            nt = tau1 * vm
-            nm = vm
-            nl = vl
-        # Lines 13-14: exchange the trailing maximum.
-        scale = nm if nm >= nl else nl
-        v_reset_phase = vt < tau3 * v_scale
-        if nm == vm and not ((nt >= tau2 * scale) and v_reset_phase):
-            if vl > nl:
-                nl = vl
-        # Line 15: CHVP countdown plus the interaction counter.
-        if vt > nt:
-            nt = vt
-        nt = nt - 1.0
-        ni = ni + 1
-        u_max[i] = nm
-        u_last[i] = nl
-        u_time[i] = nt
-        u_inter[i] = ni
-    for i in range(m):
-        j = initiators[i]
-        max_a[j] = u_max[i]
-        last_a[j] = u_last[i]
-        time_a[j] = u_time[i]
-        inter_a[j] = u_inter[i]
     return c
 
 
@@ -567,17 +338,10 @@ def _counting_ensemble_finish(
 #: The uncompiled kernel functions, by name.  :func:`kernel_table` compiles
 #: this table with ``numba.njit(cache=True)`` on first use.
 PYTHON_KERNELS: dict[str, Callable[..., Any]] = {
-    "majority_batch": _majority_batch,
     "majority_ensemble": _majority_ensemble,
-    "max_epidemic_batch": _max_epidemic_batch,
     "max_epidemic_ensemble": _max_epidemic_ensemble,
-    "infection_batch": _infection_batch,
     "infection_ensemble": _infection_ensemble,
-    "junta_batch": _junta_batch,
     "junta_ensemble": _junta_ensemble,
-    "counting_batch_gather": _counting_batch_gather,
-    "counting_batch_reset": _counting_batch_reset,
-    "counting_batch_finish": _counting_batch_finish,
     "counting_ensemble_gather": _counting_ensemble_gather,
     "counting_ensemble_reset": _counting_ensemble_reset,
     "counting_ensemble_finish": _counting_ensemble_finish,
@@ -678,17 +442,6 @@ class JitVectorizedApproximateMajority(_PooledMixin, VectorizedApproximateMajori
 
     name = "jit-approximate-majority"
 
-    def interact_batch(self, arrays, initiators, responders, rng) -> None:
-        kernels = kernel_table()
-        if kernels is None:
-            return super().interact_batch(arrays, initiators, responders, rng)
-        opinion = arrays["opinion"]
-        m = initiators.shape[0]
-        pool = self._pool
-        new_u = pool.get("new_u", m, opinion.dtype)
-        new_v = pool.get("new_v", m, opinion.dtype)
-        kernels["majority_batch"](opinion, initiators, responders, new_u, new_v)
-
     def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
         kernels = kernel_table()
         if kernels is None:
@@ -705,16 +458,6 @@ class JitVectorizedMaxEpidemic(_PooledMixin, VectorizedMaxEpidemic):
     """Fused-kernel max-propagation epidemic."""
 
     name = "jit-max-epidemic"
-
-    def interact_batch(self, arrays, initiators, responders, rng) -> None:
-        kernels = kernel_table()
-        if kernels is None:
-            return super().interact_batch(arrays, initiators, responders, rng)
-        value = arrays["value"]
-        peak = self._pool.get("peak", initiators.shape[0], value.dtype)
-        kernels["max_epidemic_batch"](
-            value, initiators, responders, peak, not self.one_way
-        )
 
     def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
         kernels = kernel_table()
@@ -733,16 +476,6 @@ class JitVectorizedInfectionEpidemic(_PooledMixin, VectorizedInfectionEpidemic):
     """Fused-kernel binary SI epidemic."""
 
     name = "jit-infection-epidemic"
-
-    def interact_batch(self, arrays, initiators, responders, rng) -> None:
-        kernels = kernel_table()
-        if kernels is None:
-            return super().interact_batch(arrays, initiators, responders, rng)
-        infected = arrays["infected"]
-        peak = self._pool.get("peak", initiators.shape[0], infected.dtype)
-        kernels["infection_batch"](
-            infected, initiators, responders, peak, self.one_way
-        )
 
     def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
         kernels = kernel_table()
@@ -774,24 +507,6 @@ class JitVectorizedJuntaElection(_PooledMixin, VectorizedJuntaElection):
             return _EMPTY_BOOL
         return rng.generator.integers(0, 2, size=climbers).astype(bool)
 
-    def interact_batch(self, arrays, initiators, responders, rng) -> None:
-        kernels = kernel_table()
-        if kernels is None:
-            return super().interact_batch(arrays, initiators, responders, rng)
-        level = arrays["level"]
-        climbing = arrays["climbing"]
-        max_seen = arrays["max_seen"]
-        coins = self._draw_coins(climbing[initiators], rng)
-        m = initiators.shape[0]
-        pool = self._pool
-        new_level = pool.get("new_level", m, level.dtype)
-        new_climb = pool.get("new_climb", m, climbing.dtype)
-        top = pool.get("top", m, max_seen.dtype)
-        kernels["junta_batch"](
-            level, climbing, max_seen, initiators, responders, coins,
-            self.max_level, new_level, new_climb, top,
-        )
-
     def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
         kernels = kernel_table()
         if kernels is None:
@@ -799,8 +514,7 @@ class JitVectorizedJuntaElection(_PooledMixin, VectorizedJuntaElection):
         level = arrays["level"]
         climbing = arrays["climbing"]
         max_seen = arrays["max_seen"]
-        rows = _row_indices(initiators)
-        coins = self._draw_coins(climbing[rows, initiators], rng)
+        coins = self._draw_coins(np.take_along_axis(climbing, initiators, axis=1), rng)
         lanes = initiators.size
         pool = self._pool
         shape = initiators.shape
@@ -816,7 +530,7 @@ class JitVectorizedJuntaElection(_PooledMixin, VectorizedJuntaElection):
 class JitVectorizedDynamicCounting(_PooledMixin, VectorizedDynamicCounting):
     """Fused-kernel Algorithm 2 (dynamic size counting).
 
-    The GRV draw counts are data-dependent, so both layouts run in three
+    The GRV draw counts are data-dependent, so the kernel runs in three
     phases: gather (returns the reset-lane count) → Python draws the fresh
     GRV maxima with the NumPy kernel's exact generator calls → reset
     (returns the backup-lane count) → Python draws the backups → finish
@@ -826,52 +540,6 @@ class JitVectorizedDynamicCounting(_PooledMixin, VectorizedDynamicCounting):
     """
 
     name = "jit-dynamic-size-counting"
-
-    def interact_batch(self, arrays, initiators, responders, rng) -> None:
-        kernels = kernel_table()
-        if kernels is None:
-            return super().interact_batch(arrays, initiators, responders, rng)
-        params = self.params
-        over = params.overestimation
-        m = initiators.shape[0]
-        pool = self._pool
-        dtype = arrays["max"].dtype
-        u_max = pool.get("b_u_max", m, dtype)
-        u_last = pool.get("b_u_last", m, dtype)
-        u_time = pool.get("b_u_time", m, dtype)
-        u_inter = pool.get("b_u_inter", m, arrays["interactions"].dtype)
-        v_max = pool.get("b_v_max", m, dtype)
-        v_last = pool.get("b_v_last", m, dtype)
-        v_time = pool.get("b_v_time", m, dtype)
-        reset_mask = pool.get("b_reset", m, np.dtype(bool))
-        backup_mask = pool.get("b_backup", m, np.dtype(bool))
-
-        reset_count = int(
-            kernels["counting_batch_gather"](
-                arrays["max"], arrays["last_max"], arrays["time"],
-                arrays["interactions"], initiators, responders,
-                u_max, u_last, u_time, u_inter, v_max, v_last, v_time,
-                reset_mask, float(params.tau2), float(params.tau3),
-            )
-        )
-        fresh_vals = over * self._sample_grv_max(rng, reset_count)
-        backup_count = int(
-            kernels["counting_batch_reset"](
-                u_max, u_last, u_time, u_inter, reset_mask, fresh_vals,
-                backup_mask, float(params.tau1), float(params.tau_prime),
-            )
-        )
-        backup_raw = self._sample_grv_max(rng, backup_count)
-        boosted_vals = over * backup_raw
-        kernels["counting_batch_finish"](
-            arrays["max"], arrays["last_max"], arrays["time"],
-            arrays["interactions"], initiators,
-            u_max, u_last, u_time, u_inter, v_max, v_last, v_time,
-            backup_mask, backup_raw, boosted_vals,
-            float(params.tau1), float(params.tau2), float(params.tau3),
-        )
-        if reset_count:
-            np.add.at(arrays["resets"], np.unique(initiators[reset_mask]), 1)
 
     def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
         kernels = kernel_table()

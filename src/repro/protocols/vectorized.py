@@ -3,23 +3,22 @@
 Each class here implements :class:`repro.engine.batch_engine.
 VectorizedProtocol` for one of the scalar protocols in this package, so
 that epidemics, junta election and majority can run at figure scale on the
-:class:`repro.engine.batch_engine.BatchedSimulator` — and, because every
-class also implements ``interact_one``, on the exact
-:class:`repro.engine.array_engine.ArraySimulator`.
+``"batched"`` / ``"ensemble"`` engines (:class:`repro.engine.
+ensemble_engine.EnsembleSimulator`) — and, because every class also
+implements ``interact_one``, on the exact :class:`repro.engine.
+array_engine.ArraySimulator`.
 
 The ``interact_one`` implementations mirror their scalar protocol's
 transition *including the order of random draws*; ``tests/
 test_engine_equivalence.py`` asserts trajectory-exact agreement with the
-sequential engine under a shared seed.  The ``interact_batch``
-implementations follow the batched engine's synchronous-rounds semantics
-(responder states read at the start of the batch, overlapping writes
-resolved last-writer-wins, monotone variables merged with
-``np.maximum.at``).  Every class additionally implements
-``interact_ensemble``, the 2-D fast path of the
-:class:`repro.engine.ensemble_engine.EnsembleSimulator`: the same
-transition applied to ``(trials, n)`` stacked state with ``(trials,
-batch)`` index matrices, removing the per-trial Python loop of the default
-fallback.
+sequential engine under a shared seed.  The ``interact_ensemble``
+implementations apply the transition to ``(trials, n)`` stacked state with
+``(trials, batch)`` index matrices, following the synchronous-rounds
+semantics (responder states read at the start of the batch, overlapping
+writes resolved last-writer-wins, monotone variables merged with
+``np.maximum.at``).  They index the stack by flat coordinates
+(:func:`repro.engine.batch_engine.flat_pair_indices`), which visits the
+lanes in the same row-major order as broadcast 2-D indexing.
 
 The mapping from scalar protocol classes to these implementations lives in
 :mod:`repro.engine.registry`.
@@ -31,15 +30,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.batch_engine import VectorizedProtocol
+from repro.engine.batch_engine import (
+    VectorizedProtocol,
+    flat_pair_indices,
+    flat_state_view,
+)
 from repro.engine.rng import RandomSource
 from repro.protocols.majority import ApproximateMajority
-
-
-def _row_indices(index_matrix: np.ndarray) -> np.ndarray:
-    """Row-coordinate matrix matching a ``(trials, batch)`` index matrix."""
-    rows = np.arange(index_matrix.shape[0])[:, None]
-    return np.broadcast_to(rows, index_matrix.shape)
 
 __all__ = [
     "VectorizedMaxEpidemic",
@@ -73,20 +70,13 @@ class VectorizedMaxEpidemic(VectorizedProtocol):
         value[:count] = peak
         return {"value": value}
 
-    def interact_batch(self, arrays, initiators, responders, rng) -> None:
-        value = arrays["value"]
-        peak = np.maximum(value[initiators], value[responders])
-        np.maximum.at(value, initiators, peak)
-        if not self.one_way:
-            np.maximum.at(value, responders, peak)
-
     def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
-        value = arrays["value"]
-        rows = _row_indices(initiators)
-        peak = np.maximum(value[rows, initiators], value[rows, responders])
-        np.maximum.at(value, (rows, initiators), peak)
+        value = flat_state_view(arrays["value"])
+        u, v = flat_pair_indices(initiators, responders, arrays["value"].shape[1])
+        peak = np.maximum(value[u], value[v])
+        np.maximum.at(value, u, peak)
         if not self.one_way:
-            np.maximum.at(value, (rows, responders), peak)
+            np.maximum.at(value, v, peak)
 
     def interact_one(self, arrays, initiator, responder, rng) -> None:
         value = arrays["value"]
@@ -130,26 +120,16 @@ class VectorizedInfectionEpidemic(VectorizedProtocol):
         arr[:infected] = 1
         return {"infected": arr}
 
-    def interact_batch(self, arrays, initiators, responders, rng) -> None:
-        infected = arrays["infected"]
-        v_inf = infected[responders]
-        if self.one_way:
-            np.maximum.at(infected, initiators, v_inf)
-        else:
-            both = np.maximum(infected[initiators], v_inf)
-            np.maximum.at(infected, initiators, both)
-            np.maximum.at(infected, responders, both)
-
     def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
-        infected = arrays["infected"]
-        rows = _row_indices(initiators)
-        v_inf = infected[rows, responders]
+        infected = flat_state_view(arrays["infected"])
+        u, v = flat_pair_indices(initiators, responders, arrays["infected"].shape[1])
+        v_inf = infected[v]
         if self.one_way:
-            np.maximum.at(infected, (rows, initiators), v_inf)
+            np.maximum.at(infected, u, v_inf)
         else:
-            both = np.maximum(infected[rows, initiators], v_inf)
-            np.maximum.at(infected, (rows, initiators), both)
-            np.maximum.at(infected, (rows, responders), both)
+            both = np.maximum(infected[u], v_inf)
+            np.maximum.at(infected, u, both)
+            np.maximum.at(infected, v, both)
 
     def interact_one(self, arrays, initiator, responder, rng) -> None:
         infected = arrays["infected"]
@@ -194,55 +174,31 @@ class VectorizedJuntaElection(VectorizedProtocol):
             "max_seen": np.zeros(n, dtype=np.int64),
         }
 
-    def interact_batch(self, arrays, initiators, responders, rng) -> None:
-        level = arrays["level"]
-        climbing = arrays["climbing"]
-        max_seen = arrays["max_seen"]
+    def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
+        level = flat_state_view(arrays["level"])
+        climbing = flat_state_view(arrays["climbing"])
+        max_seen = flat_state_view(arrays["max_seen"])
+        u, v = flat_pair_indices(initiators, responders, arrays["level"].shape[1])
 
-        u_level = level[initiators]
-        u_climb = climbing[initiators].astype(bool)
-        v_level = level[responders]
-        v_seen = max_seen[responders]
-        u_seen = max_seen[initiators]
+        u_level = level[u]
+        u_climb = climbing[u].astype(bool)
+        v_level = level[v]
+        v_seen = max_seen[v]
+        u_seen = max_seen[u]
 
-        coins = np.zeros(initiators.shape, dtype=bool)
+        coins = np.zeros(u.shape, dtype=bool)
         climbers = int(u_climb.sum())
         if climbers:
             coins[u_climb] = rng.generator.integers(0, 2, size=climbers).astype(bool)
         up = u_climb & coins & (u_level < self.max_level)
         new_level = np.where(up, u_level + 1, u_level)
         # An agent keeps climbing only while every flip is heads below the cap.
-        level[initiators] = new_level
-        climbing[initiators] = up.astype(np.int8)
+        level[u] = new_level
+        climbing[u] = up.astype(np.int8)
 
         top = np.maximum(np.maximum(new_level, u_seen), np.maximum(v_level, v_seen))
-        np.maximum.at(max_seen, initiators, top)
-        np.maximum.at(max_seen, responders, top)
-
-    def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
-        level = arrays["level"]
-        climbing = arrays["climbing"]
-        max_seen = arrays["max_seen"]
-        rows = _row_indices(initiators)
-
-        u_level = level[rows, initiators]
-        u_climb = climbing[rows, initiators].astype(bool)
-        v_level = level[rows, responders]
-        v_seen = max_seen[rows, responders]
-        u_seen = max_seen[rows, initiators]
-
-        coins = np.zeros(initiators.shape, dtype=bool)
-        climbers = int(u_climb.sum())
-        if climbers:
-            coins[u_climb] = rng.generator.integers(0, 2, size=climbers).astype(bool)
-        up = u_climb & coins & (u_level < self.max_level)
-        new_level = np.where(up, u_level + 1, u_level)
-        level[rows, initiators] = new_level
-        climbing[rows, initiators] = up.astype(np.int8)
-
-        top = np.maximum(np.maximum(new_level, u_seen), np.maximum(v_level, v_seen))
-        np.maximum.at(max_seen, (rows, initiators), top)
-        np.maximum.at(max_seen, (rows, responders), top)
+        np.maximum.at(max_seen, u, top)
+        np.maximum.at(max_seen, v, top)
 
     def interact_one(self, arrays, initiator, responder, rng) -> None:
         level = arrays["level"]
@@ -306,30 +262,18 @@ class VectorizedApproximateMajority(VectorizedProtocol):
         )
         return {"opinion": opinion}
 
-    def interact_batch(self, arrays, initiators, responders, rng) -> None:
-        opinion = arrays["opinion"]
-        u_op = opinion[initiators]
-        v_op = opinion[responders]
-        recruit_u = (u_op == 0) & (v_op != 0)
-        recruit_v = (v_op == 0) & (u_op != 0)
-        cancel = (u_op != 0) & (v_op != 0) & (u_op == -v_op)
-        new_u = np.where(recruit_u, v_op, u_op)
-        new_v = np.where(recruit_v, u_op, np.where(cancel, 0, v_op))
-        opinion[initiators] = new_u
-        opinion[responders] = new_v
-
     def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
-        opinion = arrays["opinion"]
-        rows = _row_indices(initiators)
-        u_op = opinion[rows, initiators]
-        v_op = opinion[rows, responders]
+        opinion = flat_state_view(arrays["opinion"])
+        u, v = flat_pair_indices(initiators, responders, arrays["opinion"].shape[1])
+        u_op = opinion[u]
+        v_op = opinion[v]
         recruit_u = (u_op == 0) & (v_op != 0)
         recruit_v = (v_op == 0) & (u_op != 0)
         cancel = (u_op != 0) & (v_op != 0) & (u_op == -v_op)
         new_u = np.where(recruit_u, v_op, u_op)
         new_v = np.where(recruit_v, u_op, np.where(cancel, 0, v_op))
-        opinion[rows, initiators] = new_u
-        opinion[rows, responders] = new_v
+        opinion[u] = new_u
+        opinion[v] = new_v
 
     def interact_one(self, arrays, initiator, responder, rng) -> None:
         opinion = arrays["opinion"]

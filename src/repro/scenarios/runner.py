@@ -96,15 +96,12 @@ def _engine_for_point(
     point_trials: int,
     point_n: int,
     params: ProtocolParameters,
-    workers: int | None = None,
 ) -> str:
     if requested is not None and requested != "auto":
         return requested
     if requested is None and spec.engine is not None:
         return spec.engine
-    chosen = choose_engine(
-        spec.protocol_factory(params), point_trials, point_n, workers=workers
-    )
+    chosen = choose_engine(spec.protocol_factory(params), point_trials, point_n)
     if chosen not in spec.engines:
         chosen = spec.engines[0]
     return chosen
@@ -242,9 +239,7 @@ def run_scenario(
             phases[point.series_label] = [
                 dict(boundary) for boundary in point.info["phases"]
             ]
-        point_engine = _engine_for_point(
-            spec, engine, point.trials, point.n, params, workers
-        )
+        point_engine = _engine_for_point(spec, engine, point.trials, point.n, params)
         engines_used.append(point_engine)
         trace = run_estimate_trace(
             point.n,

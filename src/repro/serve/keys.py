@@ -44,7 +44,9 @@ __all__ = ["KEY_SCHEMA_VERSION", "canonical_cache_key", "normalize_engine_reques
 #: v2: ScenarioSpec.canonical_encoding gained ``schedule_kind``/``knobs``.
 #: v3: the counts engine draws different rows for the same request (its
 #: multinomials take their categories in descending-probability order).
-KEY_SCHEMA_VERSION = 3
+#: v4: the ``batched`` engine is a one-row ensemble and draws different rows
+#: for the same request.
+KEY_SCHEMA_VERSION = 4
 
 
 def normalize_engine_request(spec: ScenarioSpec, engine: str | None) -> str:

@@ -101,6 +101,18 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError):
             read_checkpoint(path)
 
+    def test_schema_one_file_rejected(self, tmp_path):
+        # Version 1 files predate the one-row batched engine: their planes
+        # and trial series come from another random stream.
+        path = write_checkpoint(tmp_path / "x.ckpt", {"completed": []}, kind="shard")
+        magic, header, body = path.read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        fields["schema_version"] = 1
+        header = json.dumps(fields, sort_keys=True).encode("ascii")
+        path.write_bytes(b"\n".join([magic, header, body]))
+        with pytest.raises(CheckpointError, match="schema version 1"):
+            read_checkpoint(path, kind="shard")
+
     def test_unpicklable_payload_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             write_checkpoint(tmp_path / "x.ckpt", {"fn": lambda: None}, kind="engine")

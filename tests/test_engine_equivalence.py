@@ -7,8 +7,8 @@ contract, and this module pins down how closely they agree:
   identical scheduler over struct-of-arrays state, and the ``interact_one``
   kernels mirror their scalar protocols including the order of random
   draws, so the two engines agree bit-for-bit under a shared seed.
-* **sequential vs batched** — *statistical*: the batched engine refreshes
-  responder states only between sub-batches, so only the statistics the
+* **sequential vs batched** — *statistical*: the batched engine (a one-row
+  ensemble) refreshes responder states only between sub-batches, so only the statistics the
   figures report are compared (converged estimate level, clock round
   cadence, epidemic spread time, consensus outcomes).
 """
@@ -23,9 +23,9 @@ import pytest
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.vectorized import VectorizedDynamicCounting
 from repro.engine.array_engine import ArraySimulator
-from repro.engine.batch_engine import BatchedSimulator
 from repro.engine.population import Population
 from repro.engine.recorder import EstimateRecorder, EventRecorder
+from repro.engine.registry import make_engine
 from repro.engine.simulator import Simulator
 from repro.protocols.epidemic import InfectionEpidemic, MaxEpidemic
 from repro.protocols.junta import JuntaElection
@@ -55,7 +55,7 @@ def _sequential_steady_low(n: int, parallel_time: int, seed: int) -> float:
 
 
 def _batched_steady_low(n: int, parallel_time: int, seed: int) -> float:
-    simulator = BatchedSimulator(VectorizedDynamicCounting(), n, seed=seed)
+    simulator = make_engine("batched", VectorizedDynamicCounting(), n, seed=seed)
     result = simulator.run(parallel_time)
     tail = [s.median for s in result.snapshots if s.parallel_time > parallel_time // 2]
     return min(tail)
@@ -96,7 +96,7 @@ class TestRoundLengthAgreement:
             [e for e in events.events if e.interaction >= warmup * n]
         ) / (n * (horizon - warmup))
 
-        batched = BatchedSimulator(VectorizedDynamicCounting(), n, seed=222)
+        batched = make_engine("batched", VectorizedDynamicCounting(), n, seed=222)
         batched.run(warmup)
         start = int(batched.arrays["resets"].sum())
         batched.run(horizon - warmup)
@@ -230,8 +230,8 @@ def _sequential_spread_time(n: int, seed: int) -> int:
 
 def _batched_spread_time(n: int, seed: int) -> int:
     vectorized = VectorizedInfectionEpidemic()
-    simulator = BatchedSimulator(
-        vectorized, n, seed=seed, initial_arrays=vectorized.seeded_arrays(n)
+    simulator = make_engine(
+        "batched", vectorized, n, seed=seed, initial_arrays=vectorized.seeded_arrays(n)
     )
     result = simulator.run(
         10 * int(math.log2(n)) + 50,
@@ -260,7 +260,7 @@ class TestBatchedStatisticalEquivalence:
         sequential.run(horizon)
         seq_levels = np.array([s.level for s in sequential.population.states()])
 
-        batched = BatchedSimulator(VectorizedJuntaElection(), n, seed=22)
+        batched = make_engine("batched", VectorizedJuntaElection(), n, seed=22)
         batched.run(horizon)
         batch_levels = batched.arrays["level"]
 
@@ -281,8 +281,8 @@ class TestBatchedStatisticalEquivalence:
         seq_a = sum(1 for s in sequential.population.states() if s == "A")
 
         vectorized = VectorizedApproximateMajority()
-        batched = BatchedSimulator(
-            vectorized, n, seed=32, initial_arrays=vectorized.arrays_from_counts(a, b)
+        batched = make_engine(
+            "batched", vectorized, n, seed=32, initial_arrays=vectorized.arrays_from_counts(a, b)
         )
         batched.run(60)
         batch_a = int((batched.arrays["opinion"] == 1).sum())
@@ -314,9 +314,11 @@ class TestArrayVsBatchedDynamicCounting:
         assert abs(batched_low - reference) <= 3.5
 
 
-@pytest.mark.parametrize("engine_cls", [ArraySimulator, BatchedSimulator])
-def test_resize_schedule_supported_by_both_array_engines(engine_cls):
-    simulator = engine_cls(VectorizedDynamicCounting(), 200, seed=13, resize_schedule=[(5, 50)])
+@pytest.mark.parametrize("engine", ["array", "batched"])
+def test_resize_schedule_supported_by_both_array_engines(engine):
+    simulator = make_engine(
+        engine, VectorizedDynamicCounting(), 200, seed=13, resize_schedule=[(5, 50)]
+    )
     result = simulator.run(10)
     assert result.final_size == 50
     sizes = [s.population_size for s in result.snapshots]

@@ -12,7 +12,8 @@ from repro.core.vectorized import VectorizedDynamicCounting
 from repro.engine.adversary import RemoveAllButAt
 from repro.engine.api import RunResult
 from repro.engine.array_engine import ArraySimulator
-from repro.engine.batch_engine import BatchedSimulator, VectorizedProtocol
+from repro.engine.batch_engine import VectorizedProtocol
+from repro.engine.ensemble_engine import EnsembleSimulator
 from repro.engine.errors import ConfigurationError
 from repro.engine.recorder import EstimateRecorder
 from repro.engine.registry import (
@@ -151,7 +152,8 @@ class TestMakeEngine:
         protocol = DynamicSizeCounting()
         assert isinstance(make_engine("sequential", protocol, 10, seed=1), Simulator)
         assert isinstance(make_engine("array", protocol, 10, seed=1), ArraySimulator)
-        assert isinstance(make_engine("batched", protocol, 10, seed=1), BatchedSimulator)
+        batched = make_engine("batched", protocol, 10, seed=1)
+        assert isinstance(batched, EnsembleSimulator) and batched.trials == 1
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ConfigurationError) as excinfo:
@@ -284,11 +286,11 @@ class TestUnifiedEngineApi:
     def test_batched_stop_condition_with_defaulted_snapshot_parameter(self):
         """Batched predicates like ``stop(sim, snap=None)`` keep the two-arg call.
 
-        The old BatchedSimulator.run always passed (engine, snapshot), so an
+        The batched engine always passed (engine, snapshot), so an
         ambiguous signature on an array engine must still receive the
         snapshot rather than its default.
         """
-        simulator = BatchedSimulator(VectorizedDynamicCounting(), 20, seed=4)
+        simulator = make_engine("batched", VectorizedDynamicCounting(), 20, seed=4)
         result = simulator.run(
             50, stop_when=lambda sim, snap=None: snap.parallel_time >= 3
         )
@@ -316,7 +318,7 @@ class TestUnifiedEngineApi:
             def initial_arrays(self, n, rng):
                 return {"x": np.zeros(n)}
 
-            def interact_batch(self, arrays, initiators, responders, rng):
+            def interact_ensemble(self, arrays, initiators, responders, rng):
                 return None
 
             def output_array(self, arrays):
@@ -388,7 +390,7 @@ class TestEngineTable:
                 "custom-test-engine", DynamicSizeCounting(), 40, seed=1
             )
             assert built["population"] == 40
-            assert isinstance(engine, BatchedSimulator)
+            assert isinstance(engine, EnsembleSimulator) and engine.trials == 1
             # The unknown-engine message picks up the registration too.
             with pytest.raises(ConfigurationError) as excinfo:
                 make_engine("warp", DynamicSizeCounting(), 10, seed=1)
@@ -502,15 +504,3 @@ class TestChooseEngineCountsTier:
     def test_counts_tier_for_toolbox_protocols(self):
         assert choose_engine(MaxEpidemic(), trials=4, n=2_000_000) == "counts"
         assert choose_engine(JuntaElection(), trials=1, n=2_000_000) == "counts"
-
-    def test_sharded_choice_matches_serial_choice(self):
-        """Per-shard decision equivalence: the engine chosen for a sharded
-        run (workers set) equals the serial per-point choice on every tier,
-        counts included — its trigger depends only on the protocol and n,
-        which every shard of a point shares."""
-        protocol = DynamicSizeCounting()
-        grid = [(1, 50), (1, 10_000), (8, 10_000), (1, 2_000_000), (8, 2_000_000)]
-        for trials, n in grid:
-            serial = choose_engine(protocol, trials=trials, n=n)
-            for workers in (1, 2, 4):
-                assert choose_engine(protocol, trials=trials, n=n, workers=workers) == serial

@@ -2,9 +2,10 @@
 
 Covers the acceptance surface of the ensemble work: registry round-trips,
 `RunResult`-compatible per-trial series, statistical equivalence with looped
-`BatchedSimulator` trials, per-trial stream independence, resize schedules
-applied across all rows, the `interact_ensemble` fallback contract, the
-`run_engine_trials` ensemble mode, and the `--engine ensemble` experiment path.
+one-row `batched` trials, per-trial stream independence, resize schedules
+applied across all rows, the `interact_ensemble` kernels against the exact
+`interact_one`, the `run_engine_trials` ensemble mode, and the
+`--engine ensemble` experiment path.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import pytest
 
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.vectorized import VectorizedDynamicCounting
-from repro.engine.batch_engine import BatchedSimulator, VectorizedProtocol
+from repro.engine.batch_engine import flat_pair_indices
 from repro.engine.ensemble_engine import EnsembleRunResult, EnsembleSimulator
 from repro.engine.errors import ConfigurationError
 from repro.engine.registry import ENGINE_NAMES, make_engine
@@ -26,6 +27,7 @@ from repro.protocols.epidemic import MaxEpidemic
 from repro.protocols.majority import ApproximateMajority
 from repro.protocols.vectorized import (
     VectorizedApproximateMajority,
+    VectorizedInfectionEpidemic,
     VectorizedMaxEpidemic,
 )
 
@@ -125,7 +127,7 @@ class TestStatisticalEquivalence:
         looped_resets = []
         for generator in spawn_streams(77, trials):
             protocol = VectorizedDynamicCounting()
-            simulator = BatchedSimulator(protocol, n, rng=RandomSource(generator))
+            simulator = make_engine("batched", protocol, n, rng=RandomSource(generator))
             result = simulator.run(horizon)
             looped_finals.append(result.snapshots[-1].median)
             looped_resets.append(float(np.mean(protocol.tick_count_array(simulator.arrays))))
@@ -175,35 +177,54 @@ class TestResizeSchedule:
         assert len(kept) > 1
 
 
-class TestEnsembleFallback:
-    @pytest.mark.parametrize(
-        "factory",
-        [
-            lambda: VectorizedMaxEpidemic(initial_value=2, one_way=False),
-            lambda: VectorizedApproximateMajority("A"),
-        ],
-    )
-    def test_fast_path_matches_generic_fallback(self, factory):
-        """Protocols without RNG in interact_batch agree lane-for-lane.
+def _disjoint_pairs(rng, trials, n, batch):
+    """``(trials, batch)`` pairs in which no agent of a row appears twice."""
+    agents = np.argsort(rng.random((trials, n)), axis=1)[:, : 2 * batch]
+    return agents[:, :batch], agents[:, batch:]
 
-        The default ``interact_ensemble`` loops ``interact_batch`` per row;
-        the fast paths must produce bit-identical state under the same pair
-        draws.
+
+class TestEnsembleKernels:
+    @pytest.mark.parametrize(
+        ("factory", "low", "high"),
+        [
+            (lambda: VectorizedMaxEpidemic(one_way=True), 0, 9),
+            (lambda: VectorizedMaxEpidemic(one_way=False), 0, 9),
+            (lambda: VectorizedInfectionEpidemic(one_way=True), 0, 2),
+            (lambda: VectorizedInfectionEpidemic(one_way=False), 0, 2),
+            (lambda: VectorizedApproximateMajority(), -1, 2),
+        ],
+        ids=["max-one-way", "max-two-way", "infection-one-way", "infection-two-way", "majority"],
+    )
+    def test_matches_exact_single_pair_rule(self, factory, low, high):
+        """Deterministic protocols agree lane-for-lane with ``interact_one``.
+
+        On a sub-batch where no agent appears in two pairs, batch semantics
+        (responders read at the start of the batch, last writer wins) and
+        sequential semantics coincide, so the stacked kernel must leave
+        exactly the state the exact rule leaves, applied pair by pair.
         """
         protocol = factory()
+        trials, n, batch = 4, 40, 12
+        rng = np.random.default_rng(21)
+        ((key, plane),) = protocol.initial_arrays(n, RandomSource.from_seed(0)).items()
+        exact = rng.integers(low, high, size=(trials, n)).astype(plane.dtype)
+        stacked = {key: exact.copy()}
+        for _ in range(5):
+            initiators, responders = _disjoint_pairs(rng, trials, n, batch)
+            protocol.interact_ensemble(stacked, initiators, responders, None)
+            for t in range(trials):
+                row = {key: exact[t]}
+                for u, v in zip(initiators[t], responders[t]):
+                    protocol.interact_one(row, int(u), int(v), None)
+            assert np.array_equal(stacked[key], exact)
 
-        class Fallback(type(protocol)):
-            interact_ensemble = VectorizedProtocol.interact_ensemble
-
-        fallback = Fallback.__new__(Fallback)
-        fallback.__dict__.update(protocol.__dict__)
-
-        fast_engine = EnsembleSimulator(protocol, 40, trials=4, seed=21)
-        slow_engine = EnsembleSimulator(fallback, 40, trials=4, seed=21)
-        fast_engine.run(5)
-        slow_engine.run(5)
-        for key in fast_engine.arrays:
-            assert np.array_equal(fast_engine.arrays[key], slow_engine.arrays[key])
+    def test_flat_pair_indices_follow_row_major_lane_order(self):
+        initiators = np.array([[0, 2], [1, 1]], dtype=np.int32)
+        responders = np.array([[1, 0], [2, 0]], dtype=np.int32)
+        u, v = flat_pair_indices(initiators, responders, 3)
+        assert u.tolist() == [0, 2, 4, 4]
+        assert v.tolist() == [1, 0, 5, 3]
+        assert u.dtype == v.dtype == np.int32
 
     def test_every_registered_protocol_runs_on_ensemble(self):
         for protocol in (MaxEpidemic(initial_value=1), ApproximateMajority("A")):

@@ -24,7 +24,7 @@ from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.phase_clock import UniformPhaseClock
 from repro.engine.errors import ConfigurationError
 from repro.engine.options import ExecutionOptions
-from repro.engine.registry import choose_engine, engine_info, make_engine
+from repro.engine.registry import engine_info, make_engine
 from repro.kernels import (
     availability,
     compile_warmup,
@@ -267,13 +267,6 @@ class TestEngineWiring:
     def test_make_engine_rejects_jit_on_unsupported_engines(self, engine):
         with pytest.raises(ConfigurationError, match="jit"):
             make_engine(engine, DynamicSizeCounting(), 1000, seed=1, jit=True)
-
-    def test_choose_engine_accepts_jit_without_changing_tiers(self):
-        protocol = DynamicSizeCounting()
-        for trials, n in ((1, 64), (1, 10_000), (8, 10_000), (1, 2_000_000)):
-            assert choose_engine(protocol, trials, n) == choose_engine(
-                protocol, trials, n, jit=True
-            )
 
     def test_run_scenario_records_jit_metadata(self):
         from repro.scenarios.runner import run_scenario

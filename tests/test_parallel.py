@@ -1,8 +1,7 @@
 """Tests for the sharded parallel execution layer (repro.engine.parallel).
 
 Covers the seed tree, shard planning, the executor, and the wiring through
-``run_engine_trials`` / ``choose_engine`` / ``run_scenario`` /
-``run_sweep`` / the CLI.  The determinism contract —
+``run_engine_trials`` / ``run_scenario`` / ``run_sweep`` / the CLI.  The determinism contract —
 bit-identical per-trial results across worker counts — has its own golden
 regression module (``test_parallel_determinism.py``); here we test the
 mechanisms and the API surface.
@@ -27,7 +26,7 @@ from repro.engine.parallel import (
     plan_shards,
     resolve_workers,
 )
-from repro.engine.registry import choose_engine, make_engine
+from repro.engine.registry import make_engine
 from repro.engine.rng import SeedTree, spawn_streams
 from repro.engine.runner import run_engine_trials
 
@@ -441,32 +440,6 @@ class TestRunEngineTrialsShards:
                     parallel_time=2,
                     workers=bad,
                 )
-
-
-# ---------------------------------------------------- shard-aware selection
-
-
-class TestChooseEngineShardAware:
-    def test_multi_trial_shards_still_prefer_ensemble(self):
-        protocol = DynamicSizeCounting()
-        assert choose_engine(protocol, 96, 10_000, workers=4) == "ensemble"
-
-    def test_single_trial_prefers_batched_regardless(self):
-        protocol = DynamicSizeCounting()
-        assert choose_engine(protocol, 1, 10_000) == "batched"
-        assert choose_engine(protocol, 1, 10_000, workers=4) == "batched"
-
-    def test_selection_depends_on_shard_layout_not_worker_count(self):
-        protocol = DynamicSizeCounting()
-        for workers in (1, 2, 8):
-            assert choose_engine(protocol, 96, 10_000, workers=workers) == "ensemble"
-
-    def test_small_population_still_exact(self):
-        assert choose_engine(DynamicSizeCounting(), 96, 64, workers=4) == "array"
-
-    def test_rejects_bad_workers(self):
-        with pytest.raises(ConfigurationError):
-            choose_engine(DynamicSizeCounting(), 4, 100, workers=0)
 
 
 # ----------------------------------------------------- scenarios and sweeps

@@ -275,7 +275,7 @@ class TestGoldenPins:
             "sweep",
             "workers",
         ]
-        assert encoding["schema"] == 3
+        assert encoding["schema"] == 4
         assert sorted(encoding["preset"]) == [
             "extra",
             "name",

@@ -9,7 +9,8 @@ import pytest
 
 from repro.core.params import empirical_parameters, theory_parameters
 from repro.core.vectorized import VectorizedDynamicCounting
-from repro.engine.batch_engine import BatchedSimulator
+from repro.engine.registry import make_engine
+from repro.engine.rng import RandomSource
 
 
 @pytest.fixture
@@ -102,6 +103,25 @@ class TestBatchTransition:
         assert arrays["max"][1] == 12
         assert arrays["time"][1] == 60
 
+    def test_batch_is_the_ensemble_kernel_on_one_row(self, protocol):
+        """interact_batch holds no rule of its own and writes through views."""
+        n = 50
+        flat = protocol.initial_arrays(n, RandomSource.from_seed(0))
+        flat["time"][:] = np.arange(n) % 7  # mixed phases, so agents reset
+        stacked = {key: arr[np.newaxis].copy() for key, arr in flat.items()}
+        pairs = np.random.default_rng(4)
+        batch_rng, ensemble_rng = RandomSource.from_seed(9), RandomSource.from_seed(9)
+        for _ in range(20):
+            initiators = pairs.integers(0, n, 12)
+            responders = (initiators + pairs.integers(1, n, 12)) % n
+            protocol.interact_batch(flat, initiators, responders, batch_rng)
+            protocol.interact_ensemble(
+                stacked, initiators[np.newaxis], responders[np.newaxis], ensemble_rng
+            )
+        assert flat["resets"].sum() > 0
+        for key in flat:
+            assert np.array_equal(flat[key], stacked[key][0]), key
+
     def test_empty_batch_is_noop(self, protocol, rng):
         arrays = protocol.initial_arrays(3, rng)
         snapshot = {key: arr.copy() for key, arr in arrays.items()}
@@ -114,7 +134,7 @@ class TestBatchedConvergence:
     def test_converges_to_constant_factor_estimate(self):
         n = 3000
         protocol = VectorizedDynamicCounting()
-        simulator = BatchedSimulator(protocol, n, seed=91)
+        simulator = make_engine("batched", protocol, n, seed=91)
         result = simulator.run(200)
         final = result.snapshots[-1]
         log_n = math.log2(n)
@@ -123,8 +143,8 @@ class TestBatchedConvergence:
 
     def test_adapts_to_decimation(self):
         protocol = VectorizedDynamicCounting()
-        simulator = BatchedSimulator(
-            protocol, 5000, seed=92, resize_schedule=[(80, 100)]
+        simulator = make_engine(
+            "batched", protocol, 5000, seed=92, resize_schedule=[(80, 100)]
         )
         result = simulator.run(1200)
         before = [s.median for s in result.snapshots if s.parallel_time < 80][-1]
@@ -140,7 +160,8 @@ class TestBatchedConvergence:
         protocol = VectorizedDynamicCounting()
         n = 1000
         initial_estimate = 40.0
-        simulator = BatchedSimulator(
+        simulator = make_engine(
+            "batched",
             protocol,
             n,
             seed=93,
