@@ -162,7 +162,9 @@ class VectorizedDynamicCounting(VectorizedProtocol):
           to nothing;
         * fresh GRV maxima come from the one-uniform-per-sample inverse
           CDF (:meth:`repro.engine.rng.RandomSource.geometric_max_array`)
-          rather than ``k`` geometric draws per resetting agent.
+          rather than ``k`` geometric draws per resetting agent, drawn per
+          lane (``geometric_max_lanes``) so that a stack with one stream
+          per row draws each row's maxima from its own stream.
 
         ``tests/test_engine_equivalence.py`` cross-validates the result
         statistically against the exact engines.
@@ -172,6 +174,7 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         over = params.overestimation
         grv_k = params.grv_samples
 
+        width = initiators.shape[1]
         flat_u, flat_v = flat_pair_indices(initiators, responders, arrays["max"].shape[1])
         max_flat = flat_state_view(arrays["max"])
         last_flat = flat_state_view(arrays["last_max"])
@@ -208,7 +211,7 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         reset |= holding
         reset_lanes = np.flatnonzero(reset)
         if reset_lanes.size:
-            fresh = (over * rng.geometric_max_array(grv_k, reset_lanes.size)).astype(
+            fresh = (over * rng.geometric_max_lanes(grv_k, reset_lanes, width)).astype(
                 dtype, copy=False
             )
             old_max = u_max[reset_lanes]
@@ -223,7 +226,7 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         # tau' * scale is tau' / tau2 times the maintained u_t2.
         backup_lanes = np.flatnonzero(u_inter > (params.tau_prime / tau2) * u_t2)
         if backup_lanes.size:
-            backup = rng.geometric_max_array(grv_k, backup_lanes.size)
+            backup = rng.geometric_max_lanes(grv_k, backup_lanes, width)
             u_inter[backup_lanes] = 0
             adopt_backup = backup > u_max[backup_lanes]
             boosted_lanes = backup_lanes[adopt_backup]

@@ -91,7 +91,7 @@ from repro.engine.registry import (
     validate_engine_request,
     vectorized_for,
 )
-from repro.engine.rng import RandomSource, SeedTree, make_rng, spawn_streams
+from repro.engine.rng import RandomSource, RowStreams, SeedTree, make_rng, spawn_streams
 from repro.engine.runner import (
     AggregatedSeries,
     aggregate_series,
@@ -156,6 +156,7 @@ __all__ = [
     "RemoveAllButAt",
     "ResizeEvent",
     "ResizeSchedule",
+    "RowStreams",
     "RunResult",
     "RunningColumnStats",
     "RunningExtrema",

@@ -371,8 +371,9 @@ class Engine(abc.ABC):
         self.apply_checkpoint_payload(read_checkpoint(path, kind="engine"))
 
     def _rng_checkpoint_state(self) -> Any:
+        # ``state`` of a RandomSource, or one state per row of RowStreams.
         rng = getattr(self, "rng", None)
-        return None if rng is None else rng.generator.bit_generator.state
+        return None if rng is None else rng.state
 
     def _restore_rng_checkpoint_state(self, state: Any) -> None:
         if state is None:
@@ -382,7 +383,10 @@ class Engine(abc.ABC):
             raise CheckpointError(
                 f"checkpoint carries RNG state but engine {self.name!r} has no rng"
             )
-        rng.generator.bit_generator.state = state
+        try:
+            rng.state = state
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint RNG state does not fit this engine: {exc}") from exc
 
     def _state_payload(self, *, copy: bool = True) -> dict[str, Any]:
         """Engine-specific mutable state; overridden by every checkpointable engine.

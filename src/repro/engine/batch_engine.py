@@ -9,9 +9,9 @@ struct-of-arrays state.
 Approximation
 -------------
 The vectorised engine (:class:`repro.engine.ensemble_engine.
-EnsembleSimulator`, registered as ``"ensemble"`` and, with one row, as
-``"batched"``) processes one parallel time step (``n`` interactions) at a
-time.  Within a batch it draws ``n`` ordered pairs of distinct agents and
+EnsembleSimulator`, registered as ``"ensemble"`` and, with one random
+stream per row, as ``"batched"``) processes one parallel time step (``n``
+interactions) at a time.  Within a batch it draws ``n`` ordered pairs of distinct agents and
 applies the protocol's vectorised transition with the *responder state taken
 from the beginning of the batch*, while initiator updates are applied
 last-writer-wins.  This is the standard "synchronous rounds" approximation

@@ -53,7 +53,10 @@ CHECKPOINT_MAGIC = b"repro-checkpoint"
 #: the old engine's 1-D planes or trial series from its random stream, and a
 #: shard saved between trials carries no engine state to catch that, so a
 #: resume would append new-stream trials to old ones; v1 files are refused.
-CHECKPOINT_SCHEMA_VERSION = 2
+#: v3: a ``batched`` shard runs its trials as stacks, so its in-flight engine
+#: payload can hold several rows with one RNG state per row, which no v2
+#: reader can restore; reads accept only the current version.
+CHECKPOINT_SCHEMA_VERSION = 3
 
 
 class CheckpointInterrupted(RuntimeError):

@@ -11,14 +11,18 @@ batched transition: one :meth:`repro.engine.rng.RandomSource.
 ordered_pair_matrix` call draws the ``(trials, batch)`` interaction pairs of
 every trial, and the protocol applies its transition to the whole stack via
 :meth:`repro.engine.batch_engine.VectorizedProtocol.interact_ensemble`.
-The registry builds it as ``"ensemble"`` (one stack per point) and, with
-``trials=1``, as ``"batched"`` (one engine per trial).
+The registry builds it as ``"ensemble"`` (one stack per point, drawing
+from one shared stream) and as ``"batched"``, whose stacks give every row
+its own stream through :class:`repro.engine.rng.RowStreams`.
 
 Within each row the semantics are the synchronous-rounds batches of
 :mod:`repro.engine.batch_engine` — sub-batch responder snapshots,
-last-writer-wins initiator updates — so a stacked run is statistically
-equivalent to ``trials`` independent one-row runs; rows never interact and
-diverge through their independent slices of the shared random stream.
+last-writer-wins initiator updates — and rows never interact.  On a shared
+stream the rows diverge through their independent slices of every draw, so
+a stacked run is statistically equivalent to ``trials`` independent
+one-row runs.  On :class:`~repro.engine.rng.RowStreams` each row makes
+exactly the draws a one-row engine on its stream makes, so every row is
+bit-identical to that one-row run.
 Snapshots record per-trial statistics (min/median/max per row, one
 partition pass over the stacked outputs), so each trial still yields its own
 :class:`repro.engine.api.RunResult`-compatible series via
@@ -35,7 +39,7 @@ import numpy as np
 from repro.engine.api import ArrayStateEngine, EngineSnapshot, RunResult, matrix_quantiles, quantiles
 from repro.engine.batch_engine import VectorizedProtocol
 from repro.engine.errors import CheckpointError, ConfigurationError
-from repro.engine.rng import RandomSource
+from repro.engine.rng import RandomSource, RowStreams
 
 __all__ = ["EnsembleRunResult", "EnsembleSimulator"]
 
@@ -77,9 +81,13 @@ class EnsembleSimulator(ArrayStateEngine):
     trials:
         Number of independent trials stacked into the engine.
     rng / seed:
-        Random source (or a seed to build one).  All trials share one
-        stream; independence across rows comes from each row consuming its
-        own slice of every ``(trials, batch)`` draw.
+        Random source (or a seed to build one).  With a
+        :class:`~repro.engine.rng.RandomSource` all trials share one
+        stream and independence across rows comes from each row consuming
+        its own slice of every ``(trials, batch)`` draw.  With
+        :class:`~repro.engine.rng.RowStreams` (one source per trial) each
+        row draws from its own stream, exactly as a one-row engine on that
+        stream does.
     resize_schedule:
         Optional ``(parallel_time, target_size)`` adversary events applied
         at snapshot granularity to *every* trial; shrinking keeps an
@@ -91,7 +99,10 @@ class EnsembleSimulator(ArrayStateEngine):
         e.g. Fig. 5's fixed initial estimate); 2-D ``(trials, n)`` arrays
         are used as-is (copied) for per-trial configurations.
     sub_batches:
-        Number of sub-batches one parallel time step is split into.  Larger
+        Target number of sub-batches per parallel time step.  A step's
+        ``n`` pairs are cut into chunks of ``max(1, n // sub_batches)``
+        pairs, so a step makes up to ``2 * sub_batches - 1`` kernel calls
+        (fig3's ``n = 10`` point makes 10 with the default 8).  Larger
         values refresh the responder snapshot more often and bring the
         dynamics closer to the exact sequential scheduler at a modest cost;
         the default of 8 keeps the round length of the dynamic size counting
@@ -117,6 +128,10 @@ class EnsembleSimulator(ArrayStateEngine):
             raise ConfigurationError(f"trials must be at least 1, got {trials}")
         if sub_batches < 1:
             raise ConfigurationError(f"sub_batches must be at least 1, got {sub_batches}")
+        if isinstance(rng, RowStreams) and len(rng) != trials:
+            raise ConfigurationError(
+                f"{len(rng)} row streams for an engine of {trials} trials"
+            )
         self.trials = int(trials)
         self.sub_batches = int(sub_batches)
         self._snapshot_times: list[int] = []
@@ -153,13 +168,16 @@ class EnsembleSimulator(ArrayStateEngine):
                     f"initial array {key!r} must be 1-D of length n or 2-D of "
                     f"shape (trials={self.trials}, n), got shape {arr.shape}"
                 )
-        return self._apply_state_dtypes(stacked)
+        return self._apply_state_dtypes(self.protocol, stacked)
 
     def _stacked_fresh_arrays(self, n: int) -> dict[str, np.ndarray]:
         """Stack one fresh ``initial_arrays`` draw per trial into (trials, n)."""
-        rows = [self.protocol.initial_arrays(n, self.rng) for _ in range(self.trials)]
+        rows = [
+            self.protocol.initial_arrays(n, source)
+            for source in self.rng.row_sources(self.trials)
+        ]
         return self._apply_state_dtypes(
-            {key: np.stack([row[key] for row in rows]) for key in rows[0]}
+            self.protocol, {key: np.stack([row[key] for row in rows]) for key in rows[0]}
         )
 
     #: Narrowing guard for :meth:`_apply_state_dtypes`: initial values above
@@ -167,7 +185,10 @@ class EnsembleSimulator(ArrayStateEngine):
     #: range once scaled by protocol constants, so the overrides are skipped.
     _NARROW_VALUE_LIMIT = 2.0**16
 
-    def _apply_state_dtypes(self, stacked: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    @classmethod
+    def _apply_state_dtypes(
+        cls, protocol: VectorizedProtocol, stacked: dict[str, np.ndarray]
+    ) -> dict[str, np.ndarray]:
         """Apply the protocol's ensemble dtype overrides (e.g. float32 planes).
 
         The overrides are an optimisation, never a semantics change: if any
@@ -175,7 +196,7 @@ class EnsembleSimulator(ArrayStateEngine):
         (or are large enough that protocol-scaled successors might not),
         every override is skipped and the protocol's own dtypes stay.
         """
-        overrides = getattr(self.protocol, "ensemble_state_dtypes", None)
+        overrides = getattr(protocol, "ensemble_state_dtypes", None)
         if not overrides:
             return stacked
         narrowed = dict(stacked)
@@ -187,7 +208,7 @@ class EnsembleSimulator(ArrayStateEngine):
             if not np.array_equal(cast.astype(arr.dtype, copy=False), arr):
                 return stacked
             if arr.size and np.issubdtype(np.dtype(target), np.floating):
-                if float(np.abs(arr).max()) > self._NARROW_VALUE_LIMIT:
+                if float(np.abs(arr).max()) > cls._NARROW_VALUE_LIMIT:
                     return stacked
             narrowed[key] = cast
         return narrowed
@@ -245,9 +266,9 @@ class EnsembleSimulator(ArrayStateEngine):
         if target < current:
             # Per-row random subsets in one vectorised draw: rank a uniform
             # matrix along each row and keep the first `target` columns.
-            keep = np.argsort(
-                self.rng.generator.random((self.trials, current)), axis=1
-            )[:, :target]
+            keep = np.argsort(self.rng.uniform_matrix(self.trials, current), axis=1)[
+                :, :target
+            ]
             keep.sort(axis=1)
             for key in self.arrays:
                 self.arrays[key] = np.take_along_axis(self.arrays[key], keep, axis=1)
@@ -271,22 +292,52 @@ class EnsembleSimulator(ArrayStateEngine):
     #: stacked states overflow L2 and turn every gather into a last-level
     #: cache miss; advancing a block of trials through all sub-batches of a
     #: step before moving on keeps each block's planes cache-resident.  1 MiB
-    #: leaves L2 headroom for the batch temporaries.
+    #: leaves L2 headroom for the batch temporaries.  It also sizes the
+    #: ``batched`` engine's stacks (:meth:`stack_rows`).
     _BLOCK_STATE_BYTES = 1 << 20
+
+    @classmethod
+    def _rows_in_budget(cls, row_bytes: int, rows: int) -> int:
+        """How many of ``rows`` rows of ``row_bytes`` fit the budget (at least one)."""
+        return max(1, min(rows, cls._BLOCK_STATE_BYTES // max(1, row_bytes)))
 
     def _trial_block(self, n: int) -> int:
         """Number of trials to advance together, sized to the cache budget."""
         bytes_per_agent = sum(arr.itemsize for arr in self.arrays.values())
-        return max(1, min(self.trials, self._BLOCK_STATE_BYTES // max(1, n * bytes_per_agent)))
+        return self._rows_in_budget(n * bytes_per_agent, self.trials)
+
+    @classmethod
+    def stack_rows(
+        cls,
+        protocol: VectorizedProtocol,
+        n: int,
+        rows: int,
+        initial_arrays: dict[str, np.ndarray] | None = None,
+    ) -> int:
+        """How many of ``rows`` trials of ``n`` agents one stack should hold.
+
+        As many as one trial block of the cache budget holds, and at least
+        one, so a stack never holds more state than one block (or one
+        row).  The state's bytes per agent come from ``initial_arrays``, or
+        from a two-agent probe of the protocol's initial state on a
+        throwaway stream, after the ensemble dtype overrides.
+        """
+        if initial_arrays is None:
+            initial_arrays = protocol.initial_arrays(2, RandomSource.from_seed(0))
+        planes = cls._apply_state_dtypes(
+            protocol, {key: np.asarray(value) for key, value in initial_arrays.items()}
+        )
+        return cls._rows_in_budget(n * sum(arr.itemsize for arr in planes.values()), rows)
 
     def step_parallel_round(self) -> None:
         """Execute one parallel time step (``n`` interactions) in every trial.
 
         The whole step's interaction pairs are drawn in one
-        ``(trials, n)`` RNG call, then trial blocks are advanced through the
-        step's ``sub_batches`` column slices one block at a time — the
-        responder snapshot refreshes once per sub-batch, the generator call
-        count stays constant in both ``trials`` and ``sub_batches``, and
+        ``(trials, n)`` RNG call (one call per row on
+        :class:`~repro.engine.rng.RowStreams`), then trial blocks are
+        advanced through the step's ``sub_batches`` column slices one block
+        at a time — the responder snapshot refreshes once per sub-batch,
+        the generator call count does not grow with ``sub_batches``, and
         each block's state planes stay cache-resident across its
         sub-batches.
         """
@@ -300,6 +351,7 @@ class EnsembleSimulator(ArrayStateEngine):
         for g0 in range(0, self.trials, block):
             g1 = min(g0 + block, self.trials)
             block_arrays = {key: arr[g0:g1] for key, arr in self.arrays.items()}
+            block_rng = self.rng.row_block(g0, g1)
             start = 0
             while start < n:
                 stop = min(start + chunk, n)
@@ -307,7 +359,7 @@ class EnsembleSimulator(ArrayStateEngine):
                     block_arrays,
                     initiators[g0:g1, start:stop],
                     responders[g0:g1, start:stop],
-                    self.rng,
+                    block_rng,
                 )
                 start = stop
         self.interactions_executed += n * self.trials

@@ -23,12 +23,15 @@ Determinism contract
 --------------------
 Every random stream consumed inside a shard is derived from a
 :class:`repro.engine.rng.SeedTree` *address* — ``(point seed, trial)``
-for looped engines, ``(point seed, "shard", start)`` for stacked
-ensemble shards — never from the shard's position in an execution
-schedule.  Because shard layout is worker-independent and every stream
-is address-derived, ``workers=1`` and ``workers=8`` produce bit-identical
-per-trial results; the only thing the worker count changes is wall-clock
-time.
+for the looped engines and for every row of a ``batched`` stack,
+``(point seed, "shard", start)`` for stacked ensemble shards — never from
+the shard's position in an execution schedule.  Because shard layout is
+worker-independent and every stream is address-derived, ``workers=1`` and
+``workers=8`` produce bit-identical per-trial results; the only thing the
+worker count changes is wall-clock time.  For the looped engines and
+``batched`` the per-trial streams also make any sharded run bit-identical
+to the serial ``workers=None`` run: a ``batched`` row draws exactly what a
+one-row engine on its trial stream draws, whichever stack it lands in.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ from repro.engine.ensemble_engine import EnsembleSimulator
 from repro.engine.errors import ConfigurationError, UnsupportedEngineError
 from repro.engine.population import Population
 from repro.engine.recorder import Recorder
-from repro.engine.rng import RandomSource
+from repro.engine.rng import RandomSource, RowStreams
 from repro.engine.simulator import Simulator
 
 __all__ = [
@@ -494,7 +494,7 @@ def _jit_wrapped(protocol: Any, jit: bool) -> VectorizedProtocol:
 
 
 class _BatchedEnsemble(EnsembleSimulator):
-    """The ``"batched"`` engine: a one-row ensemble that reports its own name."""
+    """The ``"batched"`` engine: an ensemble with one stream per row."""
 
     name = "batched"
 
@@ -511,9 +511,17 @@ def _build_batched(
     jit,
     **_,
 ):
+    vectorized = _jit_wrapped(protocol, jit)
+    trials = 1
+    if isinstance(rng, RowStreams):
+        # One stack of as many trial streams as fit the ensemble's trial
+        # block; the caller continues with the streams left over.
+        trials = EnsembleSimulator.stack_rows(vectorized, population, len(rng), initial_arrays)
+        rng = rng.row_block(0, trials)
     return _BatchedEnsemble(
-        _jit_wrapped(protocol, jit),
+        vectorized,
         population,
+        trials=trials,
         rng=rng,
         seed=seed,
         resize_schedule=resize_schedule,
@@ -591,7 +599,10 @@ register_engine(
     EngineInfo(
         name="batched",
         builder=_build_batched,
-        description="approximate synchronous-rounds batching, one trial (one-row ensemble)",
+        description=(
+            "approximate synchronous-rounds batching, one stream per trial "
+            "(trials stacked, each row bit-identical to its own one-row run)"
+        ),
         supports_initial_arrays=True,
         supports_jit=True,
         supports_checkpoint=True,
@@ -671,11 +682,17 @@ def make_engine(
         Array-engine extras; rejected for the sequential engine.  The
         counts engine converts ``initial_arrays`` into its count state
         (integer-valued planes only).
+    rng / seed:
+        The random source, or a seed to build one.  ``"batched"`` also
+        takes a :class:`~repro.engine.rng.RowStreams` (one source per
+        trial) and then stacks as many of its streams as fit the ensemble
+        engine's trial block, each row drawing from its own stream — how
+        :func:`repro.engine.runner.run_engine_trials` runs its trials.
     trials:
         Number of stacked trials for the ensemble engine (defaults to 1);
         rejected for every engine without ``supports_trials`` — they run
-        one trial per instance and are looped by
-        :func:`repro.engine.runner.run_engine_trials`.
+        one trial per instance (``"batched"``: one per stream of its
+        ``RowStreams``).
     jit:
         Upgrade the vectorised kernels to the compiled backend of
         :mod:`repro.kernels` (best effort: when numba is unavailable or

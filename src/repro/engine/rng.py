@@ -14,6 +14,12 @@ The module also provides the primitive random quantities the protocols need:
 * geometric random variables with parameter 1/2 (the GRVs of the paper),
 * uniform choice of an ordered pair of distinct agents (the random
   scheduler).
+
+The stacked engines draw through a small shared interface — pair
+matrices, lane-addressed GRV maxima and coins, uniform matrices, per-row
+initial-state sources and a checkpointable ``state`` — that both
+:class:`RandomSource` (one stream shared by every row) and
+:class:`RowStreams` (one stream per row) implement.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ import numpy as np
 
 __all__ = [
     "RandomSource",
+    "RowStreams",
     "SeedTree",
     "spawn_streams",
     "make_rng",
@@ -203,6 +210,15 @@ class RandomSource:
         """Build a source from an integer seed (or OS entropy if ``None``)."""
         return cls(make_rng(seed))
 
+    @property
+    def state(self) -> dict:
+        """The bit generator's state, as engine checkpoints store it."""
+        return self.generator.bit_generator.state
+
+    @state.setter
+    def state(self, value: dict) -> None:
+        self.generator.bit_generator.state = value
+
     def coin(self) -> bool:
         """Flip a fair coin; ``True`` means heads."""
         return bool(self.generator.integers(0, 2))
@@ -318,6 +334,34 @@ class RandomSource:
             samples = np.ceil(-np.log2(-np.expm1(np.log(u) / k)))
         return np.maximum(samples, 1.0)
 
+    # ------------------------------------------------- stacked-engine draws
+    #
+    # The stacked engine and its kernels draw through these methods, which
+    # :class:`RowStreams` mirrors with one stream per row.  ``lanes`` are
+    # flat row-major positions in a ``(rows, width)`` batch, as
+    # ``np.flatnonzero`` returns them; one shared stream needs only their
+    # count.
+
+    def row_sources(self, rows: int) -> list["RandomSource"]:
+        """The source each of ``rows`` stacked rows draws its initial state from."""
+        return [self] * rows
+
+    def row_block(self, start: int, stop: int) -> "RandomSource":
+        """The source of stacked rows ``[start, stop)``: this shared stream."""
+        return self
+
+    def uniform_matrix(self, rows: int, count: int) -> np.ndarray:
+        """A ``(rows, count)`` matrix of uniforms in ``[0, 1)``."""
+        return self.generator.random((rows, count))
+
+    def geometric_max_lanes(self, k: int, lanes: np.ndarray, width: int) -> np.ndarray:
+        """GRV maxima for ``lanes``: one :meth:`geometric_max_array` call."""
+        return self.geometric_max_array(k, lanes.size)
+
+    def coin_lanes(self, lanes: np.ndarray, width: int) -> np.ndarray:
+        """Fair coins (``True`` = heads) for ``lanes``, in lane order."""
+        return self.generator.integers(0, 2, size=lanes.size).astype(bool)
+
     def shuffled(self, items: Sequence[int]) -> list[int]:
         """Return a shuffled copy of ``items``."""
         arr = np.array(items, dtype=np.int64)
@@ -328,3 +372,103 @@ class RandomSource:
         """Yield ``count`` independent child sources."""
         for child in self.generator.bit_generator.seed_seq.spawn(count):  # type: ignore[union-attr]
             yield RandomSource(np.random.default_rng(child))
+
+
+class RowStreams:
+    """One :class:`RandomSource` per row of a stacked engine.
+
+    The ``batched`` engine runs a shard's trials as stacks, and every row
+    must consume exactly the draws its one-row engine makes on its own
+    trial stream.  This class offers the stacked-engine draws of
+    :class:`RandomSource`, splits each draw at row boundaries and forwards
+    every row's part to that row's source — through the same
+    :class:`RandomSource` methods a one-row engine calls, so each stream
+    sees the same calls in the same order.  Rows without lanes draw
+    nothing, as a one-row kernel skips an empty draw.
+    """
+
+    def __init__(self, sources: Sequence[RandomSource]) -> None:
+        if not sources:
+            raise ValueError("RowStreams needs at least one source")
+        self.sources = tuple(sources)
+
+    def __len__(self) -> int:
+        return len(self.sources)
+
+    @property
+    def state(self) -> list[dict]:
+        """Every row's bit-generator state, in row order."""
+        return [source.state for source in self.sources]
+
+    @state.setter
+    def state(self, value: list[dict]) -> None:
+        if not isinstance(value, list) or len(value) != len(self.sources):
+            raise ValueError(
+                f"expected {len(self.sources)} row states, got {type(value).__name__}"
+            )
+        for source, row_state in zip(self.sources, value):
+            source.state = row_state
+
+    def _require_rows(self, rows: int) -> None:
+        if rows != len(self.sources):
+            raise ValueError(f"{len(self.sources)} row streams cannot draw {rows} rows")
+
+    def row_sources(self, rows: int) -> list[RandomSource]:
+        """Each row's own source (``rows`` must equal the stream count)."""
+        self._require_rows(rows)
+        return list(self.sources)
+
+    def row_block(self, start: int, stop: int) -> "RowStreams":
+        """The streams of rows ``[start, stop)``."""
+        return RowStreams(self.sources[start:stop])
+
+    def ordered_pair_matrix(
+        self, n: int, rows: int, count: int, dtype: np.dtype | type = np.int64
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's pairs from its own stream, stacked into ``(rows, count)``.
+
+        A row draws with the one-row engine's index type (int32 while
+        ``n < 2**31``) and the stack is widened to ``dtype`` afterwards.
+        """
+        self._require_rows(rows)
+        row_dtype = np.int32 if n < 2**31 else np.int64
+        parts = [source.ordered_pair_matrix(n, 1, count, row_dtype) for source in self.sources]
+        if len(parts) == 1:
+            initiators, responders = parts[0]
+        else:
+            initiators = np.concatenate([part[0] for part in parts])
+            responders = np.concatenate([part[1] for part in parts])
+        return (
+            initiators.astype(dtype, copy=False),
+            responders.astype(dtype, copy=False),
+        )
+
+    def uniform_matrix(self, rows: int, count: int) -> np.ndarray:
+        """Each row's ``(1, count)`` uniforms from its own stream."""
+        self._require_rows(rows)
+        return np.concatenate([source.uniform_matrix(1, count) for source in self.sources])
+
+    def _split_lanes(
+        self, lanes: np.ndarray, width: int
+    ) -> Iterator[tuple[RandomSource, np.ndarray]]:
+        """``(source, row lanes)`` for every row that owns at least one lane."""
+        bounds = np.searchsorted(lanes, np.arange(1, len(self.sources)) * width)
+        for source, row_lanes in zip(self.sources, np.split(lanes, bounds)):
+            if row_lanes.size:
+                yield source, row_lanes
+
+    def geometric_max_lanes(self, k: int, lanes: np.ndarray, width: int) -> np.ndarray:
+        """GRV maxima for ``lanes``, each row's from its own stream."""
+        parts = [
+            source.geometric_max_lanes(k, row_lanes, width)
+            for source, row_lanes in self._split_lanes(lanes, width)
+        ]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
+
+    def coin_lanes(self, lanes: np.ndarray, width: int) -> np.ndarray:
+        """Fair coins for ``lanes``, each row's from its own stream."""
+        parts = [
+            source.coin_lanes(row_lanes, width)
+            for source, row_lanes in self._split_lanes(lanes, width)
+        ]
+        return np.concatenate(parts) if parts else np.empty(0, dtype=bool)

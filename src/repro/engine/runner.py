@@ -6,15 +6,21 @@ simulation runs.  :func:`run_engine_trials` reproduces this pattern: it runs
 per-trial snapshot series, which :func:`aggregate_series` reduces
 element-wise to the min / median / max the paper plots.
 
-Every run goes through one shard runner.  Looped engines get one freshly
-built engine per trial, on the stream at the trial's *address* in a
-:class:`repro.engine.rng.SeedTree` (``root seed -> trial index``); the
-``ensemble`` engine stacks a shard's trials into one ``(trials, n)`` engine.
-With ``workers=None`` (the default) the runner is called once, in-process,
-on the root stream; with ``workers`` the trials are split into row-shards
-whose layout does not depend on the worker count, run serially or across a
-process pool (see :mod:`repro.engine.parallel`).  Checkpointing is a write
-hook at segment boundaries and never changes results.
+Every run goes through one shard runner.  Every trial owns the stream at
+its *address* in a :class:`repro.engine.rng.SeedTree` (``root seed ->
+trial index``).  The looped engines (``sequential``, ``array``,
+``counts``) get one freshly built engine per trial on that stream.  The
+``batched`` engine runs a shard's trials as stacks of one-stream-per-row
+engines (:class:`repro.engine.rng.RowStreams`), each stack as many rows as
+fit one cache block of the ensemble engine; every row is bit-identical to
+a one-row engine on its trial's stream, so stacking never changes results.
+The ``ensemble`` engine stacks a shard's trials into one ``(trials, n)``
+engine on one shared stream.  With ``workers=None`` (the default) the
+runner is called once, in-process, on the root stream; with ``workers``
+the trials are split into row-shards whose layout does not depend on the
+worker count, run serially or across a process pool (see
+:mod:`repro.engine.parallel`).  Checkpointing is a write hook at segment
+boundaries and never changes results.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from repro.engine.checkpoint import (
     read_checkpoint,
     write_checkpoint,
 )
+from repro.engine.ensemble_engine import EnsembleSimulator
 from repro.engine.errors import CheckpointError, ConfigurationError
 from repro.engine.parallel import (
     ShardTiming,
@@ -42,7 +49,7 @@ from repro.engine.parallel import (
     plan_shards,
     resolve_workers,
 )
-from repro.engine.rng import RandomSource, SeedTree
+from repro.engine.rng import RandomSource, RowStreams, SeedTree
 
 __all__ = [
     "AggregatedSeries",
@@ -197,11 +204,15 @@ def _run_shard(payload: dict[str, Any]) -> list[dict[str, list[float]]]:
     """Run trials ``[start, stop)``; returns their series in trial order.
 
     Module-level so worker processes can unpickle it.  Looped engines build
-    one engine per trial on the stream at ``tree.trial(t)``, so results do
-    not depend on how trials are grouped into shards.  The ``ensemble``
-    engine runs the shard as one stack: on the root stream when the run is
-    a single ``workers=None`` shard, else at ``tree.child(SHARD_NAMESPACE,
-    start)``.
+    one engine per trial on the stream at ``tree.trial(t)``.  The
+    ``batched`` engine gets the streams of every trial still to run as one
+    :class:`~repro.engine.rng.RowStreams`; its builder stacks as many of
+    them as fit the budget, and the next stack starts at the first trial
+    left over.  Every row draws exactly what a one-row engine on its
+    stream draws, so results do not depend on how trials are grouped into
+    stacks or shards.  The ``ensemble`` engine runs the shard as one
+    stack: on the root stream when the run is a single ``workers=None``
+    shard, else at ``tree.child(SHARD_NAMESPACE, start)``.
 
     Each engine runs in segments of ``checkpoint_every`` parallel time (one
     segment when not checkpointing).  The checkpoint hook writes at every
@@ -209,9 +220,9 @@ def _run_shard(payload: dict[str, Any]) -> list[dict[str, list[float]]]:
     once ``checkpoint_every`` parallel time has accrued since the last
     write — so short trials do not pay one write each — and always after
     the last engine (the ``done`` write).  Engine counters persist across
-    ``run()`` calls and the restored RNG state overwrites whatever the
-    factory drew, so a resumed shard is bit-identical to an uninterrupted
-    one.
+    ``run()`` calls and the restored RNG state (one per row of a stack)
+    overwrites whatever the factory drew, so a resumed shard is
+    bit-identical to an uninterrupted one.
     """
     factory, engine = payload["factory"], payload["engine"]
     tree: SeedTree = payload["tree"]
@@ -219,7 +230,6 @@ def _run_shard(payload: dict[str, Any]) -> list[dict[str, list[float]]]:
     horizon, snapshot_every = payload["parallel_time"], payload["snapshot_every"]
     cadence = payload["checkpoint_every"]
     checkpointing = cadence is not None
-    ensemble = engine == "ensemble"
 
     completed: list[dict[str, list[float]]] = []
     trial = start
@@ -263,18 +273,22 @@ def _run_shard(payload: dict[str, Any]) -> list[dict[str, list[float]]]:
 
     since_write = 0
     while trial < stop:
-        if ensemble:
+        if engine == "ensemble":
             stream = tree if payload["root_stream"] else tree.child(SHARD_NAMESPACE, start)
             simulator = factory(engine, stream.source(), stop - start)
+        elif engine == "batched":
+            streams = RowStreams([tree.trial(t).source() for t in range(trial, stop)])
+            simulator = factory(engine, streams, None)
         else:
             simulator = factory(engine, tree.trial(trial).source(), None)
+        stacked = isinstance(simulator, EnsembleSimulator)
         if engine_state is not None:
             simulator.apply_checkpoint_payload(engine_state)
             engine_state = None
         while True:
             step = min(cadence, horizon - simulator.parallel_time)
             result = simulator.run(step, snapshot_every=snapshot_every)
-            runs = result.trial_results if ensemble else (result,)
+            runs = result.trial_results if stacked else (result,)
             segments.append([run.series() for run in runs])
             since_write += step
             if simulator.parallel_time >= horizon:
@@ -289,7 +303,7 @@ def _run_shard(payload: dict[str, Any]) -> list[dict[str, list[float]]]:
             for row in range(len(segments[0]))
         )
         segments = []
-        trial = stop if ensemble else trial + 1
+        trial += simulator.trials if stacked else 1
         if checkpointing and (trial >= stop or since_write >= cadence):
             save(None)
             since_write = 0
@@ -381,10 +395,13 @@ def run_engine_trials(
     """Run ``trials`` repetitions of one workload and return per-trial series.
 
     ``engine_factory(engine_name, rng, trials)`` builds the engine; it
-    receives ``trials`` only for ``"ensemble"`` (``None`` otherwise, where
-    the engine runs exactly one trial).  Each returned entry is one trial's
-    snapshot series (:meth:`repro.engine.api.RunResult.series` columns), in
-    trial order.
+    receives ``trials`` only for ``"ensemble"`` (``None`` otherwise).  For
+    ``"batched"``, ``rng`` is a :class:`~repro.engine.rng.RowStreams` of
+    the trials still to run, and the engine it builds (through
+    :func:`~repro.engine.registry.make_engine`) stacks as many of them as
+    fit; every other engine runs exactly one trial.  Each returned entry is
+    one trial's snapshot series (:meth:`repro.engine.api.RunResult.series`
+    columns), in trial order.
 
     ``workers=None`` (default) runs every trial as one in-process shard on
     the root stream, so an ensemble run is one stack seeded by ``seed``.
@@ -393,10 +410,10 @@ def run_engine_trials(
     process pool — ``engine_factory`` must then be picklable (a
     module-level function or :func:`functools.partial` over one).  The
     shard layout does not depend on the worker count, so any two counts
-    give bit-identical per-trial results.  Looped engines are also
-    bit-identical to ``workers=None``; a sharded ensemble run reseeds per
-    shard, so it differs from the single stack (statistically equivalent,
-    pinned by the conformance tests).  ``timing_sink``, when given,
+    give bit-identical per-trial results.  The looped engines and
+    ``batched`` are also bit-identical to ``workers=None``; a sharded
+    ensemble run reseeds per shard, so it differs from the single stack
+    (statistically equivalent, pinned by the conformance tests).  ``timing_sink``, when given,
     receives one :class:`~repro.engine.parallel.ShardTiming` per shard of a
     sharded run.
 

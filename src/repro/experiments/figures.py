@@ -10,9 +10,12 @@ aggregates across trials exactly like the paper does over its 96 runs: the
 reported minimum is the minimum over all runs' minima, the maximum the
 maximum over all maxima, and the median the median of the runs' medians.
 
-The batched engine (one single-row ensemble engine per trial) is the
-default; the ensemble engine stacks all trials of a data point into one
-``(trials, n)`` engine and removes the per-trial Python loop entirely —
+The batched engine is the default and the engine the figure scenarios
+pin: it stacks a data point's trials into cache-sized ``(rows, n)``
+engines in which every row draws from its own trial stream, so each
+trial's series is bit-identical to a one-row run on that stream, however
+the trials are stacked or sharded.  The ensemble engine stacks all trials
+of a data point into one ``(trials, n)`` engine on one shared stream —
 the fastest way to regenerate a figure at the paper's populations.  The
 counts engine drops the per-agent state for a count vector, making huge
 populations (n = 10^7 and beyond) affordable.
@@ -197,17 +200,17 @@ def run_estimate_trace(
         pick the best engine for the workload via
         :func:`repro.engine.registry.choose_engine`.  All engines report the
         same snapshot series; the exact engines are practical only for small
-        ``n``, the ensemble engine runs trials in stacked passes instead of
-        the per-trial loop, and the counts engine makes huge populations
-        (``n >= 10^7``) affordable.
+        ``n``, the batched and ensemble engines run trials in stacked passes
+        (one stream per row, or one shared stream), and the counts engine
+        makes huge populations (``n >= 10^7``) affordable.
     workers:
         Sharded execution (see :mod:`repro.engine.parallel`): ``None``
         (default) keeps the serial path, ``"auto"`` uses the capped CPU
         count, an integer fans the trial row-shards over that many worker
         processes.  Per-trial results are bit-identical across worker
-        counts (and, for the looped engines, identical to the serial
-        path); per-shard wall-clock timings land in the returned trace's
-        ``shard_timings``.
+        counts (and, for every engine but ``ensemble``, identical to the
+        serial path); per-shard wall-clock timings land in the returned
+        trace's ``shard_timings``.
     jit:
         Request the compiled kernel backend of :mod:`repro.kernels` when
         the resolved engine supports it; engines without the capability,

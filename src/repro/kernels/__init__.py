@@ -178,7 +178,7 @@ def compile_warmup() -> float:
 
     Runs two tiny steps of each registered protocol on the ensemble engine
     with ``jit=True``, hitting the dtype specialisations the real workloads
-    use (the one-row ``"batched"`` engine shares them), so first-call
+    use (the ``"batched"`` engine's stacks share them), so first-call
     compilation happens here instead of inside a measurement.  A no-op
     (returning ~0) when the compiled backend is unavailable.
     ``repro.bench`` passes this as ``warmup_fn`` for jit cases and reports

@@ -494,18 +494,18 @@ class JitVectorizedJuntaElection(_PooledMixin, VectorizedJuntaElection):
     """Fused-kernel junta election.
 
     The coin flips are drawn *outside* the kernel with exactly the NumPy
-    kernel's call (`integers(0, 2, size=climbers)` over the climbing
-    initiators of the batch snapshot); the kernel assigns them to climbing
-    lanes in index order, matching the boolean-mask fill.
+    kernel's call (``coin_lanes`` over the climbing initiators of the batch
+    snapshot); the kernel assigns them to climbing lanes in index order,
+    matching the boolean-mask fill.
     """
 
     name = "jit-junta-election"
 
-    def _draw_coins(self, climbing_lanes: np.ndarray, rng) -> np.ndarray:
-        climbers = int(np.count_nonzero(climbing_lanes))
-        if not climbers:
+    def _draw_coins(self, climbing: np.ndarray, rng) -> np.ndarray:
+        lanes = np.flatnonzero(climbing)
+        if not lanes.size:
             return _EMPTY_BOOL
-        return rng.generator.integers(0, 2, size=climbers).astype(bool)
+        return rng.coin_lanes(lanes, climbing.shape[1])
 
     def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
         kernels = kernel_table()
@@ -579,10 +579,11 @@ class JitVectorizedDynamicCounting(_PooledMixin, VectorizedDynamicCounting):
                 u_t2, v_exchange, v_reset_phase, reset_mask, tau2, tau3,
             )
         )
+        width = initiators.shape[1]
         if reset_count:
-            fresh_vals = (over * rng.geometric_max_array(grv_k, reset_count)).astype(
-                dtype, copy=False
-            )
+            fresh_vals = (
+                over * rng.geometric_max_lanes(grv_k, np.flatnonzero(reset_mask), width)
+            ).astype(dtype, copy=False)
         else:
             fresh_vals = np.empty(0, dtype=dtype)
         backup_count = int(
@@ -592,7 +593,7 @@ class JitVectorizedDynamicCounting(_PooledMixin, VectorizedDynamicCounting):
             )
         )
         if backup_count:
-            backup_raw = rng.geometric_max_array(grv_k, backup_count)
+            backup_raw = rng.geometric_max_lanes(grv_k, np.flatnonzero(backup_mask), width)
             boosted_vals = (over * backup_raw).astype(dtype, copy=False)
         else:
             backup_raw = np.empty(0, dtype=np.float64)

@@ -187,9 +187,9 @@ class VectorizedJuntaElection(VectorizedProtocol):
         u_seen = max_seen[u]
 
         coins = np.zeros(u.shape, dtype=bool)
-        climbers = int(u_climb.sum())
-        if climbers:
-            coins[u_climb] = rng.generator.integers(0, 2, size=climbers).astype(bool)
+        climbing_lanes = np.flatnonzero(u_climb)
+        if climbing_lanes.size:
+            coins[climbing_lanes] = rng.coin_lanes(climbing_lanes, initiators.shape[1])
         up = u_climb & coins & (u_level < self.max_level)
         new_level = np.where(up, u_level + 1, u_level)
         # An agent keeps climbing only while every flip is heads below the cap.

@@ -1,15 +1,27 @@
-"""Tests for the batched engine: a one-row ensemble built per trial by name."""
+"""Tests for the batched engine: stacked trials with one random stream per row."""
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 import pytest
 
+from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.vectorized import VectorizedDynamicCounting
 from repro.engine.batch_engine import VectorizedProtocol
+from repro.engine.ensemble_engine import EnsembleSimulator
 from repro.engine.errors import ConfigurationError
 from repro.engine.registry import make_engine
-from repro.engine.rng import RandomSource
+from repro.engine.rng import RandomSource, RowStreams, SeedTree
+from repro.engine.runner import run_engine_trials
+from repro.protocols.epidemic import MaxEpidemic
+from repro.protocols.junta import JuntaElection
+from repro.protocols.majority import ApproximateMajority
+from repro.protocols.vectorized import (
+    VectorizedApproximateMajority,
+    VectorizedMaxEpidemic as RegisteredMaxEpidemic,
+)
 
 
 class VectorizedMaxEpidemic(VectorizedProtocol):
@@ -236,3 +248,193 @@ class TestResize:
         result = sim.run(4, snapshot_every=4)
         # Both events land on the single snapshot at t=4, applied in order.
         assert result.final_size == 6
+
+
+# ------------------------------------------------------------ stacked trials
+
+
+def _counting(n):
+    return DynamicSizeCounting(), None, ()
+
+
+def _counting_estimate(n):
+    # The fig5 workload: every agent starts from an estimate of 60.
+    estimate = VectorizedDynamicCounting().initial_arrays_with_estimate(n, 60)
+    return DynamicSizeCounting(), estimate, ()
+
+
+def _counting_shrink_grow(n):
+    # Shrink, then grow past the initial size: the shrink draws each row's
+    # uniforms, the growth draws each row's fresh agents, and the grown
+    # rows no longer fit one trial block at n = 3000.
+    return DynamicSizeCounting(), None, ((3, max(2, n // 3)), (6, n + n // 2))
+
+
+def _junta(n):
+    return JuntaElection(), None, ()
+
+
+def _max_epidemic(n):
+    return MaxEpidemic(), RegisteredMaxEpidemic().seeded_arrays(n, peak=7.0, count=2), ()
+
+
+def _majority(n):
+    a = n // 2 + 1
+    return ApproximateMajority(), VectorizedApproximateMajority().arrays_from_counts(a, n - a), ()
+
+
+STACK_CASES = {
+    "counting": _counting,
+    "counting-estimate": _counting_estimate,
+    "counting-shrink-grow": _counting_shrink_grow,
+    "junta": _junta,
+    "max-epidemic": _max_epidemic,
+    "majority": _majority,
+}
+
+STACK_HORIZON = 8
+STACK_SNAPSHOT_EVERY = 2
+STACK_SEED = 20241017
+
+
+def _stack_factory(engine_name, rng, ensemble_trials, *, case, n):
+    """Module-level engine factory so worker processes can unpickle it."""
+    protocol, initial_arrays, schedule = STACK_CASES[case](n)
+    return make_engine(
+        engine_name,
+        protocol,
+        n,
+        rng=rng,
+        initial_arrays=initial_arrays,
+        resize_schedule=schedule,
+    )
+
+
+def _stacked(case, n, trials, workers=None):
+    return run_engine_trials(
+        partial(_stack_factory, case=case, n=n),
+        engine="batched",
+        trials=trials,
+        seed=STACK_SEED,
+        parallel_time=STACK_HORIZON,
+        snapshot_every=STACK_SNAPSHOT_EVERY,
+        workers=workers,
+    )
+
+
+def _looped(case, n, trials):
+    """The per-trial loop: one one-row engine per trial stream."""
+    tree = SeedTree.from_seed(STACK_SEED)
+    series = []
+    for trial in range(trials):
+        engine = _stack_factory("batched", tree.trial(trial).source(), None, case=case, n=n)
+        assert engine.trials == 1
+        series.append(engine.run(STACK_HORIZON, snapshot_every=STACK_SNAPSHOT_EVERY).series())
+    return series
+
+
+class TestStackedTrials:
+    """``run_engine_trials(engine="batched")`` equals the per-trial loop bit for bit."""
+
+    @pytest.mark.parametrize("trials", [1, 3, 16])
+    @pytest.mark.parametrize("n", [10, 50, 3000])
+    @pytest.mark.parametrize("case", sorted(STACK_CASES))
+    def test_stacks_equal_the_per_trial_loop(self, case, n, trials):
+        expected = _looped(case, n, trials)
+        for workers in (None, 1, 2):
+            assert _stacked(case, n, trials, workers) == expected, workers
+
+    def test_shard_runs_several_stacks(self, monkeypatch):
+        # 3000 agents of dynamic counting are 72 kB of state; two rows per
+        # stack turn 5 trials into stacks of 2, 2 and 1.
+        built = []
+
+        def factory(engine_name, rng, ensemble_trials):
+            engine = _stack_factory(engine_name, rng, ensemble_trials, case="counting", n=3000)
+            built.append((len(rng), engine.trials))
+            return engine
+
+        monkeypatch.setattr(EnsembleSimulator, "_BLOCK_STATE_BYTES", 2 * 3000 * 24)
+        series = run_engine_trials(
+            factory,
+            engine="batched",
+            trials=5,
+            seed=STACK_SEED,
+            parallel_time=STACK_HORIZON,
+            snapshot_every=STACK_SNAPSHOT_EVERY,
+        )
+        assert built == [(5, 2), (3, 2), (1, 1)]
+        assert series == _looped("counting", 3000, 5)
+
+    @pytest.mark.parametrize("case", ["counting", "counting-shrink-grow", "junta"])
+    def test_grouping_does_not_change_results(self, case, monkeypatch):
+        monkeypatch.setattr(EnsembleSimulator, "_BLOCK_STATE_BYTES", 1)
+        one_row = _stacked(case, 50, 6)
+        monkeypatch.setattr(EnsembleSimulator, "_BLOCK_STATE_BYTES", 1 << 40)
+        all_rows = _stacked(case, 50, 6)
+        assert one_row == all_rows == _looped(case, 50, 6)
+
+    def test_row_filling_the_budget_builds_one_row_engines(self, monkeypatch):
+        rows_built = []
+
+        def factory(engine_name, rng, ensemble_trials):
+            engine = _stack_factory(engine_name, rng, ensemble_trials, case="counting", n=50)
+            rows_built.append(engine.trials)
+            return engine
+
+        # One row of 50 agents holds 50 * 24 bytes of narrowed state.
+        monkeypatch.setattr(EnsembleSimulator, "_BLOCK_STATE_BYTES", 50 * 24)
+        run_engine_trials(
+            factory, engine="batched", trials=4, seed=STACK_SEED, parallel_time=2
+        )
+        assert rows_built == [1, 1, 1, 1]
+
+    @pytest.mark.parametrize(
+        ("n", "rows"), [(2000, 21), (10_000, 4), (22_000, 1), (10**6, 1)]
+    )
+    def test_stack_size_follows_the_trial_block_budget(self, n, rows):
+        assert EnsembleSimulator.stack_rows(VectorizedDynamicCounting(), n, 96) == rows
+
+    def test_stack_never_exceeds_the_streams_offered(self):
+        assert EnsembleSimulator.stack_rows(VectorizedDynamicCounting(), 10, 3) == 3
+
+    def test_make_engine_still_builds_one_row(self):
+        assert make_engine("batched", DynamicSizeCounting(), 50, seed=1).trials == 1
+        rng = RandomSource.from_seed(1)
+        assert make_engine("batched", DynamicSizeCounting(), 50, rng=rng).trials == 1
+
+    def test_stack_checkpoint_carries_every_row_state(self):
+        tree = SeedTree.from_seed(STACK_SEED)
+        streams = RowStreams([tree.trial(t).source() for t in range(3)])
+        engine = make_engine("batched", DynamicSizeCounting(), 50, rng=streams)
+        engine.run(3)
+        payload = engine.checkpoint_payload()
+        assert payload["rng_state"] == [source.state for source in streams.sources]
+        expected = engine.run(4).series()
+
+        tree = SeedTree.from_seed(STACK_SEED)
+        fresh = RowStreams([tree.trial(t).source() for t in range(3)])
+        restored = make_engine("batched", DynamicSizeCounting(), 50, rng=fresh)
+        restored.apply_checkpoint_payload(payload)
+        assert restored.run(4).series() == expected
+
+    @pytest.mark.parametrize("protocol_cls", [DynamicSizeCounting, JuntaElection])
+    def test_jit_wrappers_draw_per_row(self, protocol_cls):
+        # The interpreted kernel table runs the wrappers' own draw calls
+        # without numba.
+        from repro.kernels import jit_kernel_for
+        from repro.kernels.jit import python_kernels, use_kernel_table
+
+        n, trials = 40, 3
+        wrapper = jit_kernel_for(protocol_cls())
+        tree = SeedTree.from_seed(STACK_SEED)
+        with use_kernel_table(python_kernels()):
+            looped = [
+                make_engine("batched", wrapper, n, rng=tree.trial(t).source()).run(4).series()
+                for t in range(trials)
+            ]
+            streams = RowStreams([tree.trial(t).source() for t in range(trials)])
+            stack = make_engine("batched", wrapper, n, rng=streams)
+            stacked = [run.series() for run in stack.run(4).trial_results]
+        assert stack.trials == trials
+        assert stacked == looped

@@ -113,6 +113,18 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match="schema version 1"):
             read_checkpoint(path, kind="shard")
 
+    def test_schema_two_file_rejected(self, tmp_path):
+        # Version 2 predates stacked batched trials: its readers cannot
+        # restore a multi-row payload with one RNG state per row.
+        path = write_checkpoint(tmp_path / "x.ckpt", {"completed": []}, kind="shard")
+        magic, header, body = path.read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        fields["schema_version"] = 2
+        header = json.dumps(fields, sort_keys=True).encode("ascii")
+        path.write_bytes(b"\n".join([magic, header, body]))
+        with pytest.raises(CheckpointError, match="schema version 2"):
+            read_checkpoint(path, kind="shard")
+
     def test_unpicklable_payload_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             write_checkpoint(tmp_path / "x.ckpt", {"fn": lambda: None}, kind="engine")
@@ -311,6 +323,33 @@ class TestCheckpointingNeverChangesResults:
                 interrupt_after=1,
             )
         assert _run("ensemble", None, resume_from=tmp_path) == plain
+
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_batched_resume_inside_a_stack_of_several(self, tmp_path, monkeypatch, workers):
+        # Three rows per stack: a shard of 10 (or 5) trials runs stacks of
+        # 3, 3, 3, 1 (or 3, 2), each writing at t = 4, t = 8 and its end.
+        # The fifth write lands at t = 8 inside the second stack, which
+        # holds 3 (or 2) rows.
+        from repro.engine.ensemble_engine import EnsembleSimulator
+
+        monkeypatch.setattr(EnsembleSimulator, "_BLOCK_STATE_BYTES", 3 * N * 24)
+        plain = _run("batched", workers)
+        with pytest.raises(CheckpointInterrupted):
+            _run(
+                "batched",
+                workers,
+                checkpoint_every=CHECKPOINT_EVERY,
+                checkpoint_dir=tmp_path,
+                interrupt_after=5,
+            )
+        state = read_checkpoint(sorted(tmp_path.glob("shard_*.ckpt"))[0], kind="shard")
+        assert state["trial"] == 3 and len(state["completed"]) == 3
+        engine_payload = state["engine_payload"]
+        assert engine_payload["parallel_time"] == 8
+        rows = 3 if workers is None else 2
+        assert engine_payload["state"]["trials"] == rows
+        assert len(engine_payload["rng_state"]) == rows
+        assert _run("batched", workers, resume_from=tmp_path) == plain
 
     def test_manifest_records_root_stream(self, tmp_path):
         _run("ensemble", None, checkpoint_every=CHECKPOINT_EVERY, checkpoint_dir=tmp_path / "a")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.engine.rng import RandomSource, make_rng, spawn_streams
+from repro.engine.rng import RandomSource, RowStreams, make_rng, spawn_streams
 
 
 class TestMakeRng:
@@ -173,3 +173,52 @@ class TestRandomSource:
         a = RandomSource.from_seed(5)
         b = RandomSource.from_seed(5)
         assert [a.geometric() for _ in range(10)] == [b.geometric() for _ in range(10)]
+
+
+class TestRowStreams:
+    """Each row's part of a draw comes from that row's own source."""
+
+    @staticmethod
+    def _streams(rows):
+        return RowStreams([RandomSource.from_seed(100 + row) for row in range(rows)])
+
+    def test_pair_rows_are_one_row_draws_widened(self):
+        initiators, responders = self._streams(3).ordered_pair_matrix(10, 3, 7, dtype=np.int64)
+        assert initiators.shape == responders.shape == (3, 7)
+        assert initiators.dtype == np.int64
+        for row in range(3):
+            expected = RandomSource.from_seed(100 + row).ordered_pair_matrix(10, 1, 7, np.int32)
+            assert initiators[row].tolist() == expected[0][0].tolist()
+            assert responders[row].tolist() == expected[1][0].tolist()
+
+    def test_row_count_must_match(self):
+        with pytest.raises(ValueError):
+            self._streams(2).ordered_pair_matrix(10, 3, 5)
+        with pytest.raises(ValueError):
+            self._streams(2).uniform_matrix(1, 5)
+
+    def test_lanes_split_at_row_boundaries(self):
+        streams = self._streams(3)
+        # Width 4: lanes 1 and 3 belong to row 0, none to row 1, 9 to row 2.
+        lanes = np.array([1, 3, 9])
+        draws = streams.geometric_max_lanes(5, lanes, 4)
+        assert draws.tolist() == (
+            RandomSource.from_seed(100).geometric_max_array(5, 2).tolist()
+            + RandomSource.from_seed(102).geometric_max_array(5, 1).tolist()
+        )
+        # The row without lanes drew nothing.
+        assert streams.sources[1].state == RandomSource.from_seed(101).state
+        coins = self._streams(3).coin_lanes(lanes, 4)
+        assert coins.tolist() == (
+            RandomSource.from_seed(100).coin_lanes(lanes[:2], 4).tolist()
+            + RandomSource.from_seed(102).coin_lanes(lanes[2:], 4).tolist()
+        )
+
+    def test_state_round_trip_and_mismatch(self):
+        streams = self._streams(2)
+        saved = streams.state
+        first = streams.uniform_matrix(2, 3)
+        streams.state = saved
+        assert streams.uniform_matrix(2, 3).tolist() == first.tolist()
+        with pytest.raises(ValueError):
+            streams.state = saved[:1]
