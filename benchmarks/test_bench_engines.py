@@ -9,9 +9,9 @@ are comparable with ``repro.bench compare``).
 
 Covered here, beyond the registry-derived scenario grid the CLI runs:
 
-* the engine x protocol matrix — every engine (sequential / array /
-  batched / ensemble) on every protocol with a vectorised counterpart,
-  across a sweep of population sizes;
+* the engine x protocol matrix — every registered engine (sequential /
+  batched / ensemble / counts) on every protocol with a vectorised
+  counterpart, across a sweep of population sizes;
 * a larger single-cell probe of the batched engine;
 * the Fig. 3-preset speedup of the stacked engines (``ensemble``, and
   ``batched`` through the trial runner) over the per-trial loop of
@@ -49,7 +49,7 @@ PROTOCOLS = {
     "approximate-majority": ApproximateMajority,
 }
 
-#: Population sizes per effort level.  The exact engines are O(n) Python
+#: Population sizes per effort level.  The exact engine is O(n) Python
 #: work per parallel step, so the sweep stays modest below ``paper``.
 SIZES = {
     "quick": (200, 500),

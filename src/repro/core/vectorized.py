@@ -14,11 +14,6 @@ DynamicSizeCounting` line by line (the comments reference the same Algorithm
 the module docstring of :mod:`repro.engine.batch_engine` for the exact
 semantics and ``tests/test_engine_equivalence.py`` for the statistical
 cross-validation against the exact engine.
-
-The same class also implements ``interact_one``, the exact single-pair
-transition, so it runs unchanged on the exact
-:class:`repro.engine.array_engine.ArraySimulator` — where it reproduces the
-sequential engine's trajectory bit-for-bit under a shared seed.
 """
 
 from __future__ import annotations
@@ -27,7 +22,6 @@ from typing import Any
 
 import numpy as np
 
-from repro.core.grv import grv_maximum
 from repro.core.params import ProtocolParameters, empirical_parameters
 from repro.engine.batch_engine import (
     VectorizedProtocol,
@@ -167,7 +161,7 @@ class VectorizedDynamicCounting(VectorizedProtocol):
           per row draws each row's maxima from its own stream.
 
         ``tests/test_engine_equivalence.py`` cross-validates the result
-        statistically against the exact engines.
+        statistically against the exact sequential engine.
         """
         params = self.params
         tau1, tau2, tau3 = params.tau1, params.tau2, params.tau3
@@ -283,75 +277,6 @@ class VectorizedDynamicCounting(VectorizedProtocol):
                 flags = np.zeros(resets_flat.size, dtype=bool)
                 flags[slots] = True
                 resets_flat += flags
-
-    # ------------------------------------------------------- exact transition
-
-    def interact_one(
-        self,
-        arrays: dict[str, np.ndarray],
-        initiator: int,
-        responder: int,
-        rng: RandomSource,
-    ) -> None:
-        """Single-pair Algorithm 2 transition for the exact array engine.
-
-        Mirrors :meth:`repro.core.dynamic_counting.DynamicSizeCounting.
-        interact` line by line, including the order of GRV draws, so that
-        :class:`repro.engine.array_engine.ArraySimulator` reproduces the
-        sequential engine's trajectory under a shared seed.
-        """
-        params = self.params
-        tau1, tau2, tau3 = params.tau1, params.tau2, params.tau3
-        u_max = float(arrays["max"][initiator])
-        u_last = float(arrays["last_max"][initiator])
-        u_time = float(arrays["time"][initiator])
-        u_inter = int(arrays["interactions"][initiator])
-        v_max = float(arrays["max"][responder])
-        v_last = float(arrays["last_max"][responder])
-        v_time = float(arrays["time"][responder])
-        v_scale = max(v_max, v_last)
-        v_exchange = v_time >= tau2 * v_scale
-        v_reset = v_time < tau3 * v_scale
-
-        # Lines 2-6: wrap-around / reset->exchange / hold->exchange resets.
-        u_scale = max(u_max, u_last)
-        u_exchange = u_time >= tau2 * u_scale
-        u_reset = u_time < tau3 * u_scale
-        if u_time <= 0 or (u_reset and v_exchange) or (not u_exchange and u_max != v_max):
-            fresh = params.overestimate(grv_maximum(rng, params.grv_samples))
-            u_time = tau1 * max(u_max, fresh)
-            u_inter = 0
-            u_last = u_max
-            u_max = fresh
-            arrays["resets"][initiator] += 1
-
-        # Lines 7-10: backup GRV generation.
-        if u_inter > params.backup_threshold(max(u_max, u_last)):
-            u_inter = 0
-            backup = grv_maximum(rng, params.grv_samples)
-            if backup > u_max:
-                boosted = params.overestimate(backup)
-                u_time = tau1 * boosted
-                u_max = boosted
-
-        # Lines 11-12: adopt a larger maximum within the exchange phase.
-        if u_time >= tau2 * max(u_max, u_last) and v_exchange and u_max < v_max:
-            u_time = tau1 * v_max
-            u_max = v_max
-            u_last = v_last
-
-        # Lines 13-14: exchange the trailing maximum.
-        if u_max == v_max and not (u_time >= tau2 * max(u_max, u_last) and v_reset):
-            u_last = max(u_last, v_last)
-
-        # Line 15: CHVP countdown plus the interaction counter.
-        u_time = max(u_time, v_time) - 1
-        u_inter += 1
-
-        arrays["max"][initiator] = u_max
-        arrays["last_max"][initiator] = u_last
-        arrays["time"][initiator] = u_time
-        arrays["interactions"][initiator] = u_inter
 
     # ---------------------------------------------------------------- outputs
 

@@ -2,10 +2,9 @@
 
 The engine package is independent of the paper's specific protocol: it
 provides the random scheduler, the dynamic population, size-change
-adversaries, recorders, multi-trial orchestration, and four execution
+adversaries, recorders, multi-trial orchestration, and three execution
 engine classes behind one :class:`repro.engine.api.Engine` contract — exact
-sequential (:class:`Simulator`), exact struct-of-arrays
-(:class:`ArraySimulator`), vectorised stacked trials
+sequential (:class:`Simulator`), vectorised stacked trials
 (:class:`EnsembleSimulator`, registered as ``"ensemble"`` and, with one
 row, as ``"batched"``), and count-vector multiset
 (:class:`CountsSimulator`, per-step cost independent of the population
@@ -23,7 +22,6 @@ from repro.engine.adversary import (
     SizeAdversary,
 )
 from repro.engine.api import Engine, EngineSnapshot, RunResult
-from repro.engine.array_engine import ArrayRunResult, ArraySimulator
 from repro.engine.batch_engine import VectorizedProtocol
 from repro.engine.counts_engine import (
     CountsKernel,
@@ -74,7 +72,6 @@ from repro.engine.recorder import (
 from repro.engine.registry import (
     ENGINE_NAMES,
     LARGE_POPULATION_THRESHOLD,
-    SMALL_POPULATION_THRESHOLD,
     EngineInfo,
     choose_engine,
     counts_kernel_for,
@@ -110,8 +107,6 @@ from repro.engine.streaming import (
 __all__ = [
     "AddAgentsAt",
     "AggregatedSeries",
-    "ArrayRunResult",
-    "ArraySimulator",
     "BoundedRowBuffer",
     "CallbackRecorder",
     "CheckpointError",
@@ -128,7 +123,6 @@ __all__ = [
     "ConfigurationError",
     "LARGE_POPULATION_THRESHOLD",
     "MAX_AUTO_WORKERS",
-    "SMALL_POPULATION_THRESHOLD",
     "PackedCountsKernel",
     "EmptyPopulationError",
     "EngineError",

@@ -1,9 +1,8 @@
 """Unified engine API shared by all execution engines.
 
 Every engine in this package — the exact sequential
-:class:`repro.engine.simulator.Simulator`, the exact struct-of-arrays
-:class:`repro.engine.array_engine.ArraySimulator`, the approximate
-vectorised :class:`repro.engine.ensemble_engine.EnsembleSimulator` and the
+:class:`repro.engine.simulator.Simulator`, the approximate vectorised
+:class:`repro.engine.ensemble_engine.EnsembleSimulator` and the
 count-vector :class:`repro.engine.counts_engine.CountsSimulator` —
 implements the same contract:
 
@@ -217,13 +216,13 @@ class Engine(abc.ABC):
     engine.
     """
 
-    #: Engine name used in run metadata (``"sequential"`` / ``"array"`` / ...).
+    #: Engine name used in run metadata (``"sequential"`` / ``"batched"`` / ...).
     name: str = "engine"
 
     #: Historical ``stop_when`` calling convention, used for signatures that
     #: could accept either one or two arguments.  The sequential engine
-    #: always called ``stop_when(engine)``; the array engines always called
-    #: ``stop_when(engine, snapshot)``.
+    #: always called ``stop_when(engine)``; the struct-of-arrays engines
+    #: always called ``stop_when(engine, snapshot)``.
     _default_stop_arity: int = 2
 
     def __init__(self) -> None:
@@ -430,8 +429,11 @@ class ArrayStateEngine(Engine):
     The population is a dictionary of equal-length NumPy arrays produced by
     a :class:`repro.engine.batch_engine.VectorizedProtocol`.  This base owns
     the array lifecycle — creation, validation, snapshot statistics, and the
-    resize-schedule adversary — while subclasses decide how interactions are
-    executed (exact scalar loop vs vectorised batches).
+    resize-schedule adversary — over 1-D state.  Its one subclass,
+    :class:`repro.engine.ensemble_engine.EnsembleSimulator`, stacks trials
+    into 2-D state and overrides the 1-D methods, :meth:`resize_to` among
+    them; that method stays because the benchmark's tracer
+    (``perfbench/tracer.py``) wraps it by name.
 
     Parameters
     ----------

@@ -1,4 +1,4 @@
-"""The vectorised protocol interface shared by the struct-of-arrays engines.
+"""The vectorised protocol interface of the struct-of-arrays engine.
 
 The paper simulates populations of up to 10^6 agents.  Executing 5000
 parallel time steps at that size means 5 * 10^9 sequential interactions —
@@ -20,10 +20,9 @@ of the sequential scheduler: information spreads at the same asymptotic rate
 within one parallel time unit is not preserved.
 
 All figure-scale experiments that use this engine are cross-validated at
-small n against the exact :class:`repro.engine.simulator.Simulator` and the
-exact struct-of-arrays :class:`repro.engine.array_engine.ArraySimulator`
-(see ``tests/test_engine_equivalence.py``); the qualitative shapes of
-Figs. 2–5 are insensitive to the within-round interleaving.
+small n against the exact :class:`repro.engine.simulator.Simulator` (see
+``tests/test_engine_equivalence.py``); the qualitative shapes of Figs. 2–5
+are insensitive to the within-round interleaving.
 
 Protocols opt in by implementing the :class:`VectorizedProtocol` interface,
 which represents the whole population as a struct-of-arrays dictionary of
@@ -79,18 +78,14 @@ def flat_pair_indices(
 
 
 class VectorizedProtocol(abc.ABC):
-    """Interface for protocols that support the struct-of-arrays engines.
+    """Interface for protocols that support the struct-of-arrays engine.
 
     The population state is a dictionary mapping variable names to NumPy
     arrays.  The protocol defines how to create initial arrays of length
     ``n``, how to apply one batch of interactions to a stack of ``(trials,
-    n)`` planes, and how to compute the reported output per agent.
-
-    Protocols that additionally implement :meth:`interact_one` — the same
-    transition applied to a single ``(initiator, responder)`` slot pair —
-    can also run on the exact :class:`repro.engine.array_engine.
-    ArraySimulator`, which preserves sequential semantics over the array
-    state.
+    n)`` planes, and how to compute the reported output per agent.  The
+    exact single-pair transition is the scalar protocol's ``interact``,
+    run by the sequential engine.
     """
 
     #: Human-readable name used in experiment metadata.
@@ -100,8 +95,8 @@ class VectorizedProtocol(abc.ABC):
     #: when stacking state (e.g. ``{"time": np.float32}``).  Protocols whose
     #: state values are exactly representable in narrower types can halve
     #: the memory traffic of the stacked hot loop; ``None`` keeps the
-    #: dtypes of :meth:`initial_arrays`.  Only the ensemble engine applies
-    #: these — the exact array engine is unaffected.
+    #: dtypes of :meth:`initial_arrays`.  Only the ensemble engine (and so
+    #: ``"batched"``) applies these.
     ensemble_state_dtypes: dict[str, np.dtype] | None = None
 
     @abc.abstractmethod
@@ -126,26 +121,6 @@ class VectorizedProtocol(abc.ABC):
         initiator writes may overlap, in which case later interactions of
         the batch win.
         """
-
-    def interact_one(
-        self,
-        arrays: dict[str, np.ndarray],
-        initiator: int,
-        responder: int,
-        rng: RandomSource,
-    ) -> None:
-        """Apply a single interaction to slots ``initiator`` / ``responder``.
-
-        Optional: only needed for the exact :class:`repro.engine.
-        array_engine.ArraySimulator`.  Implementations must mirror the
-        scalar protocol's transition *including its random-draw order* so
-        that the array engine reproduces the sequential engine's trajectory
-        under a shared seed.
-        """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement interact_one(); it can "
-            "run on the batched/ensemble engines but not on the exact array engine"
-        )
 
     @abc.abstractmethod
     def output_array(self, arrays: dict[str, np.ndarray]) -> np.ndarray:

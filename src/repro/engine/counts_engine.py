@@ -413,9 +413,9 @@ class PackedCountsKernel(CountsKernel):
         Accepts the plane layout of the protocol's
         :class:`~repro.engine.batch_engine.VectorizedProtocol` (extra planes
         that are not kernel fields — tick counters and the like — are
-        ignored), so initial configurations built for the array engines run
-        unchanged on the counts engine.  Field values must be integral and
-        inside the declared bounds.
+        ignored), so initial configurations built for the batched/ensemble
+        engines run unchanged on the counts engine.  Field values must be
+        integral and inside the declared bounds.
         """
         columns: dict[str, np.ndarray] = {}
         length = None

@@ -5,9 +5,9 @@ experiment code:
 
 * a **vectorized registry** mapping scalar protocol classes (subclasses of
   :class:`repro.engine.protocol.Protocol`) to factories for their
-  vectorised counterparts, so that the array/batched engines can be asked
-  to run a scalar protocol and look up the struct-of-arrays implementation
-  themselves;
+  vectorised counterparts, so that the batched/ensemble engines can be
+  asked to run a scalar protocol and look up the struct-of-arrays
+  implementation themselves;
 * a **counts-kernel registry** doing the same for the multiset engine's
   :class:`repro.engine.counts_engine.CountsKernel` adapters; and
 * an **engine table** (:class:`EngineInfo`) mapping engine names to
@@ -15,8 +15,8 @@ experiment code:
   backends (the ROADMAP's Numba/CuPy candidates) are
   :func:`register_engine` calls, not edits to an if-chain.
 
-The five built-in engines — ``"sequential"`` / ``"array"`` / ``"batched"``
-/ ``"ensemble"`` / ``"counts"`` — register when this module is imported;
+The four built-in engines — ``"sequential"`` / ``"batched"`` /
+``"ensemble"`` / ``"counts"`` — register when this module is imported;
 the default protocol registrations (dynamic size counting, the uniform
 phase clock, epidemics, junta election, approximate majority) are loaded
 lazily on first lookup, so importing this module stays cheap and free of
@@ -40,7 +40,6 @@ import numpy as np
 
 from repro.engine.adversary import ResizeSchedule, SizeAdversary
 from repro.engine.api import Engine
-from repro.engine.array_engine import ArraySimulator
 from repro.engine.batch_engine import VectorizedProtocol
 from repro.engine.counts_engine import CountsKernel, CountsSimulator
 from repro.engine.ensemble_engine import EnsembleSimulator
@@ -52,7 +51,6 @@ from repro.engine.simulator import Simulator
 
 __all__ = [
     "ENGINE_NAMES",
-    "SMALL_POPULATION_THRESHOLD",
     "LARGE_POPULATION_THRESHOLD",
     "EngineInfo",
     "register_engine",
@@ -71,10 +69,6 @@ __all__ = [
     "choose_engine",
     "make_engine",
 ]
-
-#: Below this population size the exact array engine is already cheap, so
-#: :func:`choose_engine` prefers exactness over the approximate batched path.
-SMALL_POPULATION_THRESHOLD = 128
 
 #: At and above this population size the per-agent engines pay O(n) per
 #: parallel step while the counts engine stays O(|Q|^2), so
@@ -136,7 +130,7 @@ class EngineInfo:
         Implements :meth:`repro.engine.api.Engine.checkpoint_payload` /
         ``apply_checkpoint_payload`` (and therefore ``save_checkpoint`` /
         ``restore_checkpoint``), so long-horizon runs can be interrupted
-        and resumed bit-identically.  All five built-in engines do; a
+        and resumed bit-identically.  All four built-in engines do; a
         registered backend that cannot serialize its state must say so
         here so the checkpointing executor rejects it up front.
     """
@@ -404,8 +398,6 @@ def choose_engine(protocol: Any, trials: int, n: int) -> str:
 
     * a protocol without a vectorised counterpart can only run on the
       ``"sequential"`` engine;
-    * small populations (``n <=`` :data:`SMALL_POPULATION_THRESHOLD`) run on
-      the exact ``"array"`` engine — at that scale exactness is free;
     * huge populations (``n >=`` :data:`LARGE_POPULATION_THRESHOLD`) of
       protocols with a counts kernel run on the ``"counts"`` engine, whose
       per-step cost is independent of ``n`` (a multi-trial point loops or
@@ -413,11 +405,13 @@ def choose_engine(protocol: Any, trials: int, n: int) -> str:
       stacking at this scale);
     * multi-trial workloads of vectorisable protocols run fastest on the
       ``"ensemble"`` engine (trials in stacked passes);
-    * a single large trial runs on the ``"batched"`` engine.
+    * a single trial runs on the ``"batched"`` engine.
 
-    Experiments that pin an engine for reproducibility of published outputs
-    bypass this helper; everything else (new scenarios, ``--engine auto``)
-    routes through it.
+    A vectorisable protocol is never routed to the exact ``"sequential"``
+    engine, whatever its size: exactness is an explicit
+    ``engine="sequential"`` request.  Experiments that pin an engine for
+    reproducibility of published outputs bypass this helper; everything
+    else (new scenarios, ``--engine auto``) routes through it.
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be at least 1, got {trials}")
@@ -425,8 +419,6 @@ def choose_engine(protocol: Any, trials: int, n: int) -> str:
         raise ConfigurationError(f"population size must be at least 2, got {n}")
     if not has_vectorized(protocol):
         return "sequential"
-    if n <= SMALL_POPULATION_THRESHOLD:
-        return "array"
     if n >= LARGE_POPULATION_THRESHOLD and has_counts_kernel(protocol):
         return "counts"
     if trials > 1:
@@ -469,17 +461,6 @@ def _build_sequential(
         adversary=adversary,
         recorders=recorders,
         snapshot_stats=snapshot_stats,
-    )
-
-
-def _build_array(protocol, population, *, rng, seed, resize_schedule, initial_arrays, **_):
-    return ArraySimulator(
-        vectorized_for(protocol),
-        population,
-        rng=rng,
-        seed=seed,
-        resize_schedule=resize_schedule,
-        initial_arrays=initial_arrays,
     )
 
 
@@ -587,16 +568,6 @@ register_engine(
 )
 register_engine(
     EngineInfo(
-        name="array",
-        builder=_build_array,
-        description="exact interleaving over struct-of-arrays state",
-        exact=True,
-        supports_initial_arrays=True,
-        supports_checkpoint=True,
-    )
-)
-register_engine(
-    EngineInfo(
         name="batched",
         builder=_build_batched,
         description=(
@@ -652,24 +623,24 @@ def make_engine(
     ----------
     engine:
         A registered engine name (see :func:`engine_names`):
-        ``"sequential"`` (exact, object state), ``"array"`` (exact,
-        struct-of-arrays state), ``"batched"`` (approximate, vectorised),
-        ``"ensemble"`` (approximate, vectorised across all trials of an
-        experiment at once) or ``"counts"`` (count-vector multiset
-        dynamics, per-step cost independent of ``n``).
+        ``"sequential"`` (exact, object state), ``"batched"``
+        (approximate, vectorised), ``"ensemble"`` (approximate, vectorised
+        across all trials of an experiment at once) or ``"counts"``
+        (count-vector multiset dynamics, per-step cost independent of
+        ``n``).
     protocol:
         A scalar :class:`repro.engine.protocol.Protocol` (looked up in the
-        registries for the array/batched/counts engines) or a
-        :class:`VectorizedProtocol` (used directly by the array engines and
-        mapped to its counts kernel by the counts engine; rejected by the
-        sequential engine).
+        registries for the batched/ensemble/counts engines) or a
+        :class:`VectorizedProtocol` (used directly by the batched/ensemble
+        engines and mapped to its counts kernel by the counts engine;
+        rejected by the sequential engine).
     population:
         Initial population size; the sequential engine also accepts a
         pre-built :class:`Population`.
     resize_schedule:
         ``(parallel_time, target_size)`` adversary events, translated into
         a :class:`repro.engine.adversary.ResizeSchedule` for the sequential
-        engine and passed through natively to the array/counts engines
+        engine and passed through natively to the other engines
         (the counts engine applies them as hypergeometric subsampling /
         initial-state re-injection on the count vector).
     adversary / recorders / snapshot_stats:
@@ -679,7 +650,7 @@ def make_engine(
         ``recorders`` are rejected for engines whose capability flags do
         not list them.
     initial_arrays / sub_batches:
-        Array-engine extras; rejected for the sequential engine.  The
+        Struct-of-arrays extras; rejected for the sequential engine.  The
         counts engine converts ``initial_arrays`` into its count state
         (integer-valued planes only).
     rng / seed:
@@ -728,8 +699,9 @@ def make_engine(
             "backend (jit=True); use the batched or ensemble engine"
         )
     if initial_arrays is not None and not info.supports_initial_arrays:
+        capable = [other.name for other in _ENGINE_TABLE.values() if other.supports_initial_arrays]
         raise ConfigurationError(
-            "initial_arrays is only supported by the array/batched engines; "
+            f"initial_arrays is only supported by the {', '.join(capable)} engines; "
             "pass a pre-built Population to the sequential engine instead"
         )
     if info.requires_int_population and not isinstance(population, int):

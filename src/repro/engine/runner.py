@@ -8,8 +8,8 @@ element-wise to the min / median / max the paper plots.
 
 Every run goes through one shard runner.  Every trial owns the stream at
 its *address* in a :class:`repro.engine.rng.SeedTree` (``root seed ->
-trial index``).  The looped engines (``sequential``, ``array``,
-``counts``) get one freshly built engine per trial on that stream.  The
+trial index``).  The looped engines (``sequential``, ``counts``) get one
+freshly built engine per trial on that stream.  The
 ``batched`` engine runs a shard's trials as stacks of one-stream-per-row
 engines (:class:`repro.engine.rng.RowStreams`), each stack as many rows as
 fit one cache block of the ensemble engine; every row is bit-identical to

@@ -11,14 +11,13 @@ paper's C++ simulator, which reports a snapshot every ``n`` interactions
 "to ensure quick simulation times".  The adversary is consulted at the same
 granularity.
 
-For figure-scale populations (n >= 10^5) use
-:class:`repro.engine.ensemble_engine.EnsembleSimulator` (the ``"batched"``
-and ``"ensemble"`` engines), which trades exactness of the interleaving
-for vectorised speed, or
-:class:`repro.engine.array_engine.ArraySimulator`, which keeps exact
-sequential semantics with a lower-overhead struct-of-arrays state
-representation.  All engines implement the shared
-:class:`repro.engine.api.Engine` contract and return
+It is the package's one exact engine.  For figure-scale populations
+(n >= 10^5) use :class:`repro.engine.ensemble_engine.EnsembleSimulator`
+(the ``"batched"`` and ``"ensemble"`` engines), which trades exactness of
+the interleaving for vectorised speed, or
+:class:`repro.engine.counts_engine.CountsSimulator` (the ``"counts"``
+engine), whose per-step cost is independent of ``n``.  All engines
+implement the shared :class:`repro.engine.api.Engine` contract and return
 :class:`repro.engine.api.RunResult`-compatible results.
 """
 

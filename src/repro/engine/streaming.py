@@ -24,7 +24,7 @@ module provides the streaming counterparts:
   observation channels — the sequential engine's
   :class:`~repro.engine.recorder.Recorder` interface and the
   engine-agnostic snapshot-hook signature (the instance is callable as
-  ``hook(engine, snapshot)``), so one recorder serves all five engines.
+  ``hook(engine, snapshot)``), so one recorder serves all four engines.
 
 Accuracy contract: extrema, counts, and means are exact.  P² quantile
 estimates are approximate; on smooth unimodal streams of ``T`` samples the
@@ -338,7 +338,7 @@ class StreamingEstimateRecorder(Recorder):
         )
 
     def __call__(self, engine: Any, snapshot: EngineSnapshot) -> None:
-        """Engine-agnostic snapshot-hook channel (all five engines)."""
+        """Engine-agnostic snapshot-hook channel (all four engines)."""
         self.observe(snapshot)
 
     def observe(self, snapshot: EngineSnapshot) -> None:

@@ -4,8 +4,8 @@ All four figures plot the same quantity — the minimum, median and maximum
 agent estimate of ``log2 n`` over parallel time, aggregated over independent
 runs — and differ only in the workload (population size, decimation event,
 initial estimate).  :func:`run_estimate_trace` runs one such workload on a
-selectable engine (``"sequential"`` / ``"array"`` / ``"batched"`` /
-``"ensemble"`` / ``"counts"``, see :mod:`repro.engine.registry`) and
+selectable engine (``"sequential"`` / ``"batched"`` / ``"ensemble"`` /
+``"counts"``, see :mod:`repro.engine.registry`) and
 aggregates across trials exactly like the paper does over its 96 runs: the
 reported minimum is the minimum over all runs' minima, the maximum the
 maximum over all maxima, and the median the median of the runs' medians.
@@ -19,8 +19,8 @@ of a data point into one ``(trials, n)`` engine on one shared stream —
 the fastest way to regenerate a figure at the paper's populations.  The
 counts engine drops the per-agent state for a count vector, making huge
 populations (n = 10^7 and beyond) affordable.
-The exact engines are available for small-n cross-validation and for
-workloads where the interleaving matters.
+The exact sequential engine is available for small-n cross-validation and
+for workloads where the interleaving matters.
 """
 
 from __future__ import annotations
@@ -87,9 +87,9 @@ def _build_trace_engine(
 
     All engines run the same protocol family — the scalar
     :class:`DynamicSizeCounting` on the sequential engine, the
-    struct-of-arrays :class:`VectorizedDynamicCounting` on the exact array
-    and approximate batched/ensemble engines (and, mapped to its counts
-    kernel by the registry, on the counts engine) — so only the workload
+    struct-of-arrays :class:`VectorizedDynamicCounting` on the approximate
+    batched/ensemble engines (and, mapped to its counts kernel by the
+    registry, on the counts engine) — so only the workload
     translation (initial estimate to population/arrays) lives here; the
     engine dispatch itself is :func:`repro.engine.registry.make_engine`.
     """
@@ -118,7 +118,7 @@ def _build_trace_engine(
         sub_batches=sub_batches,
         trials=trials if engine == "ensemble" else None,
         # Guarded per engine so a jit request composes with auto-selection:
-        # points that resolve to array/counts simply ignore it.
+        # points that resolve to counts simply ignore it.
         jit=jit and engine_info(engine).supports_jit,
     )
 
@@ -193,13 +193,13 @@ def run_estimate_trace(
     snapshot_every:
         Snapshot granularity in parallel time units.
     sub_batches:
-        Fidelity knob of the batched engine (ignored by the exact engines).
+        Fidelity knob of the batched engine (ignored by the exact engine).
     engine:
-        Engine name: ``"sequential"``, ``"array"``, ``"batched"``
-        (default), ``"ensemble"``, ``"counts"``, or ``None``/``"auto"`` to
-        pick the best engine for the workload via
+        Engine name: ``"sequential"``, ``"batched"`` (default),
+        ``"ensemble"``, ``"counts"``, or ``None``/``"auto"`` to pick the best
+        engine for the workload via
         :func:`repro.engine.registry.choose_engine`.  All engines report the
-        same snapshot series; the exact engines are practical only for small
+        same snapshot series; the exact engine is practical only for small
         ``n``, the batched and ensemble engines run trials in stacked passes
         (one stream per row, or one shared stream), and the counts engine
         makes huge populations (``n >= 10^7``) affordable.

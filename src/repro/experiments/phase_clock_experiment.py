@@ -14,7 +14,7 @@ exact sequential engine, reconstructs bursts and overlaps with
 
 Declared as the registered scenario ``"phase_clock"``.  Only the exact
 sequential engine is supported: the burst/overlap reconstruction needs every
-tick event with its exact interaction index, which the batched/array engines
+tick event with its exact interaction index, which the batched/ensemble engines
 do not emit — so the spec provides a bespoke executor.
 """
 

@@ -4,21 +4,16 @@ Each class here implements :class:`repro.engine.batch_engine.
 VectorizedProtocol` for one of the scalar protocols in this package, so
 that epidemics, junta election and majority can run at figure scale on the
 ``"batched"`` / ``"ensemble"`` engines (:class:`repro.engine.
-ensemble_engine.EnsembleSimulator`) — and, because every class also
-implements ``interact_one``, on the exact :class:`repro.engine.
-array_engine.ArraySimulator`.
+ensemble_engine.EnsembleSimulator`); the exact single-pair transition is
+the scalar protocol's ``interact`` on the sequential engine.
 
-The ``interact_one`` implementations mirror their scalar protocol's
-transition *including the order of random draws*; ``tests/
-test_engine_equivalence.py`` asserts trajectory-exact agreement with the
-sequential engine under a shared seed.  The ``interact_ensemble``
-implementations apply the transition to ``(trials, n)`` stacked state with
-``(trials, batch)`` index matrices, following the synchronous-rounds
-semantics (responder states read at the start of the batch, overlapping
-writes resolved last-writer-wins, monotone variables merged with
-``np.maximum.at``).  They index the stack by flat coordinates
-(:func:`repro.engine.batch_engine.flat_pair_indices`), which visits the
-lanes in the same row-major order as broadcast 2-D indexing.
+The ``interact_ensemble`` implementations apply the transition to
+``(trials, n)`` stacked state with ``(trials, batch)`` index matrices,
+following the synchronous-rounds semantics (responder states read at the
+start of the batch, overlapping writes resolved last-writer-wins, monotone
+variables merged with ``np.maximum.at``).  They index the stack by flat
+coordinates (:func:`repro.engine.batch_engine.flat_pair_indices`), which
+visits the lanes in the same row-major order as broadcast 2-D indexing.
 
 The mapping from scalar protocol classes to these implementations lives in
 :mod:`repro.engine.registry`.
@@ -78,13 +73,6 @@ class VectorizedMaxEpidemic(VectorizedProtocol):
         if not self.one_way:
             np.maximum.at(value, v, peak)
 
-    def interact_one(self, arrays, initiator, responder, rng) -> None:
-        value = arrays["value"]
-        peak = max(value[initiator], value[responder])
-        value[initiator] = peak
-        if not self.one_way:
-            value[responder] = peak
-
     def output_array(self, arrays) -> np.ndarray:
         return arrays["value"]
 
@@ -130,15 +118,6 @@ class VectorizedInfectionEpidemic(VectorizedProtocol):
             both = np.maximum(infected[u], v_inf)
             np.maximum.at(infected, u, both)
             np.maximum.at(infected, v, both)
-
-    def interact_one(self, arrays, initiator, responder, rng) -> None:
-        infected = arrays["infected"]
-        if self.one_way:
-            if infected[responder] and not infected[initiator]:
-                infected[initiator] = 1
-        elif infected[initiator] or infected[responder]:
-            infected[initiator] = 1
-            infected[responder] = 1
 
     def output_array(self, arrays) -> np.ndarray:
         return arrays["infected"]
@@ -200,21 +179,6 @@ class VectorizedJuntaElection(VectorizedProtocol):
         np.maximum.at(max_seen, u, top)
         np.maximum.at(max_seen, v, top)
 
-    def interact_one(self, arrays, initiator, responder, rng) -> None:
-        level = arrays["level"]
-        climbing = arrays["climbing"]
-        max_seen = arrays["max_seen"]
-        if climbing[initiator]:
-            if rng.coin() and level[initiator] < self.max_level:
-                level[initiator] += 1
-            else:
-                climbing[initiator] = 0
-        top = max(
-            max_seen[initiator], max_seen[responder], level[initiator], level[responder]
-        )
-        max_seen[initiator] = top
-        max_seen[responder] = top
-
     def output_array(self, arrays) -> np.ndarray:
         member = (arrays["climbing"] == 0) & (arrays["level"] >= arrays["max_seen"])
         return member.astype(np.float64)
@@ -274,17 +238,6 @@ class VectorizedApproximateMajority(VectorizedProtocol):
         new_v = np.where(recruit_v, u_op, np.where(cancel, 0, v_op))
         opinion[u] = new_u
         opinion[v] = new_v
-
-    def interact_one(self, arrays, initiator, responder, rng) -> None:
-        opinion = arrays["opinion"]
-        u, v = int(opinion[initiator]), int(opinion[responder])
-        if u == 0 or v == 0 or u == v:
-            if u != 0 and v == 0:
-                opinion[responder] = u
-            elif v != 0 and u == 0:
-                opinion[initiator] = v
-        else:
-            opinion[responder] = 0
 
     def output_array(self, arrays) -> np.ndarray:
         return arrays["opinion"]

@@ -71,9 +71,9 @@ FAMILIES = (
     "multi_phase",
 )
 
-#: Engines checked against each other.  The exact engines (sequential,
-#: array) are excluded only for speed — the standing conformance battery
-#: already pins them against batched/ensemble on a fixed workload.
+#: Engines checked against each other.  The exact sequential engine is
+#: excluded only for speed — the standing conformance battery already pins
+#: it against batched/ensemble/counts on a fixed workload.
 DEFAULT_ENGINES = ("batched", "ensemble", "counts")
 
 #: Distinct base seeds per engine: shared seeds would make exact-trajectory

@@ -6,8 +6,8 @@ builders here generate the richer schedules of the scenario catalog —
 oscillation, exponential growth followed by a crash, sustained random churn,
 repeated decimation — as ``(parallel_time, target_size)`` pairs, the
 representation every engine understands (the sequential engine converts them
-to a :class:`repro.engine.adversary.ResizeSchedule`, the array engines
-consume them natively).
+to a :class:`repro.engine.adversary.ResizeSchedule`, the batched,
+ensemble and counts engines consume them natively).
 
 All builders are deterministic: :func:`random_churn` derives its sizes from
 an explicit seed, so a scenario's schedule is a pure function of its preset.

@@ -46,7 +46,10 @@ __all__ = ["KEY_SCHEMA_VERSION", "canonical_cache_key", "normalize_engine_reques
 #: multinomials take their categories in descending-probability order).
 #: v4: the ``batched`` engine is a one-row ensemble and draws different rows
 #: for the same request.
-KEY_SCHEMA_VERSION = 4
+#: v5: auto-selection no longer has a small-population tier, so auto points
+#: with ``n <= 128`` run on ``ensemble`` / ``batched`` and draw different
+#: rows for the same request.
+KEY_SCHEMA_VERSION = 5
 
 
 def normalize_engine_request(spec: ScenarioSpec, engine: str | None) -> str:

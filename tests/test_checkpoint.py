@@ -33,7 +33,7 @@ SNAPSHOT_EVERY = 2
 CHECKPOINT_EVERY = 4
 SEED = 20240726
 
-ENGINES = ("sequential", "array", "batched", "ensemble", "counts")
+ENGINES = ("sequential", "batched", "ensemble", "counts")
 
 
 def _factory(engine_name, rng, ensemble_trials):
@@ -174,11 +174,11 @@ class TestEngineCheckpoint:
         )
         sequential.run(2)
         path = sequential.save_checkpoint(tmp_path / "seq.ckpt")
-        array = make_engine(
-            "array", DynamicSizeCounting(), N, rng=RandomSource.from_seed(7)
+        batched = make_engine(
+            "batched", DynamicSizeCounting(), N, rng=RandomSource.from_seed(7)
         )
         with pytest.raises(CheckpointError, match="sequential"):
-            array.restore_checkpoint(path)
+            batched.restore_checkpoint(path)
 
 
 # ----------------------------------------------------- determinism matrix

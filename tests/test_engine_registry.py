@@ -11,14 +11,11 @@ from repro.core.params import ProtocolParameters
 from repro.core.vectorized import VectorizedDynamicCounting
 from repro.engine.adversary import RemoveAllButAt
 from repro.engine.api import RunResult
-from repro.engine.array_engine import ArraySimulator
-from repro.engine.batch_engine import VectorizedProtocol
 from repro.engine.ensemble_engine import EnsembleSimulator
 from repro.engine.errors import ConfigurationError
 from repro.engine.recorder import EstimateRecorder
 from repro.engine.registry import (
     ENGINE_NAMES,
-    SMALL_POPULATION_THRESHOLD,
     choose_engine,
     has_vectorized,
     make_engine,
@@ -118,11 +115,13 @@ class TestChooseEngine:
     def test_non_vectorizable_protocol_needs_sequential(self):
         assert choose_engine(DotyEftekhariCounting(), trials=96, n=10_000) == "sequential"
 
-    def test_small_population_prefers_exact_array_engine(self):
-        assert (
-            choose_engine(DynamicSizeCounting(), trials=96, n=SMALL_POPULATION_THRESHOLD)
-            == "array"
-        )
+    @pytest.mark.parametrize("n", (2, 10, 32, 64, 128))
+    def test_small_population_has_no_tier_of_its_own(self, n):
+        """Small points fall through to the stacked tiers; exactness is opt-in."""
+        protocol = DynamicSizeCounting()
+        assert choose_engine(protocol, trials=1, n=n) == "batched"
+        for trials in (3, 16, 96):
+            assert choose_engine(protocol, trials=trials, n=n) == "ensemble"
 
     def test_multi_trial_vectorizable_prefers_ensemble(self):
         assert choose_engine(DynamicSizeCounting(), trials=96, n=10_000) == "ensemble"
@@ -151,13 +150,14 @@ class TestMakeEngine:
     def test_engine_names_build_expected_classes(self):
         protocol = DynamicSizeCounting()
         assert isinstance(make_engine("sequential", protocol, 10, seed=1), Simulator)
-        assert isinstance(make_engine("array", protocol, 10, seed=1), ArraySimulator)
         batched = make_engine("batched", protocol, 10, seed=1)
         assert isinstance(batched, EnsembleSimulator) and batched.trials == 1
 
-    def test_unknown_engine_rejected(self):
+    # "array" was an exact engine once; its name is now unknown too.
+    @pytest.mark.parametrize("unknown", ("warp", "array"))
+    def test_unknown_engine_rejected(self, unknown):
         with pytest.raises(ConfigurationError) as excinfo:
-            make_engine("warp", DynamicSizeCounting(), 10, seed=1)
+            make_engine(unknown, DynamicSizeCounting(), 10, seed=1)
         for name in ENGINE_NAMES:
             assert name in str(excinfo.value)
 
@@ -194,7 +194,7 @@ class TestMakeEngine:
             make_engine("sequential", VectorizedDynamicCounting(), 10, seed=1)
 
     def test_sequential_rejects_initial_arrays(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ConfigurationError) as excinfo:
             make_engine(
                 "sequential",
                 DynamicSizeCounting(),
@@ -202,6 +202,8 @@ class TestMakeEngine:
                 seed=1,
                 initial_arrays={"max": np.ones(10)},
             )
+        # The message lists the engines whose table entry accepts them.
+        assert "supported by the batched, ensemble, counts engines" in str(excinfo.value)
 
     def test_sequential_rejects_adversary_plus_schedule(self):
         with pytest.raises(ConfigurationError):
@@ -225,7 +227,7 @@ class TestMakeEngine:
             )
         with pytest.raises(ConfigurationError):
             make_engine(
-                "array", DynamicSizeCounting(), 10, seed=1, recorders=[EstimateRecorder()]
+                "ensemble", DynamicSizeCounting(), 10, seed=1, recorders=[EstimateRecorder()]
             )
 
     def test_array_engines_reject_population_object(self):
@@ -311,24 +313,6 @@ class TestUnifiedEngineApi:
         assert all(np.isnan(s.median) for s in result.snapshots)
         assert all(s.population_size == 10 for s in result.snapshots)
 
-    def test_interact_one_is_optional(self):
-        class BatchOnly(VectorizedProtocol):
-            name = "batch-only"
-
-            def initial_arrays(self, n, rng):
-                return {"x": np.zeros(n)}
-
-            def interact_ensemble(self, arrays, initiators, responders, rng):
-                return None
-
-            def output_array(self, arrays):
-                return arrays["x"]
-
-        simulator = ArraySimulator(BatchOnly(), 10, seed=1)
-        with pytest.raises(NotImplementedError) as excinfo:
-            simulator.run(1)
-        assert "interact_one" in str(excinfo.value)
-
 
 class TestEngineTable:
     """The engine-registry table behind make_engine/choose_engine."""
@@ -339,7 +323,6 @@ class TestEngineTable:
         assert engine_names() == ENGINE_NAMES
         assert engine_names() == (
             "sequential",
-            "array",
             "batched",
             "ensemble",
             "counts",

@@ -4,8 +4,9 @@ Covers the acceptance surface of the ensemble work: registry round-trips,
 `RunResult`-compatible per-trial series, statistical equivalence with looped
 one-row `batched` trials, per-trial stream independence, resize schedules
 applied across all rows, the `interact_ensemble` kernels against the exact
-`interact_one`, the `run_engine_trials` ensemble mode, and the
-`--engine ensemble` experiment path.
+scalar `interact` rules, every vectorised protocol at the smallest
+populations (two and three agents), the `run_engine_trials` ensemble mode,
+and the `--engine ensemble` experiment path.
 """
 
 from __future__ import annotations
@@ -18,16 +19,19 @@ from repro.core.vectorized import VectorizedDynamicCounting
 from repro.engine.batch_engine import flat_pair_indices
 from repro.engine.ensemble_engine import EnsembleRunResult, EnsembleSimulator
 from repro.engine.errors import ConfigurationError
+from repro.engine.protocol import InteractionContext
 from repro.engine.registry import ENGINE_NAMES, make_engine
 from repro.engine.runner import aggregate_series, run_engine_trials
 from repro.engine.rng import RandomSource, spawn_streams
 from repro.experiments.base import ExperimentPreset
 from repro.experiments.fig3_relative_error import run_fig3
-from repro.protocols.epidemic import MaxEpidemic
+from repro.protocols.epidemic import InfectionEpidemic, MaxEpidemic
+from repro.protocols.junta import JuntaElection, JuntaState
 from repro.protocols.majority import ApproximateMajority
 from repro.protocols.vectorized import (
     VectorizedApproximateMajority,
     VectorizedInfectionEpidemic,
+    VectorizedJuntaElection,
     VectorizedMaxEpidemic,
 )
 
@@ -53,7 +57,7 @@ class TestRegistry:
         engine = make_engine("ensemble", DynamicSizeCounting(), 30, seed=1)
         assert engine.trials == 1
 
-    @pytest.mark.parametrize("other", ["sequential", "array", "batched"])
+    @pytest.mark.parametrize("other", ["sequential", "batched"])
     def test_trials_rejected_for_other_engines(self, other):
         with pytest.raises(ConfigurationError):
             make_engine(other, DynamicSizeCounting(), 30, seed=1, trials=4)
@@ -185,25 +189,30 @@ def _disjoint_pairs(rng, trials, n, batch):
 
 class TestEnsembleKernels:
     @pytest.mark.parametrize(
-        ("factory", "low", "high"),
+        ("protocol", "scalar", "low", "high"),
         [
-            (lambda: VectorizedMaxEpidemic(one_way=True), 0, 9),
-            (lambda: VectorizedMaxEpidemic(one_way=False), 0, 9),
-            (lambda: VectorizedInfectionEpidemic(one_way=True), 0, 2),
-            (lambda: VectorizedInfectionEpidemic(one_way=False), 0, 2),
-            (lambda: VectorizedApproximateMajority(), -1, 2),
+            (VectorizedMaxEpidemic(one_way=True), MaxEpidemic(one_way=True), 0, 9),
+            (VectorizedMaxEpidemic(one_way=False), MaxEpidemic(one_way=False), 0, 9),
+            (VectorizedInfectionEpidemic(one_way=True), InfectionEpidemic(one_way=True), 0, 2),
+            (VectorizedInfectionEpidemic(one_way=False), InfectionEpidemic(one_way=False), 0, 2),
+            (VectorizedApproximateMajority(), ApproximateMajority(), -1, 2),
         ],
         ids=["max-one-way", "max-two-way", "infection-one-way", "infection-two-way", "majority"],
     )
-    def test_matches_exact_single_pair_rule(self, factory, low, high):
-        """Deterministic protocols agree lane-for-lane with ``interact_one``.
+    def test_matches_exact_single_pair_rule(self, protocol, scalar, low, high):
+        """Deterministic protocols agree lane-for-lane with the scalar ``interact``.
 
         On a sub-batch where no agent appears in two pairs, batch semantics
         (responders read at the start of the batch, last writer wins) and
         sequential semantics coincide, so the stacked kernel must leave
-        exactly the state the exact rule leaves, applied pair by pair.
+        exactly the state the exact scalar rule leaves, applied pair by
+        pair.  Majority opinions map through
+        :attr:`VectorizedApproximateMajority.CODES`.
         """
-        protocol = factory()
+        codes = VectorizedApproximateMajority.CODES
+        states = {code: state for state, code in codes.items()}
+        majority = isinstance(scalar, ApproximateMajority)
+        ctx = InteractionContext(RandomSource.from_seed(0))
         trials, n, batch = 4, 40, 12
         rng = np.random.default_rng(21)
         ((key, plane),) = protocol.initial_arrays(n, RandomSource.from_seed(0)).items()
@@ -213,10 +222,71 @@ class TestEnsembleKernels:
             initiators, responders = _disjoint_pairs(rng, trials, n, batch)
             protocol.interact_ensemble(stacked, initiators, responders, None)
             for t in range(trials):
-                row = {key: exact[t]}
+                row = [states[int(x)] if majority else int(x) for x in exact[t]]
                 for u, v in zip(initiators[t], responders[t]):
-                    protocol.interact_one(row, int(u), int(v), None)
+                    row[u], row[v] = scalar.interact(row[u], row[v], ctx)
+                exact[t] = [codes[x] if majority else x for x in row]
             assert np.array_equal(stacked[key], exact)
+
+    def test_junta_matches_exact_rule_under_shared_coins(self):
+        """The coin-using junta kernel agrees lane-for-lane with the scalar rule.
+
+        Both sides read one pre-drawn coin per pair: the kernel through
+        ``coin_lanes`` (row-major lane order), the scalar rule through
+        ``coin()``.  Levels start near the cap so capped climbs are covered.
+        """
+
+        class LaneCoins:
+            def __init__(self, coins):
+                self.coins = coins
+
+            def coin_lanes(self, lanes, width):
+                return self.coins.ravel()[lanes]
+
+        class PairCoin:
+            heads = False
+
+            def coin(self):
+                return self.heads
+
+        max_level = 6
+        scalar = JuntaElection(max_level=max_level)
+        protocol = VectorizedJuntaElection(max_level=max_level)
+        pair_coin = PairCoin()
+        ctx = InteractionContext(pair_coin)
+        trials, n, batch = 4, 40, 12
+        rng = np.random.default_rng(23)
+        stacked = {
+            "level": rng.integers(0, max_level + 1, size=(trials, n)),
+            "climbing": rng.integers(0, 2, size=(trials, n)).astype(np.int8),
+            "max_seen": rng.integers(0, max_level + 1, size=(trials, n)),
+        }
+        exact = [
+            [
+                JuntaState(int(level), bool(climbing), int(seen))
+                for level, climbing, seen in zip(*(stacked[k][t] for k in stacked))
+            ]
+            for t in range(trials)
+        ]
+        for _ in range(5):
+            initiators, responders = _disjoint_pairs(rng, trials, n, batch)
+            coins = rng.integers(0, 2, size=(trials, batch)).astype(bool)
+            protocol.interact_ensemble(stacked, initiators, responders, LaneCoins(coins))
+            for t, row in enumerate(exact):
+                for i, (u, v) in enumerate(zip(initiators[t], responders[t])):
+                    pair_coin.heads = bool(coins[t, i])
+                    row[u], row[v] = scalar.interact(row[u], row[v], ctx)
+            for key, attr in (
+                ("level", "level"),
+                ("climbing", "climbing"),
+                ("max_seen", "max_seen_level"),
+            ):
+                expected = [[int(getattr(state, attr)) for state in row] for row in exact]
+                assert stacked[key].tolist() == expected, key
+        assert np.array_equal(
+            protocol.output_array(stacked),
+            [[float(scalar.output(state)) for state in row] for row in exact],
+        )
 
     def test_flat_pair_indices_follow_row_major_lane_order(self):
         initiators = np.array([[0, 2], [1, 1]], dtype=np.int32)
@@ -231,6 +301,81 @@ class TestEnsembleKernels:
             result = make_engine("ensemble", protocol, 30, trials=3, seed=9).run(4)
             assert result.parallel_time == 4
             assert len(result.trial_results) == 3
+
+
+def _tiny_workload(key, n):
+    """A vectorised protocol and its seeded initial arrays at size ``n``."""
+    if key == "dynamic-counting":
+        return VectorizedDynamicCounting(), None
+    if key == "max-epidemic":
+        protocol = VectorizedMaxEpidemic(one_way=True)
+        return protocol, protocol.seeded_arrays(n, 5.0)
+    if key == "infection":
+        protocol = VectorizedInfectionEpidemic(one_way=True)
+        return protocol, protocol.seeded_arrays(n)
+    if key == "junta":
+        return VectorizedJuntaElection(max_level=20), None
+    if key == "majority":
+        protocol = VectorizedApproximateMajority()
+        return protocol, protocol.arrays_from_counts(1, 1, n - 2)
+    raise KeyError(key)
+
+
+class TestTinyPopulations:
+    """Every vectorised protocol on the stacked engines at n = 2 and n = 3.
+
+    With no small-population tier, an auto point this small runs on
+    ``batched`` (one trial) or ``ensemble`` (several).  A sub-batch here
+    holds a single pair, and each protocol must still reach its absorbing
+    state within the horizon.
+    """
+
+    HORIZON = 30
+
+    @pytest.mark.parametrize("n", (2, 3))
+    @pytest.mark.parametrize("engine", ("batched", "ensemble"))
+    @pytest.mark.parametrize(
+        "key", ("dynamic-counting", "max-epidemic", "infection", "junta", "majority")
+    )
+    def test_protocol_runs_to_its_absorbing_state(self, key, engine, n):
+        protocol, initial = _tiny_workload(key, n)
+        trials = 4 if engine == "ensemble" else 1
+        simulator = make_engine(
+            engine,
+            protocol,
+            n,
+            seed=17,
+            initial_arrays=initial,
+            trials=None if engine == "batched" else trials,
+        )
+        result = simulator.run(self.HORIZON)
+
+        assert result.interactions == trials * n * self.HORIZON
+        for trial_result in result.trial_results:
+            assert [s.population_size for s in trial_result.snapshots] == [
+                n
+            ] * self.HORIZON
+        outputs = simulator.outputs()
+        assert outputs.shape == (trials, n)
+        assert np.isfinite(outputs).all()
+        arrays = simulator.arrays
+        if key == "max-epidemic":
+            assert (outputs == 5.0).all()
+        elif key == "infection":
+            assert (outputs == 1.0).all()
+        elif key == "majority":
+            # One A against one B: every row reaches consensus on one of them.
+            for row in outputs:
+                assert row[0] != 0 and (row == row[0]).all()
+        elif key == "junta":
+            # Every climb has stopped, the top level has spread to everyone,
+            # and the agents on it form a non-empty junta.
+            assert (arrays["climbing"] == 0).all()
+            top = arrays["level"].max(axis=1, keepdims=True)
+            assert (arrays["max_seen"] == top).all()
+            assert np.array_equal(outputs, (arrays["level"] == top).astype(float))
+        else:
+            assert (outputs >= 0).all()
 
 
 class TestInitialArrays:

@@ -16,7 +16,7 @@ from repro.engine.parallel import resolve_workers
 from repro.engine.registry import choose_engine
 from repro.experiments.base import ExperimentPreset
 from repro.scenarios.runner import run_scenario, run_sweep
-from repro.scenarios.spec import ScenarioSpec, SweepSpec
+from repro.scenarios.spec import ScenarioPoint, ScenarioSpec, SweepSpec
 
 
 def count_metric(trace, point, preset, params):
@@ -58,7 +58,7 @@ def execution_of(result):
 
 class TestEngineResolution:
     def test_engine_none_records_auto_choice(self):
-        # n=80 <= the small-population threshold -> choose_engine says array.
+        # n=80 with 2 trials -> choose_engine says ensemble.
         spec, preset = make_spec(), tiny_preset()
         result = run_scenario(spec, preset=preset)
         execution = execution_of(result)
@@ -86,17 +86,20 @@ class TestEngineResolution:
         auto = run_scenario(
             pinned, preset=tiny_preset(), options=ExecutionOptions(engine="auto")
         )
-        assert execution_of(auto)["engine"] == "array"
+        assert execution_of(auto)["engine"] == "ensemble"
 
     def test_mixed_engines_across_points(self):
-        # n=80 -> array; n=300 with trials>1 -> ensemble.
-        spec = make_spec()
-        result = run_scenario(
-            spec, preset=tiny_preset(population_sizes=(80, 300), parallel_time=20)
-        )
+        # One trial -> batched; two trials -> ensemble.
+        def points(preset, params):
+            return tuple(
+                ScenarioPoint(n=n, seed=preset.seed + n, parallel_time=20, trials=trials)
+                for n, trials in ((80, 1), (300, 2))
+            )
+
+        result = run_scenario(make_spec(points=points), preset=tiny_preset())
         execution = execution_of(result)
         assert execution["engine"] == "mixed"
-        assert execution["engines"] == ["array", "ensemble"]
+        assert execution["engines"] == ["batched", "ensemble"]
 
     def test_explicit_engine_is_recorded_verbatim(self):
         result = run_scenario(

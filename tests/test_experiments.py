@@ -91,13 +91,7 @@ class TestEstimateTrace:
         with pytest.raises(ConfigurationError):
             run_estimate_trace(100, 10, trials=1, seed=3, engine="warp")
 
-    def test_sequential_and_array_engines_agree_exactly(self):
-        """The two exact engines produce identical traces for shared seeds."""
-        sequential = run_estimate_trace(80, 40, trials=2, seed=5, engine="sequential")
-        array = run_estimate_trace(80, 40, trials=2, seed=5, engine="array")
-        assert sequential.series() == array.series()
-
-    @pytest.mark.parametrize("engine", ("sequential", "array"))
+    @pytest.mark.parametrize("engine", ("sequential",))
     def test_exact_engines_support_workload_knobs(self, engine):
         trace = run_estimate_trace(
             100, 30, trials=1, seed=4, engine=engine, resize_schedule=[(10, 40)]
@@ -248,12 +242,7 @@ class TestEngineSelectors:
             name="tiny", population_sizes=(60,), parallel_time=40, trials=2, seed=9
         )
         sequential = run_fig2(preset, engine="sequential")
-        array = run_fig2(preset, engine="array")
         assert sequential.metadata["engine"] == "sequential"
-        assert array.metadata["engine"] == "array"
-        # The exact engines are trajectory-identical under shared seeds.
-        assert sequential.series == array.series
-        assert sequential.rows == array.rows
 
     def test_sequential_only_experiments_reject_other_engines(self):
         for runner in (
@@ -309,11 +298,16 @@ class TestEngineSelectors:
         original = PRESETS["fig3"]
         PRESETS["fig3"] = preset_patch
         try:
-            assert main(["run", "fig3", "--effort", "quick", "--engine", "array"]) == 0
+            assert main(["run", "fig3", "--effort", "quick", "--engine", "sequential"]) == 0
+            captured = capsys.readouterr()
+            assert "fig3" in captured.out
+            # The removed exact array engine is an unknown name, rejected
+            # before any work.
+            with pytest.raises(SystemExit) as excinfo:
+                main(["run", "fig3", "--effort", "quick", "--engine", "array"])
+            assert excinfo.value.code == 2
         finally:
             PRESETS["fig3"] = original
-        captured = capsys.readouterr()
-        assert "fig3" in captured.out
 
 
 class TestScenarioCliCommands:

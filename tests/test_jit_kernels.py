@@ -260,10 +260,10 @@ class TestEngineWiring:
     def test_supports_jit_flags(self):
         assert engine_info("batched").supports_jit
         assert engine_info("ensemble").supports_jit
-        for name in ("sequential", "array", "counts"):
+        for name in ("sequential", "counts"):
             assert not engine_info(name).supports_jit
 
-    @pytest.mark.parametrize("engine", ["sequential", "array", "counts"])
+    @pytest.mark.parametrize("engine", ["sequential", "counts"])
     def test_make_engine_rejects_jit_on_unsupported_engines(self, engine):
         with pytest.raises(ConfigurationError, match="jit"):
             make_engine(engine, DynamicSizeCounting(), 1000, seed=1, jit=True)

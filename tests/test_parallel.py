@@ -270,7 +270,7 @@ def _counting_engine_factory(engine_name, rng, ensemble_trials):
 
 
 class TestRunEngineTrialsWorkers:
-    @pytest.mark.parametrize("engine", ["sequential", "array", "batched"])
+    @pytest.mark.parametrize("engine", ["sequential", "batched"])
     def test_looped_engines_sharded_equals_serial(self, engine):
         serial = run_engine_trials(
             _counting_engine_factory, engine=engine, trials=3, seed=5, parallel_time=5
@@ -304,7 +304,7 @@ class TestRunEngineTrialsWorkers:
         sink: list[ShardTiming] = []
         run_engine_trials(
             _counting_engine_factory,
-            engine="array",
+            engine="sequential",
             trials=5,
             seed=5,
             parallel_time=3,
@@ -317,7 +317,7 @@ class TestRunEngineTrialsWorkers:
     def test_workers_auto_accepted(self):
         series = run_engine_trials(
             _counting_engine_factory,
-            engine="array",
+            engine="sequential",
             trials=2,
             seed=5,
             parallel_time=3,

@@ -41,7 +41,7 @@ TRIALS = 18
 PARALLEL_TIME = 10
 SEED = 20240726
 
-ENGINES = ("sequential", "array", "batched", "ensemble")
+ENGINES = ("sequential", "batched", "ensemble")
 WORKER_COUNTS = (1, 2, 4)
 
 
@@ -89,7 +89,7 @@ def test_per_trial_trajectories_match_golden(golden, engine, workers):
     assert series == golden[engine]
 
 
-@pytest.mark.parametrize("engine", ["sequential", "array", "batched"])
+@pytest.mark.parametrize("engine", ["sequential", "batched"])
 def test_serial_path_matches_golden_for_looped_engines(golden, engine):
     """workers=None (the historical serial loop) shares the per-trial
     streams with the sharded path, so it pins to the same golden."""

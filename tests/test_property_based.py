@@ -218,7 +218,7 @@ class TestParallelExecutionProperties:
         times, out-of-order times — the population never drops below two
         agents at any snapshot."""
         engine = make_engine(
-            "array",
+            "batched",
             DynamicSizeCounting(),
             30,
             seed=seed,

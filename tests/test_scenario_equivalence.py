@@ -5,7 +5,7 @@ implementation of the nine ``run_*`` experiment runners (the ad-hoc trial
 loops), under tiny deterministic presets.  These tests assert that the
 declarative specs running through ``run_scenario`` reproduce those outputs
 *bit-identically* — rows, series, description and the legacy metadata keys —
-for the default engines and for explicit sequential/array/ensemble runs.
+for the default engines and for explicit sequential/ensemble runs.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ CASES = {
         {},
     ),
     "fig2_sequential": (run_fig2, _preset((60,), 40, 2, 9), {"engine": "sequential"}),
-    "fig2_array": (run_fig2, _preset((60,), 40, 2, 9), {"engine": "array"}),
     "fig4_ensemble": (
         run_fig4,
         _preset((120,), 80, 3, 11, drop_time=30, keep=20),

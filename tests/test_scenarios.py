@@ -101,9 +101,13 @@ class TestScenarioPoint:
 
 
 class TestScenarioSpec:
-    def test_rejects_unknown_engines(self):
+    # "array" names the removed exact array engine.
+    @pytest.mark.parametrize(
+        "engines", (("warp",), ("sequential", "array")), ids=("warp", "array")
+    )
+    def test_rejects_unknown_engines(self, engines):
         with pytest.raises(ConfigurationError):
-            make_spec(engines=("warp",))
+            make_spec(engines=engines)
 
     def test_rejects_pinned_engine_outside_supported(self):
         with pytest.raises(ConfigurationError):
@@ -205,10 +209,12 @@ class TestRunScenario:
         assert "n_80" in result.series
         assert result.metadata["scenario"] == "test_spec"
 
-    def test_auto_engine_selection_small_n_is_exact(self):
-        # n=80 <= SMALL_POPULATION_THRESHOLD: auto picks the exact array engine.
+    def test_auto_engine_selection_small_n_uses_the_stacked_engines(self):
+        # n=80 has no tier of its own: 2 trials -> ensemble, 1 -> batched.
         result = run_scenario(make_spec(), preset=tiny_preset())
-        assert result.metadata["engine"] == "array"
+        assert result.metadata["engine"] == "ensemble"
+        single = run_scenario(make_spec(), preset=tiny_preset(trials=1))
+        assert single.metadata["engine"] == "batched"
 
     def test_auto_engine_selection_large_n_multi_trial_is_ensemble(self):
         result = run_scenario(
@@ -223,14 +229,15 @@ class TestRunScenario:
         auto = run_scenario(
             spec, preset=tiny_preset(), options=ExecutionOptions(engine="auto")
         )
-        assert auto.metadata["engine"] == "array"
+        assert auto.metadata["engine"] == "ensemble"
 
-    def test_unknown_engine_rejected_before_work(self):
+    @pytest.mark.parametrize("unknown", ("warp", "array"))
+    def test_unknown_engine_rejected_before_work(self, unknown):
         with pytest.raises(ConfigurationError) as excinfo:
             run_scenario(
                 make_spec(),
                 preset=tiny_preset(),
-                options=ExecutionOptions(engine="warp"),
+                options=ExecutionOptions(engine=unknown),
             )
         assert "auto" in str(excinfo.value)
 
@@ -526,7 +533,7 @@ class TestCatalogScenarios:
         assert by_time[100.0] == 30  # low phase after the third flip at t=90
         assert by_time[70.0] == 300  # back at full size after the second flip
 
-    @pytest.mark.parametrize("engine", ("sequential", "array", "batched"))
+    @pytest.mark.parametrize("engine", ("sequential", "batched"))
     def test_catalog_scenarios_run_on_explicit_engines(self, engine):
         preset = tiny_preset(
             population_sizes=(60,), parallel_time=40, trials=1, extra={"period": 10}

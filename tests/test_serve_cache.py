@@ -28,7 +28,7 @@ def tiny_result(tag: str = "one", *, pad: int = 0) -> ExperimentResult:
         description=f"tiny result {tag}",
         rows=rows,
         series={"main": {"t": [0.0, 1.0], "v": [1.0, 2.0]}},
-        metadata={"preset": "tiny", "engine": "array"},
+        metadata={"preset": "tiny", "engine": "batched"},
     )
 
 

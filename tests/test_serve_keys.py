@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.engine.errors import ConfigurationError
 from repro.engine.parallel import resolve_workers
 from repro.experiments.base import ExperimentPreset
+from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec, SweepSpec, canonical_json
 from repro.serve.keys import (
     canonical_cache_key,
@@ -275,7 +276,7 @@ class TestGoldenPins:
             "sweep",
             "workers",
         ]
-        assert encoding["schema"] == 4
+        assert encoding["schema"] == 5
         assert sorted(encoding["preset"]) == [
             "extra",
             "name",
@@ -284,3 +285,19 @@ class TestGoldenPins:
             "seed",
             "trials",
         ]
+
+    def test_small_auto_point_changed_rows_under_a_new_schema(self):
+        """An auto point at n <= 128 now runs on a stacked engine.
+
+        With ``engines=("batched", "ensemble")`` and no pin, an n = 80,
+        3-trial point used to resolve to ``batched`` (the small tier's
+        ``"array"`` was not listed, so the runner fell back to the first
+        engine); it now resolves to ``ensemble``.  The request, and so
+        every other field of its key, is unchanged while its rows are not,
+        which is what the schema bump to 5 records.
+        """
+        spec = make_spec(engines=("batched", "ensemble"))
+        preset = make_preset(population_sizes=(80,), parallel_time=20, trials=3)
+        result = run_scenario(spec, preset=preset)
+        assert result.metadata["execution"]["engine"] == "ensemble"
+        assert run_encoding(spec, preset)["schema"] == 5

@@ -34,7 +34,7 @@ def tiny_result(tag: str = "fake") -> ExperimentResult:
         experiment="fig2",
         description=f"fake result {tag}",
         rows=[{"n": 64, "estimate": 6.0}],
-        metadata={"preset": "quick", "engine": "array"},
+        metadata={"preset": "quick", "engine": "batched"},
     )
 
 
@@ -92,10 +92,13 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             service.submit(request(effort="heroic"))
 
-    def test_unknown_engine(self, tmp_path):
-        service, _ = make_service(tmp_path)
+    # "array" names the removed exact array engine.
+    @pytest.mark.parametrize("unknown", ("warp", "array"))
+    def test_unknown_engine(self, tmp_path, unknown):
+        service, recorder = make_service(tmp_path)
         with pytest.raises(ConfigurationError):
-            service.submit(request(engine="warp"))
+            service.submit(request(engine=unknown))
+        assert recorder.calls == []
 
     def test_unsupported_engine(self, tmp_path):
         service, _ = make_service(tmp_path)
@@ -340,7 +343,8 @@ class TestIntrospection:
             health = service.health()
             assert health["status"] == "ok"
             names = {engine["name"] for engine in health["engines"]}
-            assert {"sequential", "array", "batched", "ensemble", "counts"} <= names
+            assert {"sequential", "batched", "ensemble", "counts"} <= names
+            assert "array" not in names
             for engine in health["engines"]:
                 assert "supports_jit" in engine and "builder" not in engine
             assert set(health["queue"]) >= {"pending", "running", "done", "failed"}

@@ -1,8 +1,8 @@
 """Statistical-conformance battery across engines and execution modes.
 
 The engines deliberately differ in *mechanism* — exact sequential
-interleaving, exact struct-of-arrays, synchronous-rounds batching, stacked
-ensembles, sharded stacks — but they all simulate the same stochastic
+interleaving, synchronous-rounds batching, stacked ensembles, sharded
+stacks, count vectors — but they all simulate the same stochastic
 process, so the *distributions* of the quantities the paper reports must
 agree.  This module checks two of them on a small counting workload:
 
@@ -10,21 +10,27 @@ agree.  This module checks two of them on a small counting workload:
   is within tolerance of ``log2 n`` (horizon sentinel if never), and
 * **estimate error** — ``|median estimate - log2 n|`` at the horizon,
 
-across sequential vs array vs batched vs ensemble vs counts engines, and
+across sequential vs batched vs ensemble vs counts engines, with the
+exact sequential engine as the reference for the other three, and
 across ``workers=1`` vs ``workers>1`` and the sharded vs single-stack
-ensemble paths.  A second battery checks the counts engine against the
-batched engine on every protocol that ships a counts kernel (epidemics,
-junta election, approximate majority), on a population-drop workload, and
-for its count-vector invariants (non-negative, sums to the population
-size).
+ensemble paths.  The same comparison runs again at both ends of the
+small-population range (n = 10 and n = 128), which has no engine tier of
+its own and runs on ``batched`` or ``ensemble`` unless pinned.  A second
+battery checks every protocol that ships a counts kernel (epidemics,
+junta election, approximate majority): the counts engine against the
+batched engine, and the exact sequential engine (the scalar ``interact``
+rules) against each stacked engine.  The counts engine is also checked on
+a population-drop workload and for its count-vector invariants
+(non-negative, sums to the population size).
 
 Every run is fully seeded, so the sample sets — and therefore the test
 verdicts — are deterministic: there is no flakiness to tolerate, and the
 generous significance level (``ALPHA = 1e-3``) only documents how big a
 disagreement would have to be before we call the engines statistically
 inconsistent.  The engines use *distinct* base seeds on purpose: with a
-shared seed the exact engines are trajectory-identical and the comparison
-would be vacuous; distinct seeds make this an honest two-sample test.
+shared seed two runs of one mechanism could be trajectory-identical and
+the comparison would be vacuous; distinct seeds make this an honest
+two-sample test.
 
 The KS and chi-square machinery is implemented on plain NumPy (no SciPy
 dependency) in :mod:`repro.analysis.stats` — it is shared with the
@@ -35,6 +41,7 @@ cross-engine property on generated workloads at runtime.
 from __future__ import annotations
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -47,9 +54,13 @@ from repro.analysis.stats import (
 )
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.vectorized import VectorizedDynamicCounting
+from repro.engine.population import Population
 from repro.engine.registry import make_engine
 from repro.engine.rng import RandomSource
 from repro.engine.runner import run_engine_trials
+from repro.protocols.epidemic import InfectionEpidemic, MaxEpidemic
+from repro.protocols.junta import JuntaElection
+from repro.protocols.majority import ApproximateMajority
 from repro.protocols.vectorized import (
     VectorizedApproximateMajority,
     VectorizedInfectionEpidemic,
@@ -99,7 +110,6 @@ NEVER = float(PARALLEL_TIME + 10)
 #: compare the sharded row-shard path against the single-stack pass.
 SAMPLES = {
     "sequential": ("sequential", 101, None),
-    "array": ("array", 202, None),
     "batched": ("batched", 303, None),
     "ensemble": ("ensemble", 404, 2),
     "ensemble-single-stack": ("ensemble", 505, None),
@@ -118,8 +128,8 @@ def _factory(engine_name, rng, ensemble_trials):
     )
 
 
-def _convergence_times(series_list) -> np.ndarray:
-    log_n = math.log2(N)
+def _convergence_times(series_list, n: int = N) -> np.ndarray:
+    log_n = math.log2(n)
     times = []
     for series in series_list:
         time = next(
@@ -134,8 +144,8 @@ def _convergence_times(series_list) -> np.ndarray:
     return np.array(times)
 
 
-def _estimate_errors(series_list) -> np.ndarray:
-    log_n = math.log2(N)
+def _estimate_errors(series_list, n: int = N) -> np.ndarray:
+    log_n = math.log2(n)
     return np.array([abs(series["median"][-1] - log_n) for series in series_list])
 
 
@@ -160,10 +170,8 @@ def samples() -> dict[str, dict[str, np.ndarray]]:
 
 
 _PAIRS = [
-    ("sequential", "array"),
     ("sequential", "batched"),
     ("sequential", "ensemble"),
-    ("array", "ensemble"),
     ("batched", "ensemble"),
     ("ensemble", "ensemble-single-stack"),
     ("sequential", "counts"),
@@ -210,7 +218,7 @@ class TestWorkerCountConformance:
     the sharded layer is bit-deterministic, so the samples are *equal*."""
 
     @pytest.mark.parametrize(
-        "engine", ["sequential", "array", "batched", "ensemble", "counts"]
+        "engine", ["sequential", "batched", "ensemble", "counts"]
     )
     def test_worker_counts_yield_identical_samples(self, engine):
         series_by_workers = {
@@ -231,6 +239,69 @@ class TestWorkerCountConformance:
         ea = _estimate_errors(series_by_workers[1])
         eb = _estimate_errors(series_by_workers[3])
         assert ea.tolist() == eb.tolist()
+
+
+# ------------------------------------------------- small populations
+
+#: Both ends of the auto-selection range below the counts threshold that has
+#: no tier of its own: an auto point there runs on ``batched`` (one trial)
+#: or ``ensemble`` (several), so both must match the exact engine there too.
+SMALL_SIZES = (10, 128)
+
+#: (engine) -> base seed; distinct from every seed of the main battery.
+SMALL_SEEDS = {"sequential": 111, "batched": 313, "ensemble": 414}
+
+
+def _small_factory(engine_name, rng, ensemble_trials, *, n):
+    return make_engine(
+        engine_name,
+        DynamicSizeCounting(),
+        n,
+        rng=rng,
+        trials=ensemble_trials if engine_name == "ensemble" else None,
+    )
+
+
+@pytest.fixture(scope="module", params=SMALL_SIZES, ids=lambda n: f"n{n}")
+def small_samples(request) -> tuple[int, dict[str, dict[str, np.ndarray]]]:
+    """Seeded samples of the main battery's statistics at one small size."""
+    n = request.param
+    out = {}
+    for engine, seed in SMALL_SEEDS.items():
+        series = run_engine_trials(
+            partial(_small_factory, n=n),
+            engine=engine,
+            trials=TRIALS,
+            seed=seed,
+            parallel_time=PARALLEL_TIME,
+        )
+        out[engine] = {
+            "convergence": _convergence_times(series, n),
+            "error": _estimate_errors(series, n),
+        }
+    return n, out
+
+
+class TestSmallPopulationConformance:
+    @pytest.mark.parametrize("engine", ("batched", "ensemble"))
+    def test_convergence_times_agree_ks(self, small_samples, engine):
+        n, samples = small_samples
+        d = ks_statistic(
+            samples["sequential"]["convergence"], samples[engine]["convergence"]
+        )
+        assert d <= ks_critical(TRIALS, TRIALS, ALPHA), (
+            f"n={n}: convergence-time distributions diverge: sequential vs "
+            f"{engine}, D={d:.3f}"
+        )
+
+    @pytest.mark.parametrize("engine", ("batched", "ensemble"))
+    def test_estimate_errors_agree_ks(self, small_samples, engine):
+        n, samples = small_samples
+        d = ks_statistic(samples["sequential"]["error"], samples[engine]["error"])
+        assert d <= ks_critical(TRIALS, TRIALS, ALPHA), (
+            f"n={n}: estimate-error distributions diverge: sequential vs "
+            f"{engine}, D={d:.3f}"
+        )
 
 
 # ------------------------------- counts kernels across toolbox protocols
@@ -305,6 +376,46 @@ def _counts_battery_factory(engine_name, rng, ensemble_trials, *, key):
     )
 
 
+class _CodedMajority(ApproximateMajority):
+    """Scalar majority whose output is the vectorised opinion code, so the
+    sequential engine's snapshots carry the numeric min/median/max the
+    battery statistic reads."""
+
+    def output(self, state):
+        return VectorizedApproximateMajority.CODES[state]
+
+
+def _sequential_battery_factory(engine_name, rng, ensemble_trials, *, key):
+    """The battery workload on the scalar rules, as a seeded ``Population``."""
+    rest = COUNTS_N - 1
+    if key == "max-epidemic":
+        protocol = MaxEpidemic(initial_value=0, one_way=True)
+        population = Population([5] + [0] * rest)
+    elif key == "infection":
+        protocol = InfectionEpidemic(one_way=False)
+        population = Population([1] + [0] * rest)
+    elif key == "majority":
+        protocol = _CodedMajority()
+        population = Population([ApproximateMajority.A] * 60 + [ApproximateMajority.B] * 36)
+    else:
+        raise KeyError(key)
+    return make_engine(engine_name, protocol, population, rng=rng)
+
+
+def _battery_samples(key, engine, seed, statistic=_counts_battery_statistic):
+    factory = (
+        _sequential_battery_factory if engine == "sequential" else _counts_battery_factory
+    )
+    series = run_engine_trials(
+        partial(factory, key=key),
+        engine=engine,
+        trials=COUNTS_TRIALS,
+        seed=seed,
+        parallel_time=COUNTS_HORIZON,
+    )
+    return np.array([statistic(key, s) for s in series])
+
+
 class TestCountsKernelProtocolConformance:
     """Counts engine vs batched engine on every counts-kernel protocol.
 
@@ -312,22 +423,10 @@ class TestCountsKernelProtocolConformance:
     seeds per engine, fully deterministic samples, KS at ``ALPHA``.
     """
 
-    def _samples(self, key, engine, seed):
-        from functools import partial
-
-        series = run_engine_trials(
-            partial(_counts_battery_factory, key=key),
-            engine=engine,
-            trials=COUNTS_TRIALS,
-            seed=seed,
-            parallel_time=COUNTS_HORIZON,
-        )
-        return np.array([_counts_battery_statistic(key, s) for s in series])
-
     @pytest.mark.parametrize("key", COUNTS_PROTOCOLS)
     def test_counts_matches_batched(self, key):
-        counts = self._samples(key, "counts", 1600)
-        batched = self._samples(key, "batched", 1700)
+        counts = _battery_samples(key, "counts", 1600)
+        batched = _battery_samples(key, "batched", 1700)
         d = ks_statistic(counts, batched)
         assert d <= ks_critical(COUNTS_TRIALS, COUNTS_TRIALS, ALPHA), (
             f"{key}: counts vs batched diverge, D={d:.3f}"
@@ -337,8 +436,96 @@ class TestCountsKernelProtocolConformance:
     def test_battery_statistic_is_informative(self, key):
         """Sanity anchor: the compared statistic actually fires (it is not a
         column of NEVER sentinels) on the counts engine."""
-        counts = self._samples(key, "counts", 1600)
+        counts = _battery_samples(key, "counts", 1600)
         assert (counts < COUNTS_NEVER).mean() >= 0.5
+
+
+#: Base seeds for the sequential-reference battery, distinct from the
+#: counts battery's.
+REFERENCE_SEEDS = {"sequential": 2000, "batched": 2100, "ensemble": 2200, "counts": 2300}
+
+#: Protocols whose battery workload has an informative snapshot statistic
+#: (a spread of values across seeded trials).  Junta membership has none —
+#: some agent is a member from the first snapshot on — so the junta is
+#: compared on the top level reached instead.
+REFERENCE_PROTOCOLS = ("max-epidemic", "infection", "majority")
+
+
+def _reference_statistic(key, series):
+    """Time to full spread (epidemics) or to consensus on A (majority)."""
+    if key == "majority":
+        lows = zip(series["parallel_time"], series["minimum"])
+        return float(next((t for t, lo in lows if lo >= 1.0), COUNTS_NEVER))
+    return _counts_battery_statistic(key, series)
+
+
+def _reference_samples(key, engine):
+    return _battery_samples(key, engine, REFERENCE_SEEDS[engine], _reference_statistic)
+
+
+def _junta_top_levels(engine: str) -> np.ndarray:
+    """Highest coin level any agent reached by the horizon, per trial."""
+    seed, protocol = REFERENCE_SEEDS[engine], JuntaElection(max_level=20)
+    if engine == "ensemble":
+        stack = make_engine(engine, protocol, COUNTS_N, seed=seed, trials=COUNTS_TRIALS)
+        stack.run(COUNTS_HORIZON)
+        return stack.arrays["level"].max(axis=1).astype(float)
+    tops = []
+    for trial in range(COUNTS_TRIALS):
+        single = make_engine(engine, protocol, COUNTS_N, seed=seed + trial)
+        single.run(COUNTS_HORIZON)
+        if engine == "sequential":
+            tops.append(max(state.level for state in single.population.states()))
+        elif engine == "counts":
+            occupied = single.state.counts > 0
+            tops.append(single.state.columns["level"][occupied].max())
+        else:
+            tops.append(single.arrays["level"].max())
+    return np.array(tops, dtype=float)
+
+
+@pytest.fixture(scope="module")
+def sequential_reference() -> dict[str, np.ndarray]:
+    """The battery statistics on the exact engine (seeded)."""
+    reference = {key: _reference_samples(key, "sequential") for key in REFERENCE_PROTOCOLS}
+    reference["junta"] = _junta_top_levels("sequential")
+    return reference
+
+
+def _assert_matches_reference(exact, other, label):
+    assert len(set(exact.tolist())) >= 3, f"{label}: the statistic has no spread"
+    d = ks_statistic(exact, other)
+    assert d <= ks_critical(COUNTS_TRIALS, COUNTS_TRIALS, ALPHA), (
+        f"{label} diverge, D={d:.3f}"
+    )
+
+
+class TestSequentialReferenceAcrossProtocols:
+    """The exact engine against every stacked engine on the toolbox protocols.
+
+    The sequential engine applies the scalar ``interact`` rules one ordered
+    pair at a time, so it is the reference the vectorised and counts kernels
+    must match in distribution, on the counts battery's workload and at its
+    KS level.
+    """
+
+    @pytest.mark.parametrize("engine", ("batched", "ensemble", "counts"))
+    @pytest.mark.parametrize("key", REFERENCE_PROTOCOLS)
+    def test_engine_matches_sequential(self, sequential_reference, key, engine):
+        _assert_matches_reference(
+            sequential_reference[key],
+            _reference_samples(key, engine),
+            f"{key}: sequential vs {engine}",
+        )
+
+    @pytest.mark.parametrize("engine", ("batched", "ensemble", "counts"))
+    def test_junta_top_level_matches_sequential(self, sequential_reference, engine):
+        """The coin draws: the maximum of ``n`` geometric climbs."""
+        _assert_matches_reference(
+            sequential_reference["junta"],
+            _junta_top_levels(engine),
+            f"junta top level: sequential vs {engine}",
+        )
 
 
 class TestCountsResizeConformance:
