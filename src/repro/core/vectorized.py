@@ -30,13 +30,31 @@ from repro.engine.batch_engine import (
 )
 from repro.engine.rng import RandomSource
 
-__all__ = ["VectorizedDynamicCounting"]
+__all__ = ["VectorizedDynamicCounting", "tally_resets"]
 
 #: Conservative bound on any value the inverse-CDF GRV sampler can return
 #: (float64 uniforms cap its support around 60; doubled for headroom).  Used
 #: to decide whether float32 state planes can represent every countdown
 #: value exactly.
 _GRV_VALUE_CAP = 128.0
+
+
+def tally_resets(resets: np.ndarray, slots: np.ndarray) -> None:
+    """Add one tick to each distinct flat slot of the ``(trials, n)`` ``resets`` plane.
+
+    ``slots`` are the flat coordinates (``trial * n + slot``) of one
+    batch's resetting initiators.  Duplicate initiators of a batch resolve
+    to a single surviving state, so they are one reset.  Sparse reset sets
+    dedupe through ``np.unique``; dense ones (the warm-up storm) through a
+    flag plane.
+    """
+    resets_flat = flat_state_view(resets)
+    if slots.size * 8 < resets_flat.size:
+        np.add.at(resets_flat, np.unique(slots), 1)
+    else:
+        flags = np.zeros(resets_flat.size, dtype=bool)
+        flags[slots] = True
+        resets_flat += flags
 
 
 class VectorizedDynamicCounting(VectorizedProtocol):
@@ -148,7 +166,15 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         The kernel is tuned for the stacked hot loop:
 
         * flat-coordinate gathers/scatters (``trial * n + slot``) instead
-          of broadcast 2-D fancy indexing;
+          of broadcast 2-D fancy indexing, with the coordinates already in
+          ``np.intp`` (:func:`~repro.engine.batch_engine.flat_pair_indices`)
+          so no gather or scatter casts its index;
+        * NumPy's direct call paths, which cut the fixed cost per call that
+          dominates small stacks: ndarray methods (``plane.take``,
+          ``mask.nonzero()[0]``) rather than the ``np.take`` /
+          ``np.flatnonzero`` wrappers, and ``np.where`` over a full-width
+          maximum rather than the masked-ufunc (``where=``) path for the
+          shared trailing maximum;
         * the rare branches — resets, backup GRVs, maximum adoption — are
           applied on compressed lane indices and the phase threshold
           ``tau2 * scale`` is patched at those lanes instead of being
@@ -177,13 +203,13 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         dtype = max_flat.dtype
 
         # Snapshot of both participants at the start of the sub-batch.
-        u_max = np.take(max_flat, flat_u)
-        u_last = np.take(last_flat, flat_u)
-        u_time = np.take(time_flat, flat_u)
-        u_inter = np.take(inter_flat, flat_u)
-        v_max = np.take(max_flat, flat_v)
-        v_last = np.take(last_flat, flat_v)
-        v_time = np.take(time_flat, flat_v)
+        u_max = max_flat.take(flat_u)
+        u_last = last_flat.take(flat_u)
+        u_time = time_flat.take(flat_u)
+        u_inter = inter_flat.take(flat_u)
+        v_max = max_flat.take(flat_v)
+        v_last = last_flat.take(flat_v)
+        v_time = time_flat.take(flat_v)
 
         v_scale = np.maximum(v_max, v_last)
         v_exchange = v_time >= tau2 * v_scale
@@ -203,7 +229,7 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         holding = u_time < u_t2
         holding &= u_max != v_max
         reset |= holding
-        reset_lanes = np.flatnonzero(reset)
+        reset_lanes = reset.nonzero()[0]
         if reset_lanes.size:
             fresh = (over * rng.geometric_max_lanes(grv_k, reset_lanes, width)).astype(
                 dtype, copy=False
@@ -218,7 +244,7 @@ class VectorizedDynamicCounting(VectorizedProtocol):
 
         # Lines 7-10: backup GRV generation (rare).  The threshold
         # tau' * scale is tau' / tau2 times the maintained u_t2.
-        backup_lanes = np.flatnonzero(u_inter > (params.tau_prime / tau2) * u_t2)
+        backup_lanes = (u_inter > (params.tau_prime / tau2) * u_t2).nonzero()[0]
         if backup_lanes.size:
             backup = rng.geometric_max_lanes(grv_k, backup_lanes, width)
             u_inter[backup_lanes] = 0
@@ -234,7 +260,7 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         exchange = u_time >= u_t2
         adopt = exchange & v_exchange
         adopt &= u_max < v_max
-        adopt_lanes = np.flatnonzero(adopt)
+        adopt_lanes = adopt.nonzero()[0]
         if adopt_lanes.size:
             adopted = v_max[adopt_lanes]
             new_last = v_last[adopt_lanes]
@@ -251,7 +277,7 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         exchange &= v_reset_phase
         np.logical_not(exchange, out=exchange)
         share &= exchange
-        np.maximum(u_last, v_last, out=u_last, where=share)
+        u_last = np.where(share, np.maximum(u_last, v_last), u_last)
 
         # Line 15: CHVP countdown plus the interaction counter.
         np.maximum(u_time, v_time, out=u_time)
@@ -264,19 +290,8 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         time_flat[flat_u] = u_time
         inter_flat[flat_u] = u_inter
 
-        # Count effective resets once per (trial, agent) slot: duplicate
-        # initiators of one batch resolve to a single surviving state, so
-        # they are one reset.  Sparse reset sets dedupe through np.unique;
-        # dense ones (the warm-up storm) through a flag plane.
         if reset_lanes.size:
-            slots = flat_u[reset_lanes]
-            resets_flat = flat_state_view(arrays["resets"])
-            if slots.size * 8 < resets_flat.size:
-                np.add.at(resets_flat, np.unique(slots), 1)
-            else:
-                flags = np.zeros(resets_flat.size, dtype=bool)
-                flags[slots] = True
-                resets_flat += flags
+            tally_resets(arrays["resets"], flat_u[reset_lanes])
 
     # ---------------------------------------------------------------- outputs
 

@@ -72,8 +72,14 @@ def flat_pair_indices(
     fancy indexing visits the lanes in — so last-writer-wins scatters and
     ``np.maximum.at`` merges resolve exactly as they would on the 2-D
     planes.
+
+    Both results are ``np.intp`` for int32 or int64 pair matrices: the
+    row offsets are built in NumPy's native index type, so the kernels'
+    gathers and scatters index without a per-call cast, and a stack of
+    ``rows * n >= 2**31`` slots cannot wrap int32 coordinates to negative
+    (which ``take`` would silently read from the end of the plane).
     """
-    offsets = (np.arange(initiators.shape[0], dtype=initiators.dtype) * n)[:, None]
+    offsets = np.arange(0, initiators.shape[0] * n, n, dtype=np.intp)[:, None]
     return np.add(initiators, offsets).ravel(), np.add(responders, offsets).ravel()
 
 

@@ -41,8 +41,7 @@ from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from repro.core.vectorized import VectorizedDynamicCounting
-from repro.engine.batch_engine import flat_state_view
+from repro.core.vectorized import VectorizedDynamicCounting, tally_resets
 from repro.kernels.availability import availability
 from repro.protocols.vectorized import (
     VectorizedApproximateMajority,
@@ -605,15 +604,7 @@ class JitVectorizedDynamicCounting(_PooledMixin, VectorizedDynamicCounting):
             v_max, v_last, v_time, v_exchange, v_reset_phase,
             backup_mask, backup_raw, boosted_vals, tau1, tau2, one,
         )
-        # Count effective resets once per (trial, agent) slot — the same
-        # dedup strategy switch as the NumPy kernel.
         if reset_count:
             rows, cols = np.nonzero(reset_mask.reshape(trials, -1))
             slots = rows * n + initiators[rows, cols].astype(np.int64, copy=False)
-            resets_flat = flat_state_view(arrays["resets"])
-            if slots.size * 8 < resets_flat.size:
-                np.add.at(resets_flat, np.unique(slots), 1)
-            else:
-                flags = np.zeros(resets_flat.size, dtype=bool)
-                flags[slots] = True
-                resets_flat += flags
+            tally_resets(arrays["resets"], slots)

@@ -294,7 +294,14 @@ class TestEnsembleKernels:
         u, v = flat_pair_indices(initiators, responders, 3)
         assert u.tolist() == [0, 2, 4, 4]
         assert v.tolist() == [1, 0, 5, 3]
-        assert u.dtype == v.dtype == np.int32
+        assert u.dtype == v.dtype == np.intp
+
+    def test_flat_pair_indices_do_not_wrap_past_int32(self):
+        """int32 pair matrices over ``rows * n >= 2**31`` slots stay non-negative."""
+        zeros = np.zeros((3, 1), dtype=np.int32)
+        u, v = flat_pair_indices(zeros, zeros + 1, 2**30)
+        assert u.tolist() == [0, 2**30, 2**31]
+        assert v.tolist() == [1, 2**30 + 1, 2**31 + 1]
 
     def test_every_registered_protocol_runs_on_ensemble(self):
         for protocol in (MaxEpidemic(initial_value=1), ApproximateMajority("A")):

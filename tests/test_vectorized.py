@@ -11,6 +11,7 @@ from repro.core.params import empirical_parameters, theory_parameters
 from repro.core.vectorized import VectorizedDynamicCounting
 from repro.engine.registry import make_engine
 from repro.engine.rng import RandomSource
+from repro.kernels.jit import JitVectorizedDynamicCounting, python_kernels, use_kernel_table
 
 
 @pytest.fixture
@@ -128,6 +129,64 @@ class TestBatchTransition:
         protocol.interact_batch(arrays, np.array([], dtype=int), np.array([], dtype=int), rng)
         for key in arrays:
             assert np.array_equal(arrays[key], snapshot[key])
+
+
+class TestResetTally:
+    """The ``resets`` plane gains one tick per distinct (row, slot) that resets.
+
+    A hand-built two-row stack in the exchange phase (``time = tau1 *
+    max``), where only the agents with ``time <= 0`` reset.  Initiators
+    repeat within the sub-batch, resetting ones included, and slot 3
+    resets in both rows.  The sparse case takes the ``np.unique`` branch of
+    the tally, the dense one (every lane resets) the flag-plane branch.
+    """
+
+    CASES = {
+        "sparse": (
+            64,
+            [[3, 5], [3]],
+            [[3, 3, 5, 7, 3, 9, 11, 13], [3, 20, 3, 21, 22, 23, 24, 25]],
+        ),
+        "dense": (
+            8,
+            [list(range(8)), list(range(8))],
+            [[0, 0, 1, 2, 2, 2, 5, 7], [1, 1, 1, 3, 4, 4, 6, 6]],
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("kernel", ["numpy", "jit-interpreted"])
+    def test_each_resetting_slot_ticks_once(self, kernel, case):
+        n, zero_time, initiators = self.CASES[case]
+        initiators = np.array(initiators)
+        responders = (initiators + 1) % n
+        arrays = {
+            "max": np.full((2, n), 10, dtype=np.float32),
+            "last_max": np.full((2, n), 10, dtype=np.float32),
+            "time": np.full((2, n), 60, dtype=np.float32),
+            "interactions": np.zeros((2, n), dtype=np.int32),
+            "resets": np.tile(np.arange(n, dtype=np.int64), (2, 1)),
+        }
+        for row, slots in enumerate(zero_time):
+            arrays["time"][row, slots] = 0
+        resetting = [[u for u in row if u in zero] for row, zero in zip(initiators, zero_time)]
+        lanes = sum(len(row) for row in resetting)
+        assert (lanes * 8 < 2 * n) == (case == "sparse")
+        expected = arrays["resets"].copy()
+        for row, slots in enumerate(resetting):
+            expected[row, sorted(set(slots))] += 1
+
+        if kernel == "numpy":
+            VectorizedDynamicCounting().interact_ensemble(
+                arrays, initiators, responders, RandomSource.from_seed(1)
+            )
+        else:
+            with use_kernel_table(python_kernels()):
+                JitVectorizedDynamicCounting().interact_ensemble(
+                    arrays, initiators, responders, RandomSource.from_seed(1)
+                )
+
+        assert np.array_equal(arrays["resets"], expected)
 
 
 class TestBatchedConvergence:
