@@ -6,24 +6,37 @@ benchmark's ``extra_info`` so that the numbers appear in the pytest-benchmark
 JSON output alongside the timing.  Set the environment variable
 ``REPRO_BENCH_EFFORT=default`` (or ``paper``) to run the larger presets.
 
-The engine/parallel speedup modules are thin wrappers over the
-:mod:`repro.bench` subsystem instead: they time through
-:func:`repro.bench.timing.measure`, collect :class:`repro.bench.suite.CaseResult`
-rows via the :func:`suite_cases` fixture, and — when ``REPRO_BENCH_DIR`` is
-set — write one normalized, schema-versioned suite JSON per module
-(``BENCH_engines.json`` / ``BENCH_parallel.json``), the same format the
-``python -m repro.bench`` CLI produces.
+The engine, parallel, checkpoint, counts and jit modules assert speedup
+floors instead: they time with :func:`measure`, collect one plain dict per
+case through the :func:`suite_cases` fixture and, when ``REPRO_BENCH_DIR``
+is set, write them as JSON to one ``BENCH_*.json`` per module
+(``BENCH_engines.json``, ``BENCH_parallel.json``, ...).
 """
 
 from __future__ import annotations
 
+import json
 import os
+import time
 from pathlib import Path
+from typing import Any, Callable
 
 import pytest
 
-from repro.bench.suite import BenchSuite, CaseResult
-from repro.bench.timing import calibration_seconds
+
+def measure(fn: Callable[[], Any], *, warmup: int = 0, repeats: int = 1) -> list[float]:
+    """Run ``fn`` ``warmup`` times untimed, then ``repeats`` times timed.
+
+    Returns the timed samples in seconds, in execution order.
+    """
+    for _ in range(warmup):
+        fn()
+    samples = []
+    for _ in range(repeats):
+        started = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - started)
+    return samples
 
 
 @pytest.fixture(scope="session")
@@ -36,30 +49,24 @@ def effort() -> str:
 
 
 @pytest.fixture(scope="module")
-def suite_cases(request, effort) -> list[CaseResult]:
-    """Per-module collector of normalized benchmark cases.
+def suite_cases(request, effort) -> list[dict[str, Any]]:
+    """Per-module collector of benchmark cases, one plain dict each.
 
-    Tests append :class:`CaseResult` rows; at module teardown the collected
-    cases are written as one :class:`BenchSuite` to
+    At module teardown the collected cases are written as JSON to
     ``$REPRO_BENCH_DIR/<module's BENCH_SUITE_FILENAME>`` when that
     environment variable is set (the CI bench job sets it to upload the
-    suites as artifacts).  Without it the cases are simply discarded — the
+    files as artifacts).  Without it the cases are simply discarded — the
     assertions in the tests themselves are the point of a plain pytest run.
     """
-    cases: list[CaseResult] = []
+    cases: list[dict[str, Any]] = []
     yield cases
     out_dir = os.environ.get("REPRO_BENCH_DIR")
     filename = getattr(request.module, "BENCH_SUITE_FILENAME", None)
     if not out_dir or filename is None or not cases:
         return
-    suite = BenchSuite(
-        cases=tuple(cases),
-        effort=effort,
-        warmup=0,
-        repeats=1,
-        calibration_seconds=calibration_seconds(),
-    )
-    suite.save(Path(out_dir) / filename)
+    path = Path(out_dir) / filename
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps({"effort": effort, "cases": cases}, indent=2) + "\n")
 
 
 def run_experiment_benchmark(benchmark, runner, effort: str):

@@ -1,12 +1,10 @@
 """Checkpointing overhead benchmark for long-horizon runs.
 
-A thin wrapper over the :mod:`repro.bench` subsystem (timing via
-:func:`repro.bench.timing.measure`, normalized cases via the
-``suite_cases`` collector, written to ``$REPRO_BENCH_DIR/BENCH_checkpoint.json``
-when set) that times the same sharded workload twice — plain, and with
-shard checkpoints written at the default cadence — plus a third case
-resuming an already-finished run (the idempotent fast path, which must
-cost far less than recomputing).
+Times the same sharded workload twice — plain, and with shard
+checkpoints written at the default cadence — plus a third case resuming
+an already-finished run (the idempotent fast path, which must cost far
+less than recomputing).  Timing uses ``conftest.measure``; the cases go to
+``$REPRO_BENCH_DIR/BENCH_checkpoint.json`` when set.
 
 Checkpointing is only worth having if it is effectively free at a sane
 cadence: the <5% wall-clock overhead gate is asserted only in the
@@ -23,8 +21,8 @@ import shutil
 import tempfile
 from pathlib import Path
 
-from repro.bench.suite import CaseResult
-from repro.bench.timing import measure
+from conftest import measure
+
 from repro.experiments.figures import run_estimate_trace
 
 #: Suite file the ``suite_cases`` collector writes under ``REPRO_BENCH_DIR``.
@@ -95,16 +93,16 @@ def test_bench_checkpoint_overhead(suite_cases, effort):
     assert (checkpointed.minimum, checkpointed.median, checkpointed.maximum) == reference
     assert (resumed.minimum, resumed.median, resumed.maximum) == reference
 
-    overhead = ckpt_timing.minimum / plain_timing.minimum - 1.0
+    overhead = min(ckpt_timing) / min(plain_timing) - 1.0
     entry = {
         "n": n,
         "trials": trials,
         "parallel_time": parallel_time,
         "snapshot_every": snapshot_every,
         "checkpoint_every": checkpoint_every,
-        "plain_seconds": plain_timing.minimum,
-        "checkpointed_seconds": ckpt_timing.minimum,
-        "resume_finished_seconds": resume_timing.minimum,
+        "plain_seconds": min(plain_timing),
+        "checkpointed_seconds": min(ckpt_timing),
+        "resume_finished_seconds": min(resume_timing),
         "overhead_fraction": overhead,
     }
     work = n * parallel_time * trials
@@ -114,13 +112,13 @@ def test_bench_checkpoint_overhead(suite_cases, effort):
         ("resume-finished", resume_timing),
     ):
         suite_cases.append(
-            CaseResult(
+            dict(
                 case_id=f"checkpoint:{case}@{effort}",
                 scenario="checkpoint-overhead",
                 engine="sequential",
                 workers=1,
                 effort=effort,
-                seconds=(timing.minimum,),
+                seconds=[min(timing)],
                 work_interactions=work,
                 extra=entry,
             )
@@ -128,11 +126,11 @@ def test_bench_checkpoint_overhead(suite_cases, effort):
 
     # Functional runs only check that everything completed and was timed;
     # the wall-clock gate lives in the dedicated bench job.
-    assert plain_timing.minimum > 0 and ckpt_timing.minimum > 0
+    assert min(plain_timing) > 0 and min(ckpt_timing) > 0
 
     # Regression guard: at the default cadence, checkpointing must cost
     # under 5% wall-clock, and resuming a finished run must be much
     # cheaper than recomputing it.
     if os.environ.get("REPRO_BENCH_ASSERT"):
         assert overhead < MAX_OVERHEAD, entry
-        assert resume_timing.minimum < 0.5 * plain_timing.minimum, entry
+        assert min(resume_timing) < 0.5 * min(plain_timing), entry

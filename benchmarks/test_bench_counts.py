@@ -1,7 +1,7 @@
 """Counts-engine benchmarks: the O(|Q|^2)-per-step claim, measured.
 
-Two workloads, recorded as normalized :class:`repro.bench.suite.CaseResult`
-rows (written to ``$REPRO_BENCH_DIR/BENCH_counts.json`` when set):
+Two workloads, recorded as case dicts (written to
+``$REPRO_BENCH_DIR/BENCH_counts.json`` when set):
 
 * **speedup vs batched** — seconds per parallel-time step of the counts
   engine vs the batched engine on the dynamic-counting protocol at
@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import os
 
-from repro.bench.suite import CaseResult
-from repro.bench.timing import measure
+from conftest import measure
+
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.engine.registry import make_engine
 
@@ -70,8 +70,8 @@ def test_bench_counts_speedup_vs_batched(suite_cases, effort):
 
     batched_timing = measure(run_batched, warmup=0, repeats=1)
     counts_timing = measure(run_counts, warmup=0, repeats=1)
-    batched_per_step = batched_timing.minimum / batched_steps
-    counts_per_step = counts_timing.minimum / counts_steps
+    batched_per_step = min(batched_timing) / batched_steps
+    counts_per_step = min(counts_timing) / counts_steps
     speedup = batched_per_step / counts_per_step
 
     shared_extra = {
@@ -83,23 +83,23 @@ def test_bench_counts_speedup_vs_batched(suite_cases, effort):
         "per_step_speedup": speedup,
     }
     suite_cases.append(
-        CaseResult(
+        dict(
             case_id=f"counts-speedup[engine=batched,n={n}]@{effort}",
             scenario="counts-speedup",
             engine="batched",
             effort=effort,
-            seconds=(batched_timing.minimum,),
+            seconds=[min(batched_timing)],
             work_interactions=n * batched_steps,
             extra=shared_extra,
         )
     )
     suite_cases.append(
-        CaseResult(
+        dict(
             case_id=f"counts-speedup[engine=counts,n={n}]@{effort}",
             scenario="counts-speedup",
             engine="counts",
             effort=effort,
-            seconds=(counts_timing.minimum,),
+            seconds=[min(counts_timing)],
             work_interactions=n * counts_steps,
             extra=shared_extra,
         )
@@ -128,7 +128,7 @@ def test_bench_counts_per_step_flat_in_population_size(suite_cases, effort):
                 engine.step_parallel_round()
 
         timing = measure(steady, warmup=0, repeats=1)
-        per_step[n] = timing.minimum / FLATNESS_TIMED_STEPS
+        per_step[n] = min(timing) / FLATNESS_TIMED_STEPS
 
     small, huge = FLATNESS[effort]
     extra = {
@@ -139,12 +139,12 @@ def test_bench_counts_per_step_flat_in_population_size(suite_cases, effort):
         "timed_steps": FLATNESS_TIMED_STEPS,
     }
     suite_cases.append(
-        CaseResult(
+        dict(
             case_id=f"counts-flatness[n={small}..{huge}]@{effort}",
             scenario="counts-flatness",
             engine="counts",
             effort=effort,
-            seconds=(sum(per_step.values()) * FLATNESS_TIMED_STEPS,),
+            seconds=[sum(per_step.values()) * FLATNESS_TIMED_STEPS],
             work_interactions=(small + huge) * FLATNESS_TIMED_STEPS,
             extra=extra,
         )

@@ -1,13 +1,10 @@
 """Engine x protocol benchmark matrix (engineering, not in the paper).
 
-A thin wrapper over the :mod:`repro.bench` subsystem: every workload is
-timed through :func:`repro.bench.timing.measure` and recorded as a
-normalized :class:`repro.bench.suite.CaseResult` via the ``suite_cases``
-collector (written to ``$REPRO_BENCH_DIR/BENCH_engines.json`` when set —
-the same schema the ``python -m repro.bench`` CLI produces, so the files
-are comparable with ``repro.bench compare``).
+Every workload is timed with ``conftest.measure`` and recorded as one
+case dict via the ``suite_cases`` collector (written to
+``$REPRO_BENCH_DIR/BENCH_engines.json`` when set).
 
-Covered here, beyond the registry-derived scenario grid the CLI runs:
+Covered here:
 
 * the engine x protocol matrix — every registered engine (sequential /
   batched / ensemble / counts) on every protocol with a vectorised
@@ -27,9 +24,8 @@ from __future__ import annotations
 import os
 
 import pytest
+from conftest import measure
 
-from repro.bench.suite import CaseResult
-from repro.bench.timing import measure
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.engine.registry import ENGINE_NAMES, make_engine
 from repro.engine.rng import SeedTree
@@ -78,12 +74,12 @@ def test_bench_engine_matrix(suite_cases, effort, engine, protocol_name):
     timing = measure(sweep, warmup=0, repeats=1)
     assert interactions == sum(sizes) * PARALLEL_TIME
     suite_cases.append(
-        CaseResult(
+        dict(
             case_id=f"engine-matrix:{protocol_name}[engine={engine}]@{effort}",
             scenario=f"engine-matrix:{protocol_name}",
             engine=engine,
             effort=effort,
-            seconds=timing.seconds,
+            seconds=timing,
             work_interactions=interactions,
             extra={
                 "population_sizes": list(sizes),
@@ -110,12 +106,12 @@ def test_bench_batched_engine_at_scale(suite_cases, effort):
     timing = measure(run, warmup=0, repeats=1)
     assert interactions == n * parallel_time
     suite_cases.append(
-        CaseResult(
+        dict(
             case_id=f"batched-at-scale[n={n}]@{effort}",
             scenario="batched-at-scale",
             engine="batched",
             effort=effort,
-            seconds=timing.seconds,
+            seconds=timing,
             work_interactions=interactions,
             extra={"population_size": n, "parallel_time": parallel_time},
         )
@@ -162,19 +158,23 @@ def test_bench_ensemble_speedup_fig3_preset(suite_cases, effort):
     per_point = {}
     totals = {"looped": 0.0, "batched": 0.0, "ensemble": 0.0}
     for n in sizes:
-        looped = measure(
-            lambda n=n: _run_batched_looped(n, parallel_time, trials, 1),
-            warmup=0,
-            repeats=1,
-        ).minimum
-        stacked = {
-            engine: measure(
-                lambda n=n, engine=engine: run_estimate_trace(
-                    n, parallel_time, trials=trials, seed=1, engine=engine
-                ),
+        looped = min(
+            measure(
+                lambda n=n: _run_batched_looped(n, parallel_time, trials, 1),
                 warmup=0,
                 repeats=1,
-            ).minimum
+            )
+        )
+        stacked = {
+            engine: min(
+                measure(
+                    lambda n=n, engine=engine: run_estimate_trace(
+                        n, parallel_time, trials=trials, seed=1, engine=engine
+                    ),
+                    warmup=0,
+                    repeats=1,
+                )
+            )
             for engine in ("batched", "ensemble")
         }
         per_point[n] = {
@@ -212,12 +212,12 @@ def test_bench_ensemble_speedup_fig3_preset(suite_cases, effort):
         ("engine=ensemble", "ensemble", totals["ensemble"]),
     ):
         suite_cases.append(
-            CaseResult(
+            dict(
                 case_id=f"fig3-speedup[{case}]@{effort}",
                 scenario="fig3-speedup",
                 engine=engine,
                 effort=effort,
-                seconds=(seconds,),
+                seconds=[seconds],
                 work_interactions=work,
                 extra=shared_extra,
             )

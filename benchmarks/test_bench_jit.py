@@ -4,9 +4,8 @@ One loop-bound workload — the fig3 shape (small-to-medium populations x
 many trials x a real horizon), where per-batch Python overhead dominates
 the NumPy kernels — measured four ways on the dynamic-counting protocol:
 
-* ``looped batched`` — the plain batched engine, trials run one at a time.
-  This is the committed baseline's loop-bound configuration
-  (``fig3@quick``), and the reference all speedups are quoted against.
+* ``looped batched`` — the plain batched engine, trials run one at a time:
+  the loop-bound configuration all speedups are quoted against.
 * ``plain ensemble`` — the stacked NumPy path (``fig3[engine=ensemble]``).
 * ``jit batched`` / ``jit ensemble`` — the same two engines with the fused
   compiled kernels of :mod:`repro.kernels`.
@@ -26,20 +25,16 @@ the no-numba CI leg proves the *fallback*, this module proves the *win*):
 Without ``REPRO_BENCH_ASSERT`` (or without numba) the module still runs
 and records honest rows — on a numba-less machine the jit cases measure
 the logged NumPy fallback.  Rows land in
-``$REPRO_BENCH_DIR/BENCH_jit.json``; the committed
-``benchmarks/BENCH_baseline.json`` fig3 cases are attached (calibration
-and all) as a non-asserted anchor in ``extra``.
+``$REPRO_BENCH_DIR/BENCH_jit.json``.
 """
 
 from __future__ import annotations
 
 import os
-from pathlib import Path
 
 import pytest
+from conftest import measure
 
-from repro.bench.suite import CaseResult, load_suite
-from repro.bench.timing import measure
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.engine.registry import make_engine
 from repro.kernels import availability, compile_warmup
@@ -62,8 +57,6 @@ JIT_ENSEMBLE_VS_LOOPED_FLOOR = 10.0
 JIT_BATCHED_VS_LOOPED_FLOOR = 2.0
 JIT_ENSEMBLE_VS_PLAIN_FLOOR = 1.2
 
-_BASELINE_PATH = Path(__file__).parent / "BENCH_baseline.json"
-
 
 def _run_batched_looped(ns, trials, horizon, *, jit):
     for n in ns:
@@ -80,51 +73,18 @@ def _run_ensemble(ns, trials, horizon, *, jit):
         ).run(horizon)
 
 
-def _baseline_anchor():
-    """The committed baseline's loop-bound fig3 cases, for context only.
-
-    The baseline measures the full fig3 scenario (engine selection, metric
-    extraction and all), this module a stripped engine loop — the shapes
-    match but the harnesses differ, so the anchor is recorded, never
-    asserted.
-    """
-    if not _BASELINE_PATH.exists():
-        return {"missing": str(_BASELINE_PATH)}
-    baseline = load_suite(_BASELINE_PATH)
-    cases = baseline.by_case_id()
-    anchor = {"calibration_seconds": baseline.calibration_seconds}
-    for case_id in ("fig3@quick", "fig3[engine=ensemble]@quick"):
-        case = cases.get(case_id)
-        if case is not None:
-            anchor[case_id] = case.median_seconds
-    return anchor
-
-
 def test_bench_jit_speedup(suite_cases, effort):
     """Four-way measurement of the loop-bound fig3 shape, jit floors gated."""
     ns, trials, horizon = WORKLOAD[effort]
     compiled = availability().enabled
-    warmup_fn = compile_warmup if compiled else None
 
-    looped = measure(
-        lambda: _run_batched_looped(ns, trials, horizon, jit=False),
-        warmup=0,
-        repeats=1,
-    )
-    plain_ensemble = measure(
-        lambda: _run_ensemble(ns, trials, horizon, jit=False), warmup=0, repeats=1
-    )
+    looped = min(measure(lambda: _run_batched_looped(ns, trials, horizon, jit=False)))
+    plain_ensemble = min(measure(lambda: _run_ensemble(ns, trials, horizon, jit=False)))
     # compile_warmup runs once, before the first jit measurement, so njit
     # compilation lands in compile_seconds instead of a sample.
-    jit_batched = measure(
-        lambda: _run_batched_looped(ns, trials, horizon, jit=True),
-        warmup=0,
-        repeats=1,
-        warmup_fn=warmup_fn,
-    )
-    jit_ensemble = measure(
-        lambda: _run_ensemble(ns, trials, horizon, jit=True), warmup=0, repeats=1
-    )
+    compile_seconds = compile_warmup()
+    jit_batched = min(measure(lambda: _run_batched_looped(ns, trials, horizon, jit=True)))
+    jit_ensemble = min(measure(lambda: _run_ensemble(ns, trials, horizon, jit=True)))
 
     work = sum(n * horizon for n in ns) * trials
     status = availability()
@@ -134,18 +94,16 @@ def test_bench_jit_speedup(suite_cases, effort):
         "parallel_time": horizon,
         "jit_available": status.enabled,
         "jit_reason": status.reason,
-        "looped_batched_seconds": looped.minimum,
-        "plain_ensemble_seconds": plain_ensemble.minimum,
-        "jit_batched_seconds": jit_batched.minimum,
-        "jit_ensemble_seconds": jit_ensemble.minimum,
-        "jit_batched_speedup_vs_looped": looped.minimum / jit_batched.minimum,
-        "jit_ensemble_speedup_vs_looped": looped.minimum / jit_ensemble.minimum,
-        "jit_ensemble_speedup_vs_plain": plain_ensemble.minimum
-        / jit_ensemble.minimum,
-        "baseline_anchor": _baseline_anchor(),
+        "looped_batched_seconds": looped,
+        "plain_ensemble_seconds": plain_ensemble,
+        "jit_batched_seconds": jit_batched,
+        "jit_ensemble_seconds": jit_ensemble,
+        "jit_batched_speedup_vs_looped": looped / jit_batched,
+        "jit_ensemble_speedup_vs_looped": looped / jit_ensemble,
+        "jit_ensemble_speedup_vs_plain": plain_ensemble / jit_ensemble,
     }
 
-    for case_id, engine, timing, jit_flag in (
+    for case_id, engine, seconds, jit_flag in (
         (f"jit-speedup[engine=batched]@{effort}", "batched", looped, False),
         (f"jit-speedup[engine=ensemble]@{effort}", "ensemble", plain_ensemble, False),
         (f"jit-speedup[engine=batched,jit=on]@{effort}", "batched", jit_batched, True),
@@ -157,20 +115,20 @@ def test_bench_jit_speedup(suite_cases, effort):
         ),
     ):
         suite_cases.append(
-            CaseResult(
+            dict(
                 case_id=case_id,
                 scenario="jit-speedup",
                 engine=engine,
                 effort=effort,
-                seconds=(timing.minimum,),
+                seconds=[seconds],
                 work_interactions=work,
-                compile_seconds=timing.compile_seconds if jit_flag else None,
+                compile_seconds=compile_seconds if jit_flag else None,
                 extra=shared_extra,
             )
         )
 
-    assert looped.minimum > 0 and plain_ensemble.minimum > 0
-    assert jit_batched.minimum > 0 and jit_ensemble.minimum > 0
+    assert looped > 0 and plain_ensemble > 0
+    assert jit_batched > 0 and jit_ensemble > 0
 
     if not os.environ.get("REPRO_BENCH_ASSERT"):
         return

@@ -1,12 +1,10 @@
 """Shard-count scaling benchmark of the parallel execution layer.
 
-A thin wrapper over the :mod:`repro.bench` subsystem (timing via
-:func:`repro.bench.timing.measure`, normalized cases via the
-``suite_cases`` collector, written to ``$REPRO_BENCH_DIR/BENCH_parallel.json``
-when set) that times the Fig. 3-preset-shaped workload under the sharded
-execution path at ``workers`` ∈ {1, 2, 4} on its *loop-bound* points —
-the regime where per-trial Python work dominates and process sharding
-should scale with cores.
+Times the Fig. 3-preset-shaped workload under the sharded execution path
+at ``workers`` ∈ {1, 2, 4} on its *loop-bound* points — the regime where
+per-trial Python work dominates and process sharding should scale with
+cores.  Timing uses ``conftest.measure``; the cases go to
+``$REPRO_BENCH_DIR/BENCH_parallel.json`` when set.
 
 Two loop-bound flavours are measured:
 
@@ -31,8 +29,8 @@ from __future__ import annotations
 
 import os
 
-from repro.bench.suite import CaseResult
-from repro.bench.timing import measure
+from conftest import measure
+
 from repro.experiments.figures import run_estimate_trace
 
 #: Suite file the ``suite_cases`` collector writes under ``REPRO_BENCH_DIR``.
@@ -76,7 +74,7 @@ def test_bench_parallel_shard_scaling(suite_cases, effort):
                 )
 
             timing = measure(point, warmup=0, repeats=1)
-            seconds[workers] = timing.minimum
+            seconds[workers] = min(timing)
             # The determinism contract, re-checked at bench scale: every
             # worker count reproduces the same aggregated trace.
             rows = (trace.minimum, trace.median, trace.maximum)
@@ -99,13 +97,13 @@ def test_bench_parallel_shard_scaling(suite_cases, effort):
         work = n * parallel_time * trials
         for workers in WORKER_COUNTS:
             suite_cases.append(
-                CaseResult(
+                dict(
                     case_id=f"shard-scaling:{engine}[workers={workers}]@{effort}",
                     scenario=f"shard-scaling:{engine}",
                     engine=engine,
                     workers=workers,
                     effort=effort,
-                    seconds=(seconds[workers],),
+                    seconds=[seconds[workers]],
                     work_interactions=work,
                     extra=entry,
                 )

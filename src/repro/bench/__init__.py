@@ -1,60 +1,8 @@
-"""Unified benchmark subsystem: specs, runner, suites, comparison, reports.
+"""Provenance helpers for the benchmark in ``perfbench/``.
 
-``repro.bench`` turns benchmarking from a pile of per-file pytest scripts
-into a first-class subsystem layered on the scenario registry
-(:mod:`repro.scenarios`):
-
-* :class:`~repro.bench.spec.BenchSpec` — a frozen benchmark case
-  (scenario x engine x workers x effort); :func:`~repro.bench.spec.default_grid`
-  derives the full grid from the registry, so every newly registered
-  scenario is benchable (and benchmarked) for free.
-* :func:`~repro.bench.runner.run_suite` — executes a grid with
-  warmup/repeat control and produces a normalized, schema-versioned
-  :class:`~repro.bench.suite.BenchSuite` (per-case median/min wall time,
-  interactions/sec throughput, machine + git metadata, and a calibration
-  measurement that lets suites from different machines be compared).
-* :func:`~repro.bench.compare.compare_suites` — diffs two suites and
-  classifies every case as regression / improvement / neutral under a
-  configurable threshold with noise tolerance.
-* :mod:`repro.bench.report` — markdown summary tables for runs and
-  comparisons (used by the CI job summary).
-* ``python -m repro.bench`` — the CLI over all of it (``run`` /
-  ``compare`` / ``report``); CI gates every PR with
-  ``repro.bench compare --fail-on-regression 25%`` against the committed
-  ``benchmarks/BENCH_baseline.json``.
+The package keeps only :mod:`repro.bench.suite`, whose
+:func:`~repro.bench.suite.machine_metadata` and
+:func:`~repro.bench.suite.git_metadata` ``perfbench/workload.py`` imports at
+the end of every benchmark run to stamp its report.  Timing comparisons run
+through ``scripts/perf_ab.py``.
 """
-
-from __future__ import annotations
-
-from repro.bench.compare import CaseComparison, SuiteComparison, compare_suites
-from repro.bench.report import markdown_comparison, markdown_report
-from repro.bench.runner import run_case, run_suite
-from repro.bench.spec import BenchSpec, default_grid
-from repro.bench.suite import (
-    SCHEMA_VERSION,
-    BenchSuite,
-    CaseResult,
-    SchemaVersionError,
-    load_suite,
-)
-from repro.bench.timing import Timing, calibration_seconds, measure
-
-__all__ = [
-    "SCHEMA_VERSION",
-    "BenchSpec",
-    "BenchSuite",
-    "CaseComparison",
-    "CaseResult",
-    "SchemaVersionError",
-    "SuiteComparison",
-    "Timing",
-    "calibration_seconds",
-    "compare_suites",
-    "default_grid",
-    "load_suite",
-    "markdown_comparison",
-    "markdown_report",
-    "measure",
-    "run_case",
-    "run_suite",
-]

@@ -426,14 +426,15 @@ class Engine(abc.ABC):
 class ArrayStateEngine(Engine):
     """Shared base for engines over struct-of-arrays population state.
 
-    The population is a dictionary of equal-length NumPy arrays produced by
-    a :class:`repro.engine.batch_engine.VectorizedProtocol`.  This base owns
-    the array lifecycle — creation, validation, snapshot statistics, and the
-    resize-schedule adversary — over 1-D state.  Its one subclass,
-    :class:`repro.engine.ensemble_engine.EnsembleSimulator`, stacks trials
-    into 2-D state and overrides the 1-D methods, :meth:`resize_to` among
-    them; that method stays because the benchmark's tracer
-    (``perfbench/tracer.py``) wraps it by name.
+    The population is a dictionary of NumPy arrays produced by a
+    :class:`repro.engine.batch_engine.VectorizedProtocol`.  This base owns
+    the protocol, the random source, the resize-schedule adversary and the
+    checkpoint payload; its one subclass,
+    :class:`repro.engine.ensemble_engine.EnsembleSimulator`, builds and
+    validates the (stacked) arrays and takes the snapshots.  The 1-D
+    :meth:`resize_to` here is overridden by that subclass and stays only
+    because the benchmark's tracer (``perfbench/tracer.py``) wraps it by
+    name.
 
     Parameters
     ----------
@@ -450,9 +451,6 @@ class ArrayStateEngine(Engine):
         growing appends agents in the protocol's initial state.  This
         mirrors :class:`repro.engine.adversary.ResizeSchedule` for the
         array world.
-    initial_arrays:
-        Optional pre-built state arrays (copied) for non-default initial
-        configurations.
     """
 
     def __init__(
@@ -463,15 +461,12 @@ class ArrayStateEngine(Engine):
         rng: RandomSource | None = None,
         seed: int | None = None,
         resize_schedule: Iterable[tuple[int, int]] = (),
-        initial_arrays: dict[str, np.ndarray] | None = None,
     ) -> None:
         super().__init__()
         if n < 2:
             raise ConfigurationError(f"population size must be at least 2, got {n}")
         self.protocol = protocol
         self.rng = rng if rng is not None else RandomSource.from_seed(seed)
-        self.arrays = self._build_initial_arrays(n, initial_arrays)
-        self._validate_arrays(n)
         self._resize_events = sorted(
             ((int(t), int(size)) for t, size in resize_schedule), key=lambda e: e[0]
         )
@@ -482,30 +477,7 @@ class ArrayStateEngine(Engine):
                 raise ConfigurationError(f"resize target must be at least 2, got {size}")
         self._resize_cursor = 0
 
-    def _build_initial_arrays(
-        self, n: int, initial_arrays: dict[str, np.ndarray] | None
-    ) -> dict[str, np.ndarray]:
-        """Build the state arrays; overridden by the ensemble engine to stack trials."""
-        if initial_arrays is None:
-            return self.protocol.initial_arrays(n, self.rng)
-        return {key: np.array(val, copy=True) for key, val in initial_arrays.items()}
-
-    def _validate_arrays(self, n: int) -> None:
-        lengths = {key: len(arr) for key, arr in self.arrays.items()}
-        if not lengths:
-            raise ConfigurationError("protocol returned no state arrays")
-        if len(set(lengths.values())) != 1:
-            raise ConfigurationError(f"state arrays have inconsistent lengths: {lengths}")
-        actual = next(iter(lengths.values()))
-        if actual != n:
-            raise ConfigurationError(f"state arrays have length {actual}, expected {n}")
-
     # ------------------------------------------------------------------- size
-
-    @property
-    def size(self) -> int:
-        """Current population size."""
-        return len(next(iter(self.arrays.values())))
 
     def _require_interactable(self) -> int:
         n = self.size
@@ -570,20 +542,3 @@ class ArrayStateEngine(Engine):
             )
         self.arrays = {key: np.array(val, copy=True) for key, val in arrays.items()}
         self._resize_cursor = int(state["resize_cursor"])
-
-    # -------------------------------------------------------------- snapshots
-
-    def _take_snapshot(self) -> EngineSnapshot:
-        self._apply_resizes()
-        minimum, median, maximum = quantiles(self.protocol.output_array(self.arrays))
-        return EngineSnapshot(
-            parallel_time=self.parallel_time,
-            population_size=self.size,
-            minimum=minimum,
-            median=median,
-            maximum=maximum,
-        )
-
-    def outputs(self) -> np.ndarray:
-        """Current per-agent outputs."""
-        return np.asarray(self.protocol.output_array(self.arrays), dtype=float)

@@ -139,14 +139,9 @@ class EnsembleSimulator(ArrayStateEngine):
         self._trial_minimum: list[np.ndarray] = []
         self._trial_median: list[np.ndarray] = []
         self._trial_maximum: list[np.ndarray] = []
-        super().__init__(
-            protocol,
-            n,
-            rng=rng,
-            seed=seed,
-            resize_schedule=resize_schedule,
-            initial_arrays=initial_arrays,
-        )
+        super().__init__(protocol, n, rng=rng, seed=seed, resize_schedule=resize_schedule)
+        self.arrays = self._build_initial_arrays(n, initial_arrays)
+        self._validate_arrays(n)
 
     # ------------------------------------------------------------------- state
 

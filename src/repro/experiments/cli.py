@@ -12,7 +12,7 @@ over parameter grids::
     repro-experiments sweep fig4 --set keep=50,200 --set drop_time=300
     repro-experiments fuzz --seed 7 --count 25
 
-Engine/effort combinations are validated for *every* selected scenario
+Engine, effort and execution options are validated for *every* selected scenario
 before any simulation starts, so a bad flag fails in milliseconds with a
 one-line error instead of a traceback halfway through a sweep.
 """
@@ -43,7 +43,12 @@ from repro.experiments.memory_table import run_memory_table
 from repro.experiments.phase_clock_experiment import run_phase_clock_experiment
 from repro.kernels import availability as kernels_availability
 from repro.scenarios.registry import get_scenario, has_scenario, iter_scenarios, scenario_names
-from repro.scenarios.runner import resolve_preset, run_scenario, run_sweep
+from repro.scenarios.runner import (
+    resolve_preset,
+    run_scenario,
+    run_sweep,
+    validate_executor_options,
+)
 from repro.scenarios.spec import SweepSpec
 
 __all__ = ["main", "build_parser", "EXPERIMENT_RUNNERS"]
@@ -380,7 +385,20 @@ def _cmd_run(args: argparse.Namespace) -> int:
             if candidate not in selected:
                 selected.append(candidate)
 
-    # Validate every effort/engine combination before any simulation starts.
+    # Validate every effort/engine/option combination before any simulation
+    # starts.
+    try:
+        options = ExecutionOptions(
+            engine=args.engine,
+            workers=args.workers,
+            jit=args.jit,
+            checkpoint_every=args.checkpoint_every,
+            checkpoint_dir=args.checkpoint_dir,
+            resume_from=args.resume_from,
+            interrupt_after=args.interrupt_after,
+        )
+    except ConfigurationError as exc:
+        return _fail(str(exc))
     skipped: dict[str, str] = {}
     for name in selected:
         spec = get_scenario(name)
@@ -388,6 +406,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             resolve_preset(spec, args.effort)
         except ConfigurationError as exc:
             return _fail(str(exc))
+        reason = None
         if (
             args.engine is not None
             and args.engine != "auto"
@@ -397,9 +416,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
                 f"scenario {name!r} supports engine(s) {', '.join(spec.engines)}, "
                 f"got {args.engine!r}"
             )
+        else:
+            try:
+                validate_executor_options(spec, options)
+            except ConfigurationError as exc:
+                reason = str(exc)
+        if reason is not None:
             if run_all:
-                # `all` with an explicit engine skips the scenarios that only
-                # support another engine instead of aborting the sweep.
+                # `all` skips the scenarios that cannot run with the given
+                # engine or options instead of aborting the sweep.
                 skipped[name] = reason
             else:
                 return _fail(reason)
@@ -414,14 +439,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
             result = run_scenario(
                 name,
                 effort=args.effort,
-                options=ExecutionOptions(
-                    engine=args.engine,
-                    workers=args.workers,
-                    jit=args.jit,
-                    checkpoint_every=args.checkpoint_every,
+                options=options.replace(
                     checkpoint_dir=_checkpoint_subdir(args.checkpoint_dir, name),
                     resume_from=_checkpoint_subdir(args.resume_from, name),
-                    interrupt_after=args.interrupt_after,
                 ),
             )
         except CheckpointInterrupted as exc:

@@ -181,8 +181,8 @@ def compile_warmup() -> float:
     use (the ``"batched"`` engine's stacks share them), so first-call
     compilation happens here instead of inside a measurement.  A no-op
     (returning ~0) when the compiled backend is unavailable.
-    ``repro.bench`` passes this as ``warmup_fn`` for jit cases and reports
-    the cost as ``compile_seconds``.
+    ``benchmarks/test_bench_jit.py`` calls it before its jit cases and
+    records the seconds it returns as ``compile_seconds``.
     """
     started = time.perf_counter()
     if not availability().enabled:

@@ -18,8 +18,7 @@ reproduces the same specs, presets, and cache keys, bit for bit.
 Every fuzz case doubles as a registry scenario:
 :func:`register_fuzz_scenarios` registers the generated specs (with quick
 presets in :data:`repro.experiments.config.PRESETS`), which makes them
-runnable through the CLI and :mod:`repro.serve`, and picked up by
-``repro.bench``'s ``default_grid()`` for free.
+runnable through the CLI and :mod:`repro.serve`.
 """
 
 from __future__ import annotations
@@ -293,8 +292,8 @@ def register_fuzz_scenarios(
 
     Returns the registered names.  The presets land in
     :data:`repro.experiments.config.PRESETS`, so the scenarios are
-    immediately runnable via CLI/serve and timed by ``repro.bench``'s
-    ``default_grid()``.  Use :func:`unregister_fuzz_scenarios` to undo.
+    immediately runnable via CLI/serve.  Use
+    :func:`unregister_fuzz_scenarios` to undo.
     """
     from repro.experiments.config import PRESETS
 

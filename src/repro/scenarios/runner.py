@@ -13,7 +13,8 @@ machinery, and summarises it with the spec's metric extractors.
 
 All engine/effort validation happens *before* any simulation starts, so a
 bad combination fails in milliseconds with a one-line error instead of a
-mid-run traceback.
+mid-run traceback.  So does :func:`validate_executor_options`, which
+rejects the execution settings a bespoke-executor scenario cannot honour.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.params import ProtocolParameters
 from repro.engine.errors import ConfigurationError
 from repro.engine.options import ExecutionOptions, execution_metadata
@@ -37,7 +39,13 @@ if TYPE_CHECKING:  # pragma: no cover - the experiments layer imports this
     # inside the functions below.
     from repro.experiments.base import ExperimentPreset, ExperimentResult
 
-__all__ = ["run_scenario", "run_sweep", "resolve_preset", "resolve_params"]
+__all__ = [
+    "run_scenario",
+    "run_sweep",
+    "resolve_preset",
+    "resolve_params",
+    "validate_executor_options",
+]
 
 
 def _resolve_spec(spec_or_name: ScenarioSpec | str) -> ScenarioSpec:
@@ -90,6 +98,35 @@ def resolve_params(spec: ScenarioSpec, preset: "ExperimentPreset") -> ProtocolPa
     return params
 
 
+def validate_executor_options(spec: ScenarioSpec, options: ExecutionOptions) -> None:
+    """Reject the settings a bespoke-executor scenario cannot honour.
+
+    A spec with an ``executor`` runs its own serial measurement on the
+    sequential engine: it cannot shard trials over ``workers``, reach the
+    compiled kernels (``jit``) or write checkpoints.  Any of them raises
+    :class:`ConfigurationError`; specs without an executor pass.
+    """
+    if spec.executor is None:
+        return
+    requested = [
+        name
+        for name in (
+            "workers",
+            "jit",
+            "checkpoint_every",
+            "checkpoint_dir",
+            "resume_from",
+            "interrupt_after",
+        )
+        if getattr(options, name) not in (None, False)
+    ]
+    if requested:
+        raise ConfigurationError(
+            f"scenario {spec.name!r} runs serially on its own executor and "
+            f"cannot honour {', '.join(requested)}"
+        )
+
+
 def _engine_for_point(
     spec: ScenarioSpec,
     requested: str | None,
@@ -101,7 +138,8 @@ def _engine_for_point(
         return requested
     if requested is None and spec.engine is not None:
         return spec.engine
-    chosen = choose_engine(spec.protocol_factory(params), point_trials, point_n)
+    # Every point runs the paper's protocol (run_estimate_trace).
+    chosen = choose_engine(DynamicSizeCounting(params), point_trials, point_n)
     if chosen not in spec.engines:
         chosen = spec.engines[0]
     return chosen
@@ -153,9 +191,7 @@ def run_scenario(
           in-process shard, ``"auto"`` uses the capped CPU count, an
           integer fans each point's row-shards over that many worker
           processes.  Per-trial results are bit-identical for any
-          ``workers >= 1``.  Bespoke-executor scenarios (recorder
-          workloads pinned to the sequential engine) always run serially;
-          a workers request for them is recorded in the result metadata.
+          ``workers >= 1``.
         * ``jit`` — request the compiled kernel backend
           (:mod:`repro.kernels`) for every point on an engine supporting
           it; elsewhere, and where the backend is unavailable, the NumPy
@@ -170,8 +206,12 @@ def run_scenario(
           from their final checkpoints, the interrupted point resumes
           mid-run, the rest run fresh.  ``resume_from`` alone is enough:
           the cadence is read from the run's own manifests.
-          Bespoke-executor scenarios run uncheckpointed (recorded in the
-          result metadata).  Checkpointing never changes results.
+          Checkpointing never changes results.
+
+        Bespoke-executor scenarios (recorder workloads pinned to the
+        sequential engine) run serially and reject ``workers``, ``jit`` and
+        every checkpoint field before any work (see
+        :func:`validate_executor_options`).
     """
     # Imported here: the experiments layer imports repro.scenarios at
     # definition time, so the reverse dependency must stay lazy.
@@ -185,6 +225,7 @@ def run_scenario(
 
     spec = _resolve_spec(spec_or_name)
     validate_engine_request(engine, spec)
+    validate_executor_options(spec, opts)
     requested_workers = opts.workers
     workers = resolve_workers(opts.workers)
     preset = resolve_preset(spec, effort, preset)
@@ -201,22 +242,13 @@ def run_scenario(
             spec, engine, preset.trials, max(preset.population_sizes, default=2), params
         )
         result = spec.executor(spec, preset, params, resolved)
-        if workers is not None:
-            result.metadata.setdefault("workers", "serial-only (bespoke executor)")
-        if jit:
-            result.metadata.setdefault("jit", "ignored (bespoke executor)")
-        if checkpointing:
-            result.metadata.setdefault(
-                "checkpointing", "ignored (bespoke executor)"
-            )
         execution = execution_metadata(
             requested_engine=engine,
             engines_used=[resolved],
             workers=None,  # bespoke executors always run serially
             jit=False,  # ... and never reach the vectorised kernels
         )
-        execution["workers_requested"] = requested_workers
-        execution["jit_requested"] = jit
+        execution["workers_requested"] = None
         result.metadata["execution"] = execution
         return result
 
@@ -353,6 +385,10 @@ def run_sweep(
     resolved_workers = resolve_workers(opts.workers)
     base = resolve_preset(spec, effort, preset)
     expanded = sweep.expand(base)
+    # Several combinations fan out over the workers and each runs serially.
+    validate_executor_options(
+        spec, opts if len(expanded) == 1 else opts.replace(workers=None)
+    )
     checkpoint_dir, resume_from = opts.checkpoint_dir, opts.resume_from
     if opts.checkpointing:
         if checkpoint_dir is None:

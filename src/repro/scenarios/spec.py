@@ -33,7 +33,6 @@ import json
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.params import ProtocolParameters, empirical_parameters
 from repro.engine.adversary import ResizeSchedule
 from repro.engine.errors import ConfigurationError
@@ -49,7 +48,6 @@ __all__ = [
     "SweepSpec",
     "canonical_json",
     "default_points",
-    "default_protocol_factory",
     "valid_sweep_axes",
 ]
 
@@ -198,11 +196,6 @@ class ScenarioPoint:
         return ResizeSchedule.from_pairs(self.resize_schedule)
 
 
-def default_protocol_factory(params: ProtocolParameters) -> DynamicSizeCounting:
-    """The paper's protocol — the default subject of every scenario."""
-    return DynamicSizeCounting(params)
-
-
 def default_points(
     preset: ExperimentPreset, params: ProtocolParameters
 ) -> tuple[ScenarioPoint, ...]:
@@ -234,9 +227,6 @@ class ScenarioSpec:
     metrics:
         Metric extractors ``(trace, point, preset, params) -> mapping``;
         their outputs are merged (in order) into the point's result row.
-    protocol_factory:
-        ``(params) -> protocol`` building the scalar protocol instance; used
-        for engine auto-selection and available to executors.
     params_factory:
         Builds the protocol constants (defaults to the paper's empirical
         preset); sweeps may override individual fields via
@@ -256,7 +246,8 @@ class ScenarioSpec:
     executor:
         Escape hatch ``(spec, preset, params, engine) -> ExperimentResult``
         for scenarios that need bespoke measurement machinery (recorders,
-        per-event traces).  Such specs ignore ``points``/``metrics``.
+        per-event traces).  Such specs ignore ``points``/``metrics``, run
+        serially and reject ``workers``, ``jit`` and checkpointing.
     experiment_id:
         Identifier stamped on the :class:`ExperimentResult` (and used for
         preset lookup); defaults to ``name``.
@@ -289,7 +280,6 @@ class ScenarioSpec:
         ],
         ...,
     ] = ()
-    protocol_factory: Callable[[ProtocolParameters], Any] = default_protocol_factory
     params_factory: Callable[[], ProtocolParameters] = empirical_parameters
     keep_series: bool = False
     engines: tuple[str, ...] = field(default_factory=engine_names)
@@ -365,7 +355,6 @@ class ScenarioSpec:
             "knobs": list(self.knobs),
             "points": _callable_id(self.points),
             "metrics": [_callable_id(metric) for metric in self.metrics],
-            "protocol_factory": _callable_id(self.protocol_factory),
             "params_factory": _callable_id(self.params_factory),
             "executor": _callable_id(self.executor),
             "describe": _callable_id(self.describe),

@@ -49,7 +49,8 @@ __all__ = ["KEY_SCHEMA_VERSION", "canonical_cache_key", "normalize_engine_reques
 #: v5: auto-selection no longer has a small-population tier, so auto points
 #: with ``n <= 128`` run on ``ensemble`` / ``batched`` and draw different
 #: rows for the same request.
-KEY_SCHEMA_VERSION = 5
+#: v6: ScenarioSpec.canonical_encoding lost ``protocol_factory``.
+KEY_SCHEMA_VERSION = 6
 
 
 def normalize_engine_request(spec: ScenarioSpec, engine: str | None) -> str:

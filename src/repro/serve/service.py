@@ -15,7 +15,8 @@ Request lifecycle::
                   fetches of the same run are byte-identical
 
 Everything that can be rejected is rejected *before* admission — unknown
-scenario, bad effort, unsupported engine, malformed workers/sweep — with
+scenario, bad effort, unsupported engine, malformed workers/sweep, a
+setting a bespoke-executor scenario cannot honour — with
 :class:`~repro.engine.errors.ConfigurationError`, so a bad request costs
 milliseconds, never a simulation.
 """
@@ -34,7 +35,12 @@ from repro.engine.registry import engine_capabilities, validate_engine_request
 from repro.kernels import availability as kernels_availability
 from repro.scenarios.listing import scenario_listing
 from repro.scenarios.registry import get_scenario
-from repro.scenarios.runner import resolve_preset, run_scenario, run_sweep
+from repro.scenarios.runner import (
+    resolve_preset,
+    run_scenario,
+    run_sweep,
+    validate_executor_options,
+)
 from repro.scenarios.spec import SweepSpec, apply_axis_overrides
 from repro.serve.availability import availability as serve_availability
 from repro.serve.cache import CacheEntry, ResultCache
@@ -132,6 +138,7 @@ class SimulationService:
         #: whatever a crashed predecessor left behind; the directory is
         #: removed once the result lands in the cache.  Not part of the
         #: cache key — checkpointing changes durability, never results.
+        #: Bespoke-executor scenarios cannot checkpoint and run without it.
         self.checkpoint_every = checkpoint_every
         self._checkpoint_root = Path(cache_dir) / "checkpoints"
         self._run_scenario = scenario_runner
@@ -171,6 +178,8 @@ class SimulationService:
         sweep = None
         if request.sweep:
             sweep = SweepSpec.from_mapping(request.scenario, dict(request.sweep))
+        else:
+            validate_executor_options(spec, options)
         # Expanding the points validates population sizes, trial counts and
         # resize schedules for every engine before admission.
         if spec.executor is None and sweep is None:
@@ -202,7 +211,7 @@ class SimulationService:
         def work() -> CacheEntry:
             options = admitted
             ckpt_dir: Path | None = None
-            if self.checkpoint_every is not None:
+            if self.checkpoint_every is not None and spec.executor is None:
                 # Content-addressed like the cache entry itself: a job that
                 # died mid-run resumes when the same request is re-submitted.
                 ckpt_dir = self._checkpoint_root / key

@@ -1,142 +1,17 @@
-"""BenchSuite / CaseResult: round-trips, provenance, schema versioning."""
+"""The provenance helpers that perfbench imports from ``repro.bench.suite``."""
 
 from __future__ import annotations
 
 import json
+import os
+import platform
+import shutil
+import subprocess
 
+import numpy as np
 import pytest
 
-from repro.bench.suite import (
-    SCHEMA_VERSION,
-    BenchSuite,
-    CaseResult,
-    SchemaVersionError,
-    git_metadata,
-    load_suite,
-    machine_metadata,
-)
-from repro.engine.errors import ConfigurationError
-
-
-def make_case(case_id="fig3@quick", seconds=(0.2, 0.3, 0.25), **overrides):
-    fields = {
-        "case_id": case_id,
-        "scenario": "fig3",
-        "engine": None,
-        "workers": None,
-        "effort": "quick",
-        "seconds": seconds,
-        "work_interactions": 1_000_000,
-    }
-    fields.update(overrides)
-    return CaseResult(**fields)
-
-
-class TestCaseResult:
-    def test_statistics(self):
-        case = make_case(seconds=(0.2, 0.3, 0.25))
-        assert case.median_seconds == 0.25
-        assert case.min_seconds == 0.2
-        assert case.interactions_per_second == pytest.approx(1_000_000 / 0.25)
-
-    def test_throughput_without_work_measure(self):
-        assert make_case(work_interactions=0).interactions_per_second == 0.0
-
-    def test_empty_samples_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_case(seconds=())
-
-    def test_missing_case_id_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_case(case_id="")
-
-    def test_dict_round_trip(self):
-        case = make_case(extra={"per_point": {"10": 1.5}})
-        assert CaseResult.from_dict(case.to_dict()) == case
-
-    def test_compile_seconds_round_trip(self):
-        case = make_case(compile_seconds=1.25)
-        restored = CaseResult.from_dict(case.to_dict())
-        assert restored == case
-        assert restored.compile_seconds == 1.25
-
-    def test_negative_compile_seconds_rejected(self):
-        with pytest.raises(ConfigurationError):
-            make_case(compile_seconds=-1.0)
-
-
-class TestBenchSuite:
-    def test_json_round_trip(self, tmp_path):
-        suite = BenchSuite(
-            cases=(make_case(), make_case(case_id="fig4@quick", scenario="fig4")),
-            effort="quick",
-            warmup=1,
-            repeats=3,
-            calibration_seconds=0.1,
-        )
-        path = suite.save(tmp_path / "suite.json")
-        loaded = load_suite(path)
-        assert loaded.to_dict() == suite.to_dict()
-        assert loaded.by_case_id().keys() == {"fig3@quick", "fig4@quick"}
-
-    def test_duplicate_case_ids_rejected(self):
-        with pytest.raises(ConfigurationError):
-            BenchSuite(cases=(make_case(), make_case()))
-
-    def test_machine_and_git_provenance_recorded(self):
-        suite = BenchSuite(cases=(make_case(),))
-        data = suite.to_dict()
-        assert data["machine"]["python"]
-        assert data["machine"]["numpy"]
-        assert data["machine"]["cpu_count"] >= 1
-        assert "commit" in data["git"]
-        assert data["schema_version"] == SCHEMA_VERSION
-        assert data["kind"] == "repro-bench-suite"
-
-    def test_v1_suite_still_loads(self, tmp_path):
-        # Pre-compile_seconds baselines (schema v1) stay comparable: the
-        # field was additive, so old files load with compile_seconds=None.
-        suite = BenchSuite(cases=(make_case(),))
-        data = suite.to_dict()
-        data["schema_version"] = 1
-        for case in data["cases"]:
-            case.pop("compile_seconds", None)
-        path = tmp_path / "v1.json"
-        path.write_text(json.dumps(data))
-        loaded = load_suite(path)
-        assert loaded.cases[0].compile_seconds is None
-        assert loaded.cases[0].case_id == "fig3@quick"
-
-    def test_schema_version_mismatch_rejected(self, tmp_path):
-        suite = BenchSuite(cases=(make_case(),))
-        data = suite.to_dict()
-        data["schema_version"] = SCHEMA_VERSION + 1
-        path = tmp_path / "future.json"
-        path.write_text(json.dumps(data))
-        with pytest.raises(SchemaVersionError):
-            load_suite(path)
-
-    def test_missing_schema_version_rejected(self, tmp_path):
-        path = tmp_path / "not_a_suite.json"
-        path.write_text(json.dumps({"cases": []}))
-        with pytest.raises(SchemaVersionError):
-            load_suite(path)
-
-    def test_wrong_kind_rejected(self):
-        with pytest.raises(SchemaVersionError):
-            BenchSuite.from_dict(
-                {"schema_version": SCHEMA_VERSION, "kind": "pytest-benchmark"}
-            )
-
-    def test_missing_file_is_a_one_line_error(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="no such suite file"):
-            load_suite(tmp_path / "absent.json")
-
-    def test_invalid_json_is_a_one_line_error(self, tmp_path):
-        path = tmp_path / "broken.json"
-        path.write_text("{not json")
-        with pytest.raises(ConfigurationError, match="not valid JSON"):
-            load_suite(path)
+from repro.bench.suite import git_metadata, machine_metadata
 
 
 def test_machine_metadata_fields():
@@ -144,8 +19,56 @@ def test_machine_metadata_fields():
     assert set(meta) == {"platform", "machine", "python", "numpy", "cpu_count"}
 
 
+def test_machine_metadata_describes_this_interpreter():
+    meta = machine_metadata()
+    assert meta["python"] == platform.python_version()
+    assert meta["numpy"] == np.__version__
+    assert meta["cpu_count"] == os.cpu_count()
+    # perfbench writes the fields into its JSON report unchanged.
+    assert json.loads(json.dumps(meta)) == meta
+
+
 def test_git_metadata_fields():
     meta = git_metadata()
     assert set(meta) == {"commit", "branch", "dirty"}
     # This test runs inside the repository checkout, so the commit resolves.
     assert meta["commit"] is None or len(meta["commit"]) == 40
+
+
+def test_git_fields_are_none_outside_a_checkout(tmp_path, monkeypatch):
+    monkeypatch.setenv("GIT_DIR", str(tmp_path / "no-repository"))
+    assert git_metadata() == {"commit": None, "branch": None, "dirty": None}
+
+
+def test_git_fields_are_none_without_git(tmp_path, monkeypatch):
+    monkeypatch.setenv("PATH", str(tmp_path))
+    assert git_metadata() == {"commit": None, "branch": None, "dirty": None}
+
+
+def test_git_fields_describe_the_checkout(tmp_path, monkeypatch):
+    if shutil.which("git") is None:
+        pytest.skip("git is not installed")
+
+    def git(*args: str) -> str:
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=tmp_path,
+            check=True,
+            capture_output=True,
+            text=True,
+        ).stdout.strip()
+
+    git("init", "-q")
+    (tmp_path / "file.txt").write_text("one\n")
+    git("add", "file.txt")
+    git("commit", "-q", "-m", "one")
+    monkeypatch.setenv("GIT_DIR", str(tmp_path / ".git"))
+    monkeypatch.setenv("GIT_WORK_TREE", str(tmp_path))
+    clean = git_metadata()
+    assert clean == {
+        "commit": git("rev-parse", "HEAD"),
+        "branch": git("rev-parse", "--abbrev-ref", "HEAD"),
+        "dirty": False,
+    }
+    (tmp_path / "file.txt").write_text("two\n")
+    assert git_metadata() == dict(clean, dirty=True)

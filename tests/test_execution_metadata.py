@@ -11,11 +11,16 @@ run without re-deriving the auto policies.  Legacy metadata keys
 
 from __future__ import annotations
 
+import pytest
+
+from repro.core.dynamic_counting import DynamicSizeCounting
+from repro.engine.errors import ConfigurationError
 from repro.engine.options import ExecutionOptions
 from repro.engine.parallel import resolve_workers
 from repro.engine.registry import choose_engine
 from repro.experiments.base import ExperimentPreset
-from repro.scenarios.runner import run_scenario, run_sweep
+from repro.scenarios.registry import get_scenario
+from repro.scenarios.runner import run_scenario, run_sweep, validate_executor_options
 from repro.scenarios.spec import ScenarioPoint, ScenarioSpec, SweepSpec
 
 
@@ -64,7 +69,7 @@ class TestEngineResolution:
         execution = execution_of(result)
         from repro.scenarios.runner import resolve_params
 
-        protocol = spec.protocol_factory(resolve_params(spec, preset))
+        protocol = DynamicSizeCounting(resolve_params(spec, preset))
         assert execution["requested_engine"] is None
         assert execution["engine"] == choose_engine(protocol, preset.trials, 80)
         assert execution["engines"] == [execution["engine"]]
@@ -162,17 +167,72 @@ class TestJitResolution:
 class TestBespokeExecutor:
     def test_bespoke_scenario_records_serial_execution(self):
         # The memory table runs through a bespoke recorder executor: it is
-        # always serial and never reaches the vectorised kernels, whatever
-        # was requested.
-        result = run_scenario(
-            "memory", options=ExecutionOptions(workers="auto", jit=True)
+        # always serial and never reaches the vectorised kernels, so it
+        # rejects a request for either instead of ignoring it.
+        with pytest.raises(ConfigurationError, match="workers, jit"):
+            run_scenario("memory", options=ExecutionOptions(workers="auto", jit=True))
+
+    @pytest.mark.parametrize(
+        "setting",
+        [
+            {"workers": 2},
+            {"jit": True},
+            {"checkpoint_every": 5},
+            {"checkpoint_dir": "ckpt"},
+            {"resume_from": "ckpt"},
+            {"checkpoint_every": 5, "interrupt_after": 1},
+        ],
+        ids=lambda setting: list(setting)[-1],
+    )
+    def test_each_unhonourable_setting_is_rejected_before_any_work(self, setting):
+        ran = []
+
+        def executor(spec, preset, params, engine):
+            ran.append(spec.name)
+            raise AssertionError("a rejected run must not start")
+
+        spec = make_spec(executor=executor, engines=("sequential",), engine="sequential")
+        with pytest.raises(ConfigurationError, match=f"cannot honour .*{list(setting)[-1]}"):
+            run_scenario(spec, preset=tiny_preset(), options=ExecutionOptions(**setting))
+        assert ran == []
+
+    @pytest.mark.parametrize("name", ["memory", "phase_clock", "baseline"])
+    def test_every_bespoke_scenario_rejects_workers(self, name):
+        assert get_scenario(name).executor is not None
+        with pytest.raises(ConfigurationError, match=f"scenario {name!r} runs serially"):
+            run_scenario(name, options=ExecutionOptions(workers=2))
+
+    def test_specs_without_an_executor_accept_every_setting(self):
+        options = ExecutionOptions(
+            workers=2, jit=True, checkpoint_every=5, checkpoint_dir="ckpt", interrupt_after=1
         )
-        execution = execution_of(result)
-        assert execution["engine"] == "sequential"
-        assert execution["workers"] is None
-        assert execution["workers_requested"] == "auto"
-        assert execution["jit"] == "off"
-        assert execution["jit_requested"] is True
+        validate_executor_options(make_spec(), options)
+
+    def test_sweep_of_several_combinations_fans_serial_runs_out(self):
+        sweep = SweepSpec.from_mapping("memory", {"n": (40, 50)})
+        results = run_sweep(
+            sweep,
+            preset=tiny_preset(parallel_time=15, trials=1),
+            options=ExecutionOptions(workers=2),
+        )
+        assert [label for label, _ in results] == ["n=40", "n=50"]
+        for _, result in results:
+            execution = execution_of(result)
+            assert execution["engine"] == "sequential"
+            assert execution["workers"] is None
+            assert execution["sweep_workers"] == 2
+
+    def test_sweep_of_one_combination_rejects_workers(self):
+        sweep = SweepSpec.from_mapping("memory", {"n": (40,)})
+        with pytest.raises(ConfigurationError, match="cannot honour workers"):
+            run_sweep(sweep, preset=tiny_preset(), options=ExecutionOptions(workers=2))
+
+    def test_sweep_of_several_combinations_still_rejects_jit(self):
+        sweep = SweepSpec.from_mapping("memory", {"n": (40, 50)})
+        with pytest.raises(ConfigurationError, match="cannot honour jit$"):
+            run_sweep(
+                sweep, preset=tiny_preset(), options=ExecutionOptions(workers=2, jit=True)
+            )
 
 
 class TestSweepMetadata:

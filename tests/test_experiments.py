@@ -289,6 +289,65 @@ class TestEngineSelectors:
         captured = capsys.readouterr()
         assert "error" in captured.err
 
+    def test_cli_bespoke_executor_rejects_workers(self, capsys, monkeypatch):
+        import repro.experiments.cli as cli_module
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a rejected run must not start")
+
+        monkeypatch.setattr(cli_module, "run_scenario", must_not_run)
+        assert main(["run", "memory", "--effort", "quick", "--workers", "2"]) == 2
+        captured = capsys.readouterr()
+        assert "cannot honour workers" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "flags, setting",
+        [
+            (["--jit"], "jit"),
+            (["--checkpoint-every", "5", "--checkpoint-dir", "DIR"], "checkpoint_every"),
+            (["--checkpoint-dir", "DIR"], "checkpoint_dir"),
+            (["--resume-from", "DIR"], "resume_from"),
+            (["--checkpoint-dir", "DIR", "--interrupt-after", "1"], "interrupt_after"),
+        ],
+        ids=lambda value: value if isinstance(value, str) else None,
+    )
+    def test_cli_bespoke_executor_rejects_each_setting(
+        self, flags, setting, tmp_path, capsys, monkeypatch
+    ):
+        import repro.experiments.cli as cli_module
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a rejected run must not start")
+
+        monkeypatch.setattr(cli_module, "run_scenario", must_not_run)
+        flags = [str(tmp_path / "ckpt") if flag == "DIR" else flag for flag in flags]
+        assert main(["run", "memory", "--effort", "quick", *flags]) == 2
+        captured = capsys.readouterr()
+        assert "scenario 'memory' runs serially on its own executor" in captured.err
+        assert setting in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "ckpt").exists()
+
+    def test_cli_all_skips_scenarios_that_cannot_honour_options(self, capsys, monkeypatch):
+        import repro.experiments.cli as cli_module
+
+        ran = []
+
+        def fake_run(name, *, effort, options):
+            ran.append(name)
+            return ExperimentResult(
+                experiment=name, description="fake", rows=[{"n": 1}], metadata={}
+            )
+
+        monkeypatch.setattr(cli_module, "run_scenario", fake_run)
+        assert main(["run", "all", "--effort", "quick", "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        for name in ("memory", "phase_clock", "baseline"):
+            assert f"[{name}] skipped: scenario {name!r} runs serially" in out
+            assert name not in ran
+        assert "fig3" in ran
+
     def test_cli_engine_flag(self, capsys):
         preset_patch = {
             "quick": ExperimentPreset(

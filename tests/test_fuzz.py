@@ -5,14 +5,13 @@ generated cases — runs in CI's scenario-smoke job (``repro-experiments
 fuzz``); here one small case keeps the full path covered, and everything
 else pins the cheap invariants: same seed -> identical specs and cache
 keys, every generated schedule is engine-valid, and registered fuzz cases
-are first-class scenarios (CLI, listing, bench grid).
+are first-class scenarios (CLI, listing, quick presets).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.bench.spec import default_grid
 from repro.engine.adversary import ResizeSchedule
 from repro.experiments.cli import main
 from repro.scenarios.fuzz import (
@@ -22,8 +21,8 @@ from repro.scenarios.fuzz import (
     register_fuzz_scenarios,
     unregister_fuzz_scenarios,
 )
-from repro.scenarios.registry import has_scenario
-from repro.scenarios.runner import run_scenario
+from repro.scenarios.registry import get_scenario, has_scenario
+from repro.scenarios.runner import resolve_preset, run_scenario
 
 
 class TestDeterminism:
@@ -72,9 +71,9 @@ class TestRegistryIntegration:
         names = register_fuzz_scenarios(42, 2)
         try:
             assert all(has_scenario(name) for name in names)
-            # Presets registered too -> visible to the benchmark grid.
-            grid_names = {spec.scenario for spec in default_grid("quick")}
-            assert set(names) <= grid_names
+            # Each case registers its quick preset too.
+            for name in names:
+                assert resolve_preset(get_scenario(name), "quick").name == "quick"
             result = run_scenario(names[0], effort="quick")
             assert result.rows
             assert result.metadata["scenario"] == names[0]

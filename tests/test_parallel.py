@@ -486,10 +486,8 @@ class TestScenarioWorkers:
     def test_executor_scenarios_stay_serial(self):
         from repro.scenarios import run_scenario
 
-        result = run_scenario(
-            "memory", effort="quick", options=ExecutionOptions(workers=2)
-        )
-        assert result.metadata["workers"] == "serial-only (bespoke executor)"
+        with pytest.raises(ConfigurationError, match="cannot honour workers"):
+            run_scenario("memory", effort="quick", options=ExecutionOptions(workers=2))
 
     def test_rejects_bad_workers_before_running(self):
         from repro.scenarios import run_scenario

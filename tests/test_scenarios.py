@@ -117,6 +117,11 @@ class TestScenarioSpec:
         with pytest.raises(ConfigurationError):
             ScenarioSpec(name="no_metrics", description="d")
 
+    def test_protocol_factory_is_not_a_field(self):
+        # Every point runs the paper's protocol; there is nothing to swap.
+        with pytest.raises(TypeError, match="protocol_factory"):
+            make_spec(protocol_factory=lambda params: None)
+
     def test_id_defaults_to_name(self):
         assert make_spec().id == "test_spec"
         assert make_spec(experiment_id="other").id == "other"

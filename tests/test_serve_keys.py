@@ -276,7 +276,7 @@ class TestGoldenPins:
             "sweep",
             "workers",
         ]
-        assert encoding["schema"] == 5
+        assert encoding["schema"] == 6
         assert sorted(encoding["preset"]) == [
             "extra",
             "name",
@@ -284,6 +284,26 @@ class TestGoldenPins:
             "population_sizes",
             "seed",
             "trials",
+        ]
+
+    def test_spec_encoding_shape_pinned(self):
+        # The spec's encoding is part of every key: a field appearing or
+        # disappearing (v6 dropped protocol_factory) is a schema bump too.
+        assert sorted(make_spec().canonical_encoding()) == [
+            "describe",
+            "description",
+            "engine",
+            "engines",
+            "executor",
+            "experiment_id",
+            "keep_series",
+            "knobs",
+            "metrics",
+            "name",
+            "params_factory",
+            "points",
+            "schedule_kind",
+            "tags",
         ]
 
     def test_small_auto_point_changed_rows_under_a_new_schema(self):
@@ -300,4 +320,4 @@ class TestGoldenPins:
         preset = make_preset(population_sizes=(80,), parallel_time=20, trials=3)
         result = run_scenario(spec, preset=preset)
         assert result.metadata["execution"]["engine"] == "ensemble"
-        assert run_encoding(spec, preset)["schema"] == 5
+        assert run_encoding(spec, preset)["schema"] == 6

@@ -107,6 +107,22 @@ class TestValidation:
         with pytest.raises(UnsupportedEngineError):
             service.submit(RunRequest(scenario="memory", engine="ensemble"))
 
+    def test_bespoke_executor_rejects_workers(self, tmp_path):
+        # The memory table runs serially on its own executor: a workers
+        # request is refused at admission, not ignored by the run.
+        service, recorder = make_service(tmp_path)
+        with pytest.raises(ConfigurationError, match="cannot honour workers"):
+            service.submit(RunRequest(scenario="memory", workers=2))
+        assert recorder.calls == []
+        assert sum(service.queue.depth().values()) == 0
+
+    def test_bespoke_executor_rejects_jit(self, tmp_path):
+        service, recorder = make_service(tmp_path)
+        with pytest.raises(ConfigurationError, match="cannot honour jit"):
+            service.submit(RunRequest(scenario="phase_clock", jit=True))
+        assert recorder.calls == []
+        assert sum(service.queue.depth().values()) == 0
+
     def test_bad_workers(self, tmp_path):
         service, _ = make_service(tmp_path)
         with pytest.raises(ConfigurationError):
@@ -418,3 +434,18 @@ class TestRealRunners:
                 service.close()
         assert run_ids[0] == run_ids[1]
         assert rows[0] == rows[1]
+
+    def test_checkpointing_service_serves_bespoke_executor_scenarios(self, tmp_path):
+        # The service's checkpoint cadence is its durability policy, not part
+        # of the request: a scenario that cannot checkpoint runs without it.
+        service = SimulationService(tmp_path / "cache", max_workers=1, checkpoint_every=20)
+        try:
+            req = RunRequest(
+                scenario="memory", overrides={"n": 50, "parallel_time": 15, "trials": 1}
+            )
+            run_id = service.submit(req)["run_id"]
+            job = service.queue.wait(run_id, timeout=300)
+            assert job.state.value == "done", job.error
+            assert service.result_payload(run_id)["results"][0]["rows"]
+        finally:
+            service.close()
