@@ -6,8 +6,8 @@ benchmark's ``extra_info`` so that the numbers appear in the pytest-benchmark
 JSON output alongside the timing.  Set the environment variable
 ``REPRO_BENCH_EFFORT=default`` (or ``paper``) to run the larger presets.
 
-The engine, parallel, checkpoint, counts and jit modules assert speedup
-floors instead: they time with :func:`measure`, collect one plain dict per
+The engine, parallel, checkpoint and counts modules assert speedup floors
+instead: they time with :func:`measure`, collect one plain dict per
 case through the :func:`suite_cases` fixture and, when ``REPRO_BENCH_DIR``
 is set, write them as JSON to one ``BENCH_*.json`` per module
 (``BENCH_engines.json``, ``BENCH_parallel.json``, ...).

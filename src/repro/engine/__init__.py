@@ -46,7 +46,7 @@ from repro.engine.errors import (
     ProtocolContractError,
     UnknownAgentError,
 )
-from repro.engine.options import ExecutionOptions, execution_metadata, jit_status
+from repro.engine.options import ExecutionOptions, execution_metadata
 from repro.engine.parallel import (
     DEFAULT_SHARD_SIZE,
     MAX_AUTO_WORKERS,
@@ -173,7 +173,6 @@ __all__ = [
     "execution_metadata",
     "has_counts_kernel",
     "has_vectorized",
-    "jit_status",
     "make_engine",
     "make_rng",
     "merge_shard_results",

@@ -1,6 +1,6 @@
 """A single frozen bundle for the execution knobs shared by every runner.
 
-Engine, workers, jit and the four checkpoint fields are how a workload
+Engine, workers and the four checkpoint fields are how a workload
 runs, never what it computes.  :class:`ExecutionOptions` is the one place
 they are declared and validated: :func:`repro.scenarios.runner.run_scenario`
 and :func:`repro.scenarios.runner.run_sweep` take them only as
@@ -17,7 +17,7 @@ from typing import Any, Sequence
 from repro.engine.errors import ConfigurationError
 from repro.engine.parallel import resolve_workers
 
-__all__ = ["ExecutionOptions", "execution_metadata", "jit_status"]
+__all__ = ["ExecutionOptions", "execution_metadata"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -32,9 +32,6 @@ class ExecutionOptions:
     workers:
         ``None`` (serial), ``"auto"`` (capped CPU count) or an integer
         worker-process count for sharded execution.
-    jit:
-        Request the compiled kernel backend (best effort; the availability
-        outcome is recorded in the result metadata).
     checkpoint_every / checkpoint_dir / resume_from / interrupt_after:
         Crash-recovery knobs, as documented on
         :func:`repro.engine.runner.run_engine_trials`.
@@ -42,7 +39,6 @@ class ExecutionOptions:
 
     engine: str | None = None
     workers: int | str | None = None
-    jit: bool = False
     checkpoint_every: int | None = None
     checkpoint_dir: Any = None
     resume_from: Any = None
@@ -53,8 +49,6 @@ class ExecutionOptions:
 
         validate_engine_request(self.engine)
         resolve_workers(self.workers)
-        if not isinstance(self.jit, bool):
-            raise ConfigurationError(f"jit must be a bool, got {self.jit!r}")
         for name in ("checkpoint_every", "interrupt_after"):
             value = getattr(self, name)
             if value is None:
@@ -83,22 +77,11 @@ class ExecutionOptions:
         return dataclasses.replace(self, **changes)
 
 
-def jit_status(jit: bool) -> str:
-    """Resolved jit mode: ``"off"``, ``"compiled"`` or ``"fallback: <why>"``."""
-    if not jit:
-        return "off"
-    from repro.kernels import availability
-
-    status = availability()
-    return "compiled" if status.enabled else f"fallback: {status.reason}"
-
-
 def execution_metadata(
     *,
     requested_engine: str | None,
     engines_used: Sequence[str],
     workers: int | None,
-    jit: bool,
 ) -> dict[str, Any]:
     """The fully resolved execution config stamped on every result.
 
@@ -112,6 +95,4 @@ def execution_metadata(
         "engine": engines[0] if len(engines) == 1 else "mixed",
         "engines": engines,
         "workers": workers,
-        "jit_requested": jit,
-        "jit": jit_status(jit),
     }

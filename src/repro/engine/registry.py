@@ -11,9 +11,8 @@ experiment code:
 * a **counts-kernel registry** doing the same for the multiset engine's
   :class:`repro.engine.counts_engine.CountsKernel` adapters; and
 * an **engine table** (:class:`EngineInfo`) mapping engine names to
-  builders plus capability flags, consumed by :func:`make_engine` — new
-  backends (the ROADMAP's Numba/CuPy candidates) are
-  :func:`register_engine` calls, not edits to an if-chain.
+  builders plus capability flags, consumed by :func:`make_engine` — a new
+  engine is a :func:`register_engine` call, not an edit to an if-chain.
 
 The four built-in engines — ``"sequential"`` / ``"batched"`` /
 ``"ensemble"`` / ``"counts"`` — register when this module is imported;
@@ -122,17 +121,6 @@ class EngineInfo:
         Accepts ``initial_arrays`` struct-of-arrays initial configurations.
     requires_int_population:
         Only accepts an integer population size (no ``Population`` object).
-    supports_jit:
-        Accepts ``jit=True`` (the compiled kernel backend of
-        :mod:`repro.kernels`); only meaningful for engines that execute
-        vectorised per-interaction kernels.
-    supports_checkpoint:
-        Implements :meth:`repro.engine.api.Engine.checkpoint_payload` /
-        ``apply_checkpoint_payload`` (and therefore ``save_checkpoint`` /
-        ``restore_checkpoint``), so long-horizon runs can be interrupted
-        and resumed bit-identically.  All four built-in engines do; a
-        registered backend that cannot serialize its state must say so
-        here so the checkpointing executor rejects it up front.
     """
 
     name: str
@@ -144,8 +132,6 @@ class EngineInfo:
     supports_adversary: bool = False
     supports_initial_arrays: bool = False
     requires_int_population: bool = True
-    supports_jit: bool = False
-    supports_checkpoint: bool = False
 
 
 _ENGINE_TABLE: dict[str, EngineInfo] = {}
@@ -442,7 +428,6 @@ def _build_sequential(
     initial_arrays: dict[str, np.ndarray] | None,
     sub_batches: int,
     trials: int | None,
-    jit: bool,
 ) -> Engine:
     if isinstance(protocol, VectorizedProtocol):
         raise ConfigurationError(
@@ -464,16 +449,6 @@ def _build_sequential(
     )
 
 
-def _jit_wrapped(protocol: Any, jit: bool) -> VectorizedProtocol:
-    """Resolve the vectorised kernel, upgrading to the compiled one on request."""
-    vectorized = vectorized_for(protocol)
-    if not jit:
-        return vectorized
-    from repro.kernels import jit_wrap
-
-    return jit_wrap(vectorized)
-
-
 class _BatchedEnsemble(EnsembleSimulator):
     """The ``"batched"`` engine: an ensemble with one stream per row."""
 
@@ -489,10 +464,9 @@ def _build_batched(
     resize_schedule,
     initial_arrays,
     sub_batches,
-    jit,
     **_,
 ):
-    vectorized = _jit_wrapped(protocol, jit)
+    vectorized = vectorized_for(protocol)
     trials = 1
     if isinstance(rng, RowStreams):
         # One stack of as many trial streams as fit the ensemble's trial
@@ -521,11 +495,10 @@ def _build_ensemble(
     initial_arrays,
     sub_batches,
     trials,
-    jit,
     **_,
 ):
     return EnsembleSimulator(
-        _jit_wrapped(protocol, jit),
+        vectorized_for(protocol),
         population,
         trials=1 if trials is None else trials,
         rng=rng,
@@ -563,7 +536,6 @@ register_engine(
         supports_recorders=True,
         supports_adversary=True,
         requires_int_population=False,
-        supports_checkpoint=True,
     )
 )
 register_engine(
@@ -575,8 +547,6 @@ register_engine(
             "(trials stacked, each row bit-identical to its own one-row run)"
         ),
         supports_initial_arrays=True,
-        supports_jit=True,
-        supports_checkpoint=True,
     )
 )
 register_engine(
@@ -586,8 +556,6 @@ register_engine(
         description="approximate batching stacked across all trials at once",
         supports_trials=True,
         supports_initial_arrays=True,
-        supports_jit=True,
-        supports_checkpoint=True,
     )
 )
 register_engine(
@@ -596,7 +564,6 @@ register_engine(
         builder=_build_counts,
         description="count-vector multiset dynamics; per-step cost independent of n",
         supports_initial_arrays=True,
-        supports_checkpoint=True,
     )
 )
 
@@ -615,7 +582,6 @@ def make_engine(
     initial_arrays: dict[str, np.ndarray] | None = None,
     sub_batches: int = 8,
     trials: int | None = None,
-    jit: bool = False,
 ) -> Engine:
     """Build an engine by name for the given protocol and population.
 
@@ -664,12 +630,6 @@ def make_engine(
         rejected for every engine without ``supports_trials`` — they run
         one trial per instance (``"batched"``: one per stream of its
         ``RowStreams``).
-    jit:
-        Upgrade the vectorised kernels to the compiled backend of
-        :mod:`repro.kernels` (best effort: when numba is unavailable or
-        ``REPRO_DISABLE_JIT`` is set, the engine silently runs the NumPy
-        reference kernels — see :func:`repro.kernels.availability`).
-        Rejected for engines without ``supports_jit``.
     """
     resize_schedule = tuple(resize_schedule)
     info = _ENGINE_TABLE.get(engine)
@@ -692,11 +652,6 @@ def make_engine(
         raise ConfigurationError(
             f"the {engine} engine does not support Recorder observers; "
             "use Engine.add_snapshot_hook() instead"
-        )
-    if jit and not info.supports_jit:
-        raise ConfigurationError(
-            f"the {engine} engine does not support the compiled kernel "
-            "backend (jit=True); use the batched or ensemble engine"
         )
     if initial_arrays is not None and not info.supports_initial_arrays:
         capable = [other.name for other in _ENGINE_TABLE.values() if other.supports_initial_arrays]
@@ -722,5 +677,4 @@ def make_engine(
         initial_arrays=initial_arrays,
         sub_batches=sub_batches,
         trials=trials,
-        jit=jit,
     )

@@ -41,7 +41,6 @@ from repro.experiments.fig5_initial_estimate import run_fig5
 from repro.experiments.holding_table import run_holding_table
 from repro.experiments.memory_table import run_memory_table
 from repro.experiments.phase_clock_experiment import run_phase_clock_experiment
-from repro.kernels import availability as kernels_availability
 from repro.scenarios.registry import get_scenario, has_scenario, iter_scenarios, scenario_names
 from repro.scenarios.runner import (
     resolve_preset,
@@ -115,16 +114,6 @@ def _add_common_arguments(parser: argparse.ArgumentParser) -> None:
             "Shard trials (and sweep points) over this many worker processes; "
             "'auto' uses the CPU count (capped).  Results are bit-identical "
             "for any worker count; omit for the serial path."
-        ),
-    )
-    parser.add_argument(
-        "--jit",
-        action="store_true",
-        help=(
-            "Use the compiled (numba) kernels on engines that support them; "
-            "falls back to the NumPy reference kernels when numba is not "
-            "installed or REPRO_DISABLE_JIT is set (see `list` for the "
-            "current availability)."
         ),
     )
     parser.add_argument(
@@ -346,14 +335,6 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
         print(json.dumps(scenario_listing(tag=args.tag), indent=2, sort_keys=True))
         return 0
-    status = kernels_availability()
-    jit_line = (
-        f"compiled kernels: available ({status.reason})"
-        if status.enabled
-        else f"compiled kernels: fallback to NumPy ({status.reason})"
-    )
-    print(jit_line)
-    print()
     efforts = list_presets()
     for spec in iter_scenarios():
         if args.tag is not None and args.tag not in spec.tags:
@@ -391,7 +372,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         options = ExecutionOptions(
             engine=args.engine,
             workers=args.workers,
-            jit=args.jit,
             checkpoint_every=args.checkpoint_every,
             checkpoint_dir=args.checkpoint_dir,
             resume_from=args.resume_from,
@@ -476,7 +456,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             options=ExecutionOptions(
                 engine=args.engine,
                 workers=args.workers,
-                jit=args.jit,
                 checkpoint_every=args.checkpoint_every,
                 checkpoint_dir=_checkpoint_subdir(args.checkpoint_dir, args.scenario),
                 resume_from=_checkpoint_subdir(args.resume_from, args.scenario),

@@ -34,7 +34,7 @@ from repro.core.params import ProtocolParameters, empirical_parameters
 from repro.core.vectorized import VectorizedDynamicCounting
 from repro.engine.api import Engine
 from repro.engine.parallel import ShardTiming, resolve_workers
-from repro.engine.registry import choose_engine, engine_info, make_engine
+from repro.engine.registry import choose_engine, make_engine
 from repro.engine.rng import RandomSource
 from repro.engine.runner import aggregate_series, run_engine_trials
 
@@ -81,7 +81,6 @@ def _build_trace_engine(
     initial_estimate: float | None,
     sub_batches: int,
     trials: int | None = None,
-    jit: bool = False,
 ) -> Engine:
     """Build one engine for the estimate-trace workload.
 
@@ -117,9 +116,6 @@ def _build_trace_engine(
         initial_arrays=initial_arrays,
         sub_batches=sub_batches,
         trials=trials if engine == "ensemble" else None,
-        # Guarded per engine so a jit request composes with auto-selection:
-        # points that resolve to counts simply ignore it.
-        jit=jit and engine_info(engine).supports_jit,
     )
 
 
@@ -133,7 +129,6 @@ def _trace_engine_factory(
     resize_schedule: tuple[tuple[int, int], ...],
     initial_estimate: float | None,
     sub_batches: int,
-    jit: bool = False,
 ) -> Engine:
     """Picklable engine factory for :func:`run_engine_trials`.
 
@@ -150,7 +145,6 @@ def _trace_engine_factory(
         initial_estimate,
         sub_batches,
         trials=ensemble_trials,
-        jit=jit,
     )
 
 
@@ -167,7 +161,6 @@ def run_estimate_trace(
     sub_batches: int = 8,
     engine: str | None = "batched",
     workers: int | str | None = None,
-    jit: bool = False,
     checkpoint_every: int | None = None,
     checkpoint_dir: Any = None,
     resume_from: Any = None,
@@ -211,11 +204,6 @@ def run_estimate_trace(
         counts (and, for every engine but ``ensemble``, identical to the
         serial path); per-shard wall-clock timings land in the returned
         trace's ``shard_timings``.
-    jit:
-        Request the compiled kernel backend of :mod:`repro.kernels` when
-        the resolved engine supports it; engines without the capability,
-        and machines without numba, transparently run the NumPy reference
-        kernels.
     checkpoint_every / checkpoint_dir / resume_from / interrupt_after:
         Crash recovery for long-horizon runs, forwarded verbatim to
         :func:`repro.engine.runner.run_engine_trials`: checkpoint every
@@ -246,7 +234,6 @@ def run_estimate_trace(
             resize_schedule=resize_schedule,
             initial_estimate=initial_estimate,
             sub_batches=sub_batches,
-            jit=jit,
         ),
         engine=engine,
         trials=trials,

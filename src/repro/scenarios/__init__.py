@@ -21,7 +21,7 @@ dynamic population model:
   paper's figures.
 
 :func:`run_scenario` and :func:`run_sweep` take ``effort``/``preset`` as
-keywords (what runs) and every execution setting (engine, workers, jit,
+keywords (what runs) and every execution setting (engine, workers,
 checkpointing) only as ``options=``
 :class:`repro.engine.options.ExecutionOptions`, re-exported here.
 """

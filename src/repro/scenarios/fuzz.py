@@ -405,7 +405,6 @@ def check_conformance(
         resize_schedule=tuple(case.schedule),
         initial_estimate=None,
         sub_batches=8,
-        jit=False,
     )
     samples = {}
     for engine in engines:

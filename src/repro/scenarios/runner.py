@@ -98,28 +98,25 @@ def resolve_params(spec: ScenarioSpec, preset: "ExperimentPreset") -> ProtocolPa
     return params
 
 
-def validate_executor_options(spec: ScenarioSpec, options: ExecutionOptions) -> None:
+def validate_executor_options(
+    spec: ScenarioSpec, options: ExecutionOptions, *, combinations: int = 1
+) -> None:
     """Reject the settings a bespoke-executor scenario cannot honour.
 
     A spec with an ``executor`` runs its own serial measurement on the
-    sequential engine: it cannot shard trials over ``workers``, reach the
-    compiled kernels (``jit``) or write checkpoints.  Any of them raises
-    :class:`ConfigurationError`; specs without an executor pass.
+    sequential engine: it cannot shard trials over ``workers`` or write
+    checkpoints.  Any of them raises :class:`ConfigurationError`; specs
+    without an executor pass.  ``combinations`` is the size of the sweep
+    grid being run (1 for a single run): a sweep of several combinations
+    fans them out over ``workers`` and runs each one serially, so there
+    ``workers`` is honoured.
     """
     if spec.executor is None:
         return
-    requested = [
-        name
-        for name in (
-            "workers",
-            "jit",
-            "checkpoint_every",
-            "checkpoint_dir",
-            "resume_from",
-            "interrupt_after",
-        )
-        if getattr(options, name) not in (None, False)
-    ]
+    names = ("checkpoint_every", "checkpoint_dir", "resume_from", "interrupt_after")
+    if combinations == 1:
+        names = ("workers",) + names
+    requested = [name for name in names if getattr(options, name) is not None]
     if requested:
         raise ConfigurationError(
             f"scenario {spec.name!r} runs serially on its own executor and "
@@ -192,11 +189,6 @@ def run_scenario(
           integer fans each point's row-shards over that many worker
           processes.  Per-trial results are bit-identical for any
           ``workers >= 1``.
-        * ``jit`` — request the compiled kernel backend
-          (:mod:`repro.kernels`) for every point on an engine supporting
-          it; elsewhere, and where the backend is unavailable, the NumPy
-          reference kernels run.  Request and outcome are recorded in the
-          result metadata.
         * ``checkpoint_every`` / ``checkpoint_dir`` / ``resume_from`` /
           ``interrupt_after`` — crash recovery (see
           :func:`repro.engine.runner.run_engine_trials`): each point
@@ -209,8 +201,8 @@ def run_scenario(
           Checkpointing never changes results.
 
         Bespoke-executor scenarios (recorder workloads pinned to the
-        sequential engine) run serially and reject ``workers``, ``jit`` and
-        every checkpoint field before any work (see
+        sequential engine) run serially and reject ``workers`` and every
+        checkpoint field before any work (see
         :func:`validate_executor_options`).
     """
     # Imported here: the experiments layer imports repro.scenarios at
@@ -219,7 +211,7 @@ def run_scenario(
     from repro.experiments.figures import run_estimate_trace
 
     opts = options if options is not None else ExecutionOptions()
-    engine, jit, interrupt_after = opts.engine, opts.jit, opts.interrupt_after
+    engine, interrupt_after = opts.engine, opts.interrupt_after
     checkpoint_every, checkpoint_dir = opts.checkpoint_every, opts.checkpoint_dir
     resume_from = opts.resume_from
 
@@ -246,7 +238,6 @@ def run_scenario(
             requested_engine=engine,
             engines_used=[resolved],
             workers=None,  # bespoke executors always run serially
-            jit=False,  # ... and never reach the vectorised kernels
         )
         execution["workers_requested"] = None
         result.metadata["execution"] = execution
@@ -283,7 +274,6 @@ def run_scenario(
             initial_estimate=point.initial_estimate,
             engine=point_engine,
             workers=workers,
-            jit=jit,
             checkpoint_every=checkpoint_every,
             checkpoint_dir=_subdir(checkpoint_dir, point.series_label),
             resume_from=_subdir(resume_from, point.series_label),
@@ -303,7 +293,6 @@ def run_scenario(
         requested_engine=engine,
         engines_used=engines_used,
         workers=workers,
-        jit=jit,
     )
     execution["workers_requested"] = requested_workers
     if checkpointing:
@@ -324,8 +313,6 @@ def run_scenario(
     if workers is not None:
         metadata["workers"] = workers
         metadata["shard_timings"] = shard_timings
-    if jit:
-        metadata["jit"] = execution["jit"]
     return ExperimentResult(
         experiment=spec.id,
         description=spec.description_for(preset),
@@ -385,10 +372,7 @@ def run_sweep(
     resolved_workers = resolve_workers(opts.workers)
     base = resolve_preset(spec, effort, preset)
     expanded = sweep.expand(base)
-    # Several combinations fan out over the workers and each runs serially.
-    validate_executor_options(
-        spec, opts if len(expanded) == 1 else opts.replace(workers=None)
-    )
+    validate_executor_options(spec, opts, combinations=len(expanded))
     checkpoint_dir, resume_from = opts.checkpoint_dir, opts.resume_from
     if opts.checkpointing:
         if checkpoint_dir is None:

@@ -247,7 +247,7 @@ class ScenarioSpec:
         Escape hatch ``(spec, preset, params, engine) -> ExperimentResult``
         for scenarios that need bespoke measurement machinery (recorders,
         per-event traces).  Such specs ignore ``points``/``metrics``, run
-        serially and reject ``workers``, ``jit`` and checkpointing.
+        serially and reject ``workers`` and checkpointing.
     experiment_id:
         Identifier stamped on the :class:`ExperimentResult` (and used for
         preset lookup); defaults to ``name``.

@@ -16,8 +16,7 @@ Layering:
   :func:`~repro.scenarios.runner.run_scenario` / ``run_sweep`` path).
 * **HTTP transport (optional ``[serve]`` extra)** — :mod:`repro.serve.app`,
   a thin FastAPI layer; build it through :func:`create_app`, which raises a
-  clean one-line error when the extra is not installed (mirroring the
-  ``[jit]`` pattern of :mod:`repro.kernels`).
+  clean one-line error when the extra is not installed.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ Endpoints
     The shared machine-readable scenario listing (same formatter as
     ``repro-experiments list --json``).
 ``GET /healthz``
-    Engine capabilities, jit/serve availability, queue depth, cache stats.
+    Engine capabilities, serve availability, queue depth, cache stats.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import os
 from typing import Any, Literal
 
 from fastapi import FastAPI, HTTPException, Response
-from pydantic import BaseModel, Field
+from pydantic import BaseModel, ConfigDict, Field
 
 from repro.engine.errors import EngineError
 from repro.serve.jobs import QueueFullError
@@ -49,7 +49,13 @@ CACHE_DIR_ENV = "REPRO_SERVE_CACHE_DIR"
 
 
 class RunRequestModel(BaseModel):
-    """Body of ``POST /runs`` — mirrors :class:`repro.serve.service.RunRequest`."""
+    """Body of ``POST /runs`` — mirrors :class:`repro.serve.service.RunRequest`.
+
+    Unknown fields are a 422, so a setting the service does not have is
+    refused rather than dropped.
+    """
+
+    model_config = ConfigDict(extra="forbid")
 
     scenario: str
     effort: str = "quick"
@@ -57,7 +63,6 @@ class RunRequestModel(BaseModel):
     workers: int | Literal["auto"] | None = Field(
         default=None, description="Worker processes for sharded execution."
     )
-    jit: bool = False
     seed: int | None = None
     overrides: dict[str, Any] | None = None
     sweep: dict[str, list[Any]] | None = None
@@ -68,7 +73,6 @@ class RunRequestModel(BaseModel):
             effort=self.effort,
             engine=self.engine,
             workers=self.workers,
-            jit=self.jit,
             seed=self.seed,
             overrides=self.overrides,
             sweep=self.sweep,

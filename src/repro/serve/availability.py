@@ -3,11 +3,10 @@
 The core of :mod:`repro.serve` — cache keys, the job queue, the result
 cache, the service facade — is framework-free and always importable.  Only
 the HTTP layer (:mod:`repro.serve.app`) needs FastAPI, which ships behind
-the optional ``[serve]`` extra.  Mirroring :mod:`repro.kernels.availability`,
-everything that cares asks :func:`availability` instead of importing
-``fastapi`` directly, so the "extra not installed" decision is made exactly
-once, for exactly one reason, and surfaces as a clean one-line error rather
-than an ImportError traceback.
+the optional ``[serve]`` extra.  Everything that cares asks
+:func:`availability` instead of importing ``fastapi`` directly, so the
+"extra not installed" decision is made exactly once, for exactly one reason,
+and surfaces as a clean one-line error rather than an ImportError traceback.
 """
 
 from __future__ import annotations

@@ -14,10 +14,10 @@ invariant) of everything that can influence the produced artifact bytes:
 * the scenario's declarative identity (:meth:`ScenarioSpec.canonical_encoding`),
 * the fully resolved preset (sizes, horizon, trials, seed, extra knobs —
   including sweep-applied ``params_overrides``),
-* the normalised engine request, the resolved worker count and the jit flag
-  (these do not change the simulated rows — determinism holds across all of
-  them — but they are recorded in result metadata, so two runs differing in
-  any of them produce different artifact bytes and must not share an entry),
+* the normalised engine request and the resolved worker count (the worker
+  count does not change the simulated rows — determinism holds across it —
+  but it is recorded in result metadata, so two runs differing in it
+  produce different artifact bytes and must not share an entry),
 * the sweep grid, when the run is a sweep.
 
 Two requests get the same key exactly when replaying either would write the
@@ -50,7 +50,9 @@ __all__ = ["KEY_SCHEMA_VERSION", "canonical_cache_key", "normalize_engine_reques
 #: with ``n <= 128`` run on ``ensemble`` / ``batched`` and draw different
 #: rows for the same request.
 #: v6: ScenarioSpec.canonical_encoding lost ``protocol_factory``.
-KEY_SCHEMA_VERSION = 6
+#: v7: the encoding and result metadata lost the compiled-kernel request
+#: flag, with the compiled backend.
+KEY_SCHEMA_VERSION = 7
 
 
 def normalize_engine_request(spec: ScenarioSpec, engine: str | None) -> str:
@@ -74,7 +76,6 @@ def run_encoding(
     seed: int | None = None,
     engine: str | None = None,
     workers: int | str | None = None,
-    jit: bool = False,
     sweep: SweepSpec | None = None,
 ) -> dict[str, Any]:
     """The JSON-encodable identity of one run request (pre-hash).
@@ -100,7 +101,6 @@ def run_encoding(
         },
         "engine": normalize_engine_request(spec, engine),
         "workers": resolve_workers(workers),
-        "jit": bool(jit),
         "sweep": sweep.canonical_encoding() if sweep is not None else None,
     }
 
@@ -112,7 +112,6 @@ def canonical_cache_key(
     seed: int | None = None,
     engine: str | None = None,
     workers: int | str | None = None,
-    jit: bool = False,
     sweep: SweepSpec | None = None,
 ) -> str:
     """SHA-256 hex digest of :func:`run_encoding`.
@@ -128,7 +127,6 @@ def canonical_cache_key(
             seed=seed,
             engine=engine,
             workers=workers,
-            jit=jit,
             sweep=sweep,
         )
     )

@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.engine.options import ExecutionOptions
 from repro.engine.registry import engine_capabilities, validate_engine_request
-from repro.kernels import availability as kernels_availability
 from repro.scenarios.listing import scenario_listing
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.runner import (
@@ -82,7 +81,7 @@ class RunRequest:
         Registered scenario name (see :func:`repro.scenarios.scenario_names`).
     effort:
         Preset effort level (``"quick"`` / ``"default"`` / ``"paper"``).
-    engine / workers / jit:
+    engine / workers:
         Execution knobs, forwarded to :func:`repro.scenarios.runner.run_scenario`
         as the matching :class:`~repro.engine.options.ExecutionOptions` fields.
     seed:
@@ -99,7 +98,6 @@ class RunRequest:
     effort: str = "quick"
     engine: str | None = None
     workers: int | str | None = None
-    jit: bool = False
     seed: int | None = None
     overrides: Mapping[str, Any] | None = None
     sweep: Mapping[str, Sequence[Any]] | None = None
@@ -166,20 +164,19 @@ class SimulationService:
         """:meth:`resolve` plus the request's validated execution options."""
         spec = get_scenario(request.scenario)
         validate_engine_request(request.engine, spec)
-        # Built at admission so a bad workers/jit value never reaches a job.
-        options = ExecutionOptions(
-            engine=request.engine, workers=request.workers, jit=request.jit
-        )
+        # Built at admission so a bad workers value never reaches a job.
+        options = ExecutionOptions(engine=request.engine, workers=request.workers)
         preset = resolve_preset(spec, request.effort)
         if request.overrides:
             preset = apply_axis_overrides(preset, dict(request.overrides))
         if request.seed is not None:
             preset = preset.with_overrides(seed=int(request.seed))
         sweep = None
+        combinations = 1
         if request.sweep:
             sweep = SweepSpec.from_mapping(request.scenario, dict(request.sweep))
-        else:
-            validate_executor_options(spec, options)
+            combinations = len(sweep.combinations())
+        validate_executor_options(spec, options, combinations=combinations)
         # Expanding the points validates population sizes, trial counts and
         # resize schedules for every engine before admission.
         if spec.executor is None and sweep is None:
@@ -191,7 +188,6 @@ class SimulationService:
             preset,
             engine=request.engine,
             workers=request.workers,
-            jit=request.jit,
             sweep=sweep,
         )
         return spec, preset, sweep, key, options
@@ -321,16 +317,10 @@ class SimulationService:
 
     def health(self) -> dict[str, Any]:
         """Capabilities, queue depth and cache stats (``GET /healthz``)."""
-        jit = kernels_availability()
         serve = serve_availability()
         return {
             "status": "ok",
             "engines": engine_capabilities(),
-            "jit": {
-                "enabled": jit.enabled,
-                "reason": jit.reason,
-                "numba_version": jit.numba_version,
-            },
             "serve": {
                 "enabled": serve.enabled,
                 "reason": serve.reason,

@@ -417,24 +417,3 @@ class TestStackedTrials:
         restored = make_engine("batched", DynamicSizeCounting(), 50, rng=fresh)
         restored.apply_checkpoint_payload(payload)
         assert restored.run(4).series() == expected
-
-    @pytest.mark.parametrize("protocol_cls", [DynamicSizeCounting, JuntaElection])
-    def test_jit_wrappers_draw_per_row(self, protocol_cls):
-        # The interpreted kernel table runs the wrappers' own draw calls
-        # without numba.
-        from repro.kernels import jit_kernel_for
-        from repro.kernels.jit import python_kernels, use_kernel_table
-
-        n, trials = 40, 3
-        wrapper = jit_kernel_for(protocol_cls())
-        tree = SeedTree.from_seed(STACK_SEED)
-        with use_kernel_table(python_kernels()):
-            looped = [
-                make_engine("batched", wrapper, n, rng=tree.trial(t).source()).run(4).series()
-                for t in range(trials)
-            ]
-            streams = RowStreams([tree.trial(t).source() for t in range(trials)])
-            stack = make_engine("batched", wrapper, n, rng=streams)
-            stacked = [run.series() for run in stack.run(4).trial_results]
-        assert stack.trials == trials
-        assert stacked == looped

@@ -135,9 +135,33 @@ class TestCheckpointContainer:
 
 
 class TestEngineCheckpoint:
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_registry_advertises_support(self, engine):
-        assert engine_info(engine).supports_checkpoint
+    def test_engine_without_state_payload_refuses_to_checkpoint(self, tmp_path):
+        # The engine table has no checkpoint flag: an engine that cannot
+        # serialise its state says so when asked for a checkpoint.
+        from repro.engine.api import Engine
+
+        class Stateless(Engine):
+            name = "stateless"
+            size = 2
+
+            def outputs(self):
+                return [0.0, 0.0]
+
+            def _advance_one_parallel_step(self):
+                pass
+
+            def _take_snapshot(self):
+                raise AssertionError("not run")
+
+            def _build_result(self, snapshots, stopped_early):
+                raise AssertionError("not run")
+
+        assert not hasattr(engine_info("batched"), "supports_checkpoint")
+        with pytest.raises(CheckpointError, match="'stateless' does not support checkpoints"):
+            Stateless().checkpoint_payload()
+        with pytest.raises(CheckpointError, match="does not support checkpoints"):
+            Stateless().save_checkpoint(tmp_path / "x.ckpt")
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_save_restore_continues_bit_identically(self, engine, tmp_path):

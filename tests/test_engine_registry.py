@@ -340,6 +340,29 @@ class TestEngineTable:
         assert sequential.exact is True
         assert sequential.supports_recorders is True
 
+    def test_capability_flags_name_only_checked_settings(self):
+        import dataclasses
+
+        from repro.engine.registry import EngineInfo
+
+        # No compiled-backend flag, and no checkpoint flag that nothing reads.
+        assert [field.name for field in dataclasses.fields(EngineInfo)] == [
+            "name",
+            "builder",
+            "description",
+            "exact",
+            "supports_trials",
+            "supports_recorders",
+            "supports_adversary",
+            "supports_initial_arrays",
+            "requires_int_population",
+        ]
+
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_jit_keyword_is_a_type_error(self, engine):
+        with pytest.raises(TypeError, match="jit"):
+            make_engine(engine, DynamicSizeCounting(), 50, seed=1, jit=True)
+
     def test_engine_info_unknown_name_lists_registered(self):
         from repro.engine.registry import engine_info
 

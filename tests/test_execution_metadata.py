@@ -1,12 +1,12 @@
 """Resolved execution config in result metadata (``metadata["execution"]``).
 
 Every result records the *fully resolved* execution configuration — the
-engine after ``choose_engine``, the worker count after ``resolve_workers``,
-the jit outcome after the availability probe — alongside what was requested.
-Cached artifacts are then self-describing: the block alone reproduces the
-run without re-deriving the auto policies.  Legacy metadata keys
-(``engine``, conditional ``workers``/``jit``) are pinned elsewhere
-(tests/test_parallel.py, tests/test_scenarios.py) and must not change.
+engine after ``choose_engine``, the worker count after ``resolve_workers``
+— alongside what was requested.  Cached artifacts are then
+self-describing: the block alone reproduces the run without re-deriving the
+auto policies.  Legacy metadata keys (``engine``, conditional ``workers``)
+are pinned elsewhere (tests/test_parallel.py, tests/test_scenarios.py) and
+must not change.
 """
 
 from __future__ import annotations
@@ -55,8 +55,6 @@ def execution_of(result):
         "engines",
         "workers",
         "workers_requested",
-        "jit_requested",
-        "jit",
     }
     return execution
 
@@ -143,40 +141,29 @@ class TestWorkersResolution:
         assert execution["workers"] == 2
 
 
-class TestJitResolution:
-    def test_jit_off_by_default(self):
+class TestNoKernelBackendChoice:
+    # Every protocol runs on its NumPy kernels: there is no backend to
+    # request, so no result records one.
+    def test_metadata_records_no_jit_keys(self):
         result = run_scenario(make_spec(), preset=tiny_preset())
-        execution = execution_of(result)
-        assert execution["jit_requested"] is False
-        assert execution["jit"] == "off"
-
-    def test_jit_request_records_availability_outcome(self):
-        from repro.kernels import availability
-
-        result = run_scenario(
-            make_spec(), preset=tiny_preset(), options=ExecutionOptions(jit=True)
-        )
-        execution = execution_of(result)
-        assert execution["jit_requested"] is True
-        if availability().enabled:
-            assert execution["jit"] == "compiled"
-        else:
-            assert execution["jit"].startswith("fallback: ")
+        assert not {"jit", "jit_requested"} & set(execution_of(result))
+        assert "jit" not in result.metadata
 
 
 class TestBespokeExecutor:
     def test_bespoke_scenario_records_serial_execution(self):
         # The memory table runs through a bespoke recorder executor: it is
-        # always serial and never reaches the vectorised kernels, so it
-        # rejects a request for either instead of ignoring it.
-        with pytest.raises(ConfigurationError, match="workers, jit"):
-            run_scenario("memory", options=ExecutionOptions(workers="auto", jit=True))
+        # always serial and never checkpoints, so it rejects a request for
+        # either instead of ignoring it.
+        with pytest.raises(ConfigurationError, match="workers, checkpoint_dir$"):
+            run_scenario(
+                "memory", options=ExecutionOptions(workers="auto", checkpoint_dir="ckpt")
+            )
 
     @pytest.mark.parametrize(
         "setting",
         [
             {"workers": 2},
-            {"jit": True},
             {"checkpoint_every": 5},
             {"checkpoint_dir": "ckpt"},
             {"resume_from": "ckpt"},
@@ -204,7 +191,7 @@ class TestBespokeExecutor:
 
     def test_specs_without_an_executor_accept_every_setting(self):
         options = ExecutionOptions(
-            workers=2, jit=True, checkpoint_every=5, checkpoint_dir="ckpt", interrupt_after=1
+            workers=2, checkpoint_every=5, checkpoint_dir="ckpt", interrupt_after=1
         )
         validate_executor_options(make_spec(), options)
 
@@ -222,17 +209,36 @@ class TestBespokeExecutor:
             assert execution["workers"] is None
             assert execution["sweep_workers"] == 2
 
-    def test_sweep_of_one_combination_rejects_workers(self):
-        sweep = SweepSpec.from_mapping("memory", {"n": (40,)})
-        with pytest.raises(ConfigurationError, match="cannot honour workers"):
+    @pytest.mark.parametrize("name", ["memory", "phase_clock", "baseline"])
+    def test_sweep_of_one_combination_rejects_workers(self, name, monkeypatch):
+        import repro.scenarios.runner as runner
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a rejected sweep must not start")
+
+        monkeypatch.setattr(runner, "run_scenario", must_not_run)
+        sweep = SweepSpec.from_mapping(name, {"n": (40,)})
+        with pytest.raises(ConfigurationError, match="cannot honour workers$"):
             run_sweep(sweep, preset=tiny_preset(), options=ExecutionOptions(workers=2))
 
-    def test_sweep_of_several_combinations_still_rejects_jit(self):
+    def test_sweep_of_several_combinations_still_rejects_checkpointing(self):
         sweep = SweepSpec.from_mapping("memory", {"n": (40, 50)})
-        with pytest.raises(ConfigurationError, match="cannot honour jit$"):
+        with pytest.raises(ConfigurationError, match="cannot honour checkpoint_dir$"):
             run_sweep(
-                sweep, preset=tiny_preset(), options=ExecutionOptions(workers=2, jit=True)
+                sweep,
+                preset=tiny_preset(),
+                options=ExecutionOptions(workers=2, checkpoint_dir="ckpt"),
             )
+
+    @pytest.mark.parametrize("combinations", [1, 2, 5])
+    def test_workers_are_honoured_only_by_several_combinations(self, combinations):
+        spec = get_scenario("memory")
+        options = ExecutionOptions(workers=2)
+        if combinations == 1:
+            with pytest.raises(ConfigurationError, match="cannot honour workers$"):
+                validate_executor_options(spec, options, combinations=combinations)
+        else:
+            validate_executor_options(spec, options, combinations=combinations)
 
 
 class TestSweepMetadata:

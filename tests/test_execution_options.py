@@ -13,7 +13,7 @@ import dataclasses
 import pytest
 
 from repro.engine.errors import ConfigurationError
-from repro.engine.options import ExecutionOptions, execution_metadata, jit_status
+from repro.engine.options import ExecutionOptions, execution_metadata
 from repro.engine.runner import run_engine_trials
 from repro.experiments.base import ExperimentPreset
 from repro.experiments.figures import _trace_engine_factory
@@ -40,7 +40,6 @@ class TestValidation:
         assert [field.name for field in dataclasses.fields(ExecutionOptions)] == [
             "engine",
             "workers",
-            "jit",
             "checkpoint_every",
             "checkpoint_dir",
             "resume_from",
@@ -54,8 +53,6 @@ class TestValidation:
             ExecutionOptions(workers=0)
         with pytest.raises(ConfigurationError):
             ExecutionOptions(workers=True)
-        with pytest.raises(ConfigurationError):
-            ExecutionOptions(jit="yes")
         with pytest.raises(ConfigurationError):
             ExecutionOptions(checkpoint_every=0, checkpoint_dir="x")
         # interrupt_after is a fault-injection knob *on* checkpointing.
@@ -102,7 +99,7 @@ class TestRunSweep:
     def test_flat_execution_keywords_are_gone(self):
         sweep = SweepSpec.from_mapping("oscillate", {"n": (60,)})
         with pytest.raises(TypeError):
-            run_sweep(sweep, jit=True)
+            run_sweep(sweep, workers=2)
 
 
 class TestRunEngineTrials:
@@ -144,32 +141,130 @@ class TestRunRequest:
 class TestMetadataHelpers:
     def test_execution_metadata_shape(self):
         block = execution_metadata(
-            requested_engine=None, engines_used=["batched", "batched"], workers=None, jit=False
+            requested_engine=None, engines_used=["batched", "batched"], workers=None
         )
         assert block == {
             "requested_engine": None,
             "engine": "batched",
             "engines": ["batched"],
             "workers": None,
-            "jit_requested": False,
-            "jit": "off",
         }
         mixed = execution_metadata(
-            requested_engine="auto",
-            engines_used=["batched", "counts"],
-            workers=2,
-            jit=False,
+            requested_engine="auto", engines_used=["batched", "counts"], workers=2
         )
         assert mixed["engine"] == "mixed"
         assert mixed["engines"] == ["batched", "counts"]
-
-    def test_jit_status_off(self):
-        assert jit_status(False) == "off"
-        # True resolves to "compiled" or a fallback reason, never "off".
-        assert jit_status(True) != "off"
 
 
 def test_scenarios_reexports_options():
     from repro.scenarios import ExecutionOptions as reexported
 
     assert reexported is ExecutionOptions
+
+
+def _run_request(**kwargs):
+    return RunRequest(scenario="fig2", **kwargs)
+
+
+def _estimate_trace(**kwargs):
+    from repro.experiments.figures import run_estimate_trace
+
+    return run_estimate_trace(64, 10, trials=2, seed=1, **kwargs)
+
+
+def _cache_key(**kwargs):
+    from repro.serve.keys import canonical_cache_key
+
+    return canonical_cache_key("fig2", tiny_preset(), **kwargs)
+
+
+def _run_encoding(**kwargs):
+    from repro.serve.keys import run_encoding
+
+    return run_encoding("fig2", tiny_preset(), **kwargs)
+
+
+def _metadata(**kwargs):
+    return execution_metadata(
+        requested_engine=None, engines_used=["batched"], workers=None, **kwargs
+    )
+
+
+def _trace_factory(**kwargs):
+    from repro.core.params import empirical_parameters
+    from repro.engine.rng import RandomSource
+
+    return _trace_engine_factory(
+        "batched",
+        RandomSource.from_seed(1),
+        None,
+        n=64,
+        params=empirical_parameters(),
+        resize_schedule=(),
+        initial_estimate=None,
+        sub_batches=4,
+        **kwargs,
+    )
+
+
+def _engine_info(**kwargs):
+    from repro.engine.registry import EngineInfo, make_engine
+
+    return EngineInfo(name="probe", builder=make_engine, **kwargs)
+
+
+class TestRemovedSpellings:
+    """The compiled backend's knobs fail loudly at every layer, never drop silently."""
+
+    @pytest.mark.parametrize(
+        ("call", "keyword"),
+        [
+            (ExecutionOptions, "jit"),
+            (_run_request, "jit"),
+            (_estimate_trace, "jit"),
+            (_cache_key, "jit"),
+            (_run_encoding, "jit"),
+            (_metadata, "jit"),
+            (_trace_factory, "jit"),
+            (_engine_info, "supports_jit"),
+            (_engine_info, "supports_checkpoint"),
+        ],
+        ids=[
+            "ExecutionOptions",
+            "RunRequest",
+            "run_estimate_trace",
+            "canonical_cache_key",
+            "run_encoding",
+            "execution_metadata",
+            "trace_engine_factory",
+            "EngineInfo-supports_jit",
+            "EngineInfo-supports_checkpoint",
+        ],
+    )
+    @pytest.mark.parametrize("value", [True, False])
+    def test_keyword_is_a_type_error(self, call, keyword, value):
+        with pytest.raises(TypeError, match=keyword):
+            call(**{keyword: value})
+
+    @pytest.mark.parametrize(
+        ("module", "name"),
+        [
+            ("repro.engine", "jit_status"),
+            ("repro.engine.options", "jit_status"),
+            ("repro.kernels", "jit_wrap"),
+            ("repro.kernels", "compile_warmup"),
+            ("repro.kernels", "register_jit_kernel"),
+            ("repro.kernels", "DISABLE_ENV"),
+        ],
+    )
+    def test_name_is_gone(self, module, name):
+        import importlib
+
+        assert not hasattr(importlib.import_module(module), name)
+
+    @pytest.mark.parametrize("module", ["repro.kernels.jit", "repro.kernels.availability"])
+    def test_module_is_gone(self, module):
+        import importlib
+
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)

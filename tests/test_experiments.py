@@ -289,6 +289,22 @@ class TestEngineSelectors:
         captured = capsys.readouterr()
         assert "error" in captured.err
 
+    @pytest.mark.parametrize("name", ["memory", "phase_clock", "baseline"])
+    def test_cli_one_combination_sweep_of_a_bespoke_scenario_rejects_workers(
+        self, name, capsys, monkeypatch
+    ):
+        import repro.scenarios.runner as runner
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("a rejected sweep must not start")
+
+        monkeypatch.setattr(runner, "run_scenario", must_not_run)
+        args = ["sweep", name, "--effort", "quick", "--set", "trials=1", "--workers", "2"]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"scenario {name!r} runs serially on its own executor" in err
+        assert err.rstrip().endswith("cannot honour workers")
+
     def test_cli_bespoke_executor_rejects_workers(self, capsys, monkeypatch):
         import repro.experiments.cli as cli_module
 
@@ -304,7 +320,6 @@ class TestEngineSelectors:
     @pytest.mark.parametrize(
         "flags, setting",
         [
-            (["--jit"], "jit"),
             (["--checkpoint-every", "5", "--checkpoint-dir", "DIR"], "checkpoint_every"),
             (["--checkpoint-dir", "DIR"], "checkpoint_dir"),
             (["--resume-from", "DIR"], "resume_from"),
@@ -391,6 +406,24 @@ class TestScenarioCliCommands:
         with pytest.raises(SystemExit) as excinfo:
             main(["fig4"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize(
+        "command", [["run", "fig3"], ["sweep", "fig3", "--set", "n=64"]], ids=["run", "sweep"]
+    )
+    def test_jit_flag_is_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--effort", "quick", "--jit"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --jit" in capsys.readouterr().err
+
+    def test_list_has_no_compiled_kernels_line(self, capsys):
+        assert main(["list"]) == 0
+        out = capsys.readouterr().out
+        from repro.scenarios.registry import iter_scenarios
+
+        assert "compiled kernels" not in out
+        # The listing opens with the first scenario, not a backend line.
+        assert out.startswith(f"{iter_scenarios()[0].name}: ")
 
     def test_list_shows_catalog_scenarios(self, capsys):
         assert main(["list"]) == 0

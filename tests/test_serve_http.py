@@ -122,6 +122,16 @@ class TestErrorMapping:
         assert submit(client, workers=0).status_code == 422
         assert recorder.calls == 0
 
+    def test_unknown_field_is_422_not_dropped(self, stack):
+        # The compiled backend and its `jit` field are gone; an old client
+        # asking for it is told so instead of silently running without it.
+        client, _, recorder = stack
+        response = submit(client, jit=True)
+        assert response.status_code == 422
+        assert "jit" in response.text
+        assert submit(client, warp_speed=9).status_code == 422
+        assert recorder.calls == 0
+
     def test_pending_result_is_409(self, tmp_path):
         gate = threading.Event()
         recorder = Recorder(gate=gate)
@@ -197,6 +207,7 @@ class TestIntrospection:
         assert health["serve"]["enabled"] is True
         assert {"pending", "running"} <= set(health["queue"])
         assert {"entries", "hits"} <= set(health["cache"])
+        assert "jit" not in health
 
 
 class TestAvailabilityGate:

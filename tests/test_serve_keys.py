@@ -179,7 +179,6 @@ class TestRunCacheKey:
             {"engine": "batched"},
             {"workers": 1},
             {"workers": 2},
-            {"jit": True},
             {"seed": 99},
         ],
     )
@@ -269,14 +268,13 @@ class TestGoldenPins:
         encoding = run_encoding(make_spec(), make_preset())
         assert sorted(encoding) == [
             "engine",
-            "jit",
             "preset",
             "scenario",
             "schema",
             "sweep",
             "workers",
         ]
-        assert encoding["schema"] == 6
+        assert encoding["schema"] == 7
         assert sorted(encoding["preset"]) == [
             "extra",
             "name",
@@ -320,4 +318,4 @@ class TestGoldenPins:
         preset = make_preset(population_sizes=(80,), parallel_time=20, trials=3)
         result = run_scenario(spec, preset=preset)
         assert result.metadata["execution"]["engine"] == "ensemble"
-        assert run_encoding(spec, preset)["schema"] == 6
+        assert run_encoding(spec, preset)["schema"] == 7

@@ -116,12 +116,52 @@ class TestValidation:
         assert recorder.calls == []
         assert sum(service.queue.depth().values()) == 0
 
-    def test_bespoke_executor_rejects_jit(self, tmp_path):
+    @pytest.mark.parametrize("scenario", ["memory", "phase_clock", "baseline"])
+    def test_bespoke_executor_rejects_workers_on_a_one_combination_sweep(
+        self, tmp_path, scenario
+    ):
+        # One combination runs as a single run, which cannot shard over
+        # workers: refused at admission like a plain run, not failed as a job.
         service, recorder = make_service(tmp_path)
-        with pytest.raises(ConfigurationError, match="cannot honour jit"):
-            service.submit(RunRequest(scenario="phase_clock", jit=True))
-        assert recorder.calls == []
-        assert sum(service.queue.depth().values()) == 0
+        try:
+            with pytest.raises(ConfigurationError, match="cannot honour workers$"):
+                service.submit(
+                    RunRequest(scenario=scenario, sweep={"trials": [2]}, workers=2)
+                )
+            assert recorder.calls == []
+            assert sum(service.queue.depth().values()) == 0
+        finally:
+            service.close()
+
+    @pytest.mark.parametrize("scenario", ["memory", "phase_clock", "baseline"])
+    def test_bespoke_executor_admits_workers_on_a_sweep_of_several_combinations(
+        self, tmp_path, scenario
+    ):
+        # Several combinations fan out over the workers, each run serially.
+        service, recorder = make_service(tmp_path)
+        try:
+            run_id = service.submit(
+                RunRequest(scenario=scenario, sweep={"trials": [1, 2]}, workers=2)
+            )["run_id"]
+            service.queue.wait(run_id)
+            assert service.status(run_id)["state"] == "done"
+            assert recorder.calls == [("sweep", scenario)]
+        finally:
+            service.close()
+
+    def test_one_combination_sweep_of_a_point_scenario_keeps_workers(self, tmp_path):
+        # Only bespoke executors refuse workers; a point scenario shards the
+        # one combination's trials.
+        service, recorder = make_service(tmp_path)
+        try:
+            run_id = service.submit(
+                request(overrides=None, sweep={"n": [64]}, workers=2)
+            )["run_id"]
+            service.queue.wait(run_id)
+            assert service.status(run_id)["state"] == "done"
+            assert recorder.calls == [("sweep", "fig2")]
+        finally:
+            service.close()
 
     def test_bad_workers(self, tmp_path):
         service, _ = make_service(tmp_path)
@@ -129,12 +169,6 @@ class TestValidation:
             service.submit(request(workers=0))
         with pytest.raises(ConfigurationError):
             service.submit(request(workers="turbo"))
-
-    def test_bad_jit(self, tmp_path):
-        service, recorder = make_service(tmp_path)
-        with pytest.raises(ConfigurationError, match="jit"):
-            service.submit(request(jit="yes"))
-        assert recorder.calls == []
 
     def test_bad_override_values(self, tmp_path):
         service, _ = make_service(tmp_path)
@@ -196,7 +230,7 @@ class TestLifecycle:
         try:
             a = service.submit(request())["run_id"]
             b = service.submit(request(seed=123))["run_id"]
-            c = service.submit(request(jit=True))["run_id"]
+            c = service.submit(request(workers=2))["run_id"]
             assert len({a, b, c}) == 3
             for run_id in (a, b, c):
                 service.queue.wait(run_id)
@@ -362,10 +396,11 @@ class TestIntrospection:
             assert {"sequential", "batched", "ensemble", "counts"} <= names
             assert "array" not in names
             for engine in health["engines"]:
-                assert "supports_jit" in engine and "builder" not in engine
+                assert "supports_trials" in engine and "builder" not in engine
+                assert "supports_jit" not in engine
             assert set(health["queue"]) >= {"pending", "running", "done", "failed"}
             assert set(health["cache"]) >= {"entries", "bytes", "hits", "misses"}
-            assert isinstance(health["jit"]["enabled"], bool)
+            assert set(health) == {"status", "engines", "serve", "queue", "cache"}
             assert isinstance(health["serve"]["enabled"], bool)
             assert json.loads(json.dumps(health))  # JSON-encodable throughout
         finally:

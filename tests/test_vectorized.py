@@ -7,11 +7,13 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.params import empirical_parameters, theory_parameters
+from repro.core.state import CountingState
 from repro.core.vectorized import VectorizedDynamicCounting
+from repro.engine.protocol import InteractionContext
 from repro.engine.registry import make_engine
 from repro.engine.rng import RandomSource
-from repro.kernels.jit import JitVectorizedDynamicCounting, python_kernels, use_kernel_table
 
 
 @pytest.fixture
@@ -155,8 +157,7 @@ class TestResetTally:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("kernel", ["numpy", "jit-interpreted"])
-    def test_each_resetting_slot_ticks_once(self, kernel, case):
+    def test_each_resetting_slot_ticks_once(self, case):
         n, zero_time, initiators = self.CASES[case]
         initiators = np.array(initiators)
         responders = (initiators + 1) % n
@@ -176,15 +177,9 @@ class TestResetTally:
         for row, slots in enumerate(resetting):
             expected[row, sorted(set(slots))] += 1
 
-        if kernel == "numpy":
-            VectorizedDynamicCounting().interact_ensemble(
-                arrays, initiators, responders, RandomSource.from_seed(1)
-            )
-        else:
-            with use_kernel_table(python_kernels()):
-                JitVectorizedDynamicCounting().interact_ensemble(
-                    arrays, initiators, responders, RandomSource.from_seed(1)
-                )
+        VectorizedDynamicCounting().interact_ensemble(
+            arrays, initiators, responders, RandomSource.from_seed(1)
+        )
 
         assert np.array_equal(arrays["resets"], expected)
 
@@ -231,3 +226,160 @@ class TestBatchedConvergence:
         steady_median = tail[len(tail) // 2]
         assert steady_median < initial_estimate
         assert steady_median <= 3 * math.log2(n)
+
+
+class _LaneGrvs:
+    """The kernel's random source: GRVs pre-drawn per lane of the batch.
+
+    A lane draws at most one GRV per batch: a resetting initiator restarts
+    its interaction count at 0, below any backup threshold, so one table
+    serves the reset and the backup draws.
+    """
+
+    def __init__(self, grvs: np.ndarray) -> None:
+        self.grvs = grvs
+
+    def geometric_max_lanes(self, k: int, lanes: np.ndarray, width: int) -> np.ndarray:
+        return self.grvs.ravel()[lanes]
+
+
+class _OneGrv:
+    """The scalar rule's random source for one lane: that lane's GRV."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+        self.draws = 0
+
+    def geometric_max(self, count: int) -> int:
+        self.draws += 1
+        return int(self.value)
+
+
+def reference_batch(params, arrays, initiators, responders, grvs, branches):
+    """The batch contract of ``VectorizedProtocol.interact_ensemble``, lane by lane.
+
+    Every plane is snapshot at the start of the batch; each lane applies
+    :meth:`DynamicSizeCounting.interact` to its initiator and responder as
+    they were in that snapshot, drawing the lane's pre-drawn GRV; initiators
+    are written back in lane order, so the last writer of a slot wins; and
+    every distinct slot whose initiator reset in some lane gains one tick.
+    ``branches`` counts the rule's rare branches as they fire.
+    """
+    rule = DynamicSizeCounting(params)
+    before = {key: plane.copy() for key, plane in arrays.items()}
+    rows, width = initiators.shape
+    for row in range(rows):
+        reset_slots = set()
+        for lane in range(width):
+            u_slot, v_slot = int(initiators[row, lane]), int(responders[row, lane])
+            u, v = (
+                CountingState(
+                    max_value=float(before["max"][row, slot]),
+                    last_max=float(before["last_max"][row, slot]),
+                    time=float(before["time"][row, slot]),
+                    interactions=int(before["interactions"][row, slot]),
+                )
+                for slot in (u_slot, v_slot)
+            )
+            old_max = u.max_value
+            grv = _OneGrv(grvs[row, lane])
+            events = []
+            ctx = InteractionContext(grv, sink=events.append)
+            ctx.reset(0, u_slot, v_slot)
+            u, _ = rule.interact(u, v, ctx)
+            kinds = [event.kind for event in events]
+            if "reset" in kinds:
+                reset_slots.add(u_slot)
+                branches["reset"] += 1
+            else:
+                branches["backup"] += grv.draws
+                branches["boost"] += kinds.count("backup")
+                # Only a reset, a boost or an adoption changes max.
+                branches["adopt"] += "backup" not in kinds and u.max_value != old_max
+            arrays["max"][row, u_slot] = u.max_value
+            arrays["last_max"][row, u_slot] = u.last_max
+            arrays["time"][row, u_slot] = u.time
+            arrays["interactions"][row, u_slot] = u.interactions
+        for slot in reset_slots:
+            arrays["resets"][row, slot] += 1
+
+
+def mixed_planes(params, rows, n, float_dtype, int_dtype, gen):
+    """Random ``(rows, n)`` planes, each agent in a phase drawn uniformly.
+
+    ``max`` and ``lastMax`` take a few levels — a fresh agent's 1 or a small
+    overestimated GRV — so equal maxima are common; ``time`` lies in the
+    drawn phase (a sixth of the reset phase is wrap-around, ``time <= 0``);
+    and ``interactions`` sit around the backup threshold.
+    """
+    shape = (rows, n)
+
+    def levels():
+        grv = params.overestimation * gen.integers(1, 7, shape)
+        return np.where(gen.random(shape) < 0.3, 1.0, grv)
+
+    max_value, last_max = levels(), levels()
+    scale = np.maximum(max_value, last_max)
+    phase = gen.integers(0, 3, shape)  # exchange, hold, reset
+    low = np.array([params.tau2, params.tau3, -0.2 * params.tau3])[phase]
+    high = np.array([params.tau1, params.tau2, params.tau3])[phase]
+    time = np.floor(gen.uniform(low, high) * scale)
+    interactions = np.floor(gen.uniform(0.8, 1.1, shape) * params.tau_prime * scale)
+    return {
+        "max": max_value.astype(float_dtype),
+        "last_max": last_max.astype(float_dtype),
+        "time": time.astype(float_dtype),
+        "interactions": interactions.astype(int_dtype),
+        "resets": gen.integers(0, 5, shape).astype(np.int64),
+    }
+
+
+class TestLaneOracle:
+    """``interact_ensemble`` against the scalar rule, lane for lane and bit for bit.
+
+    Random mixed-phase planes, duplicate initiators in every batch and
+    several batches in a row, narrow batches (the sparse reset tally) and
+    full-width ones (the dense tally).  Float32 planes carry the paper's
+    empirical constants, as the ensemble engine narrows them; the theory
+    constants keep float64 planes.
+    """
+
+    CONSTANTS = {
+        "empirical-float32": (empirical_parameters(), np.float32, np.int32),
+        "theory-float64": (theory_parameters(k=2), np.float64, np.int64),
+    }
+
+    #: Batch widths: 4 lanes take the sparse reset tally (``np.unique``),
+    #: ``n`` lanes the dense one (a flag plane).
+    WIDTHS = {"narrow": 4, "full": 40}
+
+    @pytest.mark.parametrize("width", sorted(WIDTHS))
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("constants", sorted(CONSTANTS))
+    def test_kernel_matches_the_scalar_rule(self, constants, rows, width):
+        params, float_dtype, int_dtype = self.CONSTANTS[constants]
+        kernel = VectorizedDynamicCounting(params)
+        assert (kernel.ensemble_state_dtypes is not None) == (float_dtype is np.float32)
+        n, lanes = 40, self.WIDTHS[width]
+        branches = dict.fromkeys(("reset", "backup", "boost", "adopt"), 0)
+        tallies = set()
+        for seed in range(12):
+            gen = np.random.default_rng([seed, rows, lanes])
+            arrays = mixed_planes(params, rows, n, float_dtype, int_dtype, gen)
+            expected = {key: plane.copy() for key, plane in arrays.items()}
+            for _ in range(4):
+                # Few initiators, so every batch repeats some of them.
+                initiators = gen.integers(0, max(3, lanes // 2), (rows, lanes))
+                responders = (initiators + gen.integers(1, n, (rows, lanes))) % n
+                grvs = gen.integers(1, 13, (rows, lanes)).astype(np.float64)
+                resets_before = branches["reset"]
+                kernel.interact_ensemble(arrays, initiators, responders, _LaneGrvs(grvs))
+                reference_batch(params, expected, initiators, responders, grvs, branches)
+                for key in expected:
+                    assert arrays[key].dtype == expected[key].dtype, key
+                    assert np.array_equal(arrays[key], expected[key]), (seed, key)
+                resets = branches["reset"] - resets_before
+                if resets:
+                    tallies.add("sparse" if resets * 8 < rows * n else "dense")
+        assert all(count > 0 for count in branches.values()), branches
+        assert ("dense" in tallies) == (width == "full")
