@@ -5,7 +5,9 @@ it to completion, fetches the result, then re-submits the identical request
 and asserts it is answered from the content-addressed cache
 (``cached: true``, same run id, byte-identical result body) without
 re-simulation.  Exercises exactly the loop a CI job or a colleague's laptop
-would: two identical requests, one simulation.
+would: two identical requests, one simulation.  Then it runs two distinct
+``"workers": 2`` requests one after the other, so one job thread's warm
+shard pool serves both sharded jobs.
 
 Needs the ``[serve]`` extra (fastapi + uvicorn + httpx)::
 
@@ -29,6 +31,17 @@ REQUEST = {
     "effort": "quick",
     "overrides": {"n": 64, "trials": 2, "parallel_time": 30},
 }
+#: 16 trials make two row-shards, one per worker.
+SHARDED = [
+    {
+        "scenario": "fig2",
+        "effort": "quick",
+        "seed": seed,
+        "workers": 2,
+        "overrides": {"n": 64, "trials": 16, "parallel_time": 30},
+    }
+    for seed in (1, 2)
+]
 
 
 def free_port() -> int:
@@ -81,21 +94,25 @@ def main() -> int:
             wait_for(healthy, timeout=30, what="the server to come up")
             print(f"server up on {base}")
 
-            first = client.post("/runs", json=REQUEST)
-            assert first.status_code == 202, (first.status_code, first.text)
-            submission = first.json()
-            assert submission["cached"] is False, submission
-            run_id = submission["run_id"]
-            print(f"submitted run {run_id[:12]}... (cache miss, enqueued)")
+            def run_to_completion(request):
+                response = client.post("/runs", json=request)
+                assert response.status_code == 202, (response.status_code, response.text)
+                submission = response.json()
+                assert submission["cached"] is False, submission
+                run_id = submission["run_id"]
+                print(f"submitted run {run_id[:12]}... (cache miss, enqueued)")
 
-            def done():
-                status = client.get(f"/runs/{run_id}").json()
-                if status["state"] == "failed":
-                    raise RuntimeError(f"run failed: {status['error']}")
-                return status if status["state"] == "done" else None
+                def done():
+                    status = client.get(f"/runs/{run_id}").json()
+                    if status["state"] == "failed":
+                        raise RuntimeError(f"run failed: {status['error']}")
+                    return status if status["state"] == "done" else None
 
-            status = wait_for(done, timeout=180, what="the run to finish")
-            print(f"run finished in {status['seconds']:.2f}s")
+                status = wait_for(done, timeout=180, what="the run to finish")
+                print(f"run finished in {status['seconds']:.2f}s")
+                return run_id
+
+            run_id = run_to_completion(REQUEST)
 
             body = client.get(f"/runs/{run_id}/result")
             assert body.status_code == 200, body.text
@@ -115,7 +132,17 @@ def main() -> int:
             csv = client.get(f"/runs/{run_id}/result", params={"format": "csv"})
             assert csv.status_code == 200
             assert csv.headers["content-type"].startswith("text/csv")
-            print("CSV export ok; smoke test passed")
+            print("CSV export ok")
+
+            # Sequential jobs land on the same idle job thread, so the second
+            # sharded run reuses the first one's workers.
+            for request in SHARDED:
+                sharded = run_to_completion(request)
+                result = client.get(f"/runs/{sharded}/result").json()["results"][0]
+                assert result["rows"], "a sharded run must have result rows"
+                timings = result["metadata"]["shard_timings"]
+                assert [len(shards) for shards in timings.values()] == [2], timings
+            print("two sharded runs ok; smoke test passed")
             return 0
     finally:
         server.terminate()

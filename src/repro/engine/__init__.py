@@ -45,11 +45,13 @@ from repro.engine.errors import (
     InvalidScheduleError,
     ProtocolContractError,
     UnknownAgentError,
+    WorkerDiedError,
 )
 from repro.engine.options import ExecutionOptions, execution_metadata
 from repro.engine.parallel import (
     DEFAULT_SHARD_SIZE,
     MAX_AUTO_WORKERS,
+    ShardPool,
     ShardTiming,
     TrialShard,
     execute_shards,
@@ -155,6 +157,7 @@ __all__ = [
     "RunningColumnStats",
     "RunningExtrema",
     "SeedTree",
+    "ShardPool",
     "ShardTiming",
     "SimulationResult",
     "Simulator",
@@ -164,6 +167,7 @@ __all__ = [
     "TrialShard",
     "UnknownAgentError",
     "VectorizedProtocol",
+    "WorkerDiedError",
     "aggregate_series",
     "choose_engine",
     "counts_kernel_for",

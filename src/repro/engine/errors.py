@@ -65,3 +65,15 @@ class ProtocolContractError(EngineError):
     state, a triple, ...) raises this error so that bugs surface near the
     offending protocol rather than corrupting the population silently.
     """
+
+
+class WorkerDiedError(EngineError):
+    """Raised when a shard worker process dies while a sharded run uses it.
+
+    The message names the dead process and its exit code or signal.  The
+    run's unfinished shards are lost (a checkpointed run resumes from its
+    last shard checkpoints), and the :class:`repro.engine.parallel.ShardPool`
+    replaces its workers, so the next run starts on fresh ones.  A worker
+    that dies between runs raises nothing: the next run sees the loss and
+    forks fresh workers.
+    """

@@ -43,6 +43,7 @@ from repro.engine.batch_engine import VectorizedProtocol
 from repro.engine.counts_engine import CountsKernel, CountsSimulator
 from repro.engine.ensemble_engine import EnsembleSimulator
 from repro.engine.errors import ConfigurationError, UnsupportedEngineError
+from repro.engine.parallel import note_registry_change
 from repro.engine.population import Population
 from repro.engine.recorder import Recorder
 from repro.engine.rng import RandomSource, RowStreams
@@ -147,6 +148,7 @@ def register_engine(info: EngineInfo) -> None:
     global ENGINE_NAMES
     _ENGINE_TABLE[info.name] = info
     ENGINE_NAMES = tuple(_ENGINE_TABLE)
+    note_registry_change()
 
 
 def engine_names() -> tuple[str, ...]:
@@ -217,6 +219,7 @@ def register_vectorized(
     Registering a class again replaces the previous factory.
     """
     _REGISTRY[protocol_cls] = factory
+    note_registry_change()
 
 
 def register_counts_kernel(
@@ -229,6 +232,7 @@ def register_counts_kernel(
     callers holding either representation run on ``"counts"``.
     """
     _COUNTS_REGISTRY[protocol_cls] = factory
+    note_registry_change()
 
 
 def _ensure_default_registrations() -> None:

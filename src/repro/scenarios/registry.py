@@ -22,6 +22,7 @@ from __future__ import annotations
 from typing import Callable, Iterable
 
 from repro.engine.errors import ConfigurationError
+from repro.engine.parallel import note_registry_change
 from repro.scenarios.spec import ScenarioSpec
 
 __all__ = [
@@ -50,6 +51,7 @@ def register(spec: ScenarioSpec, *, replace: bool = False) -> ScenarioSpec:
             "to override it"
         )
     _SCENARIOS[spec.name] = spec
+    note_registry_change()
     return spec
 
 

@@ -57,7 +57,8 @@ class CacheEntry:
 
     ``results`` preserves submission order: ``[(label, result), ...]`` with
     ``label`` ``None`` for a plain scenario run and the grid label for each
-    sweep combination.
+    sweep combination.  It is empty when the entry was verified without
+    parsing (:meth:`ResultCache.put`, :meth:`ResultCache.contains`).
     """
 
     key: str
@@ -123,8 +124,12 @@ class ResultCache:
 
     # ------------------------------------------------------------ reading
 
-    def _load(self, key: str) -> CacheEntry | None:
-        """Load an entry without touching counters; corrupt entries are purged."""
+    def _load(self, key: str, *, parse: bool = True) -> CacheEntry | None:
+        """Load an entry without touching counters; corrupt entries are purged.
+
+        ``parse=False`` stops after the manifest and digest checks and
+        returns the entry with no ``results``.
+        """
         from repro.experiments.base import ExperimentResult
 
         path = self._entry_dir(key)
@@ -138,7 +143,7 @@ class ResultCache:
                 raise ValueError(f"artifact checksums do not match for {key}")
             labels = manifest["labels"]
             results = []
-            for index, label in enumerate(labels):
+            for index, label in enumerate(labels if parse else ()):
                 slot = path / f"r{index:03d}"
                 # save() nests artifacts under the experiment id; exactly one
                 # result directory per slot.
@@ -164,7 +169,19 @@ class ResultCache:
         missing, truncated or otherwise corrupt entry is purged (so the next
         :meth:`put` rewrites it) and ``None`` is returned.
         """
-        entry = self._load(key)
+        return self._lookup(key, parse=True)
+
+    def contains(self, key: str) -> bool:
+        """Whether ``key`` has an intact entry, checked without parsing it.
+
+        Verifies the manifest and every artifact's size and SHA-256, as
+        :meth:`get` does before it parses the artifacts; counts, touches
+        and purges exactly like :meth:`get`.
+        """
+        return self._lookup(key, parse=False) is not None
+
+    def _lookup(self, key: str, *, parse: bool) -> CacheEntry | None:
+        entry = self._load(key, parse=parse)
         with self._lock:
             if entry is None:
                 self._misses += 1
@@ -190,7 +207,9 @@ class ResultCache:
         *,
         kind: str = "scenario",
     ) -> CacheEntry:
-        """Persist ``results`` under ``key`` atomically; returns the entry.
+        """Persist ``results`` under ``key`` atomically; returns the verified entry.
+
+        The returned entry has no parsed ``results``; :meth:`get` parses them.
 
         When the entry already exists (a concurrent identical submission won
         the publish race) the freshly staged copy is discarded — determinism
@@ -228,7 +247,7 @@ class ResultCache:
             shutil.rmtree(stage, ignore_errors=True)
             raise
         self._enforce_budget(keep=target)
-        entry = self._load(key)
+        entry = self._load(key, parse=False)
         if entry is None:  # pragma: no cover - only a racing purge
             raise RuntimeError(f"cache entry {key} vanished immediately after put")
         return entry

@@ -63,6 +63,9 @@ class Job:
         Monotonic execution time of the work callable itself.
     value:
         Whatever the work callable returned (``None`` for failures).
+    completed:
+        Set once the job is DONE or FAILED; :meth:`JobQueue.wait` blocks on
+        it.
     """
 
     id: str
@@ -74,6 +77,9 @@ class Job:
     finished: float | None = None
     seconds: float | None = None
     value: Any = None
+    completed: threading.Event = field(
+        default_factory=threading.Event, repr=False, compare=False
+    )
 
     def status(self) -> dict[str, Any]:
         """JSON-encodable snapshot (no result payload)."""
@@ -158,6 +164,8 @@ class JobQueue:
             job.finished = time.time()
             job.value = value
             job.state = JobState.DONE
+        finally:
+            job.completed.set()
 
     def get(self, job_id: str) -> Job | None:
         """The job for an id, or ``None`` when unknown."""
@@ -173,18 +181,18 @@ class JobQueue:
         counts["pending"] = counts[JobState.QUEUED.value]
         return counts
 
-    def wait(self, job_id: str, *, timeout: float = 60.0, poll: float = 0.01) -> Job:
-        """Block until a job leaves the queued/running states (tests, CLIs)."""
-        deadline = time.monotonic() + timeout
-        while True:
-            job = self.get(job_id)
-            if job is None:
-                raise KeyError(f"unknown job {job_id!r}")
-            if job.state in (JobState.DONE, JobState.FAILED):
-                return job
-            if time.monotonic() >= deadline:
-                raise TimeoutError(f"job {job_id!r} still {job.state.value} after {timeout}s")
-            time.sleep(poll)
+    def wait(self, job_id: str, *, timeout: float = 60.0) -> Job:
+        """Block until a job is DONE or FAILED (tests, CLIs); returns the job.
+
+        Raises :class:`KeyError` for an unknown id and :class:`TimeoutError`
+        when the job is still queued or running after ``timeout`` seconds.
+        """
+        job = self.get(job_id)
+        if job is None:
+            raise KeyError(f"unknown job {job_id!r}")
+        if not job.completed.wait(timeout):
+            raise TimeoutError(f"job {job_id!r} still {job.state.value} after {timeout}s")
+        return job
 
     def shutdown(self, *, wait: bool = True) -> None:
         """Stop accepting work and (optionally) wait for running jobs.
@@ -202,3 +210,4 @@ class JobQueue:
                     job.finished = now
                     job.error = "CancelledError: job queue shut down before the job started"
                     job.state = JobState.FAILED
+                    job.completed.set()

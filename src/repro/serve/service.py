@@ -14,6 +14,14 @@ Request lifecycle::
     GET result -> always rendered from the cache entry, so repeated
                   fetches of the same run are byte-identical
 
+Each job thread runs its sharded work (``workers=``) on its own
+:class:`~repro.engine.parallel.ShardPool`, made on the thread's first job
+and kept for the service's lifetime: concurrent jobs never share worker
+processes, and consecutive jobs on one thread reuse warm ones.  A worker
+that dies fails only the job that was using it (the next job gets fresh
+workers), and :meth:`SimulationService.close` reaps every worker once the
+queue has drained.
+
 Everything that can be rejected is rejected *before* admission — unknown
 scenario, bad effort, unsupported engine, malformed workers/sweep, a
 setting a bespoke-executor scenario cannot honour — with
@@ -31,6 +39,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Mapping, Sequence
 
 from repro.engine.options import ExecutionOptions
+from repro.engine.parallel import ShardPool
 from repro.engine.registry import engine_capabilities, validate_engine_request
 from repro.scenarios.listing import scenario_listing
 from repro.scenarios.registry import get_scenario
@@ -144,6 +153,9 @@ class SimulationService:
         # Serialises the check-cache-then-enqueue step so two identical
         # concurrent submissions cannot both miss and both enqueue.
         self._admission = threading.Lock()
+        #: Job thread id -> that thread's shard pool (made on its first job).
+        self._pools: dict[int, ShardPool] = {}
+        self._pools_lock = threading.Lock()
 
     # --------------------------------------------------------- validation
 
@@ -204,7 +216,7 @@ class SimulationService:
         """
         spec, preset, sweep, key, admitted = self._admit(request)
 
-        def work() -> CacheEntry:
+        def work() -> str:
             options = admitted
             ckpt_dir: Path | None = None
             if self.checkpoint_every is not None and spec.executor is None:
@@ -216,20 +228,23 @@ class SimulationService:
                     checkpoint_dir=ckpt_dir,
                     resume_from=ckpt_dir if ckpt_dir.exists() else None,
                 )
-            if sweep is not None:
-                labelled = self._run_sweep(sweep, preset=preset, options=options)
-                entry = self.cache.put(key, labelled, kind="sweep")
-            else:
-                result = self._run_scenario(spec, preset=preset, options=options)
-                entry = self.cache.put(key, [(None, result)], kind="scenario")
+            with self._job_thread_pool().activate():
+                if sweep is not None:
+                    labelled = self._run_sweep(sweep, preset=preset, options=options)
+                    self.cache.put(key, labelled, kind="sweep")
+                else:
+                    result = self._run_scenario(spec, preset=preset, options=options)
+                    self.cache.put(key, [(None, result)], kind="scenario")
             if ckpt_dir is not None:
                 # The result is durable in the cache; the recovery state is
                 # now dead weight.
                 shutil.rmtree(ckpt_dir, ignore_errors=True)
-            return entry
+            # Every read goes through the cache: the job keeps only the key,
+            # not the parsed results.
+            return key
 
         with self._admission:
-            if self.cache.get(key) is not None:
+            if self.cache.contains(key):
                 return {
                     "run_id": key,
                     "state": JobState.DONE.value,
@@ -330,9 +345,23 @@ class SimulationService:
             "cache": self.cache.stats(),
         }
 
+    def _job_thread_pool(self) -> ShardPool:
+        """The calling job thread's shard pool; making one starts no process."""
+        thread = threading.get_ident()
+        with self._pools_lock:
+            pool = self._pools.get(thread)
+            if pool is None:
+                pool = self._pools[thread] = ShardPool()
+        return pool
+
     def close(self) -> None:
-        """Shut the worker pool down (running jobs finish)."""
+        """Let running jobs finish, then reap every job thread's shard workers."""
         self.queue.shutdown(wait=True)
+        with self._pools_lock:
+            pools = list(self._pools.values())
+            self._pools.clear()
+        for pool in pools:
+            pool.close()
 
 
 def _result_payload(label: str | None, result: "ExperimentResult") -> dict[str, Any]:

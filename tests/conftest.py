@@ -2,10 +2,20 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.engine.protocol import InteractionContext, ProtocolEvent
 from repro.engine.rng import RandomSource
+
+
+@pytest.fixture(autouse=True)
+def _no_worker_processes_left_behind():
+    """Every test reaps the worker processes it started, pooled ones included."""
+    yield
+    leftover = multiprocessing.active_children()
+    assert not leftover, f"the test left worker processes behind: {leftover}"
 
 
 @pytest.fixture

@@ -9,20 +9,35 @@ mechanisms and the API surface.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
 import pickle
+import re
+import signal
+import socket
+import subprocess
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError
+from pathlib import Path
 
 import pytest
 
 from repro.core.dynamic_counting import DynamicSizeCounting
-from repro.engine.errors import ConfigurationError
+from repro.engine import parallel
+from repro.engine.errors import ConfigurationError, WorkerDiedError
 from repro.engine.options import ExecutionOptions
 from repro.engine.parallel import (
     DEFAULT_SHARD_SIZE,
     MAX_AUTO_WORKERS,
+    ShardPool,
     ShardTiming,
     TrialShard,
     execute_shards,
     merge_shard_results,
+    note_registry_change,
     plan_shards,
     resolve_workers,
 )
@@ -227,6 +242,225 @@ class TestExecuteShards:
     def test_shard_payload_count_mismatch_rejected(self):
         with pytest.raises(ConfigurationError):
             execute_shards(_square_shard, [[1]], workers=1, shards=plan_shards(5, shard_size=2))
+
+
+def _pid_shard(payload):
+    return os.getpid()
+
+
+def _exit_in_worker(payload):
+    """Kill the worker that runs the payload ``"die"``; others report their pid."""
+    if payload == "die":
+        os._exit(70)
+    return os.getpid()
+
+
+def _die_or_report(payload):
+    if payload == "die":
+        time.sleep(0.05)
+        os._exit(70)
+    return os.getpid()
+
+
+def _pool_seen_in_worker(payload):
+    """(inherited binding, pool a sharded call here would use) in a worker."""
+    return parallel._CURRENT_POOL.get() is not None, parallel._current_pool()
+
+
+def _run_pids(pool, payloads=(0, 1), workers=2):
+    with pool.activate():
+        results, _ = execute_shards(_pid_shard, list(payloads), workers=workers)
+    return set(results)
+
+
+def _children():
+    return {process.pid for process in multiprocessing.active_children()}
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process; a zombie is not."""
+    try:
+        os.kill(pid, 0)
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except ProcessLookupError:
+        return False
+    except OSError:
+        return True
+    return state != "Z"
+
+
+class TestShardPool:
+    def test_making_a_pool_starts_no_process(self):
+        with ShardPool():
+            assert _children() == set()
+
+    def test_workers_are_reused_across_calls_and_reaped_on_close(self):
+        with ShardPool() as pool:
+            _run_pids(pool)
+            workers = _children()
+            assert len(workers) == 2 and os.getpid() not in workers
+            assert _run_pids(pool, range(4)) <= workers
+            assert _children() == workers
+        assert _children() == set()
+
+    def test_without_a_current_pool_the_call_reaps_its_workers(self):
+        results, _ = execute_shards(_pid_shard, [0, 1], workers=2)
+        assert os.getpid() not in results
+        assert _children() == set()
+
+    def test_a_run_needing_more_workers_replaces_them(self):
+        with ShardPool() as pool:
+            _run_pids(pool)
+            before = _children()
+            _run_pids(pool, range(3), workers=3)
+            after = _children()
+            assert len(after) == 3 and not before & after
+
+    def test_fewer_shards_keep_the_workers_and_a_lower_cap_replaces_them(self):
+        with ShardPool() as pool:
+            _run_pids(pool, range(3), workers=3)
+            three = _children()
+            # Two shards under the same cap: the three warm workers serve them.
+            assert _run_pids(pool, range(2), workers=3) <= three
+            assert _children() == three
+            # A cap of two never runs on three processes.
+            assert len(_run_pids(pool, range(3), workers=2)) <= 2
+            assert len(_children()) == 2 and not three & _children()
+
+    def test_a_registration_replaces_the_workers(self):
+        with ShardPool() as pool:
+            _run_pids(pool)
+            before = _children()
+            _run_pids(pool)
+            assert _children() == before
+            note_registry_change()
+            _run_pids(pool)
+            assert not before & _children()
+
+    def test_a_dead_worker_fails_the_call_by_name_and_the_next_call_gets_fresh_workers(
+        self,
+    ):
+        with ShardPool() as pool:
+            _run_pids(pool)
+            before = _children()
+            with pool.activate(), pytest.raises(WorkerDiedError) as failure:
+                execute_shards(_exit_in_worker, ["die", "live"], workers=2)
+            named = re.search(r"(\d+) \(exit code 70\)", str(failure.value))
+            assert named and int(named.group(1)) in before
+            assert _children() == set()
+            _run_pids(pool)
+            assert len(_children()) == 2 and not before & _children()
+
+    def test_a_worker_that_died_while_idle_fails_no_run(self):
+        with ShardPool() as pool:
+            _run_pids(pool)
+            before = _children()
+            victim = min(before)
+            os.kill(victim, signal.SIGKILL)
+            deadline = time.monotonic() + 30
+            while victim in _children() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert victim not in _children()
+            after = _run_pids(pool)
+            assert after <= _children() and not before & _children()
+
+    def test_workers_close_the_sockets_they_inherit(self):
+        # A warm worker must not keep a server's connections open: once the
+        # parent closes its end, the peer reads EOF although the workers live.
+        ours, peer = socket.socketpair()
+        try:
+            with ShardPool() as pool:
+                workers = _run_pids(pool)
+                ours.close()
+                peer.settimeout(30)
+                assert peer.recv(1) == b""
+                assert workers <= _children()
+        finally:
+            ours.close()
+            peer.close()
+
+    def test_workers_exit_when_the_pool_process_is_killed(self, tmp_path):
+        listing = tmp_path / "workers"
+        script = (
+            "import multiprocessing, os, signal, sys\n"
+            "from repro.engine.parallel import ShardPool, execute_shards\n"
+            "with ShardPool() as pool, pool.activate():\n"
+            "    execute_shards(abs, [0, 1], workers=2)\n"
+            "    pids = [p.pid for p in multiprocessing.active_children()]\n"
+            "    open(sys.argv[1], 'w').write(' '.join(map(str, pids)))\n"
+            "    os.kill(os.getpid(), signal.SIGKILL)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        # Output goes to a file: a pipe would stay open in surviving workers.
+        errors = tmp_path / "stderr"
+        with errors.open("w") as stderr:
+            done = subprocess.run(
+                [sys.executable, "-c", script, str(listing)],
+                env=env,
+                stdout=subprocess.DEVNULL,
+                stderr=stderr,
+                timeout=60,
+            )
+        assert done.returncode == -signal.SIGKILL, errors.read_text()
+        workers = [int(pid) for pid in listing.read_text().split()]
+        assert len(workers) == 2
+        deadline = time.monotonic() + 30
+        try:
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert not any(map(_running, workers))
+        finally:
+            for pid in filter(_running, workers):
+                os.kill(pid, signal.SIGKILL)
+
+    def test_pools_forking_at_once_still_see_their_workers_die(self):
+        # Two threads fork their pools' workers at once, then one pool loses
+        # a worker while the other stays warm.  A death the first pool does
+        # not see would hang its run until the warm pool closes.
+        def job(payload, barrier, done):
+            with ShardPool() as pool, pool.activate():
+                barrier.wait(timeout=30)
+                try:
+                    execute_shards(_die_or_report, [payload, "live"], workers=2)
+                except WorkerDiedError:
+                    return "died"
+                finally:
+                    if payload == "die":
+                        done.set()
+                done.wait(timeout=30)
+                return "ok"
+
+        hung = 0
+        for _ in range(16):
+            barrier, done = threading.Barrier(2), threading.Event()
+            with ThreadPoolExecutor(2) as threads:
+                dying = threads.submit(job, "die", barrier, done)
+                warm = threads.submit(job, "live", barrier, done)
+                try:
+                    assert dying.result(timeout=10) == "died"
+                except FutureTimeoutError:
+                    hung += 1
+                    done.set()  # closing the warm pool releases the hung run
+                assert warm.result(timeout=60) == "ok"
+        assert hung == 0
+
+    def test_the_binding_is_per_thread(self):
+        seen = []
+        with ShardPool() as pool, pool.activate():
+            thread = threading.Thread(
+                target=lambda: seen.extend(execute_shards(_pid_shard, [0, 1], workers=2)[0])
+            )
+            thread.start()
+            thread.join(timeout=60)
+            # The other thread ran on a pool scoped to its call, already reaped.
+            assert seen and _children() == set()
+
+    def test_a_worker_ignores_the_pool_binding_it_inherits(self):
+        # The forked copy of the parent's pool has no workers in the child; a
+        # sharded call there must get a pool of its own, or it waits forever.
+        with ShardPool() as pool, pool.activate():
+            results, _ = execute_shards(_pool_seen_in_worker, [0, 1], workers=2)
+        assert results == [(True, None), (True, None)]
 
 
 class TestMergeShardResults:

@@ -61,6 +61,24 @@ class TestLifecycle:
         release.set()
         assert queue.wait("job-stuck").state is JobState.DONE
 
+    def test_a_blocked_waiter_gets_the_finished_job(self, queue):
+        release = threading.Event()
+        job = queue.submit("job-later", lambda: release.wait() and "late")
+        waited = []
+        waiter = threading.Thread(target=lambda: waited.append(queue.wait("job-later")))
+        waiter.start()
+        assert not job.completed.is_set()
+        release.set()
+        waiter.join(timeout=5.0)
+        assert waited == [job]
+        assert job.state is JobState.DONE and job.value == "late"
+        assert job.completed.is_set()
+
+    def test_wait_takes_no_poll_interval(self, queue):
+        queue.submit("job-poll", lambda: None)
+        with pytest.raises(TypeError):
+            queue.wait("job-poll", timeout=5.0, poll=0.01)
+
 
 class TestSingleFlight:
     def test_same_id_attaches_to_inflight_job(self, queue):
@@ -185,4 +203,30 @@ class TestShutdownWithBacklog:
 
         # The in-flight job is not swept: it finishes normally.
         release.set()
+        assert queue.wait("running", timeout=5.0).state is JobState.DONE
+
+    def test_a_waiter_on_a_swept_job_gets_the_failed_job(self):
+        queue = JobQueue(max_workers=1, max_pending=8)
+        started = threading.Event()
+        release = threading.Event()
+
+        def blocker():
+            started.set()
+            release.wait()
+
+        queue.submit("running", blocker)
+        assert started.wait(5.0)
+        queue.submit("stranded", lambda: None)
+        waited = []
+        waiter = threading.Thread(
+            target=lambda: waited.append(queue.wait("stranded", timeout=5.0))
+        )
+        waiter.start()
+        try:
+            queue.shutdown(wait=False)
+            waiter.join(timeout=5.0)
+            assert [job.state for job in waited] == [JobState.FAILED]
+            assert "shut down" in waited[0].error
+        finally:
+            release.set()
         assert queue.wait("running", timeout=5.0).state is JobState.DONE

@@ -343,6 +343,67 @@ class TestFailuresAndEdges:
             service.close()
 
 
+class TestCacheReads:
+    def test_only_the_result_fetch_parses_artifacts(self, tmp_path, monkeypatch):
+        service, _ = make_service(tmp_path)
+        loads = []
+        original = ExperimentResult.load.__func__
+        monkeypatch.setattr(
+            ExperimentResult,
+            "load",
+            classmethod(lambda cls, path: loads.append(path) or original(cls, path)),
+        )
+        try:
+            run_id = service.submit(request())["run_id"]
+            service.queue.wait(run_id)
+            assert loads == [], "a miss writes its entry without parsing it back"
+            assert service.submit(request())["cached"] is True
+            assert loads == [], "admission verifies the entry without parsing it"
+            service.result_payload(run_id)
+            assert len(loads) == 1
+        finally:
+            service.close()
+
+    def test_a_corrupt_entry_is_purged_at_admission_and_the_request_runs(self, tmp_path):
+        service, recorder = make_service(tmp_path)
+        try:
+            run_id = service.submit(request())["run_id"]
+            service.queue.wait(run_id)
+            csv_path = next(service.cache.get(run_id).path.rglob("rows.csv"))
+        finally:
+            service.close()
+        csv_path.write_bytes(csv_path.read_bytes()[:5])
+        # A second service on the same cache has no job table to dedupe on.
+        again, _ = make_service(tmp_path, recorder)
+        try:
+            status = again.submit(request())
+            assert status["cached"] is False and run_id not in again.cache.keys()
+            assert again.queue.wait(run_id).state.value == "done"
+            assert len(recorder.calls) == 2
+            assert again.submit(request())["cached"] is True
+        finally:
+            again.close()
+
+    def test_a_finished_job_references_no_experiment_result(self, tmp_path):
+        import gc
+
+        service, _ = make_service(tmp_path)
+        try:
+            run_id = service.submit(request())["run_id"]
+            job = service.queue.wait(run_id)
+            assert job.value == run_id
+            seen, frontier = {id(job)}, [job]
+            while frontier:
+                obj = frontier.pop()
+                assert not isinstance(obj, ExperimentResult)
+                for child in gc.get_referents(obj):
+                    if id(child) not in seen and not isinstance(child, type):
+                        seen.add(id(child))
+                        frontier.append(child)
+        finally:
+            service.close()
+
+
 class TestConcurrentIdenticalSubmissions:
     def test_two_simultaneous_identical_submissions_one_simulation(self, tmp_path):
         gate = threading.Event()
