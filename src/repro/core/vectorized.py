@@ -14,6 +14,11 @@ DynamicSizeCounting` line by line (the comments reference the same Algorithm
 the module docstring of :mod:`repro.engine.batch_engine` for the exact
 semantics and ``tests/test_engine_equivalence.py`` for the statistical
 cross-validation against the exact engine.
+
+The engine owns the stacked layout: the kernel receives flat plane views
+and flat pair coordinates, built once per step by
+:mod:`repro.engine.ensemble_engine`, and only gathers and scatters through
+them.
 """
 
 from __future__ import annotations
@@ -23,11 +28,7 @@ from typing import Any
 import numpy as np
 
 from repro.core.params import ProtocolParameters, empirical_parameters
-from repro.engine.batch_engine import (
-    VectorizedProtocol,
-    flat_pair_indices,
-    flat_state_view,
-)
+from repro.engine.batch_engine import VectorizedProtocol
 from repro.engine.rng import RandomSource
 
 __all__ = ["VectorizedDynamicCounting", "tally_resets"]
@@ -40,21 +41,21 @@ _GRV_VALUE_CAP = 128.0
 
 
 def tally_resets(resets: np.ndarray, slots: np.ndarray) -> None:
-    """Add one tick to each distinct flat slot of the ``(trials, n)`` ``resets`` plane.
+    """Add one tick to each distinct slot of the flat ``resets`` plane.
 
-    ``slots`` are the flat coordinates (``trial * n + slot``) of one
-    batch's resetting initiators.  Duplicate initiators of a batch resolve
-    to a single surviving state, so they are one reset.  Sparse reset sets
+    ``resets`` is the flat view of a block's ``(rows, n)`` reset counts and
+    ``slots`` are the flat coordinates (``row * n + slot``) of one batch's
+    resetting initiators.  Duplicate initiators of a batch resolve to a
+    single surviving state, so they are one reset.  Sparse reset sets
     dedupe through ``np.unique``; dense ones (the warm-up storm) through a
     flag plane.
     """
-    resets_flat = flat_state_view(resets)
-    if slots.size * 8 < resets_flat.size:
-        np.add.at(resets_flat, np.unique(slots), 1)
+    if slots.size * 8 < resets.size:
+        np.add.at(resets, np.unique(slots), 1)
     else:
-        flags = np.zeros(resets_flat.size, dtype=bool)
+        flags = np.zeros(resets.size, dtype=bool)
         flags[slots] = True
-        resets_flat += flags
+        resets += flags
 
 
 class VectorizedDynamicCounting(VectorizedProtocol):
@@ -126,17 +127,14 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         responders: np.ndarray,
         rng: RandomSource,
     ) -> None:
-        """One batch on 1-D state: :meth:`interact_ensemble` on ``(1, n)`` views.
+        """One batch on 1-D state: :meth:`interact_ensemble` on one row.
 
-        Holds no rule of its own.  It stays because the benchmark's tracer
-        (``perfbench/tracer.py``) wraps this method by name.
+        A 1-D plane is its own flat view and a one-row block's flat
+        coordinates are the slots, so this holds no rule of its own.  It
+        stays because the benchmark's tracer (``perfbench/tracer.py``)
+        wraps this method by name.
         """
-        self.interact_ensemble(
-            {key: arr[np.newaxis] for key, arr in arrays.items()},
-            initiators[np.newaxis],
-            responders[np.newaxis],
-            rng,
-        )
+        self.interact_ensemble(arrays, initiators[np.newaxis], responders[np.newaxis], rng)
 
     #: Ensemble state is held in narrow planes: with integer-valued protocol
     #: constants (the paper's presets) every ``max`` / ``lastMax`` / ``time``
@@ -158,17 +156,19 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         responders: np.ndarray,
         rng: RandomSource,
     ) -> None:
-        """Algorithm 2 over one batch of every stacked trial at once.
+        """Algorithm 2 over one batch of every row of a stacked block at once.
 
-        ``arrays`` holds ``(trials, n)`` stacks and the index matrices are
-        ``(trials, batch)``, with the within-batch semantics of
+        ``arrays`` holds the flat views of the block's planes and the index
+        matrices are ``(rows, batch)`` flat coordinates into them, with the
+        layout and within-batch semantics of
         :meth:`repro.engine.batch_engine.VectorizedProtocol.interact_ensemble`.
         The kernel is tuned for the stacked hot loop:
 
-        * flat-coordinate gathers/scatters (``trial * n + slot``) instead
-          of broadcast 2-D fancy indexing, with the coordinates already in
-          ``np.intp`` (:func:`~repro.engine.batch_engine.flat_pair_indices`)
-          so no gather or scatter casts its index;
+        * flat-coordinate gathers/scatters (``row * n + slot``) instead of
+          broadcast 2-D fancy indexing; the engine builds the views and the
+          ``np.intp`` coordinates once per step
+          (:func:`~repro.engine.ensemble_engine.flat_pair_indices`), so a
+          call neither rebuilds them nor casts an index;
         * NumPy's direct call paths, which cut the fixed cost per call that
           dominates small stacks: ndarray methods (``plane.take``,
           ``mask.nonzero()[0]``) rather than the ``np.take`` /
@@ -195,11 +195,12 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         grv_k = params.grv_samples
 
         width = initiators.shape[1]
-        flat_u, flat_v = flat_pair_indices(initiators, responders, arrays["max"].shape[1])
-        max_flat = flat_state_view(arrays["max"])
-        last_flat = flat_state_view(arrays["last_max"])
-        time_flat = flat_state_view(arrays["time"])
-        inter_flat = flat_state_view(arrays["interactions"])
+        flat_u = initiators.ravel()
+        flat_v = responders.ravel()
+        max_flat = arrays["max"]
+        last_flat = arrays["last_max"]
+        time_flat = arrays["time"]
+        inter_flat = arrays["interactions"]
         dtype = max_flat.dtype
 
         # Snapshot of both participants at the start of the sub-batch.

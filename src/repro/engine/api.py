@@ -49,55 +49,54 @@ def quantiles(values: Sequence[float] | np.ndarray) -> tuple[float, float, float
     triple — engine snapshots and recorder rows alike — so the statistics
     agree across engines down to NaN propagation.
 
-    This runs on every snapshot of every engine, so it avoids the full sort
-    behind ``np.median``: one ``np.partition`` call with the extreme and
-    middle ranks as pivots yields all three statistics in linear expected
-    time.  The results are identical to ``(arr.min(), np.median(arr),
+    This runs on every snapshot of every engine, so all three statistics
+    come from one ``np.sort`` (NumPy's vectorised sort, faster than a
+    multi-pivot ``np.partition`` on the few-valued outputs the engines
+    produce).  NaN sorts last, so the last element doubles as the NaN
+    check.  The results are identical to ``(arr.min(), np.median(arr),
     arr.max())``, including the all-NaN answer when any element is NaN.
     """
-    arr = np.asarray(values, dtype=float).ravel()
+    arr = np.sort(np.asarray(values, dtype=float).ravel())
     size = arr.size
     if size == 0:
         raise ValueError("quantiles() requires a non-empty sequence")
-    if np.isnan(arr).any():
+    if np.isnan(arr[size - 1]):
         # min/max/median all propagate NaN under NumPy semantics.
         nan = float("nan")
         return nan, nan, nan
     mid = size // 2
     if size % 2:
-        part = np.partition(arr, (0, mid, size - 1))
-        median = float(part[mid])
+        median = float(arr[mid])
     else:
-        part = np.partition(arr, (0, mid - 1, mid, size - 1))
-        median = 0.5 * (float(part[mid - 1]) + float(part[mid]))
-    return float(part[0]), median, float(part[size - 1])
+        median = 0.5 * (float(arr[mid - 1]) + float(arr[mid]))
+    return float(arr[0]), median, float(arr[size - 1])
 
 
 def matrix_quantiles(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise (min, median, max) of a 2-D ``(trials, n)`` matrix.
 
-    The ensemble engine's counterpart of :func:`quantiles`: one partition
-    pass over the stacked outputs yields the per-trial statistics of every
-    row at once.  Rows containing NaN report NaN for all three statistics,
-    matching ``np.min`` / ``np.median`` / ``np.max`` along the row axis.
-    The input dtype is preserved through the partition (a float32 stack is
-    partitioned as float32), so narrow ensemble states never pay a
-    full-width upcast per snapshot.
+    The ensemble engine's counterpart of :func:`quantiles`: one row-wise
+    ``np.sort`` of the stacked outputs yields the per-trial statistics of
+    every row at once.  NaN sorts last, so a row whose last element is NaN
+    holds one, and it reports NaN for all three statistics, matching
+    ``np.min`` / ``np.median`` / ``np.max`` along the row axis.  The input
+    dtype is preserved through the sort (a float32 stack is sorted as
+    float32), so narrow ensemble states never pay a full-width upcast per
+    snapshot.
     """
     m = np.asarray(matrix)
     if m.ndim != 2 or m.shape[1] == 0:
         raise ValueError(f"matrix_quantiles() needs a non-empty 2-D matrix, got shape {m.shape}")
     n = m.shape[1]
     mid = n // 2
+    ordered = np.sort(m, axis=1)
     if n % 2:
-        part = np.partition(m, (0, mid, n - 1), axis=1)
-        medians = part[:, mid].copy()
+        medians = ordered[:, mid].copy()
     else:
-        part = np.partition(m, (0, mid - 1, mid, n - 1), axis=1)
-        medians = 0.5 * (part[:, mid - 1] + part[:, mid])
-    minima = part[:, 0].copy()
-    maxima = part[:, n - 1].copy()
-    has_nan = np.isnan(m).any(axis=1)
+        medians = 0.5 * (ordered[:, mid - 1] + ordered[:, mid])
+    minima = ordered[:, 0].copy()
+    maxima = ordered[:, n - 1].copy()
+    has_nan = np.isnan(maxima)
     if has_nan.any():
         minima[has_nan] = np.nan
         medians[has_nan] = np.nan

@@ -28,6 +28,11 @@ Protocols opt in by implementing the :class:`VectorizedProtocol` interface,
 which represents the whole population as a struct-of-arrays dictionary of
 NumPy arrays.  The registry in :mod:`repro.engine.registry` maps scalar
 protocol classes to their vectorised counterparts.
+
+The engine owns the stacked layout: it keeps every plane as a C-contiguous
+``(trials, n)`` array and hands each kernel call flat views of those planes
+and flat pair coordinates (``row * n + slot``), built once per step, so no
+kernel reshapes a plane or offsets an index itself.
 """
 
 from __future__ import annotations
@@ -37,50 +42,9 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.errors import ConfigurationError
 from repro.engine.rng import RandomSource
 
-__all__ = ["VectorizedProtocol", "flat_pair_indices", "flat_state_view"]
-
-
-def flat_state_view(arr: np.ndarray) -> np.ndarray:
-    """Flat *view* of a stacked ``(trials, n)`` state array.
-
-    The ensemble kernels index the stacked state through flat coordinates
-    (``trial * n + slot``, see :func:`flat_pair_indices`), which is
-    substantially faster than broadcast 2-D fancy indexing — but only safe
-    on a view: a silent copy would discard every write.  The ensemble
-    engine always keeps its state C-contiguous; this guard turns any
-    violation into a loud error.
-    """
-    if not arr.flags.c_contiguous:
-        raise ConfigurationError(
-            "ensemble state arrays must be C-contiguous for flat indexing; "
-            "got a non-contiguous array (pass np.ascontiguousarray data)"
-        )
-    return arr.reshape(-1)
-
-
-def flat_pair_indices(
-    initiators: np.ndarray, responders: np.ndarray, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Flat coordinates (``trial * n + slot``) of ``(trials, batch)`` pair matrices.
-
-    Row ``t`` of the index matrices addresses row ``t`` of the ``(trials,
-    n)`` planes seen through :func:`flat_state_view`.  Both results are
-    1-D in row-major ``(trial, batch)`` order — the order broadcast 2-D
-    fancy indexing visits the lanes in — so last-writer-wins scatters and
-    ``np.maximum.at`` merges resolve exactly as they would on the 2-D
-    planes.
-
-    Both results are ``np.intp`` for int32 or int64 pair matrices: the
-    row offsets are built in NumPy's native index type, so the kernels'
-    gathers and scatters index without a per-call cast, and a stack of
-    ``rows * n >= 2**31`` slots cannot wrap int32 coordinates to negative
-    (which ``take`` would silently read from the end of the plane).
-    """
-    offsets = np.arange(0, initiators.shape[0] * n, n, dtype=np.intp)[:, None]
-    return np.add(initiators, offsets).ravel(), np.add(responders, offsets).ravel()
+__all__ = ["VectorizedProtocol"]
 
 
 class VectorizedProtocol(abc.ABC):
@@ -89,9 +53,10 @@ class VectorizedProtocol(abc.ABC):
     The population state is a dictionary mapping variable names to NumPy
     arrays.  The protocol defines how to create initial arrays of length
     ``n``, how to apply one batch of interactions to a stack of ``(trials,
-    n)`` planes, and how to compute the reported output per agent.  The
-    exact single-pair transition is the scalar protocol's ``interact``,
-    run by the sequential engine.
+    n)`` planes (through the flat layout of :meth:`interact_ensemble`), and
+    how to compute the reported output per agent of the ``(trials, n)``
+    stack.  The exact single-pair transition is the scalar protocol's
+    ``interact``, run by the sequential engine.
     """
 
     #: Human-readable name used in experiment metadata.
@@ -117,15 +82,25 @@ class VectorizedProtocol(abc.ABC):
         responders: np.ndarray,
         rng: RandomSource,
     ) -> None:
-        """Apply one batch of interactions to every trial of a stacked ensemble.
+        """Apply one batch of interactions to every row of a stacked block.
 
-        ``arrays`` holds C-contiguous 2-D state of shape ``(trials, n)`` and
-        ``initiators`` / ``responders`` are ``(trials, batch)`` index
-        matrices: element ``[t, i]`` describes the ``i``-th interaction of
-        trial ``t``'s batch.  Rows never interact.  Responder states are
-        read from the arrays as they are at call time (start of the batch);
-        initiator writes may overlap, in which case later interactions of
-        the batch win.
+        The engine owns the layout.  ``arrays`` maps each state variable to
+        a flat 1-D *view* of a block of ``rows`` stacked ``(rows, n)``
+        planes, so writes land in the engine's state.  ``initiators`` /
+        ``responders`` are ``(rows, batch)`` matrices of ``np.intp`` flat
+        coordinates into those views (``row * n + slot``): element ``[r,
+        i]`` is the ``i``-th interaction of row ``r``'s batch, and
+        ``initiators.ravel()`` lists the lanes in the row-major order that
+        the random sources' ``lanes`` arguments count in.  The engine builds
+        both once per step and block
+        (:func:`repro.engine.ensemble_engine.flat_planes`,
+        :func:`repro.engine.ensemble_engine.flat_pair_indices`); the
+        matrices of one call may be column slices of the step's, so a
+        kernel must not assume they are contiguous.
+
+        Rows never interact.  Responder states are read from the planes as
+        they are at call time (start of the batch); initiator writes may
+        overlap, in which case later interactions of the batch win.
         """
 
     @abc.abstractmethod

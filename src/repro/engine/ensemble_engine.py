@@ -23,10 +23,17 @@ a stacked run is statistically equivalent to ``trials`` independent
 one-row runs.  On :class:`~repro.engine.rng.RowStreams` each row makes
 exactly the draws a one-row engine on its stream makes, so every row is
 bit-identical to that one-row run.
-Snapshots record per-trial statistics (min/median/max per row, one
-partition pass over the stacked outputs), so each trial still yields its own
+Snapshots record per-trial statistics (min/median/max per row, one sort
+of the stacked outputs), so each trial still yields its own
 :class:`repro.engine.api.RunResult`-compatible series via
 :attr:`EnsembleRunResult.trial_results`.
+
+This module is the only one that knows the stacked layout.  Once per step
+and trial block it builds flat views of the block's planes
+(:func:`flat_planes`) and the ``np.intp`` flat coordinates of the step's
+pairs (:func:`flat_pair_indices`); every kernel call of that block gets
+those views and a column slice of those coordinates, so the kernels index
+flat planes and never rebuild either.
 """
 
 from __future__ import annotations
@@ -41,7 +48,51 @@ from repro.engine.batch_engine import VectorizedProtocol
 from repro.engine.errors import CheckpointError, ConfigurationError
 from repro.engine.rng import RandomSource, RowStreams
 
-__all__ = ["EnsembleRunResult", "EnsembleSimulator"]
+__all__ = ["EnsembleRunResult", "EnsembleSimulator", "flat_pair_indices", "flat_planes"]
+
+
+def flat_planes(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """Flat *views* of a block of stacked ``(rows, n)`` state planes.
+
+    The kernels index the block through flat coordinates (``row * n +
+    slot``, see :func:`flat_pair_indices`), which is substantially faster
+    than broadcast 2-D fancy indexing, but only safe on views: a silent
+    copy would discard every write.  The engine keeps its state
+    C-contiguous (and a row slice of a C-contiguous plane is one too); this
+    guard turns any violation into a loud error.
+    """
+    flat = {}
+    for key, arr in arrays.items():
+        if not arr.flags.c_contiguous:
+            raise ConfigurationError(
+                "ensemble state arrays must be C-contiguous for flat indexing; "
+                f"plane {key!r} is not (pass np.ascontiguousarray data)"
+            )
+        flat[key] = arr.reshape(-1)
+    return flat
+
+
+def flat_pair_indices(
+    initiators: np.ndarray, responders: np.ndarray, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Flat coordinates (``row * n + slot``) of ``(rows, count)`` pair matrices.
+
+    Row ``r`` of the results addresses row ``r`` of the ``(rows, n)``
+    planes seen through :func:`flat_planes`; the results keep the
+    ``(rows, count)`` shape, so a column slice is one sub-batch of every
+    row, and its ``ravel()`` lists the lanes in row-major ``(row, batch)``
+    order, the order broadcast 2-D fancy indexing visits them in.  So
+    last-writer-wins scatters and ``np.maximum.at`` merges resolve exactly
+    as they would on the 2-D planes.
+
+    Both results are ``np.intp`` for int32 or int64 pair matrices: the
+    row offsets are built in NumPy's native index type, so the kernels'
+    gathers and scatters index without a per-call cast, and a stack of
+    ``rows * n >= 2**31`` slots cannot wrap int32 coordinates to negative
+    (which ``take`` would silently read from the end of the plane).
+    """
+    offsets = np.arange(0, initiators.shape[0] * n, n, dtype=np.intp)[:, None]
+    return np.add(initiators, offsets), np.add(responders, offsets)
 
 
 @dataclass
@@ -156,7 +207,7 @@ class EnsembleSimulator(ArrayStateEngine):
             if arr.ndim == 1:
                 stacked[key] = np.tile(arr, (self.trials, 1))
             elif arr.ndim == 2 and arr.shape[0] == self.trials:
-                # Force C order: the protocol fast paths index flat views.
+                # Force C order: the step loop hands the kernels flat views.
                 stacked[key] = np.array(arr, copy=True, order="C")
             else:
                 raise ConfigurationError(
@@ -334,7 +385,8 @@ class EnsembleSimulator(ArrayStateEngine):
         at a time — the responder snapshot refreshes once per sub-batch,
         the generator call count does not grow with ``sub_batches``, and
         each block's state planes stay cache-resident across its
-        sub-batches.
+        sub-batches.  A block's flat plane views and flat pair coordinates
+        are built once, before its first sub-batch.
         """
         n = self._require_interactable()
         index_dtype = np.int32 if self.trials * n < 2**31 else np.int64
@@ -345,18 +397,16 @@ class EnsembleSimulator(ArrayStateEngine):
         block = self._trial_block(n)
         for g0 in range(0, self.trials, block):
             g1 = min(g0 + block, self.trials)
-            block_arrays = {key: arr[g0:g1] for key, arr in self.arrays.items()}
+            planes = flat_planes({key: arr[g0:g1] for key, arr in self.arrays.items()})
+            flat_u, flat_v = flat_pair_indices(initiators[g0:g1], responders[g0:g1], n)
             block_rng = self.rng.row_block(g0, g1)
-            start = 0
-            while start < n:
-                stop = min(start + chunk, n)
+            for start in range(0, n, chunk):
                 self.protocol.interact_ensemble(
-                    block_arrays,
-                    initiators[g0:g1, start:stop],
-                    responders[g0:g1, start:stop],
+                    planes,
+                    flat_u[:, start : start + chunk],
+                    flat_v[:, start : start + chunk],
                     block_rng,
                 )
-                start = stop
         self.interactions_executed += n * self.trials
         self.parallel_time += 1
 
@@ -372,7 +422,7 @@ class EnsembleSimulator(ArrayStateEngine):
     def _take_snapshot(self) -> EngineSnapshot:
         self._apply_resizes()
         # Keep the protocol's output dtype (e.g. float32 planes) through the
-        # partition; the stored per-trial statistics are tiny either way.
+        # sort; the stored per-trial statistics are tiny either way.
         outputs = np.asarray(self.protocol.output_array(self.arrays))
         minima, medians, maxima = matrix_quantiles(outputs)
         self._snapshot_times.append(self.parallel_time)

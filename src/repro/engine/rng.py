@@ -301,9 +301,9 @@ class RandomSource:
         coordinate space fits, halving the draw bandwidth).  The draw
         dtype is part of the stream: PCG64 yields different values for
         int32 and int64 draws, so widening it would change every run.  The
-        kernels widen to ``np.intp`` after the draw instead, when
-        :func:`repro.engine.batch_engine.flat_pair_indices` builds the flat
-        coordinates.
+        engine widens to ``np.intp`` after the draw instead, when
+        :func:`repro.engine.ensemble_engine.flat_pair_indices` builds the
+        flat coordinates.
         """
         if n < 2:
             raise ValueError(f"need at least two agents, got {n}")

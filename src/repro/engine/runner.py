@@ -93,9 +93,9 @@ def aggregate_series(
 
     Trials may have different lengths (e.g. early-stopped runs); the
     aggregate is truncated to the shortest trial so that every reported
-    point covers all trials.  The columns are reduced in one
-    :func:`repro.engine.api.matrix_quantiles` partition pass over the
-    stacked ``(trials, length)`` matrix rather than a Python loop per time
+    point covers all trials.  The columns are reduced by one
+    :func:`repro.engine.api.matrix_quantiles` sort of the stacked
+    ``(trials, length)`` matrix rather than a Python loop per time
     index; the output is unchanged — plain float lists, with the
     even-count median averaging the two middle values exactly like
     ``statistics.median``.

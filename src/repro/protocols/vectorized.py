@@ -7,13 +7,15 @@ that epidemics, junta election and majority can run at figure scale on the
 ensemble_engine.EnsembleSimulator`); the exact single-pair transition is
 the scalar protocol's ``interact`` on the sequential engine.
 
-The ``interact_ensemble`` implementations apply the transition to
-``(trials, n)`` stacked state with ``(trials, batch)`` index matrices,
+The ``interact_ensemble`` implementations apply the transition to a block
+of ``(rows, n)`` stacked state with ``(rows, batch)`` index matrices,
 following the synchronous-rounds semantics (responder states read at the
 start of the batch, overlapping writes resolved last-writer-wins, monotone
-variables merged with ``np.maximum.at``).  They index the stack by flat
-coordinates (:func:`repro.engine.batch_engine.flat_pair_indices`), which
-visits the lanes in the same row-major order as broadcast 2-D indexing.
+variables merged with ``np.maximum.at``).  The engine owns the stacked
+layout: it passes flat views of the planes and ``np.intp`` flat coordinates
+(:func:`repro.engine.ensemble_engine.flat_pair_indices`, built once per
+step), which visit the lanes in the same row-major order as broadcast 2-D
+indexing, so the kernels only gather and scatter.
 
 The mapping from scalar protocol classes to these implementations lives in
 :mod:`repro.engine.registry`.
@@ -25,11 +27,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.engine.batch_engine import (
-    VectorizedProtocol,
-    flat_pair_indices,
-    flat_state_view,
-)
+from repro.engine.batch_engine import VectorizedProtocol
 from repro.engine.rng import RandomSource
 from repro.protocols.majority import ApproximateMajority
 
@@ -66,8 +64,8 @@ class VectorizedMaxEpidemic(VectorizedProtocol):
         return {"value": value}
 
     def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
-        value = flat_state_view(arrays["value"])
-        u, v = flat_pair_indices(initiators, responders, arrays["value"].shape[1])
+        value = arrays["value"]
+        u, v = initiators.ravel(), responders.ravel()
         peak = np.maximum(value[u], value[v])
         np.maximum.at(value, u, peak)
         if not self.one_way:
@@ -109,8 +107,8 @@ class VectorizedInfectionEpidemic(VectorizedProtocol):
         return {"infected": arr}
 
     def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
-        infected = flat_state_view(arrays["infected"])
-        u, v = flat_pair_indices(initiators, responders, arrays["infected"].shape[1])
+        infected = arrays["infected"]
+        u, v = initiators.ravel(), responders.ravel()
         v_inf = infected[v]
         if self.one_way:
             np.maximum.at(infected, u, v_inf)
@@ -154,10 +152,10 @@ class VectorizedJuntaElection(VectorizedProtocol):
         }
 
     def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
-        level = flat_state_view(arrays["level"])
-        climbing = flat_state_view(arrays["climbing"])
-        max_seen = flat_state_view(arrays["max_seen"])
-        u, v = flat_pair_indices(initiators, responders, arrays["level"].shape[1])
+        level = arrays["level"]
+        climbing = arrays["climbing"]
+        max_seen = arrays["max_seen"]
+        u, v = initiators.ravel(), responders.ravel()
 
         u_level = level[u]
         u_climb = climbing[u].astype(bool)
@@ -227,8 +225,8 @@ class VectorizedApproximateMajority(VectorizedProtocol):
         return {"opinion": opinion}
 
     def interact_ensemble(self, arrays, initiators, responders, rng) -> None:
-        opinion = flat_state_view(arrays["opinion"])
-        u, v = flat_pair_indices(initiators, responders, arrays["opinion"].shape[1])
+        opinion = arrays["opinion"]
+        u, v = initiators.ravel(), responders.ravel()
         u_op = opinion[u]
         v_op = opinion[v]
         recruit_u = (u_op == 0) & (v_op != 0)

@@ -13,6 +13,12 @@ work.  Submitting a job id that is already queued, running or done returns
 the existing job (single-flight: two identical submissions share one
 computation); a *failed* id may be resubmitted and re-runs.
 
+The table is bounded too: it keeps the :data:`FINISHED_JOBS_KEPT` most
+recently finished jobs and retires older ones, and it counts jobs per state
+at every transition, so neither admission nor :meth:`JobQueue.depth` scans
+it.  A retired id is unknown to the queue (the serving layer answers for a
+retired finished run from its result cache) and may be submitted again.
+
 Threads, not processes, carry the jobs: the heavy lifting inside a job is
 the NumPy/sharded-executor path of :func:`repro.scenarios.runner.run_scenario`,
 which releases the GIL in its hot loops and can itself fan out worker
@@ -24,12 +30,17 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable
 
-__all__ = ["Job", "JobQueue", "JobState", "QueueFullError"]
+__all__ = ["FINISHED_JOBS_KEPT", "Job", "JobQueue", "JobState", "QueueFullError"]
+
+#: Finished (done or failed) jobs the table keeps; older ones are retired,
+#: oldest finish first.
+FINISHED_JOBS_KEPT = 1024
 
 
 class QueueFullError(RuntimeError):
@@ -109,6 +120,9 @@ class JobQueue:
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
         self._jobs: dict[str, Job] = {}
+        #: Ids of the table's finished jobs, oldest finish first.
+        self._finished: OrderedDict[str, None] = OrderedDict()
+        self._counts = {state: 0 for state in JobState}
         self._lock = threading.Lock()
 
     def submit(
@@ -129,18 +143,31 @@ class JobQueue:
             existing = self._jobs.get(job_id)
             if existing is not None and existing.state is not JobState.FAILED:
                 return existing
-            pending = sum(
-                1 for job in self._jobs.values() if job.state is JobState.QUEUED
-            )
+            pending = self._counts[JobState.QUEUED]
             if pending >= self.max_pending:
                 raise QueueFullError(
                     f"job queue is full ({pending} pending, bound "
                     f"{self.max_pending}); retry later"
                 )
+            if existing is not None:
+                del self._finished[job_id]
+                self._counts[JobState.FAILED] -= 1
             job = Job(id=job_id, request=dict(request or {}))
             self._jobs[job_id] = job
+            self._counts[JobState.QUEUED] += 1
         self._pool.submit(self._run, job, work)
         return job
+
+    def _move(self, job: Job, state: JobState) -> None:
+        """Move ``job`` to ``state`` (caller holds the lock), retiring old jobs."""
+        self._counts[job.state] -= 1
+        self._counts[state] += 1
+        job.state = state
+        if state in (JobState.DONE, JobState.FAILED):
+            self._finished[job.id] = None
+            while len(self._finished) > FINISHED_JOBS_KEPT:
+                retired, _ = self._finished.popitem(last=False)
+                self._counts[self._jobs.pop(retired).state] -= 1
 
     def _run(self, job: Job, work: Callable[[], Any]) -> None:
         with self._lock:
@@ -150,22 +177,32 @@ class JobQueue:
             if job.state is not JobState.QUEUED:
                 return
             job.started = time.time()
-            job.state = JobState.RUNNING
+            self._move(job, JobState.RUNNING)
         clock = time.perf_counter()
         try:
             value = work()
         except Exception as exc:
-            job.seconds = time.perf_counter() - clock
-            job.finished = time.time()
-            job.error = f"{type(exc).__name__}: {exc}"
-            job.state = JobState.FAILED
+            self._finish(job, clock, JobState.FAILED, error=f"{type(exc).__name__}: {exc}")
         else:
-            job.seconds = time.perf_counter() - clock
-            job.finished = time.time()
-            job.value = value
-            job.state = JobState.DONE
+            self._finish(job, clock, JobState.DONE, value=value)
         finally:
             job.completed.set()
+
+    def _finish(
+        self,
+        job: Job,
+        clock: float,
+        state: JobState,
+        *,
+        value: Any = None,
+        error: str | None = None,
+    ) -> None:
+        job.seconds = time.perf_counter() - clock
+        job.finished = time.time()
+        job.value = value
+        job.error = error
+        with self._lock:
+            self._move(job, state)
 
     def get(self, job_id: str) -> Job | None:
         """The job for an id, or ``None`` when unknown."""
@@ -175,9 +212,7 @@ class JobQueue:
     def depth(self) -> dict[str, int]:
         """Current queue occupancy by state (for ``/healthz``)."""
         with self._lock:
-            counts = {state.value: 0 for state in JobState}
-            for job in self._jobs.values():
-                counts[job.state.value] += 1
+            counts = {state.value: count for state, count in self._counts.items()}
         counts["pending"] = counts[JobState.QUEUED.value]
         return counts
 
@@ -205,9 +240,8 @@ class JobQueue:
         self._pool.shutdown(wait=wait, cancel_futures=True)
         now = time.time()
         with self._lock:
-            for job in self._jobs.values():
-                if job.state is JobState.QUEUED:
-                    job.finished = now
-                    job.error = "CancelledError: job queue shut down before the job started"
-                    job.state = JobState.FAILED
-                    job.completed.set()
+            for job in [job for job in self._jobs.values() if job.state is JobState.QUEUED]:
+                job.finished = now
+                job.error = "CancelledError: job queue shut down before the job started"
+                self._move(job, JobState.FAILED)
+                job.completed.set()

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import multiprocessing
 
+import numpy as np
 import pytest
 
+from repro.engine.ensemble_engine import flat_pair_indices, flat_planes
 from repro.engine.protocol import InteractionContext, ProtocolEvent
 from repro.engine.rng import RandomSource
 
@@ -52,3 +54,21 @@ def make_ctx(rng: RandomSource):
         return ctx
 
     return factory
+
+
+@pytest.fixture
+def stacked_kernel():
+    """Call a kernel's ``interact_ensemble`` the way the stacked engine does.
+
+    Tests hold ``(rows, n)`` planes and ``(rows, batch)`` slot matrices; the
+    kernel gets flat views of those planes and flat pair coordinates, built
+    by the engine's own layout functions, so its writes land in the test's
+    planes.
+    """
+
+    def apply(protocol, arrays, initiators, responders, rng) -> None:
+        n = next(iter(arrays.values())).shape[1]
+        flat_u, flat_v = flat_pair_indices(np.asarray(initiators), np.asarray(responders), n)
+        protocol.interact_ensemble(flat_planes(arrays), flat_u, flat_v, rng)
+
+    return apply

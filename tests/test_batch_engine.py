@@ -34,10 +34,7 @@ class VectorizedMaxEpidemic(VectorizedProtocol):
 
     def interact_ensemble(self, arrays, initiators, responders, rng):
         value = arrays["value"]
-        rows = np.arange(initiators.shape[0])[:, None]
-        value[rows, initiators] = np.maximum(
-            value[rows, initiators], value[rows, responders]
-        )
+        value[initiators] = np.maximum(value[initiators], value[responders])
 
     def output_array(self, arrays):
         return arrays["value"]

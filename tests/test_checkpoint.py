@@ -11,12 +11,16 @@ other half: a truncated or tampered checkpoint must fail loudly with
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 
 import pytest
 
 from repro.core.dynamic_counting import DynamicSizeCounting
+from repro.engine import checkpoint as checkpoint_module
 from repro.engine.checkpoint import (
+    CHECKPOINT_MAGIC,
     CheckpointInterrupted,
     read_checkpoint,
     write_checkpoint,
@@ -240,6 +244,80 @@ class TestKillAndResume:
                 interrupt_after=2,
             )
         assert _run("sequential", None, resume_from=tmp_path) == baseline
+
+
+class _DiskFillsUp:
+    """``os`` as the checkpoint module sees it, with the disk filling up mid-run.
+
+    The ``fail_at``-th checkpoint file written through it gets half its bytes
+    before the write raises ``ENOSPC``; the checkpoint files already in
+    ``watch`` at that moment are recorded.  Every other call is the real
+    ``os``.
+    """
+
+    def __init__(self, fail_at: int, watch) -> None:
+        self.fail_at = fail_at
+        self.watch = watch
+        self.checkpoints = 0
+        self.before_failure: dict[str, bytes] | None = None
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def fdopen(self, fd, mode="r"):
+        return _FillingStream(os.fdopen(fd, mode), self)
+
+
+class _FillingStream:
+    def __init__(self, stream, disk: _DiskFillsUp) -> None:
+        self.stream = stream
+        self.disk = disk
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.stream.close()
+
+    def write(self, data: bytes) -> int:
+        disk = self.disk
+        if data.startswith(CHECKPOINT_MAGIC):
+            disk.checkpoints += 1
+            if disk.checkpoints == disk.fail_at:
+                disk.before_failure = {
+                    path.name: path.read_bytes() for path in disk.watch.glob("shard_*.ckpt")
+                }
+                self.stream.write(data[: len(data) // 2])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.stream.write(data)
+
+
+class TestDiskFull:
+    """A checkpoint write that runs out of disk ends the run cleanly and resumably."""
+
+    @pytest.mark.parametrize("engine", ("batched", "ensemble"))
+    def test_enospc_mid_run_keeps_the_previous_checkpoint_and_resumes(
+        self, engine, tmp_path, monkeypatch
+    ):
+        baseline = _run(engine, 1)
+        # The second checkpoint write of the first shard: a segment boundary
+        # inside the horizon, after one complete write of that shard.
+        disk = _DiskFillsUp(fail_at=2, watch=tmp_path)
+        monkeypatch.setattr(checkpoint_module, "os", disk)
+        with pytest.raises(OSError) as failure:
+            _run(engine, 1, checkpoint_every=CHECKPOINT_EVERY, checkpoint_dir=tmp_path)
+        monkeypatch.undo()
+
+        assert failure.value.errno == errno.ENOSPC
+        assert list(tmp_path.rglob("*.tmp")) == []
+        assert disk.before_failure is not None and list(disk.before_failure) == ["shard_0-5.ckpt"]
+        on_disk = {path.name: path.read_bytes() for path in tmp_path.glob("shard_*.ckpt")}
+        assert on_disk == disk.before_failure
+        previous = read_checkpoint(tmp_path / "shard_0-5.ckpt", kind="shard")
+        assert previous["done"] is False and previous["engine_payload"] is not None
+
+        resumed = _run(engine, 1, resume_from=tmp_path)
+        assert json.dumps(resumed) == json.dumps(baseline)
 
 
 # ------------------------------------------------------------ fail loudly

@@ -16,8 +16,12 @@ import pytest
 
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.vectorized import VectorizedDynamicCounting
-from repro.engine.batch_engine import flat_pair_indices
-from repro.engine.ensemble_engine import EnsembleRunResult, EnsembleSimulator
+from repro.engine.ensemble_engine import (
+    EnsembleRunResult,
+    EnsembleSimulator,
+    flat_pair_indices,
+    flat_planes,
+)
 from repro.engine.errors import ConfigurationError
 from repro.engine.protocol import InteractionContext
 from repro.engine.registry import ENGINE_NAMES, make_engine
@@ -199,7 +203,7 @@ class TestEnsembleKernels:
         ],
         ids=["max-one-way", "max-two-way", "infection-one-way", "infection-two-way", "majority"],
     )
-    def test_matches_exact_single_pair_rule(self, protocol, scalar, low, high):
+    def test_matches_exact_single_pair_rule(self, protocol, scalar, low, high, stacked_kernel):
         """Deterministic protocols agree lane-for-lane with the scalar ``interact``.
 
         On a sub-batch where no agent appears in two pairs, batch semantics
@@ -220,7 +224,7 @@ class TestEnsembleKernels:
         stacked = {key: exact.copy()}
         for _ in range(5):
             initiators, responders = _disjoint_pairs(rng, trials, n, batch)
-            protocol.interact_ensemble(stacked, initiators, responders, None)
+            stacked_kernel(protocol, stacked, initiators, responders, None)
             for t in range(trials):
                 row = [states[int(x)] if majority else int(x) for x in exact[t]]
                 for u, v in zip(initiators[t], responders[t]):
@@ -228,7 +232,7 @@ class TestEnsembleKernels:
                 exact[t] = [codes[x] if majority else x for x in row]
             assert np.array_equal(stacked[key], exact)
 
-    def test_junta_matches_exact_rule_under_shared_coins(self):
+    def test_junta_matches_exact_rule_under_shared_coins(self, stacked_kernel):
         """The coin-using junta kernel agrees lane-for-lane with the scalar rule.
 
         Both sides read one pre-drawn coin per pair: the kernel through
@@ -271,7 +275,7 @@ class TestEnsembleKernels:
         for _ in range(5):
             initiators, responders = _disjoint_pairs(rng, trials, n, batch)
             coins = rng.integers(0, 2, size=(trials, batch)).astype(bool)
-            protocol.interact_ensemble(stacked, initiators, responders, LaneCoins(coins))
+            stacked_kernel(protocol, stacked, initiators, responders, LaneCoins(coins))
             for t, row in enumerate(exact):
                 for i, (u, v) in enumerate(zip(initiators[t], responders[t])):
                     pair_coin.heads = bool(coins[t, i])
@@ -292,16 +296,61 @@ class TestEnsembleKernels:
         initiators = np.array([[0, 2], [1, 1]], dtype=np.int32)
         responders = np.array([[1, 0], [2, 0]], dtype=np.int32)
         u, v = flat_pair_indices(initiators, responders, 3)
-        assert u.tolist() == [0, 2, 4, 4]
-        assert v.tolist() == [1, 0, 5, 3]
+        assert u.shape == v.shape == (2, 2)
+        assert u.ravel().tolist() == [0, 2, 4, 4]
+        assert v.ravel().tolist() == [1, 0, 5, 3]
         assert u.dtype == v.dtype == np.intp
 
     def test_flat_pair_indices_do_not_wrap_past_int32(self):
         """int32 pair matrices over ``rows * n >= 2**31`` slots stay non-negative."""
         zeros = np.zeros((3, 1), dtype=np.int32)
         u, v = flat_pair_indices(zeros, zeros + 1, 2**30)
-        assert u.tolist() == [0, 2**30, 2**31]
-        assert v.tolist() == [1, 2**30 + 1, 2**31 + 1]
+        assert u.ravel().tolist() == [0, 2**30, 2**31]
+        assert v.ravel().tolist() == [1, 2**30 + 1, 2**31 + 1]
+
+    def test_flat_planes_are_views_of_a_row_block(self):
+        planes = {"value": np.zeros((4, 3)), "flag": np.zeros((4, 3), dtype=np.int8)}
+        flat = flat_planes({key: plane[1:3] for key, plane in planes.items()})
+        assert {key: arr.shape for key, arr in flat.items()} == {"value": (6,), "flag": (6,)}
+        flat["value"][[0, 5]] = 1.0
+        assert np.argwhere(planes["value"]).tolist() == [[1, 0], [2, 2]]
+
+    def test_flat_planes_refuse_a_non_contiguous_plane(self):
+        with pytest.raises(ConfigurationError, match="C-contiguous"):
+            flat_planes({"value": np.zeros((3, 4))[:, ::2]})
+
+    def test_engine_builds_the_layout_once_per_step_and_block(self, monkeypatch):
+        """Every kernel call gets flat views and a column slice of its block's coordinates."""
+
+        class Recording(VectorizedMaxEpidemic):
+            def __init__(self):
+                super().__init__()
+                self.calls = []
+
+            def interact_ensemble(self, arrays, initiators, responders, rng):
+                self.calls.append((arrays, initiators, responders))
+                super().interact_ensemble(arrays, initiators, responders, rng)
+
+        n, trials = 20, 3
+        # Two rows of float64 state per block: blocks [0, 2) and [2, 3).
+        monkeypatch.setattr(EnsembleSimulator, "_BLOCK_STATE_BYTES", 2 * n * 8)
+        protocol = Recording()
+        engine = EnsembleSimulator(protocol, n, trials=trials, seed=3, sub_batches=4)
+        engine.step_parallel_round()
+        assert len(protocol.calls) == 8
+        for block, (g0, g1) in enumerate(((0, 2), (2, 3))):
+            calls = protocol.calls[4 * block : 4 * block + 4]
+            assert len({id(arrays) for arrays, _, _ in calls}) == 1
+            (plane,) = calls[0][0].values()
+            assert plane.ndim == 1 and plane.size == (g1 - g0) * n
+            assert np.shares_memory(plane, engine.arrays["value"][g0:g1])
+            for matrix in (1, 2):
+                assert len({id(call[matrix].base) for call in calls}) == 1
+                for call in calls:
+                    coords = call[matrix]
+                    assert coords.dtype == np.intp and coords.shape == (g1 - g0, 5)
+                    rows = coords // n
+                    assert (rows == np.arange(g1 - g0)[:, None]).all()
 
     def test_every_registered_protocol_runs_on_ensemble(self):
         for protocol in (MaxEpidemic(initial_value=1), ApproximateMajority("A")):

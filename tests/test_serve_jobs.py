@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.serve import jobs as jobs_module
 from repro.serve.jobs import Job, JobQueue, JobState, QueueFullError
 
 
@@ -163,6 +164,102 @@ class TestBounds:
             JobQueue(max_workers=0)
         with pytest.raises(ValueError):
             JobQueue(max_pending=0)
+
+
+def occupancy(*, queued=0, running=0, done=0, failed=0) -> dict[str, int]:
+    """What :meth:`JobQueue.depth` reports for these per-state counts."""
+    return {"queued": queued, "running": running, "done": done, "failed": failed, "pending": queued}
+
+
+class TestRetention:
+    """The table keeps the last ``FINISHED_JOBS_KEPT`` finished jobs, counted per state."""
+
+    KEPT = 3
+
+    @pytest.fixture(autouse=True)
+    def _small_table(self, monkeypatch):
+        monkeypatch.setattr(jobs_module, "FINISHED_JOBS_KEPT", self.KEPT)
+
+    def test_oldest_finished_jobs_are_retired(self, queue):
+        ids = [f"job-{i}" for i in range(3 * self.KEPT)]
+        for job_id in ids:
+            queue.submit(job_id, lambda: None)
+            assert queue.wait(job_id).state is JobState.DONE
+        assert [queue.get(job_id) is not None for job_id in ids] == (
+            [False] * (len(ids) - self.KEPT) + [True] * self.KEPT
+        )
+        assert len(queue._jobs) == self.KEPT
+        assert queue.depth() == occupancy(done=self.KEPT)
+        with pytest.raises(KeyError):
+            queue.wait(ids[0])
+
+    def test_a_retired_id_runs_again(self, queue):
+        calls = []
+        queue.submit("job-first", lambda: calls.append(1))
+        queue.wait("job-first")
+        for i in range(self.KEPT):
+            queue.submit(f"job-{i}", lambda: None)
+            queue.wait(f"job-{i}")
+        assert queue.get("job-first") is None
+        queue.submit("job-first", lambda: calls.append(1))
+        assert queue.wait("job-first").state is JobState.DONE
+        assert calls == [1, 1]
+
+    def test_depth_stays_exact_while_jobs_finish_and_retire(self, queue):
+        release = threading.Event()
+        held = [queue.submit(f"held-{i}", release.wait) for i in range(2)]
+        queue.submit("queued", lambda: None)
+        try:
+            assert queue.depth() == occupancy(queued=1, running=2)
+        finally:
+            release.set()
+
+        def boom():
+            raise RuntimeError("no")
+
+        for job in held:
+            queue.wait(job.id)
+        queue.wait("queued")
+        for i in range(self.KEPT):
+            queue.submit(f"bad-{i}", boom)
+            queue.wait(f"bad-{i}")
+        assert queue.depth() == occupancy(failed=self.KEPT)
+        # Resubmitting a failed id moves it out of the failed count.
+        queue.submit("bad-0", lambda: None)
+        queue.wait("bad-0")
+        assert queue.depth() == occupancy(done=1, failed=2)
+        states = [job.state.value for job in queue._jobs.values()]
+        assert sorted(states) == ["done", "failed", "failed"]
+
+    def test_unfinished_jobs_are_never_retired(self, queue):
+        """A just-submitted job stays waitable however many jobs finish meanwhile."""
+        release = threading.Event()
+        queue.submit("slow", release.wait)
+        try:
+            for i in range(3 * self.KEPT):
+                queue.submit(f"job-{i}", lambda: None)
+                queue.wait(f"job-{i}")
+            assert queue.get("slow") is not None
+        finally:
+            release.set()
+        assert queue.wait("slow").state is JobState.DONE
+        assert queue.depth()["done"] == self.KEPT
+
+    def test_shutdown_sweep_is_counted(self):
+        queue = JobQueue(max_workers=1, max_pending=8)
+        started, release = threading.Event(), threading.Event()
+        queue.submit("running", lambda: started.set() or release.wait())
+        assert started.wait(5.0)
+        for i in range(2 * self.KEPT):
+            queue.submit(f"stranded-{i}", lambda: None)
+        queue.shutdown(wait=False)
+        try:
+            assert queue.depth() == occupancy(running=1, failed=self.KEPT)
+        finally:
+            release.set()
+        queue.wait("running", timeout=5.0)
+        assert queue.depth()["running"] == 0
+        assert len(queue._jobs) == self.KEPT
 
 
 def test_job_dataclass_defaults():

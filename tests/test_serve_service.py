@@ -7,7 +7,9 @@ real ``run_scenario``/``run_sweep`` path on a tiny workload.
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 import threading
 import time
 
@@ -17,6 +19,8 @@ from repro.engine.errors import ConfigurationError, UnsupportedEngineError
 from repro.experiments.base import ExperimentResult
 from repro.scenarios.registry import scenario_names
 from repro.scenarios.listing import scenario_listing
+from repro.serve import cache as cache_module
+from repro.serve import jobs as jobs_module
 from repro.serve import (
     JobFailedError,
     JobPendingError,
@@ -238,6 +242,24 @@ class TestLifecycle:
         finally:
             service.close()
 
+    def test_a_retired_run_reports_done_from_the_cache(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(jobs_module, "FINISHED_JOBS_KEPT", 2)
+        service, recorder = make_service(tmp_path)
+        try:
+            ids = []
+            for seed in range(5):
+                run_id = service.submit(request(seed=seed))["run_id"]
+                assert service.queue.wait(run_id).state.value == "done"
+                ids.append(run_id)
+            assert service.queue.get(ids[0]) is None
+            assert service.queue.depth()["done"] == 2
+            assert service.status(ids[0]) == {"run_id": ids[0], "state": "done", "cached": True}
+            assert service.result_payload(ids[0])["run_id"] == ids[0]
+            assert service.submit(request(seed=0))["cached"] is True
+            assert len(recorder.calls) == 5
+        finally:
+            service.close()
+
     def test_sweep_request_runs_sweep_and_caches_combos(self, tmp_path):
         service, recorder = make_service(tmp_path)
         try:
@@ -374,10 +396,14 @@ class TestCacheReads:
             service.close()
         csv_path.write_bytes(csv_path.read_bytes()[:5])
         # A second service on the same cache has no job table to dedupe on.
+        # The gate holds its job until the purge is checked: a finished job
+        # would already have written the entry back.
+        recorder.gate = threading.Event()
         again, _ = make_service(tmp_path, recorder)
         try:
             status = again.submit(request())
             assert status["cached"] is False and run_id not in again.cache.keys()
+            recorder.gate.set()
             assert again.queue.wait(run_id).state.value == "done"
             assert len(recorder.calls) == 2
             assert again.submit(request())["cached"] is True
@@ -400,6 +426,51 @@ class TestCacheReads:
                     if id(child) not in seen and not isinstance(child, type):
                         seen.add(id(child))
                         frontier.append(child)
+        finally:
+            service.close()
+
+
+class _PublishFails:
+    """``os`` as the cache module sees it, with its first publish rename failing."""
+
+    def __init__(self) -> None:
+        self.failed = 0
+
+    def __getattr__(self, name):
+        return getattr(os, name)
+
+    def rename(self, src, dst):
+        if not self.failed:
+            self.failed += 1
+            raise OSError(errno.EIO, "injected publish failure", str(dst))
+        return os.rename(src, dst)
+
+
+class TestCachePublishFailure:
+    def test_failed_publish_fails_the_job_and_a_resubmission_serves(self, tmp_path, monkeypatch):
+        publish = _PublishFails()
+        monkeypatch.setattr(cache_module, "os", publish)
+        service, recorder = make_service(tmp_path)
+        try:
+            run_id = service.submit(request())["run_id"]
+            job = service.queue.wait(run_id)
+            assert publish.failed == 1
+            assert job.state.value == "failed"
+            target = service.cache._entry_dir(run_id)
+            assert job.error == f"OSError: [Errno {errno.EIO}] injected publish failure: '{target}'"
+            assert list(service.cache._staging.iterdir()) == []
+            assert service.cache.keys() == []
+            assert not service.cache.contains(run_id)
+            with pytest.raises(JobFailedError):
+                service.result_payload(run_id)
+
+            again = service.submit(request())
+            assert again["run_id"] == run_id and again["cached"] is False
+            assert service.queue.wait(run_id).state.value == "done"
+            assert len(recorder.calls) == 2
+            assert service.result_payload(run_id)["results"][0]["rows"] == tiny_result().rows
+            assert service.submit(request())["cached"] is True
+            assert list(service.cache._staging.iterdir()) == []
         finally:
             service.close()
 

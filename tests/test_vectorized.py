@@ -106,7 +106,7 @@ class TestBatchTransition:
         assert arrays["max"][1] == 12
         assert arrays["time"][1] == 60
 
-    def test_batch_is_the_ensemble_kernel_on_one_row(self, protocol):
+    def test_batch_is_the_ensemble_kernel_on_one_row(self, protocol, stacked_kernel):
         """interact_batch holds no rule of its own and writes through views."""
         n = 50
         flat = protocol.initial_arrays(n, RandomSource.from_seed(0))
@@ -118,8 +118,8 @@ class TestBatchTransition:
             initiators = pairs.integers(0, n, 12)
             responders = (initiators + pairs.integers(1, n, 12)) % n
             protocol.interact_batch(flat, initiators, responders, batch_rng)
-            protocol.interact_ensemble(
-                stacked, initiators[np.newaxis], responders[np.newaxis], ensemble_rng
+            stacked_kernel(
+                protocol, stacked, initiators[np.newaxis], responders[np.newaxis], ensemble_rng
             )
         assert flat["resets"].sum() > 0
         for key in flat:
@@ -157,7 +157,7 @@ class TestResetTally:
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_each_resetting_slot_ticks_once(self, case):
+    def test_each_resetting_slot_ticks_once(self, case, stacked_kernel):
         n, zero_time, initiators = self.CASES[case]
         initiators = np.array(initiators)
         responders = (initiators + 1) % n
@@ -177,8 +177,8 @@ class TestResetTally:
         for row, slots in enumerate(resetting):
             expected[row, sorted(set(slots))] += 1
 
-        VectorizedDynamicCounting().interact_ensemble(
-            arrays, initiators, responders, RandomSource.from_seed(1)
+        stacked_kernel(
+            VectorizedDynamicCounting(), arrays, initiators, responders, RandomSource.from_seed(1)
         )
 
         assert np.array_equal(arrays["resets"], expected)
@@ -356,7 +356,7 @@ class TestLaneOracle:
     @pytest.mark.parametrize("width", sorted(WIDTHS))
     @pytest.mark.parametrize("rows", [1, 3])
     @pytest.mark.parametrize("constants", sorted(CONSTANTS))
-    def test_kernel_matches_the_scalar_rule(self, constants, rows, width):
+    def test_kernel_matches_the_scalar_rule(self, constants, rows, width, stacked_kernel):
         params, float_dtype, int_dtype = self.CONSTANTS[constants]
         kernel = VectorizedDynamicCounting(params)
         assert (kernel.ensemble_state_dtypes is not None) == (float_dtype is np.float32)
@@ -373,7 +373,7 @@ class TestLaneOracle:
                 responders = (initiators + gen.integers(1, n, (rows, lanes))) % n
                 grvs = gen.integers(1, 13, (rows, lanes)).astype(np.float64)
                 resets_before = branches["reset"]
-                kernel.interact_ensemble(arrays, initiators, responders, _LaneGrvs(grvs))
+                stacked_kernel(kernel, arrays, initiators, responders, _LaneGrvs(grvs))
                 reference_batch(params, expected, initiators, responders, grvs, branches)
                 for key in expected:
                     assert arrays[key].dtype == expected[key].dtype, key
