@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from repro.core import DynamicSizeCounting
-from repro.engine import EstimateRecorder, MemoryRecorder, RemoveAllButAt, Simulator
+from repro.engine import EstimateRecorder, MemoryRecorder, Simulator
 from repro.protocols import DotyEftekhariCounting, MaxGrvCounting
 
 
@@ -29,7 +29,7 @@ def run(protocol, n: int, keep: int, drop_time: int, horizon: int, seed: int):
         protocol,
         n,
         seed=seed,
-        adversary=RemoveAllButAt(time=drop_time, keep=keep),
+        resize_schedule=[(drop_time, keep)],
         recorders=[estimates, memory],
     )
     simulator.run(horizon)

@@ -11,8 +11,9 @@ phase-clocked majority payload to the dynamic size counting clock via
 * the clock component estimates log2(n) and ticks once per round,
 * every tick advances the payload's phase (alternating cancellation and
   doubling), and
-* halfway through the run the adversary removes a large, biased chunk of
-  the population, which the composition survives.
+* halfway through the run the adversary removes a quarter of the
+  population, chosen uniformly at random (a resize schedule of one
+  ``(time, target)`` pair), which the composition survives.
 
 Run it with::
 
@@ -25,7 +26,7 @@ import math
 from collections import Counter
 
 from repro.core import ComposedProtocol, DynamicSizeCounting
-from repro.engine import RandomSource, RemoveAgentsAt, Simulator
+from repro.engine import RandomSource, Simulator
 from repro.protocols import PhasedMajority, PhasedMajorityState
 
 
@@ -48,8 +49,8 @@ def main() -> None:
         payload_states.append(PhasedMajorityState(opinion=opinion))
     population = composed.make_initial_population(n, rng, payload_states=payload_states)
 
-    adversary = RemoveAgentsAt(time=parallel_time // 2, count=n // 4)
-    simulator = Simulator(composed, population, rng=rng, adversary=adversary)
+    schedule = [(parallel_time // 2, n - n // 4)]
+    simulator = Simulator(composed, population, rng=rng, resize_schedule=schedule)
 
     print(f"Population of {n} agents: {share_a:.0%} opinion A (+1), {1-share_a:.0%} opinion B (-1)")
     print(f"An adversary removes {n // 4} random agents at t={parallel_time // 2}.")

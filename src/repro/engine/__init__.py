@@ -1,8 +1,8 @@
 """Simulation substrate for population protocols.
 
 The engine package is independent of the paper's specific protocol: it
-provides the random scheduler, the dynamic population, size-change
-adversaries, recorders, multi-trial orchestration, and three execution
+provides the random scheduler, the dynamic population, resize schedules
+(:func:`resize_events`), recorders, multi-trial orchestration, and three execution
 engine classes behind one :class:`repro.engine.api.Engine` contract — exact
 sequential (:class:`Simulator`), vectorised stacked trials
 (:class:`EnsembleSimulator`, registered as ``"ensemble"`` and, with one
@@ -11,17 +11,7 @@ row, as ``"batched"``), and count-vector multiset
 size) — selectable by name through :func:`repro.engine.registry.make_engine`.
 """
 
-from repro.engine.adversary import (
-    AddAgentsAt,
-    CompositeAdversary,
-    NullAdversary,
-    RemoveAgentsAt,
-    RemoveAllButAt,
-    ResizeEvent,
-    ResizeSchedule,
-    SizeAdversary,
-)
-from repro.engine.api import Engine, EngineSnapshot, RunResult
+from repro.engine.api import Engine, EngineSnapshot, RunResult, resize_events
 from repro.engine.batch_engine import VectorizedProtocol
 from repro.engine.counts_engine import (
     CountsKernel,
@@ -107,7 +97,6 @@ from repro.engine.streaming import (
 )
 
 __all__ = [
-    "AddAgentsAt",
     "AggregatedSeries",
     "BoundedRowBuffer",
     "CallbackRecorder",
@@ -121,7 +110,6 @@ __all__ = [
     "Engine",
     "EngineInfo",
     "EngineSnapshot",
-    "CompositeAdversary",
     "ConfigurationError",
     "LARGE_POPULATION_THRESHOLD",
     "MAX_AUTO_WORKERS",
@@ -136,7 +124,6 @@ __all__ = [
     "InteractionContext",
     "InvalidScheduleError",
     "MemoryRecorder",
-    "NullAdversary",
     "OneWayProtocol",
     "PhaseOccupancyRecorder",
     "P2Quantile",
@@ -148,10 +135,6 @@ __all__ = [
     "RandomSource",
     "Recorder",
     "ReservoirBuffer",
-    "RemoveAgentsAt",
-    "RemoveAllButAt",
-    "ResizeEvent",
-    "ResizeSchedule",
     "RowStreams",
     "RunResult",
     "RunningColumnStats",
@@ -161,7 +144,6 @@ __all__ = [
     "ShardTiming",
     "SimulationResult",
     "Simulator",
-    "SizeAdversary",
     "SnapshotStats",
     "StreamingEstimateRecorder",
     "TrialShard",
@@ -188,6 +170,7 @@ __all__ = [
     "register_vectorized",
     "registered_counts_protocols",
     "registered_protocols",
+    "resize_events",
     "resolve_workers",
     "run_engine_trials",
     "spawn_streams",

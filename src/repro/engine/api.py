@@ -9,27 +9,33 @@ implements the same contract:
 ``run(parallel_time, stop_when=..., snapshot_every=...) -> RunResult``
 
 with a shared :class:`RunResult`/:class:`EngineSnapshot` vocabulary,
-snapshot hooks for observers, and adversary consultation (population
-resizes) at snapshot granularity.  Experiment code can therefore select an
-engine by name (see :mod:`repro.engine.registry`) and post-process the
-result without knowing which engine produced it.
+snapshot hooks for observers, and one resize schedule: ``(parallel_time,
+target)`` pairs, validated by :func:`resize_events` and applied at
+snapshot granularity.  Experiment code can therefore select an engine by
+name (see :mod:`repro.engine.registry`) and post-process the result
+without knowing which engine produced it.
 
 The run loop itself lives here as a template method: subclasses provide
-``_advance_one_parallel_step`` / ``_take_snapshot`` / ``_build_result`` and
-inherit the horizon bookkeeping, early stopping, and hook dispatch.
+``_advance_one_parallel_step`` / ``resize_to`` / ``_take_snapshot`` /
+``_build_result`` and inherit the horizon bookkeeping, the resize
+schedule, early stopping, and hook dispatch.
 """
 
 from __future__ import annotations
 
 import abc
-import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from repro.engine.errors import CheckpointError, ConfigurationError, EmptyPopulationError
+from repro.engine.errors import (
+    CheckpointError,
+    ConfigurationError,
+    EmptyPopulationError,
+    InvalidScheduleError,
+)
 from repro.engine.rng import RandomSource
 
 __all__ = [
@@ -39,6 +45,7 @@ __all__ = [
     "ArrayStateEngine",
     "quantiles",
     "matrix_quantiles",
+    "resize_events",
 ]
 
 
@@ -168,66 +175,52 @@ class RunResult:
         }
 
 
-def _stop_condition_arity(stop_when: Callable[..., bool], default: int) -> int:
-    """Number of positional arguments to call a ``stop_when`` callable with.
+def resize_events(pairs: Iterable[tuple[int, int]]) -> tuple[tuple[int, int], ...]:
+    """Validate a resize schedule and return its events in time order.
 
-    Engines historically used two conventions — ``stop_when(engine)`` on the
-    sequential engine and ``stop_when(engine, snapshot)`` on the batched one
-    — and both remain supported everywhere.  Unambiguous signatures decide
-    for themselves (exactly one acceptable positional argument → one, two or
-    more *required* → two); ambiguous ones — optional extra parameters like
-    ``def stop(sim, threshold=8.0)`` or ``lambda sim, snap=None``, ``*args``,
-    C callables — fall back to ``default``, each engine's historical
-    convention, so predicates written against either old engine keep
-    receiving exactly the arguments they used to.
+    A schedule is ``(parallel_time, target)`` pairs: at the first snapshot
+    at or after ``parallel_time`` the population is resized to ``target``
+    agents.  Every engine takes its schedule through this one function, so
+    they all reject the same schedules with :class:`InvalidScheduleError`
+    (a :class:`ConfigurationError`): a negative time, a target below two
+    agents, or two events at the same time (their order would be
+    arbitrary).  Pairs given out of order are sorted.
     """
-    try:
-        signature = inspect.signature(stop_when)
-    except (TypeError, ValueError):  # builtins / C callables
-        return default
-    required = 0
-    acceptable = 0
-    for parameter in signature.parameters.values():
-        if parameter.kind is inspect.Parameter.VAR_POSITIONAL:
-            acceptable = 2
-            continue
-        if parameter.kind in (
-            inspect.Parameter.POSITIONAL_ONLY,
-            inspect.Parameter.POSITIONAL_OR_KEYWORD,
-        ):
-            acceptable += 1
-            if parameter.default is inspect.Parameter.empty:
-                required += 1
-    if required >= 2:
-        return 2
-    if acceptable <= 1:
-        return 1
-    return default
+    events = sorted(((int(t), int(target)) for t, target in pairs), key=lambda e: e[0])
+    for time, target in events:
+        if time < 0:
+            raise InvalidScheduleError(f"resize time must be non-negative, got {time}")
+        if target < 2:
+            raise InvalidScheduleError(f"resize target must be at least 2, got {target}")
+    times = [time for time, _ in events]
+    if len(set(times)) != len(times):
+        raise InvalidScheduleError(f"resize events must have distinct times, got {times}")
+    return tuple(events)
 
 
 class Engine(abc.ABC):
     """Abstract base class for all execution engines.
 
-    Subclasses drive the simulation through three hooks — advance one
-    parallel time step, take one snapshot (which is also where adversaries
-    act), and build the final result — while :meth:`run` owns the horizon
-    bookkeeping, early stopping, and snapshot-hook dispatch shared by every
-    engine.
+    Subclasses drive the simulation through four hooks — advance one
+    parallel time step, resize the population, take one snapshot, and
+    build the final result — while :meth:`run` owns the horizon
+    bookkeeping, the resize schedule, early stopping, and snapshot-hook
+    dispatch shared by every engine.
+
+    ``resize_schedule`` is ``(parallel_time, target)`` pairs, validated by
+    :func:`resize_events`; each event is applied once, through
+    :meth:`resize_to`, just before the first snapshot at or after its time.
     """
 
     #: Engine name used in run metadata (``"sequential"`` / ``"batched"`` / ...).
     name: str = "engine"
 
-    #: Historical ``stop_when`` calling convention, used for signatures that
-    #: could accept either one or two arguments.  The sequential engine
-    #: always called ``stop_when(engine)``; the struct-of-arrays engines
-    #: always called ``stop_when(engine, snapshot)``.
-    _default_stop_arity: int = 2
-
-    def __init__(self) -> None:
+    def __init__(self, resize_schedule: Iterable[tuple[int, int]] = ()) -> None:
         self.parallel_time: int = 0
         self.interactions_executed: int = 0
         self._snapshot_hooks: list[Callable[["Engine", EngineSnapshot], None]] = []
+        self._resize_events = resize_events(resize_schedule)
+        self._resize_cursor = 0
 
     # ------------------------------------------------------------------ hooks
 
@@ -252,6 +245,26 @@ class Engine(abc.ABC):
     def outputs(self) -> Sequence[Any]:
         """Current per-agent protocol outputs."""
 
+    def resize_to(self, target: int) -> None:
+        """Resize the population to ``target`` agents.
+
+        Shrinking keeps a uniformly random subset of the agents (the
+        paper's decimation adversary); growing adds agents in the
+        protocol's initial state.  Every built-in engine implements it.
+        """
+        raise ConfigurationError(f"engine {self.name!r} cannot resize its population")
+
+    def _apply_resizes(self) -> None:
+        """Apply every scheduled resize that is due at the current time."""
+        events = self._resize_events
+        while (
+            self._resize_cursor < len(events)
+            and events[self._resize_cursor][0] <= self.parallel_time
+        ):
+            _, target = events[self._resize_cursor]
+            self._resize_cursor += 1
+            self.resize_to(target)
+
     # -------------------------------------------------------------------- run
 
     def run(
@@ -269,12 +282,12 @@ class Engine(abc.ABC):
             Horizon in parallel time units (each unit is ``n`` interactions
             at the current population size ``n``).
         stop_when:
-            Optional early-stop predicate evaluated after every snapshot.
-            Both ``stop_when(engine)`` and ``stop_when(engine, snapshot)``
-            signatures are accepted.
+            Optional early-stop predicate, called as
+            ``stop_when(engine, snapshot)`` after every snapshot.
         snapshot_every:
-            Take a snapshot (and consult the adversary / observers) every
-            this many parallel time steps.
+            Take a snapshot (after applying the resizes that are due, and
+            before notifying the observers) every this many parallel time
+            steps.
         """
         if parallel_time < 0:
             raise ConfigurationError(
@@ -282,10 +295,6 @@ class Engine(abc.ABC):
             )
         if snapshot_every < 1:
             raise ConfigurationError(f"snapshot_every must be >= 1, got {snapshot_every}")
-
-        wants_snapshot = stop_when is not None and (
-            _stop_condition_arity(stop_when, self._default_stop_arity) >= 2
-        )
 
         self._on_run_start()
         snapshots: list[EngineSnapshot] = []
@@ -295,15 +304,14 @@ class Engine(abc.ABC):
             steps = min(snapshot_every, target - self.parallel_time)
             for _ in range(steps):
                 self._advance_one_parallel_step()
+            self._apply_resizes()
             snapshot = self._take_snapshot()
             snapshots.append(snapshot)
             for hook in self._snapshot_hooks:
                 hook(self, snapshot)
-            if stop_when is not None:
-                fired = stop_when(self, snapshot) if wants_snapshot else stop_when(self)
-                if fired:
-                    stopped_early = True
-                    break
+            if stop_when is not None and stop_when(self, snapshot):
+                stopped_early = True
+                break
         self._on_run_finish()
         return self._build_result(snapshots, stopped_early)
 
@@ -314,9 +322,9 @@ class Engine(abc.ABC):
 
         The payload captures everything a freshly constructed, identically
         configured engine needs to continue the run bit-identically: the
-        run-loop counters, the RNG bit-generator state, and the
-        engine-specific state from :meth:`_state_payload` (population /
-        state planes, adversary position, ...).  Persist it with
+        run-loop counters, the resize schedule's position, the RNG
+        bit-generator state, and the engine-specific state from
+        :meth:`_state_payload` (population, state planes, ...).  Persist it with
         :meth:`save_checkpoint`, or embed it in a larger artifact (the
         sharded executor stores one per shard).
 
@@ -330,6 +338,7 @@ class Engine(abc.ABC):
             "engine": self.name,
             "parallel_time": int(self.parallel_time),
             "interactions_executed": int(self.interactions_executed),
+            "resize_cursor": int(self._resize_cursor),
             "rng_state": self._rng_checkpoint_state(),
             "state": self._state_payload(copy=copy),
         }
@@ -355,6 +364,7 @@ class Engine(abc.ABC):
         self._restore_rng_checkpoint_state(payload.get("rng_state"))
         self.parallel_time = int(payload["parallel_time"])
         self.interactions_executed = int(payload["interactions_executed"])
+        self._resize_cursor = int(payload["resize_cursor"])
 
     def save_checkpoint(self, path: Any) -> Any:
         """Write :meth:`checkpoint_payload` to ``path`` (atomic, checksummed)."""
@@ -410,7 +420,7 @@ class Engine(abc.ABC):
 
     @abc.abstractmethod
     def _take_snapshot(self) -> EngineSnapshot:
-        """Apply the adversary (if any) and return the snapshot statistics."""
+        """Return the snapshot statistics (the due resizes are already applied)."""
 
     def _on_run_finish(self) -> None:
         """Called once at the end of every :meth:`run` call."""
@@ -427,8 +437,8 @@ class ArrayStateEngine(Engine):
 
     The population is a dictionary of NumPy arrays produced by a
     :class:`repro.engine.batch_engine.VectorizedProtocol`.  This base owns
-    the protocol, the random source, the resize-schedule adversary and the
-    checkpoint payload; its one subclass,
+    the protocol, the random source and the checkpoint payload; its one
+    subclass,
     :class:`repro.engine.ensemble_engine.EnsembleSimulator`, builds and
     validates the (stacked) arrays and takes the snapshots.  The 1-D
     :meth:`resize_to` here is overridden by that subclass and stays only
@@ -445,11 +455,8 @@ class ArrayStateEngine(Engine):
     rng / seed:
         Random source (or a seed to build one).
     resize_schedule:
-        Optional list of ``(parallel_time, target_size)`` pairs applied at
-        snapshot granularity; shrinking keeps a uniformly random subset,
-        growing appends agents in the protocol's initial state.  This
-        mirrors :class:`repro.engine.adversary.ResizeSchedule` for the
-        array world.
+        Optional ``(parallel_time, target_size)`` pairs, validated and
+        applied by :class:`Engine`.
     """
 
     def __init__(
@@ -461,20 +468,11 @@ class ArrayStateEngine(Engine):
         seed: int | None = None,
         resize_schedule: Iterable[tuple[int, int]] = (),
     ) -> None:
-        super().__init__()
+        super().__init__(resize_schedule)
         if n < 2:
             raise ConfigurationError(f"population size must be at least 2, got {n}")
         self.protocol = protocol
         self.rng = rng if rng is not None else RandomSource.from_seed(seed)
-        self._resize_events = sorted(
-            ((int(t), int(size)) for t, size in resize_schedule), key=lambda e: e[0]
-        )
-        for time, size in self._resize_events:
-            if time < 0:
-                raise ConfigurationError(f"resize time must be non-negative, got {time}")
-            if size < 2:
-                raise ConfigurationError(f"resize target must be at least 2, got {size}")
-        self._resize_cursor = 0
 
     # ------------------------------------------------------------------- size
 
@@ -484,16 +482,7 @@ class ArrayStateEngine(Engine):
             raise EmptyPopulationError("population has fewer than two agents")
         return n
 
-    # -------------------------------------------------------------- adversary
-
-    def _apply_resizes(self) -> None:
-        while (
-            self._resize_cursor < len(self._resize_events)
-            and self._resize_events[self._resize_cursor][0] <= self.parallel_time
-        ):
-            _, target = self._resize_events[self._resize_cursor]
-            self._resize_cursor += 1
-            self.resize_to(target)
+    # ------------------------------------------------------------------ resize
 
     def resize_to(self, target: int) -> None:
         """Resize the population to ``target`` agents.
@@ -526,10 +515,7 @@ class ArrayStateEngine(Engine):
     # ------------------------------------------------------------ checkpoints
 
     def _state_payload(self, *, copy: bool = True) -> dict[str, Any]:
-        return {
-            "arrays": {key: np.array(val, copy=copy) for key, val in self.arrays.items()},
-            "resize_cursor": int(self._resize_cursor),
-        }
+        return {"arrays": {key: np.array(val, copy=copy) for key, val in self.arrays.items()}}
 
     def _restore_payload(self, state: dict[str, Any]) -> None:
         arrays = state.get("arrays")
@@ -540,4 +526,3 @@ class ArrayStateEngine(Engine):
                 f"engine's planes {sorted(self.arrays)!r}"
             )
         self.arrays = {key: np.array(val, copy=True) for key, val in arrays.items()}
-        self._resize_cursor = int(state["resize_cursor"])

@@ -21,7 +21,7 @@ by :func:`os.replace`, so a crash mid-write leaves either the previous
 checkpoint or none, never a half-written one.
 
 The payload is pickle rather than JSON because sequential-engine state
-includes arbitrary protocol state objects and adversary dataclasses; the
+includes arbitrary protocol state objects; the
 checksum (not the codec) is what guards integrity.  Checkpoints are a
 same-machine, same-codebase recovery mechanism — like any pickle, they are
 not an interchange format and must only be loaded from trusted paths.
@@ -56,7 +56,10 @@ CHECKPOINT_MAGIC = b"repro-checkpoint"
 #: v3: a ``batched`` shard runs its trials as stacks, so its in-flight engine
 #: payload can hold several rows with one RNG state per row, which no v2
 #: reader can restore; reads accept only the current version.
-CHECKPOINT_SCHEMA_VERSION = 3
+#: v4: every engine keeps its resize-schedule position at the payload's top
+#: level (``resize_cursor``); a v3 ``sequential`` payload pickled its
+#: adversary object instead, whose class no longer exists.
+CHECKPOINT_SCHEMA_VERSION = 4
 
 
 class CheckpointInterrupted(RuntimeError):

@@ -36,7 +36,7 @@ approximation whose error is O(batch/n), i.e. negligible exactly where it
 is used).
 
 The engine implements the shared :class:`repro.engine.api.Engine` contract
-(snapshots, resize-schedule adversary, ``stop_when``, hooks), so experiment
+(snapshots, resize schedule, ``stop_when``, hooks), so experiment
 code selects it like any other engine (``make_engine("counts", ...)``).
 Correctness is statistical, not bit-exact: the sub-batch semantics match
 the batched engine's synchronous-rounds approximation up to collision
@@ -530,10 +530,8 @@ class CountsSimulator(Engine):
     rng / seed:
         Random source (or a seed to build one).
     resize_schedule:
-        ``(parallel_time, target_size)`` adversary events applied at
-        snapshot granularity: shrinking keeps a uniformly random
-        sub-multiset (one hypergeometric draw on the count vector),
-        growing re-injects agents in the protocol's initial state.
+        ``(parallel_time, target_size)`` pairs, validated and applied by
+        :class:`~repro.engine.api.Engine` through :meth:`resize_to`.
     sub_batches:
         Number of synchronous sub-batches per parallel time step, matching
         the batched engine's fidelity knob: responder distributions are
@@ -544,9 +542,6 @@ class CountsSimulator(Engine):
     """
 
     name = "counts"
-
-    #: The array-engine convention: ``stop_when(engine, snapshot)``.
-    _default_stop_arity = 2
 
     def __init__(
         self,
@@ -559,7 +554,7 @@ class CountsSimulator(Engine):
         sub_batches: int = 8,
         initial_state: CountsState | None = None,
     ) -> None:
-        super().__init__()
+        super().__init__(resize_schedule)
         if not isinstance(kernel, CountsKernel):
             raise ConfigurationError(
                 f"CountsSimulator needs a CountsKernel, got {type(kernel).__name__}"
@@ -580,15 +575,6 @@ class CountsSimulator(Engine):
             )
         if (self.state.counts < 0).any():
             raise ConfigurationError("initial counts must be non-negative")
-        self._resize_events = sorted(
-            ((int(t), int(size)) for t, size in resize_schedule), key=lambda e: e[0]
-        )
-        for time, size in self._resize_events:
-            if time < 0:
-                raise ConfigurationError(f"resize time must be non-negative, got {time}")
-            if size < 2:
-                raise ConfigurationError(f"resize target must be at least 2, got {size}")
-        self._resize_cursor = 0
         #: Largest number of simultaneously occupied states seen so far —
         #: the |Q| that prices each step; reported in run metadata.
         self.peak_states = self.state.num_states
@@ -609,16 +595,7 @@ class CountsSimulator(Engine):
         values = np.asarray(self.kernel.output_values(self.state), dtype=float)
         return np.repeat(values, self.state.counts)
 
-    # -------------------------------------------------------------- adversary
-
-    def _apply_resizes(self) -> None:
-        while (
-            self._resize_cursor < len(self._resize_events)
-            and self._resize_events[self._resize_cursor][0] <= self.parallel_time
-        ):
-            _, target = self._resize_events[self._resize_cursor]
-            self._resize_cursor += 1
-            self.resize_to(target)
+    # ------------------------------------------------------------------ resize
 
     def resize_to(self, target: int) -> None:
         """Resize the population to ``target`` agents.
@@ -765,7 +742,6 @@ class CountsSimulator(Engine):
             "keys": dup(self.state.keys),
             "counts": dup(self.state.counts),
             "columns": {name: dup(col) for name, col in self.state.columns.items()},
-            "resize_cursor": int(self._resize_cursor),
             "peak_states": int(self.peak_states),
             "kernel_ticks": self.kernel.tick_total(),
         }
@@ -783,14 +759,12 @@ class CountsSimulator(Engine):
             counts=np.array(state["counts"], copy=True),
             columns={name: np.array(col, copy=True) for name, col in columns.items()},
         )
-        self._resize_cursor = int(state["resize_cursor"])
         self.peak_states = int(state["peak_states"])
         self.kernel.restore_tick_total(state.get("kernel_ticks"))
 
     # -------------------------------------------------------------- snapshots
 
     def _take_snapshot(self) -> EngineSnapshot:
-        self._apply_resizes()
         minimum, median, maximum = weighted_quantiles(
             self.kernel.output_values(self.state), self.state.counts
         )

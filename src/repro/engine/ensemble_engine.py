@@ -140,10 +140,9 @@ class EnsembleSimulator(ArrayStateEngine):
         row draws from its own stream, exactly as a one-row engine on that
         stream does.
     resize_schedule:
-        Optional ``(parallel_time, target_size)`` adversary events applied
-        at snapshot granularity to *every* trial; shrinking keeps an
-        independent uniformly random subset per row, growing appends fresh
-        agents in the protocol's initial state per row.
+        Optional ``(parallel_time, target_size)`` pairs, validated and
+        applied by :class:`~repro.engine.api.Engine` to *every* trial
+        through :meth:`resize_to`.
     initial_arrays:
         Optional pre-built state: 1-D arrays of length ``n`` are tiled
         across all trials (every trial starts from the same configuration,
@@ -294,7 +293,7 @@ class EnsembleSimulator(ArrayStateEngine):
             )
         super()._restore_payload(state)
 
-    # -------------------------------------------------------------- adversary
+    # ------------------------------------------------------------------ resize
 
     def resize_to(self, target: int) -> None:
         """Resize every trial's population to ``target`` agents.
@@ -420,7 +419,6 @@ class EnsembleSimulator(ArrayStateEngine):
         self._trial_maximum.clear()
 
     def _take_snapshot(self) -> EngineSnapshot:
-        self._apply_resizes()
         # Keep the protocol's output dtype (e.g. float32 planes) through the
         # sort; the stored per-trial statistics are tiny either way.
         outputs = np.asarray(self.protocol.output_array(self.arrays))

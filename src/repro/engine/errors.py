@@ -25,16 +25,20 @@ class UnknownAgentError(EngineError):
     """Raised when an agent id does not refer to a live agent."""
 
 
-class InvalidScheduleError(EngineError):
-    """Raised when an adversary schedule is inconsistent.
-
-    Examples include events scheduled at negative parallel times or a
-    removal that would leave fewer than two agents alive.
-    """
-
-
 class ConfigurationError(EngineError):
     """Raised when simulator or experiment configuration is invalid."""
+
+
+class InvalidScheduleError(ConfigurationError):
+    """Raised when a resize schedule is inconsistent.
+
+    Examples include events scheduled at negative parallel times, a target
+    below two agents, or two events at the same time.  Every engine raises
+    it from the one validation in
+    :func:`repro.engine.api.resize_events`, and it is a
+    :class:`ConfigurationError`, so a bad schedule is rejected like any
+    other bad setting.
+    """
 
 
 class UnsupportedEngineError(ConfigurationError):

@@ -43,7 +43,7 @@ class Recorder(abc.ABC):
     def on_snapshot(
         self, parallel_time: int, population: Population, protocol: Protocol
     ) -> None:
-        """Called once per parallel time step, after the adversary has acted."""
+        """Called at every snapshot, after the due resizes are applied."""
 
     def on_event(self, event: ProtocolEvent) -> None:
         """Called for every protocol event (clock ticks, resets, ...)."""

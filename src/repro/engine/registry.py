@@ -37,7 +37,6 @@ from typing import Any, Callable, Iterable
 
 import numpy as np
 
-from repro.engine.adversary import ResizeSchedule, SizeAdversary
 from repro.engine.api import Engine
 from repro.engine.batch_engine import VectorizedProtocol
 from repro.engine.counts_engine import CountsKernel, CountsSimulator
@@ -114,10 +113,8 @@ class EngineInfo:
     supports_trials:
         Accepts ``trials=`` (stacked multi-trial execution).
     supports_recorders:
-        Accepts :class:`repro.engine.recorder.Recorder` observers.
-    supports_adversary:
-        Accepts a :class:`repro.engine.adversary.SizeAdversary` object
-        (every engine accepts plain ``resize_schedule`` pairs).
+        Accepts :class:`repro.engine.recorder.Recorder` observers, and
+        with them ``snapshot_stats=False``.
     supports_initial_arrays:
         Accepts ``initial_arrays`` struct-of-arrays initial configurations.
     requires_int_population:
@@ -130,7 +127,6 @@ class EngineInfo:
     exact: bool = False
     supports_trials: bool = False
     supports_recorders: bool = False
-    supports_adversary: bool = False
     supports_initial_arrays: bool = False
     requires_int_population: bool = True
 
@@ -426,28 +422,21 @@ def _build_sequential(
     rng: RandomSource | None,
     seed: int | None,
     resize_schedule: tuple[tuple[int, int], ...],
-    adversary: SizeAdversary | None,
     recorders: Iterable[Recorder],
     snapshot_stats: bool,
-    initial_arrays: dict[str, np.ndarray] | None,
-    sub_batches: int,
-    trials: int | None,
+    **_,
 ) -> Engine:
     if isinstance(protocol, VectorizedProtocol):
         raise ConfigurationError(
             "the sequential engine needs a scalar Protocol, got the "
             f"vectorized {type(protocol).__name__}"
         )
-    if adversary is not None and resize_schedule:
-        raise ConfigurationError("pass either adversary or resize_schedule, not both")
-    if adversary is None and resize_schedule:
-        adversary = ResizeSchedule.from_pairs(resize_schedule)
     return Simulator(
         protocol,
         population,
         rng=rng,
         seed=seed,
-        adversary=adversary,
+        resize_schedule=resize_schedule,
         recorders=recorders,
         snapshot_stats=snapshot_stats,
     )
@@ -535,10 +524,9 @@ register_engine(
     EngineInfo(
         name="sequential",
         builder=_build_sequential,
-        description="exact interleaving over object state (recorders, adversaries)",
+        description="exact interleaving over object state (recorders, event traces)",
         exact=True,
         supports_recorders=True,
-        supports_adversary=True,
         requires_int_population=False,
     )
 )
@@ -580,11 +568,10 @@ def make_engine(
     rng: RandomSource | None = None,
     seed: int | None = None,
     resize_schedule: Iterable[tuple[int, int]] = (),
-    adversary: SizeAdversary | None = None,
     recorders: Iterable[Recorder] = (),
     snapshot_stats: bool = True,
     initial_arrays: dict[str, np.ndarray] | None = None,
-    sub_batches: int = 8,
+    sub_batches: int | None = None,
     trials: int | None = None,
 ) -> Engine:
     """Build an engine by name for the given protocol and population.
@@ -608,21 +595,20 @@ def make_engine(
         Initial population size; the sequential engine also accepts a
         pre-built :class:`Population`.
     resize_schedule:
-        ``(parallel_time, target_size)`` adversary events, translated into
-        a :class:`repro.engine.adversary.ResizeSchedule` for the sequential
-        engine and passed through natively to the other engines
-        (the counts engine applies them as hypergeometric subsampling /
-        initial-state re-injection on the count vector).
-    adversary / recorders / snapshot_stats:
+        ``(parallel_time, target_size)`` pairs, validated and applied by
+        :class:`~repro.engine.api.Engine` (the same rules and the same
+        :class:`~repro.engine.errors.InvalidScheduleError` on every
+        engine; see :func:`repro.engine.api.resize_events`).
+    recorders / snapshot_stats:
         Sequential-engine extras (richer than the shared snapshot hooks);
         ``snapshot_stats=False`` skips the per-snapshot output statistics
-        for callers that only consume recorders.  ``adversary`` and
-        ``recorders`` are rejected for engines whose capability flags do
-        not list them.
+        for callers that only consume recorders.  Both are rejected for
+        engines without ``supports_recorders``.
     initial_arrays / sub_batches:
-        Struct-of-arrays extras; rejected for the sequential engine.  The
-        counts engine converts ``initial_arrays`` into its count state
-        (integer-valued planes only).
+        Extras of the approximate engines; rejected for the exact
+        sequential engine.  The counts engine converts ``initial_arrays``
+        into its count state (integer-valued planes only).
+        ``sub_batches`` defaults to 8.
     rng / seed:
         The random source, or a seed to build one.  ``"batched"`` also
         takes a :class:`~repro.engine.rng.RowStreams` (one source per
@@ -646,16 +632,21 @@ def make_engine(
             "trials is only supported by the ensemble engine; the "
             f"{engine!r} engine runs one trial per instance"
         )
-    if adversary is not None and not info.supports_adversary:
-        raise ConfigurationError(
-            f"the {engine} engine takes resize_schedule pairs, not a "
-            f"SizeAdversary; got {type(adversary).__name__}"
-        )
     recorders = list(recorders)
     if recorders and not info.supports_recorders:
         raise ConfigurationError(
             f"the {engine} engine does not support Recorder observers; "
             "use Engine.add_snapshot_hook() instead"
+        )
+    if not snapshot_stats and not info.supports_recorders:
+        raise ConfigurationError(
+            f"the {engine} engine always computes snapshot statistics; "
+            "snapshot_stats=False needs an engine with Recorder observers"
+        )
+    if sub_batches is not None and info.exact:
+        raise ConfigurationError(
+            f"the {engine} engine is exact and has no sub-batches; "
+            f"sub_batches={sub_batches} only applies to the approximate engines"
         )
     if initial_arrays is not None and not info.supports_initial_arrays:
         capable = [other.name for other in _ENGINE_TABLE.values() if other.supports_initial_arrays]
@@ -675,10 +666,9 @@ def make_engine(
         rng=rng,
         seed=seed,
         resize_schedule=resize_schedule,
-        adversary=adversary,
         recorders=recorders,
         snapshot_stats=snapshot_stats,
         initial_arrays=initial_arrays,
-        sub_batches=sub_batches,
+        sub_batches=8 if sub_batches is None else sub_batches,
         trials=trials,
     )

@@ -6,10 +6,11 @@ distinct agents is chosen uniformly at random and the protocol's transition
 function is applied — with no batching or approximation.
 
 Configuration snapshots are taken once per *parallel time* step (``n``
-interactions for the current population size ``n``), exactly as in the
-paper's C++ simulator, which reports a snapshot every ``n`` interactions
-"to ensure quick simulation times".  The adversary is consulted at the same
-granularity.
+interactions for the current population size ``n``) by default, exactly as
+in the paper's C++ simulator, which reports a snapshot every ``n``
+interactions "to ensure quick simulation times".  The resize schedule is
+applied at each snapshot, as on every engine: an event fires just before
+the first snapshot at or after its time.
 
 It is the package's one exact engine.  For figure-scale populations
 (n >= 10^5) use :class:`repro.engine.ensemble_engine.EnsembleSimulator`
@@ -27,7 +28,6 @@ import copy
 from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from repro.engine.adversary import NullAdversary, SizeAdversary
 from repro.engine.api import Engine, EngineSnapshot, RunResult, quantiles
 from repro.engine.errors import (
     ConfigurationError,
@@ -72,8 +72,9 @@ class Simulator(Engine):
         Random source; a fresh one is created from ``seed`` if omitted.
     seed:
         Convenience seed used when ``rng`` is not given.
-    adversary:
-        Population-size adversary, consulted once per parallel time step.
+    resize_schedule:
+        ``(parallel_time, target_size)`` pairs, validated and applied by
+        :class:`~repro.engine.api.Engine` through :meth:`resize_to`.
     recorders:
         Observers notified at every snapshot and for protocol events.
     snapshot_stats:
@@ -84,7 +85,6 @@ class Simulator(Engine):
     """
 
     name = "sequential"
-    _default_stop_arity = 1
 
     def __init__(
         self,
@@ -93,11 +93,11 @@ class Simulator(Engine):
         *,
         rng: RandomSource | None = None,
         seed: int | None = None,
-        adversary: SizeAdversary | None = None,
+        resize_schedule: Iterable[tuple[int, int]] = (),
         recorders: Iterable[Recorder] = (),
         snapshot_stats: bool = True,
     ) -> None:
-        super().__init__()
+        super().__init__(resize_schedule)
         self.protocol = protocol
         self.rng = rng if rng is not None else RandomSource.from_seed(seed)
         if isinstance(population, Population):
@@ -114,7 +114,6 @@ class Simulator(Engine):
             raise ConfigurationError(
                 f"population must be an int or Population, got {type(population).__name__}"
             )
-        self.adversary = adversary if adversary is not None else NullAdversary()
         self.recorders: list[Recorder] = list(recorders)
         self._context = InteractionContext(self.rng, sink=self._dispatch_event)
         self._outputs_numeric = bool(snapshot_stats)
@@ -174,13 +173,22 @@ class Simulator(Engine):
         population.set_state(j, new_v)
         self.interactions_executed += 1
 
+    def resize_to(self, target: int) -> None:
+        """Resize the population to ``target`` agents.
+
+        Shrinking removes uniformly random agents one at a time
+        (:meth:`Population.downsize_to`); growing adds agents in the
+        protocol's initial state, drawn one after another.
+        """
+        if target < 2:
+            raise ConfigurationError(f"resize target must be at least 2, got {target}")
+        population = self.population
+        if target < population.size:
+            population.downsize_to(target, self.rng)
+        for _ in range(target - population.size):
+            population.add(self.protocol.initial_state(self.rng))
+
     def _take_snapshot(self) -> EngineSnapshot:
-        self.adversary.apply(
-            self.population,
-            self.parallel_time,
-            self.rng,
-            lambda: self.protocol.initial_state(self.rng),
-        )
         for recorder in self.recorders:
             recorder.on_snapshot(self.parallel_time, self.population, self.protocol)
         # A default EstimateRecorder already computed exactly this triple —
@@ -239,16 +247,14 @@ class Simulator(Engine):
     # ------------------------------------------------------------ checkpoints
 
     def _state_payload(self, *, copy: bool = True) -> dict[str, Any]:
-        # States may be mutable objects the protocol updates in place, and
-        # the adversary carries mutable one-shot/cursor positions — deep
-        # copies decouple the payload from the live run (skipped when the
-        # caller serializes the payload before the run advances).
-        deep = _deepcopy if copy else (lambda obj: obj)
+        # States may be mutable objects the protocol updates in place — a
+        # deep copy decouples the payload from the live run (skipped when
+        # the caller serializes the payload before the run advances).
+        states = list(self.population.states())
         return {
-            "states": deep(list(self.population.states())),
+            "states": _deepcopy(states) if copy else states,
             "stable_ids": list(self.population.stable_ids()),
             "next_id": self.population._next_id,
-            "adversary": deep(self.adversary),
             "outputs_numeric": self._outputs_numeric,
         }
 
@@ -256,7 +262,6 @@ class Simulator(Engine):
         self.population = Population.restore(
             copy.deepcopy(state["states"]), state["stable_ids"], state["next_id"]
         )
-        self.adversary = copy.deepcopy(state["adversary"])
         self._outputs_numeric = bool(state["outputs_numeric"])
 
     # ------------------------------------------------------------- inspection

@@ -27,7 +27,6 @@ import math
 from typing import Any
 
 from repro.core.dynamic_counting import DynamicSizeCounting
-from repro.engine.adversary import RemoveAllButAt
 from repro.engine.options import ExecutionOptions
 from repro.engine.recorder import EstimateRecorder, MemoryRecorder
 from repro.engine.rng import RandomSource, spawn_streams
@@ -61,11 +60,13 @@ def _run_protocol(
         rng = RandomSource(generator)
         estimates = EstimateRecorder()
         memory = MemoryRecorder()
+        # Remove all but ``keep`` agents at ``drop_time`` (nothing when
+        # ``keep >= n``).
         simulator = Simulator(
             protocol,
             n,
             rng=rng,
-            adversary=RemoveAllButAt(time=drop_time, keep=keep),
+            resize_schedule=((drop_time, min(keep, n)),),
             recorders=[estimates, memory],
             snapshot_stats=False,
         )

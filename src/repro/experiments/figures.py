@@ -179,7 +179,7 @@ def run_estimate_trace(
     params:
         Protocol constants (defaults to the paper's empirical preset).
     resize_schedule:
-        ``(time, target_size)`` adversary events (Fig. 4's decimation).
+        ``(time, target_size)`` resize pairs (Fig. 4's decimation).
     initial_estimate:
         If given, all agents start with this estimate instead of the empty
         initial configuration (Fig. 5's over-estimate of 60).

@@ -1,13 +1,13 @@
-"""Adversary schedule builders for the scenario catalog.
+"""Resize-schedule builders for the scenario catalog.
 
 The dynamic population model supports arbitrary adversarial size schedules;
 the paper's evaluation only exercises a single decimation (Fig. 4).  The
 builders here generate the richer schedules of the scenario catalog —
 oscillation, exponential growth followed by a crash, sustained random churn,
-repeated decimation — as ``(parallel_time, target_size)`` pairs, the
-representation every engine understands (the sequential engine converts them
-to a :class:`repro.engine.adversary.ResizeSchedule`, the batched,
-ensemble and counts engines consume them natively).
+repeated decimation — as ``(parallel_time, target_size)`` pairs, the one
+schedule format of every engine (validated by
+:func:`repro.engine.api.resize_events` and applied at snapshot
+granularity).
 
 All builders are deterministic: :func:`random_churn` derives its sizes from
 an explicit seed, so a scenario's schedule is a pure function of its preset.
@@ -16,8 +16,8 @@ Builders return a :class:`Schedule` — a ``tuple`` subclass carrying the
 schedule *kind* (its family: ``"oscillation"``, ``"trace"``, ...) and a
 human label alongside the pairs.  A ``Schedule`` compares, iterates,
 indexes, hashes and pickles exactly like the plain pair-tuple it wraps, so
-every existing consumer (``ScenarioPoint``, the engines, ``as_adversary``)
-keeps working unchanged.
+every consumer (``ScenarioPoint``, ``make_engine``, the engines) takes it
+as plain pairs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from repro.engine.adversary import CompositeAdversary, ResizeSchedule, SizeAdversary
+from repro.engine.api import resize_events
 from repro.engine.errors import InvalidScheduleError
 
 __all__ = [
@@ -37,8 +37,6 @@ __all__ = [
     "random_churn",
     "repeated_decimation",
     "merge_schedules",
-    "as_adversary",
-    "composite_adversary",
 ]
 
 Pairs = tuple[tuple[int, int], ...]
@@ -231,29 +229,14 @@ def repeated_decimation(
 def merge_schedules(*schedules: Sequence[tuple[int, int]]) -> Schedule:
     """Merge several pair schedules into one time-sorted schedule.
 
-    Accepts plain pair sequences and :class:`Schedule` objects alike.
-    Duplicate event times across the parts are rejected (the merged
-    schedule would otherwise depend on application order).  The result
-    keeps the parts' kind when they all agree, and is ``"merged"``
-    otherwise.
+    Accepts plain pair sequences and :class:`Schedule` objects alike, and
+    validates the merge like every engine does
+    (:func:`repro.engine.api.resize_events`): duplicate event times across
+    the parts are rejected (the merged schedule would otherwise depend on
+    application order).  The result keeps the parts' kind when they all
+    agree, and is ``"merged"`` otherwise.
     """
-    merged = sorted(
-        ((int(t), int(s)) for schedule in schedules for t, s in schedule),
-        key=lambda event: event[0],
-    )
-    times = [t for t, _ in merged]
-    if len(set(times)) != len(times):
-        raise InvalidScheduleError("merged schedules must have distinct event times")
+    merged = resize_events(event for schedule in schedules for event in schedule)
     kinds = {kind for kind in map(schedule_kind_of, schedules) if kind is not None}
     kind = kinds.pop() if len(kinds) == 1 else "merged"
     return Schedule(merged, kind=kind)
-
-
-def as_adversary(pairs: Iterable[tuple[int, int]]) -> ResizeSchedule:
-    """Pairs -> sequential-engine adversary (also validates the schedule)."""
-    return ResizeSchedule.from_pairs(tuple(pairs))
-
-
-def composite_adversary(*parts: SizeAdversary) -> CompositeAdversary:
-    """Compose several adversaries, applied in the given order each step."""
-    return CompositeAdversary(parts)

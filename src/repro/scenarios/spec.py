@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
 from repro.core.params import ProtocolParameters, empirical_parameters
-from repro.engine.adversary import ResizeSchedule
+from repro.engine.api import resize_events
 from repro.engine.errors import ConfigurationError
 from repro.engine.registry import engine_names
 
@@ -150,9 +150,11 @@ class ScenarioPoint:
     trials:
         Independent repetitions aggregated into this point.
     resize_schedule:
-        ``(parallel_time, target_size)`` adversary events; validated once
-        here (via :class:`repro.engine.adversary.ResizeSchedule`) so that
-        every engine sees a well-formed schedule.
+        ``(parallel_time, target_size)`` pairs, stored as plain pairs in
+        the order given (so the point's cache key follows its spelling)
+        and validated here by :func:`repro.engine.api.resize_events`, the
+        same check every engine makes, so a bad schedule fails when the
+        point is built, not mid-run.
     initial_estimate:
         If set, all agents start with this estimate instead of the empty
         initial configuration.
@@ -183,17 +185,11 @@ class ScenarioPoint:
             )
         normalized = tuple((int(t), int(s)) for t, s in self.resize_schedule)
         object.__setattr__(self, "resize_schedule", normalized)
-        # Validate event times/targets once, for every engine (the array
-        # engines consume raw pairs and would otherwise fail mid-run).
-        ResizeSchedule.from_pairs(normalized)
+        resize_events(normalized)
 
     @property
     def series_label(self) -> str:
         return self.label if self.label is not None else f"n_{self.n}"
-
-    def adversary(self) -> ResizeSchedule:
-        """The point's schedule as a sequential-engine adversary."""
-        return ResizeSchedule.from_pairs(self.resize_schedule)
 
 
 def default_points(

@@ -137,7 +137,8 @@ class JobQueue:
         Returns the existing job when the id is already queued, running or
         done.  A previously failed id is replaced and re-run.  Raises
         :class:`QueueFullError` when ``max_pending`` jobs are already
-        waiting.
+        waiting, and the pool's ``RuntimeError`` after :meth:`shutdown`
+        (the job then leaves no trace in the table or the counts).
         """
         with self._lock:
             existing = self._jobs.get(job_id)
@@ -155,7 +156,21 @@ class JobQueue:
             job = Job(id=job_id, request=dict(request or {}))
             self._jobs[job_id] = job
             self._counts[JobState.QUEUED] += 1
-        self._pool.submit(self._run, job, work)
+        try:
+            self._pool.submit(self._run, job, work)
+        except BaseException as exc:
+            # The pool refused the job (it is shut down): nothing will ever
+            # run it, so take it back out of the table and the counts, and
+            # end it for anyone already holding it.
+            with self._lock:
+                if self._jobs.get(job_id) is job:
+                    del self._jobs[job_id]
+                    self._finished.pop(job_id, None)
+                    self._counts[job.state] -= 1
+                job.state = JobState.FAILED
+                job.error = f"{type(exc).__name__}: {exc}"
+            job.completed.set()
+            raise
         return job
 
     def _move(self, job: Job, state: JobState) -> None:

@@ -129,6 +129,19 @@ class TestCheckpointContainer:
         with pytest.raises(CheckpointError, match="schema version 2"):
             read_checkpoint(path, kind="shard")
 
+    def test_schema_three_file_rejected(self, tmp_path):
+        # Version 3 predates the one resize schedule: its sequential engine
+        # payloads pickle an adversary object whose class is gone.
+        path = write_checkpoint(tmp_path / "x.ckpt", {"state": {}}, kind="engine")
+        magic, header, body = path.read_bytes().split(b"\n", 2)
+        fields = json.loads(header)
+        assert fields["schema_version"] == 4
+        fields["schema_version"] = 3
+        header = json.dumps(fields, sort_keys=True).encode("ascii")
+        path.write_bytes(b"\n".join([magic, header, body]))
+        with pytest.raises(CheckpointError, match="schema version 3"):
+            read_checkpoint(path, kind="engine")
+
     def test_unpicklable_payload_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
             write_checkpoint(tmp_path / "x.ckpt", {"fn": lambda: None}, kind="engine")
@@ -195,6 +208,36 @@ class TestEngineCheckpoint:
             key: baseline[key][: head_len[key]] + tail[key] for key in baseline
         }
         assert stitched == baseline
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_resize_schedule_position_survives_a_checkpoint(self, engine, tmp_path):
+        # Saved between the two events: the restored engine must not apply
+        # the first again, and must apply the second.
+        def build():
+            return make_engine(
+                engine,
+                DynamicSizeCounting(),
+                N,
+                rng=RandomSource.from_seed(7),
+                resize_schedule=[(2, 12), (6, 48)],
+            )
+
+        baseline = build().run(8).series()
+        first = build()
+        first.run(4)
+        payload = first.checkpoint_payload()
+        assert payload["resize_cursor"] == 1
+        assert "adversary" not in payload["state"]
+        path = first.save_checkpoint(tmp_path / "engine.ckpt")
+        second = build()
+        second.restore_checkpoint(path)
+        second.resize_to(20)  # a stale first event would undo this at t = 5
+        tail = second.run(4).series()
+        assert tail["population_size"] == [20, 48, 48, 48]
+        # Without the manual resize the resumed run is the baseline's tail.
+        third = build()
+        third.restore_checkpoint(path)
+        assert third.run(4).series() == {key: baseline[key][4:] for key in baseline}
 
     def test_restore_into_wrong_engine_rejected(self, tmp_path):
         sequential = make_engine(

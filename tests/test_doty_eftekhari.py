@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from repro.engine.adversary import RemoveAllButAt
 from repro.engine.recorder import EstimateRecorder
 from repro.engine.simulator import Simulator
 from repro.protocols.doty_eftekhari import DotyEftekhariCounting, DotyEftekhariState
@@ -82,7 +81,7 @@ class TestDynamics:
             protocol,
             n,
             seed=22,
-            adversary=RemoveAllButAt(time=60, keep=keep),
+            resize_schedule=[(60, keep)],
             recorders=[recorder],
         )
         simulator.run(400)

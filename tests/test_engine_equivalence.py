@@ -109,7 +109,7 @@ def _sequential_spread_time(n: int, seed: int) -> int:
     simulator = Simulator(InfectionEpidemic(), Population([1] + [0] * (n - 1)), seed=seed)
     result = simulator.run(
         10 * int(math.log2(n)) + 50,
-        stop_when=lambda sim: sum(sim.population.states()) == n,
+        stop_when=lambda sim, snapshot: sum(sim.population.states()) == n,
     )
     assert result.stopped_early, "epidemic did not finish within the horizon"
     return result.parallel_time

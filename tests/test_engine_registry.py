@@ -9,7 +9,6 @@ from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.phase_clock import UniformPhaseClock
 from repro.core.params import ProtocolParameters
 from repro.core.vectorized import VectorizedDynamicCounting
-from repro.engine.adversary import RemoveAllButAt
 from repro.engine.api import RunResult
 from repro.engine.ensemble_engine import EnsembleSimulator
 from repro.engine.errors import ConfigurationError
@@ -205,30 +204,47 @@ class TestMakeEngine:
         # The message lists the engines whose table entry accepts them.
         assert "supported by the batched, ensemble, counts engines" in str(excinfo.value)
 
-    def test_sequential_rejects_adversary_plus_schedule(self):
-        with pytest.raises(ConfigurationError):
-            make_engine(
-                "sequential",
-                DynamicSizeCounting(),
-                10,
-                seed=1,
-                adversary=RemoveAllButAt(time=1, keep=5),
-                resize_schedule=[(1, 5)],
-            )
+    @pytest.mark.parametrize("engine", ["batched", "ensemble", "counts"])
+    def test_array_engines_reject_recorders(self, engine):
+        with pytest.raises(ConfigurationError, match="Recorder"):
+            make_engine(engine, DynamicSizeCounting(), 10, seed=1, recorders=[EstimateRecorder()])
 
-    def test_array_engines_reject_adversary_and_recorders(self):
-        with pytest.raises(ConfigurationError):
-            make_engine(
-                "batched",
-                DynamicSizeCounting(),
-                10,
-                seed=1,
-                adversary=RemoveAllButAt(time=1, keep=5),
-            )
-        with pytest.raises(ConfigurationError):
-            make_engine(
-                "ensemble", DynamicSizeCounting(), 10, seed=1, recorders=[EstimateRecorder()]
-            )
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_adversary_keyword_is_a_type_error(self, engine):
+        # Resizes are (time, target) pairs on every engine.
+        with pytest.raises(TypeError, match="adversary"):
+            make_engine(engine, DynamicSizeCounting(), 10, seed=1, adversary=object())
+
+    @pytest.mark.parametrize("engine", ["batched", "ensemble", "counts"])
+    def test_snapshot_stats_off_is_rejected_without_recorders(self, engine):
+        # These engines always compute their snapshot statistics.
+        with pytest.raises(ConfigurationError, match="snapshot_stats=False"):
+            make_engine(engine, DynamicSizeCounting(), 10, seed=1, snapshot_stats=False)
+
+    def test_sequential_honours_snapshot_stats_off(self):
+        recorder = EstimateRecorder()
+        engine = make_engine(
+            "sequential",
+            DynamicSizeCounting(),
+            10,
+            seed=1,
+            recorders=[recorder],
+            snapshot_stats=False,
+        )
+        result = engine.run(2)
+        assert len(recorder.rows) == 2
+        assert [s.population_size for s in result.snapshots] == [10, 10]
+
+    def test_sub_batches_is_rejected_by_the_exact_engine(self):
+        with pytest.raises(ConfigurationError, match="sub_batches"):
+            make_engine("sequential", DynamicSizeCounting(), 10, seed=1, sub_batches=3)
+
+    @pytest.mark.parametrize("engine", ["batched", "ensemble", "counts"])
+    def test_sub_batches_is_honoured_by_the_approximate_engines(self, engine):
+        default = make_engine(engine, DynamicSizeCounting(), 100, seed=1)
+        assert default.sub_batches == 8
+        chosen = make_engine(engine, DynamicSizeCounting(), 100, seed=1, sub_batches=3)
+        assert chosen.sub_batches == 3
 
     def test_array_engines_reject_population_object(self):
         from repro.engine.population import Population
@@ -257,7 +273,7 @@ class TestUnifiedEngineApi:
     @pytest.mark.parametrize("engine", ENGINE_NAMES)
     def test_stop_when_sets_stopped_early(self, engine):
         simulator = make_engine(engine, DynamicSizeCounting(), 30, seed=4)
-        result = simulator.run(50, stop_when=lambda eng: eng.parallel_time >= 3)
+        result = simulator.run(50, stop_when=lambda eng, snapshot: eng.parallel_time >= 3)
         assert result.stopped_early is True
         assert result.parallel_time == 3
 
@@ -270,34 +286,12 @@ class TestUnifiedEngineApi:
         assert result.stopped_early is True
         assert result.parallel_time == 2
 
-    def test_stop_condition_with_optional_second_parameter(self):
-        """Predicates like ``stop(sim, threshold=8)`` keep the one-arg call.
-
-        Before the unified API the sequential engine always called
-        ``stop_when(sim)``; an optional extra parameter must not flip the
-        call to the two-argument convention and bind the snapshot to it.
-        """
-
-        def stop(sim, threshold=3):
-            return sim.parallel_time >= threshold
-
-        result = Simulator(DynamicSizeCounting(), 20, seed=4).run(50, stop_when=stop)
-        assert result.stopped_early is True
-        assert result.parallel_time == 3
-
-    def test_batched_stop_condition_with_defaulted_snapshot_parameter(self):
-        """Batched predicates like ``stop(sim, snap=None)`` keep the two-arg call.
-
-        The batched engine always passed (engine, snapshot), so an
-        ambiguous signature on an array engine must still receive the
-        snapshot rather than its default.
-        """
-        simulator = make_engine("batched", VectorizedDynamicCounting(), 20, seed=4)
-        result = simulator.run(
-            50, stop_when=lambda sim, snap=None: snap.parallel_time >= 3
-        )
-        assert result.stopped_early is True
-        assert result.parallel_time == 3
+    @pytest.mark.parametrize("engine", ENGINE_NAMES)
+    def test_one_argument_stop_condition_is_a_type_error(self, engine):
+        # One convention on every engine: stop_when(engine, snapshot).
+        simulator = make_engine(engine, DynamicSizeCounting(), 30, seed=4)
+        with pytest.raises(TypeError):
+            simulator.run(5, stop_when=lambda eng: eng.parallel_time >= 3)
 
     def test_sequential_snapshots_match_estimate_recorder(self):
         recorder = EstimateRecorder()
@@ -353,7 +347,6 @@ class TestEngineTable:
             "exact",
             "supports_trials",
             "supports_recorders",
-            "supports_adversary",
             "supports_initial_arrays",
             "requires_int_population",
         ]

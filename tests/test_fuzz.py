@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.adversary import ResizeSchedule
+from repro.engine.api import resize_events
 from repro.experiments.cli import main
 from repro.scenarios.fuzz import (
     FAMILIES,
@@ -57,7 +57,7 @@ class TestValidity:
             assert case.n >= 2
             assert case.horizon >= 2
             assert case.trials >= 1
-            ResizeSchedule.from_pairs(case.schedule)
+            resize_events(case.schedule)
             if case.family == "multi_phase":
                 assert [p["name"] for p in case.phases] == [
                     "warmup",

@@ -18,16 +18,15 @@ import pytest
 from repro.analysis.convergence import loose_stabilization_report
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.params import empirical_parameters
-from repro.engine.adversary import AddAgentsAt, RemoveAllButAt
 from repro.engine.recorder import EstimateRecorder
 from repro.engine.rng import RandomSource
 from repro.engine.simulator import Simulator
 
 
-def run_with_recorder(protocol, population, seed, parallel_time, adversary=None):
+def run_with_recorder(protocol, population, seed, parallel_time, resize_schedule=()):
     recorder = EstimateRecorder()
     simulator = Simulator(
-        protocol, population, seed=seed, adversary=adversary, recorders=[recorder]
+        protocol, population, seed=seed, resize_schedule=resize_schedule, recorders=[recorder]
     )
     simulator.run(parallel_time)
     return recorder
@@ -63,7 +62,7 @@ class TestAdaptationToDecimation:
             n,
             seed=303,
             parallel_time=800,
-            adversary=RemoveAllButAt(time=100, keep=keep),
+            resize_schedule=[(100, keep)],
         )
         before = [r.median for r in recorder.rows if r.parallel_time < 100][-1]
         tail = sorted(r.median for r in recorder.rows if r.parallel_time > 650)
@@ -99,7 +98,7 @@ class TestGrowth:
             start,
             seed=306,
             parallel_time=600,
-            adversary=AddAgentsAt(time=100, count=added),
+            resize_schedule=[(100, start + added)],
         )
         before = [r.median for r in recorder.rows if r.parallel_time < 100][-1]
         tail = sorted(r.median for r in recorder.rows if r.parallel_time > 450)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,6 +13,7 @@ from repro.analysis.synchronization import extract_bursts
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.params import ProtocolParameters, empirical_parameters
 from repro.core.state import CountingState, Phase, classify_phase, state_memory_bits
+from repro.engine.errors import InvalidScheduleError
 from repro.engine.parallel import merge_shard_results, plan_shards
 from repro.engine.population import Population
 from repro.engine.protocol import InteractionContext, ProtocolEvent
@@ -214,9 +216,15 @@ class TestParallelExecutionProperties:
     def test_any_valid_resize_schedule_keeps_population_at_least_two(
         self, events, seed
     ):
-        """Whatever the adversary does — shrink, grow, duplicate event
-        times, out-of-order times — the population never drops below two
-        agents at any snapshot."""
+        """Whatever a valid schedule does — shrink, grow, out-of-order
+        times — the population never drops below two agents at any
+        snapshot; a schedule with two events at one time is rejected
+        before anything runs."""
+        times = [time for time, _ in events]
+        if len(set(times)) != len(times):
+            with pytest.raises(InvalidScheduleError, match="distinct times"):
+                make_engine("batched", DynamicSizeCounting(), 30, resize_schedule=events)
+            return
         engine = make_engine(
             "batched",
             DynamicSizeCounting(),

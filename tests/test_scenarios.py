@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from repro.engine.adversary import ResizeSchedule
 from repro.engine.errors import (
     ConfigurationError,
     InvalidScheduleError,
@@ -86,18 +85,20 @@ class TestScenarioPoint:
         )
         assert point.resize_schedule == ((5, 4),)
 
-    def test_series_label_and_adversary(self):
+    def test_series_label_and_schedule(self):
         point = ScenarioPoint(n=10, seed=0, parallel_time=10, trials=1)
         assert point.series_label == "n_10"
         labelled = ScenarioPoint(
             n=10, seed=0, parallel_time=10, trials=1, label="special"
         )
         assert labelled.series_label == "special"
-        adversary = ScenarioPoint(
-            n=10, seed=0, parallel_time=10, trials=1, resize_schedule=((3, 5),)
-        ).adversary()
-        assert isinstance(adversary, ResizeSchedule)
-        assert [event.time for event in adversary.events] == [3]
+        # Pairs are kept in the order given (the cache key follows them);
+        # the engines sort them when they apply them.
+        unsorted = ScenarioPoint(
+            n=10, seed=0, parallel_time=10, trials=1, resize_schedule=((6, 8), (3, 5))
+        )
+        assert unsorted.resize_schedule == ((6, 8), (3, 5))
+        assert not hasattr(unsorted, "adversary")
 
 
 class TestScenarioSpec:
@@ -434,12 +435,6 @@ class TestSchedules:
         assert merged == ((5, 20), (10, 5))
         with pytest.raises(InvalidScheduleError):
             schedules.merge_schedules(((10, 5),), ((10, 20),))
-
-    def test_as_adversary_and_composite(self):
-        adversary = schedules.as_adversary([(5, 10)])
-        assert isinstance(adversary, ResizeSchedule)
-        composite = schedules.composite_adversary(adversary)
-        assert composite.describe()["parts"][0]["class"] == "ResizeSchedule"
 
 
 class TestMetrics:

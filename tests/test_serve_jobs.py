@@ -327,3 +327,22 @@ class TestShutdownWithBacklog:
         finally:
             release.set()
         assert queue.wait("running", timeout=5.0).state is JobState.DONE
+
+
+class TestSubmitAfterShutdown:
+    """A job the pool refuses leaves no trace: no ghost QUEUED entry."""
+
+    def test_a_refused_job_is_taken_back_out(self):
+        queue = JobQueue(max_workers=1, max_pending=8)
+        queue.shutdown()
+        ran = []
+        with pytest.raises(RuntimeError):
+            queue.submit("late", lambda: ran.append(1))
+        assert queue.depth() == occupancy()
+        assert queue.get("late") is None
+        # The id is not attached to a dead job: submitting again raises again.
+        with pytest.raises(RuntimeError):
+            queue.submit("late", lambda: ran.append(1))
+        assert queue.depth() == occupancy()
+        assert queue.get("late") is None
+        assert ran == []

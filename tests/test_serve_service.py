@@ -530,6 +530,7 @@ class TestIntrospection:
             for engine in health["engines"]:
                 assert "supports_trials" in engine and "builder" not in engine
                 assert "supports_jit" not in engine
+                assert "supports_adversary" not in engine
             assert set(health["queue"]) >= {"pending", "running", "done", "failed"}
             assert set(health["cache"]) >= {"entries", "bytes", "hits", "misses"}
             assert set(health) == {"status", "engines", "serve", "queue", "cache"}

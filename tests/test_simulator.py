@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.engine.adversary import RemoveAllButAt
 from repro.engine.errors import ConfigurationError, EmptyPopulationError, ProtocolContractError
 from repro.engine.population import Population
 from repro.engine.protocol import Protocol
@@ -118,7 +117,7 @@ class TestRun:
 
     def test_stop_when_predicate(self):
         sim = Simulator(Counter(), 10, seed=1)
-        result = sim.run(100, stop_when=lambda s: s.parallel_time >= 3)
+        result = sim.run(100, stop_when=lambda s, snapshot: s.parallel_time >= 3)
         assert result.stopped_early
         assert result.parallel_time == 3
 
@@ -157,7 +156,7 @@ class TestRecordersAndAdversary:
     def test_adversary_applied_at_snapshots(self):
         recorder = PopulationSizeRecorder()
         sim = Simulator(
-            Counter(), 50, seed=1, adversary=RemoveAllButAt(time=3, keep=10), recorders=[recorder]
+            Counter(), 50, seed=1, resize_schedule=[(3, 10)], recorders=[recorder]
         )
         sim.run(6)
         assert recorder.sizes() == [50, 50, 10, 10, 10, 10]

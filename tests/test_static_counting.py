@@ -6,7 +6,6 @@ import math
 
 import pytest
 
-from repro.engine.adversary import RemoveAllButAt
 from repro.engine.recorder import EstimateRecorder
 from repro.engine.simulator import Simulator
 from repro.protocols.static_counting import (
@@ -52,7 +51,7 @@ class TestMaxGrvCounting:
             MaxGrvCounting(),
             400,
             seed=13,
-            adversary=RemoveAllButAt(time=30, keep=20),
+            resize_schedule=[(30, 20)],
             recorders=[recorder],
         )
         simulator.run(120)

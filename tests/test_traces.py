@@ -14,7 +14,7 @@ import pickle
 
 import pytest
 
-from repro.engine.adversary import ResizeSchedule
+from repro.engine.api import resize_events
 from repro.engine.errors import InvalidScheduleError
 from repro.experiments.base import ExperimentPreset
 from repro.scenarios import schedules
@@ -81,7 +81,7 @@ class TestResample:
         # First sample is the initial size (no event); later samples scale
         # by n / initial and land at proportional steps.
         assert schedule == ((100, 4000), (199, 500))
-        ResizeSchedule.from_pairs(schedule)
+        resize_events(schedule)
 
     def test_steps_stay_inside_horizon(self):
         trace = Trace.from_text("timestamp,size\n0,10\n1,20\n2,30\n3,40\n")
@@ -105,7 +105,7 @@ class TestBundledTraces:
         trace = bundled_trace(name)
         schedule = trace.resample(horizon=600, n=2000)
         assert schedule.kind == "trace"
-        ResizeSchedule.from_pairs(schedule)
+        resize_events(schedule)
 
     def test_unknown_name_lists_available(self):
         with pytest.raises(InvalidScheduleError, match="flash_crowd"):
@@ -145,12 +145,10 @@ class TestTypedSchedule:
         )
         assert schedule_kind_of(((5, 10),)) is None
 
-    def test_adversary_and_merge_accept_both(self):
+    def test_validation_and_merge_accept_both(self):
         typed = schedules.oscillation(100, low=10, period=5, horizon=20)
         plain = tuple(typed)
-        assert list(schedules.as_adversary(typed).events) == list(
-            schedules.as_adversary(plain).events
-        )
+        assert resize_events(typed) == resize_events(plain) == plain
         # Plain parts carry no kind, so they do not dilute provenance ...
         merged = schedules.merge_schedules(typed, ((23, 50),))
         assert isinstance(merged, Schedule)
