@@ -54,9 +54,10 @@ def test_bench_counts_speedup_vs_batched(suite_cases, effort):
     """Counts vs batched on dynamic counting at n = 10^6 (10^7 at paper).
 
     Measured margins (quick effort, 2-core box): the batched engine, a
-    one-row ensemble, spends ~0.13-0.19 s per parallel step at ``n = 10^6``
+    one-row ensemble, spends ~0.12-0.14 s per parallel step at ``n = 10^6``
     (per-agent work), the counts engine ~0.02 s amortized (~0.007 s at
-    steady state) — about 6-8x, below the asserted 10x floor.  Before the
+    steady state) — about 6-7x (6.0-6.7x in two runs after the one-gather
+    kernel, 6.0-6.4x before it), below the asserted 10x floor.  Before the
     batched engine became a one-row ensemble it spent ~0.25-0.35 s per
     step and the ratio read 12-16x; ROADMAP's counts item tracks the gap.
     """

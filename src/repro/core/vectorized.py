@@ -16,9 +16,9 @@ semantics and ``tests/test_engine_equivalence.py`` for the statistical
 cross-validation against the exact engine.
 
 The engine owns the stacked layout: the kernel receives flat plane views
-and flat pair coordinates, built once per step by
-:mod:`repro.engine.ensemble_engine`, and only gathers and scatters through
-them.
+(kept per set of planes) and flat pair coordinates (built once per step)
+from :mod:`repro.engine.ensemble_engine`, and only gathers and scatters
+through them.
 """
 
 from __future__ import annotations
@@ -78,6 +78,7 @@ class VectorizedDynamicCounting(VectorizedProtocol):
 
     def __init__(self, params: ProtocolParameters | None = None) -> None:
         self.params = params if params is not None else empirical_parameters()
+        self._constants: dict[tuple[np.dtype, np.dtype], tuple[np.ndarray, ...]] = {}
         # The narrow float32 planes are only used while every state value —
         # including products of a tau constant with any plane value the
         # engine's narrowing guard admits (|v| <= 2^16) — stays inside
@@ -149,6 +150,27 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         "interactions": np.dtype(np.int32),
     }
 
+    def _typed_constants(self, real: np.dtype, count: np.dtype) -> tuple[np.ndarray, ...]:
+        """The kernel's constants as 0-d arrays in the planes' dtypes.
+
+        ``(tau1, tau2, tau3, tau' / tau2, 0, 1)`` in ``real``, the dtype of
+        the ``max`` plane (``last_max`` and ``time`` share it: the engine
+        narrows the three together), then ``1`` in ``count``, the dtype of
+        the ``interactions`` plane.  NumPy converts a Python scalar operand
+        anew on every call but takes a 0-d array as it is; either one
+        rounds to the plane's dtype the same way, so the results are
+        bit-identical.  Built once per pair of dtypes.
+        """
+        key = (real, count)
+        constants = self._constants.get(key)
+        if constants is None:
+            params = self.params
+            reals = (params.tau1, params.tau2, params.tau3, params.tau_prime / params.tau2, 0, 1)
+            constants = tuple(np.array(value, dtype=real) for value in reals)
+            constants += (np.array(1, dtype=count),)
+            self._constants[key] = constants
+        return constants
+
     def interact_ensemble(
         self,
         arrays: dict[str, np.ndarray],
@@ -162,24 +184,33 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         matrices are ``(rows, batch)`` flat coordinates into them, with the
         layout and within-batch semantics of
         :meth:`repro.engine.batch_engine.VectorizedProtocol.interact_ensemble`.
-        The kernel is tuned for the stacked hot loop:
+        The kernel is tuned for the stacked hot loop, where small stacks
+        are bound by NumPy's fixed cost per operation rather than by lanes:
 
         * flat-coordinate gathers/scatters (``row * n + slot``) instead of
-          broadcast 2-D fancy indexing; the engine builds the views and the
-          ``np.intp`` coordinates once per step
-          (:func:`~repro.engine.ensemble_engine.flat_pair_indices`), so a
-          call neither rebuilds them nor casts an index;
-        * NumPy's direct call paths, which cut the fixed cost per call that
-          dominates small stacks: ndarray methods (``plane.take``,
+          broadcast 2-D fancy indexing; the engine keeps the views and the
+          ``np.intp`` row offsets of every trial block
+          (:func:`~repro.engine.ensemble_engine.row_offsets`) and adds
+          the offsets once per step, so a call neither rebuilds them nor
+          casts an index;
+        * one gather per plane for both endpoints: the initiator and
+          responder coordinates are concatenated into one index whose
+          halves are ``u`` and ``v``, and both endpoints' phase tests run
+          in one pass over the doubled vectors;
+        * the protocol constants are 0-d arrays in the planes' dtypes
+          (:meth:`_typed_constants`), not Python scalars that NumPy
+          converts on every operation;
+        * NumPy's direct call paths: ndarray methods (``plane.take``,
           ``mask.nonzero()[0]``) rather than the ``np.take`` /
           ``np.flatnonzero`` wrappers, and ``np.where`` over a full-width
           maximum rather than the masked-ufunc (``where=``) path for the
           shared trailing maximum;
         * the rare branches — resets, backup GRVs, maximum adoption — are
-          applied on compressed lane indices and the phase threshold
-          ``tau2 * scale`` is patched at those lanes instead of being
-          recomputed full-width, so in the converged regime they cost next
-          to nothing;
+          applied on compressed lane indices, and the exchange threshold
+          ``tau2 * scale`` and the exchange test are patched at those lanes
+          instead of being recomputed full-width, so in the converged
+          regime they cost next to nothing; a batch in which none fires
+          skips the ``max`` write-back, which would store what it read;
         * fresh GRV maxima come from the one-uniform-per-sample inverse
           CDF (:meth:`repro.engine.rng.RandomSource.geometric_max_array`)
           rather than ``k`` geometric draws per resetting agent, drawn per
@@ -187,106 +218,129 @@ class VectorizedDynamicCounting(VectorizedProtocol):
           per row draws each row's maxima from its own stream.
 
         ``tests/test_engine_equivalence.py`` cross-validates the result
-        statistically against the exact sequential engine.
+        statistically against the exact sequential engine, and
+        ``tests/test_vectorized.py::TestLaneOracle`` lane for lane against
+        the scalar rule.
         """
         params = self.params
-        tau1, tau2, tau3 = params.tau1, params.tau2, params.tau3
         over = params.overestimation
         grv_k = params.grv_samples
 
         width = initiators.shape[1]
-        flat_u = initiators.ravel()
-        flat_v = responders.ravel()
+        lanes = initiators.size
         max_flat = arrays["max"]
         last_flat = arrays["last_max"]
         time_flat = arrays["time"]
         inter_flat = arrays["interactions"]
         dtype = max_flat.dtype
+        tau1, tau2, tau3, backup_ratio, zero, one, one_count = self._typed_constants(
+            dtype, inter_flat.dtype
+        )
 
-        # Snapshot of both participants at the start of the sub-batch.
-        u_max = max_flat.take(flat_u)
-        u_last = last_flat.take(flat_u)
-        u_time = time_flat.take(flat_u)
+        # Snapshot of both participants at the start of the sub-batch: the
+        # first half of every doubled vector is the initiators', the second
+        # the responders', both in row-major lane order.  (Joining the
+        # matrices row-wise and flattening the contiguous result is the
+        # same index as ``axis=None``, which flattens each input first.)
+        both = np.concatenate((initiators, responders)).ravel()
+        flat_u = both[:lanes]
+        b_max = max_flat.take(both)
+        b_last = last_flat.take(both)
+        b_time = time_flat.take(both)
         u_inter = inter_flat.take(flat_u)
-        v_max = max_flat.take(flat_v)
-        v_last = last_flat.take(flat_v)
-        v_time = time_flat.take(flat_v)
 
-        v_scale = np.maximum(v_max, v_last)
-        v_exchange = v_time >= tau2 * v_scale
-        np.multiply(v_scale, tau3, out=v_scale)
-        v_reset_phase = v_time < v_scale
+        # Both endpoints' phase tests in one pass.  ``b_t2`` becomes the
+        # exchange threshold tau2 * max(max, lastMax).  The initiator's
+        # exchange test is kept patched through the rare stages below, and
+        # its threshold ``u_t2`` up to the backup test, its last reader.
+        b_t2 = np.maximum(b_max, b_last)
+        b_reset_phase = b_time < tau3 * b_t2
+        b_t2 *= tau2
+        b_exchange = b_time >= b_t2
+
+        u_max, v_max = b_max[:lanes], b_max[lanes:]
+        u_last, v_last = b_last[:lanes], b_last[lanes:]
+        u_time, v_time = b_time[:lanes], b_time[lanes:]
+        u_t2 = b_t2[:lanes]
+        exchange, v_exchange = b_exchange[:lanes], b_exchange[lanes:]
+        v_reset_phase = b_reset_phase[lanes:]
 
         # Lines 2-6: wrap-around / reset->exchange / hold->exchange resets
-        # (rare once converged -> compressed lanes).  ``u_t2`` (the exchange
-        # threshold tau2 * max(max, lastMax)) is kept patched through the
-        # rare stages below and reused by every later phase test.
-        u_t2 = np.maximum(u_max, u_last)
-        in_reset_phase = u_time < tau3 * u_t2
-        np.multiply(u_t2, tau2, out=u_t2)
-        reset = u_time <= 0
+        # (rare once converged -> compressed lanes).  On booleans ``a > b``
+        # is ``a and not b``: here, maxima differ and u is not exchanging.
+        reset = u_time <= zero
+        in_reset_phase = b_reset_phase[:lanes]
         in_reset_phase &= v_exchange
         reset |= in_reset_phase
-        holding = u_time < u_t2
-        holding &= u_max != v_max
+        holding = u_max != v_max
+        np.greater(holding, exchange, out=holding)
         reset |= holding
         reset_lanes = reset.nonzero()[0]
+        max_changed = reset_lanes.size > 0
         if reset_lanes.size:
             fresh = (over * rng.geometric_max_lanes(grv_k, reset_lanes, width)).astype(
                 dtype, copy=False
             )
             old_max = u_max[reset_lanes]
             peak = np.maximum(old_max, fresh)
-            u_time[reset_lanes] = tau1 * peak
+            new_time = tau1 * peak
+            new_t2 = tau2 * peak
+            u_time[reset_lanes] = new_time
             u_last[reset_lanes] = old_max
             u_max[reset_lanes] = fresh
             u_inter[reset_lanes] = 0
-            u_t2[reset_lanes] = tau2 * peak
+            u_t2[reset_lanes] = new_t2
+            exchange[reset_lanes] = new_time >= new_t2
 
         # Lines 7-10: backup GRV generation (rare).  The threshold
         # tau' * scale is tau' / tau2 times the maintained u_t2.
-        backup_lanes = (u_inter > (params.tau_prime / tau2) * u_t2).nonzero()[0]
+        backup_lanes = (u_inter > backup_ratio * u_t2).nonzero()[0]
         if backup_lanes.size:
             backup = rng.geometric_max_lanes(grv_k, backup_lanes, width)
             u_inter[backup_lanes] = 0
             adopt_backup = backup > u_max[backup_lanes]
             boosted_lanes = backup_lanes[adopt_backup]
             if boosted_lanes.size:
+                max_changed = True
                 boosted = (over * backup[adopt_backup]).astype(dtype, copy=False)
-                u_time[boosted_lanes] = tau1 * boosted
+                new_time = tau1 * boosted
+                new_t2 = tau2 * np.maximum(boosted, u_last[boosted_lanes])
+                u_time[boosted_lanes] = new_time
                 u_max[boosted_lanes] = boosted
-                u_t2[boosted_lanes] = tau2 * np.maximum(boosted, u_last[boosted_lanes])
+                exchange[boosted_lanes] = new_time >= new_t2
 
         # Lines 11-12: adopt a larger maximum within the exchange phase.
-        exchange = u_time >= u_t2
         adopt = exchange & v_exchange
         adopt &= u_max < v_max
         adopt_lanes = adopt.nonzero()[0]
         if adopt_lanes.size:
+            max_changed = True
             adopted = v_max[adopt_lanes]
             new_last = v_last[adopt_lanes]
-            u_time[adopt_lanes] = tau1 * adopted
+            new_time = tau1 * adopted
+            new_t2 = tau2 * np.maximum(adopted, new_last)
+            u_time[adopt_lanes] = new_time
             u_max[adopt_lanes] = adopted
             u_last[adopt_lanes] = new_last
-            u_t2[adopt_lanes] = tau2 * np.maximum(adopted, new_last)
-            # Only the adopted lanes changed time/threshold since `exchange`
-            # was computed; patch them instead of a full-width recompute.
-            exchange[adopt_lanes] = u_time[adopt_lanes] >= u_t2[adopt_lanes]
+            exchange[adopt_lanes] = new_time >= new_t2
 
         # Lines 13-14: exchange the trailing maximum (the common branch).
-        share = u_max == v_max
+        # Equal maxima share, unless u exchanges while v resets.
         exchange &= v_reset_phase
-        np.logical_not(exchange, out=exchange)
-        share &= exchange
+        share = u_max == v_max
+        np.greater(share, exchange, out=share)
         u_last = np.where(share, np.maximum(u_last, v_last), u_last)
 
         # Line 15: CHVP countdown plus the interaction counter.
         np.maximum(u_time, v_time, out=u_time)
-        u_time -= 1.0
-        u_inter += 1
+        u_time -= one
+        u_inter += one_count
 
-        # Write back; duplicate lanes resolve last-writer-wins.
-        max_flat[flat_u] = u_max
+        # Write back; duplicate lanes resolve last-writer-wins.  Only the
+        # rare stages change ``max``: without them its write-back would
+        # store the values just gathered.
+        if max_changed:
+            max_flat[flat_u] = u_max
         last_flat[flat_u] = u_last
         time_flat[flat_u] = u_time
         inter_flat[flat_u] = u_inter

@@ -301,9 +301,10 @@ class RandomSource:
         coordinate space fits, halving the draw bandwidth).  The draw
         dtype is part of the stream: PCG64 yields different values for
         int32 and int64 draws, so widening it would change every run.  The
-        engine widens to ``np.intp`` after the draw instead, when
-        :func:`repro.engine.ensemble_engine.flat_pair_indices` builds the
-        flat coordinates.
+        engine widens to ``np.intp`` after the draw instead, when it adds
+        the ``np.intp`` row offsets of
+        :func:`repro.engine.ensemble_engine.row_offsets` to build the flat
+        coordinates.
         """
         if n < 2:
             raise ValueError(f"need at least two agents, got {n}")
@@ -457,10 +458,12 @@ class RowStreams:
         self, lanes: np.ndarray, width: int
     ) -> Iterator[tuple[RandomSource, np.ndarray]]:
         """``(source, row lanes)`` for every row that owns at least one lane."""
-        bounds = np.searchsorted(lanes, np.arange(1, len(self.sources)) * width)
-        for source, row_lanes in zip(self.sources, np.split(lanes, bounds)):
-            if row_lanes.size:
-                yield source, row_lanes
+        bounds = np.searchsorted(lanes, np.arange(1, len(self.sources)) * width).tolist()
+        start = 0
+        for source, stop in zip(self.sources, bounds + [lanes.size]):
+            if stop > start:
+                yield source, lanes[start:stop]
+            start = stop
 
     def geometric_max_lanes(self, k: int, lanes: np.ndarray, width: int) -> np.ndarray:
         """GRV maxima for ``lanes``, each row's from its own stream."""

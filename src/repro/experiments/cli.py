@@ -219,7 +219,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--engines",
         default=None,
         metavar="A,B[,...]",
-        help="Comma-separated engines to compare (default: batched,ensemble,counts).",
+        help=(
+            "Comma-separated engines to compare (default: batched,ensemble,counts); "
+            "cases of at most 64 agents also run the exact sequential engine."
+        ),
     )
     fuzz_parser.add_argument(
         "--list",
@@ -486,7 +489,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.scenarios.fuzz import DEFAULT_ENGINES, check_conformance, generate_cases
+    from repro.scenarios.fuzz import (
+        DEFAULT_ENGINES,
+        case_engines,
+        check_conformance,
+        generate_cases,
+    )
 
     if args.count < 1:
         return _fail(f"--count must be at least 1, got {args.count}")
@@ -510,7 +518,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         return 0
     started = time.time()
     failures = 0
+    runs = 0
     for case in cases:
+        runs += len(case_engines(case, engines))
         report = check_conformance(case, engines=engines, trials=args.trials)
         verdict = "ok" if report.ok else "FAIL"
         print(
@@ -526,7 +536,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     elapsed = time.time() - started
     print(
         f"[fuzz] seed={args.seed}: {len(cases)} case(s), "
-        f"{len(cases) * len(engines)} engine runs, "
+        f"{runs} engine runs, "
         f"{failures} conformance failure(s) in {elapsed:.1f}s"
     )
     return 0 if failures == 0 else 1

@@ -79,7 +79,7 @@ def _build_trace_engine(
     params: ProtocolParameters,
     resize_schedule: Sequence[tuple[int, int]],
     initial_estimate: float | None,
-    sub_batches: int,
+    sub_batches: int | None = None,
     trials: int | None = None,
 ) -> Engine:
     """Build one engine for the estimate-trace workload.
@@ -90,7 +90,8 @@ def _build_trace_engine(
     batched/ensemble engines (and, mapped to its counts kernel by the
     registry, on the counts engine) — so only the workload
     translation (initial estimate to population/arrays) lives here; the
-    engine dispatch itself is :func:`repro.engine.registry.make_engine`.
+    engine dispatch itself is :func:`repro.engine.registry.make_engine`,
+    which also refuses a ``sub_batches`` the engine cannot honour.
     """
     if engine == "sequential":
         protocol = DynamicSizeCounting(params)
@@ -101,7 +102,12 @@ def _build_trace_engine(
         else:
             population = n
         return make_engine(
-            engine, protocol, population, rng=rng, resize_schedule=resize_schedule
+            engine,
+            protocol,
+            population,
+            rng=rng,
+            resize_schedule=resize_schedule,
+            sub_batches=sub_batches,
         )
     vectorized = VectorizedDynamicCounting(params)
     initial_arrays = None
@@ -128,7 +134,7 @@ def _trace_engine_factory(
     params: ProtocolParameters,
     resize_schedule: tuple[tuple[int, int], ...],
     initial_estimate: float | None,
-    sub_batches: int,
+    sub_batches: int | None = None,
 ) -> Engine:
     """Picklable engine factory for :func:`run_engine_trials`.
 
@@ -158,7 +164,7 @@ def run_estimate_trace(
     resize_schedule: Sequence[tuple[int, int]] = (),
     initial_estimate: float | None = None,
     snapshot_every: int = 1,
-    sub_batches: int = 8,
+    sub_batches: int | None = None,
     engine: str | None = "batched",
     workers: int | str | None = None,
     checkpoint_every: int | None = None,
@@ -186,7 +192,9 @@ def run_estimate_trace(
     snapshot_every:
         Snapshot granularity in parallel time units.
     sub_batches:
-        Fidelity knob of the batched engine (ignored by the exact engine).
+        Fidelity knob of the approximate engines; ``None`` (default) keeps
+        their default of 8.  The exact engine refuses any value with
+        :class:`~repro.engine.errors.ConfigurationError`.
     engine:
         Engine name: ``"sequential"``, ``"batched"`` (default),
         ``"ensemble"``, ``"counts"``, or ``None``/``"auto"`` to pick the best

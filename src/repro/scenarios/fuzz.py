@@ -9,7 +9,10 @@ property on each: the batched, ensemble and counts engines simulate the
 same stochastic process, so the distributions of per-trial tracking
 statistics must agree (two-sample Kolmogorov-Smirnov on distinct base
 seeds, the same machinery as ``tests/test_statistical_conformance.py``,
-via :mod:`repro.analysis.stats`).
+via :mod:`repro.analysis.stats`).  Cases small enough for the exact
+sequential engine (``n <= EXACT_REFERENCE_MAX_N``) run it as well, so the
+approximate engines are also checked against an exact reference, not only
+against each other.
 
 Everything is deterministic: case ``i`` of ``generate_cases(seed, count)``
 is drawn from ``np.random.default_rng([seed, i])``, so the same seed
@@ -48,12 +51,14 @@ from repro.scenarios.spec import ScenarioPoint, ScenarioSpec, canonical_json
 from repro.scenarios.traces import bundled_trace
 
 __all__ = [
+    "EXACT_REFERENCE_MAX_N",
     "FuzzCase",
     "ConformancePair",
     "ConformanceReport",
     "generate_cases",
     "register_fuzz_scenarios",
     "unregister_fuzz_scenarios",
+    "case_engines",
     "check_conformance",
     "run_fuzz",
 ]
@@ -70,14 +75,19 @@ FAMILIES = (
     "multi_phase",
 )
 
-#: Engines checked against each other.  The exact sequential engine is
-#: excluded only for speed — the standing conformance battery already pins
-#: it against batched/ensemble/counts on a fixed workload.
+#: Engines checked against each other on every case.
 DEFAULT_ENGINES = ("batched", "ensemble", "counts")
+
+#: Largest initial population whose case also runs the exact ``sequential``
+#: engine as a reference.  That engine is O(n) Python per parallel step:
+#: 16 trials of 64 agents over the longest generated horizon (400) take
+#: about 6 s on two cores, so the bound keeps a case's reference run to a
+#: few seconds (a schedule that grows the population costs more).
+EXACT_REFERENCE_MAX_N = 64
 
 #: Distinct base seeds per engine: shared seeds would make exact-trajectory
 #: engines vacuously identical, distinct seeds make an honest two-sample test.
-_ENGINE_SEEDS = {"batched": 7103, "ensemble": 7207, "counts": 7311}
+_ENGINE_SEEDS = {"batched": 7103, "ensemble": 7207, "counts": 7311, "sequential": 7401}
 
 #: Metric extractors every fuzz spec composes (phase_stats contributes no
 #: columns for cases without phases, so one shared tuple serves them all).
@@ -381,6 +391,14 @@ def _trial_statistics(
     return {"final_error": np.array(final), "tracking_error": np.array(tracking)}
 
 
+def case_engines(case: FuzzCase, engines: Sequence[str]) -> tuple[str, ...]:
+    """The engines one case runs: ``engines``, plus the exact reference if small."""
+    engines = tuple(engines)
+    if case.n <= EXACT_REFERENCE_MAX_N and "sequential" not in engines:
+        engines += ("sequential",)
+    return engines
+
+
 def check_conformance(
     case: FuzzCase,
     *,
@@ -393,7 +411,9 @@ def check_conformance(
     Each engine runs ``trials`` independent repetitions of the case's
     workload from its own base seed, and every engine pair is compared on
     the per-trial final/tracking error distributions at significance
-    ``alpha``.  Fully seeded — the verdict is deterministic.
+    ``alpha``.  A case of at most :data:`EXACT_REFERENCE_MAX_N` agents adds
+    the exact ``sequential`` engine to ``engines`` (see
+    :func:`case_engines`).  Fully seeded — the verdict is deterministic.
     """
     from repro.experiments.figures import _trace_engine_factory
 
@@ -404,8 +424,8 @@ def check_conformance(
         params=params,
         resize_schedule=tuple(case.schedule),
         initial_estimate=None,
-        sub_batches=8,
     )
+    engines = case_engines(case, engines)
     samples = {}
     for engine in engines:
         base = _ENGINE_SEEDS.get(engine, 7000) + 131 * case.index
@@ -420,7 +440,6 @@ def check_conformance(
 
     critical = ks_critical(trials, trials, alpha)
     pairs = []
-    engines = tuple(engines)
     for i, engine_a in enumerate(engines):
         for engine_b in engines[i + 1 :]:
             for statistic in ("final_error", "tracking_error"):

@@ -11,6 +11,10 @@ and the `--engine ensemble` experiment path.
 
 from __future__ import annotations
 
+import copy
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -26,7 +30,7 @@ from repro.engine.errors import ConfigurationError
 from repro.engine.protocol import InteractionContext
 from repro.engine.registry import ENGINE_NAMES, make_engine
 from repro.engine.runner import aggregate_series, run_engine_trials
-from repro.engine.rng import RandomSource, spawn_streams
+from repro.engine.rng import RandomSource, RowStreams, SeedTree, spawn_streams
 from repro.experiments.base import ExperimentPreset
 from repro.experiments.fig3_relative_error import run_fig3
 from repro.protocols.epidemic import InfectionEpidemic, MaxEpidemic
@@ -375,6 +379,93 @@ def _tiny_workload(key, n):
         protocol = VectorizedApproximateMajority()
         return protocol, protocol.arrays_from_counts(1, 1, n - 2)
     raise KeyError(key)
+
+
+class TestBlockLayout:
+    """Trial blocks live as long as their planes and random source, no longer.
+
+    The engine keeps each block's flat views, row offsets and random source
+    across steps.  Whatever replaces a plane or the source between steps,
+    the engine must go on exactly as a fresh engine built from the new
+    planes and random state would.  A 960-byte row (40 agents of 24 bytes)
+    against a two-row budget splits five trials into three blocks.
+    """
+
+    N, TRIALS = 40, 5
+
+    @pytest.fixture(autouse=True)
+    def _small_blocks(self, monkeypatch):
+        monkeypatch.setattr(EnsembleSimulator, "_BLOCK_STATE_BYTES", 2 * self.N * 24)
+
+    @staticmethod
+    def _rng(kind, seed, trials):
+        if kind == "batched":
+            tree = SeedTree.from_seed(seed)
+            return RowStreams([tree.trial(t).source() for t in range(trials)])
+        return RandomSource.from_seed(seed)
+
+    def _engine(self, kind, seed=3):
+        rng = self._rng(kind, seed, self.TRIALS)
+        return EnsembleSimulator(VectorizedDynamicCounting(), self.N, trials=self.TRIALS, rng=rng)
+
+    def _fresh_twin(self, engine, kind):
+        """A new engine built from ``engine``'s planes and random state."""
+        rng = self._rng(kind, 0, engine.trials)
+        rng.state = copy.deepcopy(engine.rng.state)
+        planes = {key: plane.copy() for key, plane in engine.arrays.items()}
+        return EnsembleSimulator(
+            VectorizedDynamicCounting(),
+            engine.size,
+            trials=engine.trials,
+            rng=rng,
+            initial_arrays=planes,
+        )
+
+    def _replace(self, engine, kind, how):
+        if how == "shrink":
+            engine.resize_to(24)
+        elif how == "grow":
+            engine.resize_to(60)
+        elif how == "restore":
+            other = self._engine(kind, seed=11)
+            other.run(7)
+            engine.apply_checkpoint_payload(other.checkpoint_payload())
+        elif how == "assign":
+            engine.arrays["time"] = engine.arrays["time"] + 5
+        else:
+            engine.rng = self._rng(kind, 29, self.TRIALS)
+
+    @pytest.mark.parametrize("how", ["shrink", "grow", "restore", "assign", "rng"])
+    @pytest.mark.parametrize("kind", ["batched", "ensemble"])
+    def test_replaced_state_continues_like_a_fresh_engine(self, kind, how):
+        engine = self._engine(kind)
+        engine.run(5)
+        self._replace(engine, kind, how)
+        assert engine._trial_block(engine.size) < engine.trials
+        twin = self._fresh_twin(engine, kind)
+        engine.run(6)
+        twin.run(6)
+        for key, plane in twin.arrays.items():
+            assert np.array_equal(engine.arrays[key], plane), key
+        assert engine.rng.state == twin.rng.state
+
+    @pytest.mark.parametrize("kind", ["batched", "ensemble"])
+    def test_blocks_are_kept_across_steps(self, kind):
+        engine = self._engine(kind)
+        engine.step_parallel_round()
+        blocks = engine._trial_blocks(self.N)
+        assert len(blocks) == 3
+        engine.run(3)
+        assert engine._trial_blocks(self.N) is blocks
+
+    @pytest.mark.parametrize("how", ["shrink", "grow", "restore"])
+    def test_replaced_planes_are_released(self, how):
+        engine = self._engine("ensemble")
+        engine.run(2)
+        old = [weakref.ref(plane) for plane in engine.arrays.values()]
+        self._replace(engine, "ensemble", how)
+        gc.collect()
+        assert all(ref() is None for ref in old)
 
 
 class TestTinyPopulations:

@@ -103,6 +103,16 @@ class TestEstimateTrace:
         assert trace.maximum[0] == 60.0
 
 
+    def test_sub_batches_is_refused_on_the_exact_engine(self):
+        with pytest.raises(ConfigurationError, match="sub_batches"):
+            run_estimate_trace(50, 5, trials=1, seed=4, engine="sequential", sub_batches=3)
+
+    def test_unset_sub_batches_is_the_approximate_default(self):
+        unset = run_estimate_trace(200, 20, trials=2, seed=4, engine="batched")
+        explicit = run_estimate_trace(200, 20, trials=2, seed=4, engine="batched", sub_batches=8)
+        assert unset.series() == explicit.series()
+
+
 class TestFigureRunners:
     def test_fig2_rows_and_series(self):
         result = run_fig2(tiny())

@@ -15,6 +15,7 @@ import pytest
 from repro.engine.api import resize_events
 from repro.experiments.cli import main
 from repro.scenarios.fuzz import (
+    EXACT_REFERENCE_MAX_N,
     FAMILIES,
     check_conformance,
     generate_cases,
@@ -107,6 +108,22 @@ class TestConformance:
         assert report.ok, [
             (p.engine_a, p.engine_b, p.statistic, p.ks, p.critical)
             for p in report.failures()
+        ]
+
+
+    def test_small_case_is_checked_against_the_exact_engine(self):
+        # Seed 7 case 2 is a 51-agent random_churn draw (pinned by determinism).
+        case = generate_cases(7, 3)[2]
+        assert case.n <= EXACT_REFERENCE_MAX_N
+        report = check_conformance(case, trials=8)
+        exact = [p for p in report.pairs if "sequential" in (p.engine_a, p.engine_b)]
+        assert {(p.engine_a, p.statistic) for p in exact} == {
+            (engine, statistic)
+            for engine in ("batched", "ensemble", "counts")
+            for statistic in ("final_error", "tracking_error")
+        }
+        assert all(p.ok for p in exact), [
+            (p.engine_a, p.engine_b, p.statistic, p.ks, p.critical) for p in exact
         ]
 
 

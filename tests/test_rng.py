@@ -214,6 +214,38 @@ class TestRowStreams:
             + RandomSource.from_seed(102).coin_lanes(lanes[2:], 4).tolist()
         )
 
+    @pytest.mark.parametrize(
+        ("rows", "lanes"),
+        [(1, [0, 2, 3]), (4, [1, 2, 13, 14]), (3, [8, 9, 11]), (3, [])],
+        ids=["single-row", "middle-rows-empty", "last-row-only", "no-lanes"],
+    )
+    @pytest.mark.parametrize("draw", ["geometric_max_lanes", "coin_lanes"])
+    def test_lane_draws_are_each_rows_one_row_draws(self, rows, lanes, draw):
+        """Every source makes exactly the draws of a one-row engine on its row.
+
+        A one-row kernel draws for its own lanes (positions below the
+        width) and skips the draw when it has none.
+        """
+        width = 4
+        lanes = np.array(lanes, dtype=np.intp)
+
+        def call(source, own):
+            if draw == "geometric_max_lanes":
+                return source.geometric_max_lanes(5, own, width)
+            return source.coin_lanes(own, width)
+
+        streams = self._streams(rows)
+        drawn = call(streams, lanes)
+        expected = []
+        for row in range(rows):
+            one_row = RandomSource.from_seed(100 + row)
+            own = lanes[(lanes >= row * width) & (lanes < (row + 1) * width)] - row * width
+            if own.size:
+                expected.append(call(one_row, own))
+            assert streams.sources[row].state == one_row.state, row
+        assert drawn.dtype == {"geometric_max_lanes": np.float64, "coin_lanes": bool}[draw]
+        assert drawn.tolist() == (np.concatenate(expected).tolist() if expected else [])
+
     def test_state_round_trip_and_mismatch(self):
         streams = self._streams(2)
         saved = streams.state

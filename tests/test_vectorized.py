@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -353,17 +354,17 @@ class TestLaneOracle:
     #: ``n`` lanes the dense one (a flag plane).
     WIDTHS = {"narrow": 4, "full": 40}
 
-    @pytest.mark.parametrize("width", sorted(WIDTHS))
-    @pytest.mark.parametrize("rows", [1, 3])
-    @pytest.mark.parametrize("constants", sorted(CONSTANTS))
-    def test_kernel_matches_the_scalar_rule(self, constants, rows, width, stacked_kernel):
-        params, float_dtype, int_dtype = self.CONSTANTS[constants]
-        kernel = VectorizedDynamicCounting(params)
-        assert (kernel.ensemble_state_dtypes is not None) == (float_dtype is np.float32)
-        n, lanes = 40, self.WIDTHS[width]
-        branches = dict.fromkeys(("reset", "backup", "boost", "adopt"), 0)
+    @staticmethod
+    def drive(kernel, dtypes, rows, lanes, seeds, branches, stacked_kernel):
+        """Four batches per seed through ``kernel``, checked after each one.
+
+        Returns the reset tallies the batches took (``"sparse"``/``"dense"``).
+        """
+        params = kernel.params
+        float_dtype, int_dtype = dtypes
+        n = 40
         tallies = set()
-        for seed in range(12):
+        for seed in seeds:
             gen = np.random.default_rng([seed, rows, lanes])
             arrays = mixed_planes(params, rows, n, float_dtype, int_dtype, gen)
             expected = {key: plane.copy() for key, plane in arrays.items()}
@@ -381,5 +382,43 @@ class TestLaneOracle:
                 resets = branches["reset"] - resets_before
                 if resets:
                     tallies.add("sparse" if resets * 8 < rows * n else "dense")
+        return tallies
+
+    @pytest.mark.parametrize("width", sorted(WIDTHS))
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("constants", sorted(CONSTANTS))
+    def test_kernel_matches_the_scalar_rule(self, constants, rows, width, stacked_kernel):
+        params, float_dtype, int_dtype = self.CONSTANTS[constants]
+        kernel = VectorizedDynamicCounting(params)
+        assert (kernel.ensemble_state_dtypes is not None) == (float_dtype is np.float32)
+        branches = dict.fromkeys(("reset", "backup", "boost", "adopt"), 0)
+        tallies = self.drive(
+            kernel,
+            (float_dtype, int_dtype),
+            rows,
+            self.WIDTHS[width],
+            range(12),
+            branches,
+            stacked_kernel,
+        )
         assert all(count > 0 for count in branches.values()), branches
         assert ("dense" in tallies) == (width == "full")
+
+    def test_one_kernel_stays_exact_across_plane_dtypes(self, stacked_kernel):
+        """float32, then float64, then float32 planes through one kernel instance.
+
+        The kernel builds its constants once per pair of plane dtypes.  With
+        tau2 = 3 the backup ratio tau' / tau2 = 20 / 3 rounds lower in
+        float32 than in float64: on float64 planes a float32 copy of it
+        would put the backup threshold just below tau' * scale and fire the
+        backup of every lane whose count sits exactly there, which the
+        scalar rule does not.  Both dtypes' own constants give exactly
+        tau' * scale at every scale these planes hold.
+        """
+        params = dataclasses.replace(empirical_parameters(), tau2=3.0)
+        kernel = VectorizedDynamicCounting(params)
+        assert kernel.ensemble_state_dtypes is not None
+        branches = dict.fromkeys(("reset", "backup", "boost", "adopt"), 0)
+        for dtypes in ((np.float32, np.int32), (np.float64, np.int64), (np.float32, np.int32)):
+            self.drive(kernel, dtypes, 3, 40, range(6), branches, stacked_kernel)
+        assert all(count > 0 for count in branches.values()), branches
