@@ -56,10 +56,11 @@ def test_bench_counts_speedup_vs_batched(suite_cases, effort):
     Measured margins (quick effort, 2-core box): the batched engine, a
     one-row ensemble, spends ~0.12-0.14 s per parallel step at ``n = 10^6``
     (per-agent work), the counts engine ~0.02 s amortized (~0.007 s at
-    steady state) — about 6-7x (6.0-6.7x in two runs after the one-gather
-    kernel, 6.0-6.4x before it), below the asserted 10x floor.  Before the
-    batched engine became a one-row ensemble it spent ~0.25-0.35 s per
-    step and the ratio read 12-16x; ROADMAP's counts item tracks the gap.
+    steady state) — about 6-8x (6.0-6.7x in four runs after the one-gather
+    kernel, 6.0-8.4x in four before it), below the asserted 10x floor.
+    Before the batched engine became a one-row ensemble it spent ~0.25-0.35
+    s per step and the ratio read 12-16x; ROADMAP's counts item tracks the
+    gap.
     """
     n, batched_steps, counts_steps = SPEEDUP[effort]
 

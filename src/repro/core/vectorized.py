@@ -16,9 +16,9 @@ semantics and ``tests/test_engine_equivalence.py`` for the statistical
 cross-validation against the exact engine.
 
 The engine owns the stacked layout: the kernel receives flat plane views
-(kept per set of planes) and flat pair coordinates (built once per step)
-from :mod:`repro.engine.ensemble_engine`, and only gathers and scatters
-through them.
+and flat pair coordinates, built once per step by
+:mod:`repro.engine.ensemble_engine`, and only gathers and scatters through
+them.
 """
 
 from __future__ import annotations
@@ -188,11 +188,10 @@ class VectorizedDynamicCounting(VectorizedProtocol):
         are bound by NumPy's fixed cost per operation rather than by lanes:
 
         * flat-coordinate gathers/scatters (``row * n + slot``) instead of
-          broadcast 2-D fancy indexing; the engine keeps the views and the
-          ``np.intp`` row offsets of every trial block
-          (:func:`~repro.engine.ensemble_engine.row_offsets`) and adds
-          the offsets once per step, so a call neither rebuilds them nor
-          casts an index;
+          broadcast 2-D fancy indexing; the engine builds the views and the
+          ``np.intp`` coordinates once per step
+          (:func:`~repro.engine.ensemble_engine.flat_pair_indices`), so a
+          call neither rebuilds them nor casts an index;
         * one gather per plane for both endpoints: the initiator and
           responder coordinates are concatenated into one index whose
           halves are ``u`` and ``v``, and both endpoints' phase tests run

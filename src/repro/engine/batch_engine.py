@@ -31,9 +31,8 @@ protocol classes to their vectorised counterparts.
 
 The engine owns the stacked layout: it keeps every plane as a C-contiguous
 ``(trials, n)`` array and hands each kernel call flat views of those planes
-(kept per set of planes) and flat pair coordinates (``row * n + slot``,
-built once per step), so no kernel reshapes a plane or offsets an index
-itself.
+and flat pair coordinates (``row * n + slot``), built once per step, so no
+kernel reshapes a plane or offsets an index itself.
 """
 
 from __future__ import annotations
@@ -92,14 +91,12 @@ class VectorizedProtocol(abc.ABC):
         coordinates into those views (``row * n + slot``): element ``[r,
         i]`` is the ``i``-th interaction of row ``r``'s batch, and
         ``initiators.ravel()`` lists the lanes in the row-major order that
-        the random sources' ``lanes`` arguments count in.  The engine
-        builds the views once per block and set of planes
-        (:func:`repro.engine.ensemble_engine.flat_planes`) and the
-        coordinates once per block and step (the offsets of
-        :func:`repro.engine.ensemble_engine.row_offsets`, as
-        :func:`~repro.engine.ensemble_engine.flat_pair_indices` adds
-        them); the matrices of one call may be column slices of the
-        step's, so a kernel must not assume they are contiguous.
+        the random sources' ``lanes`` arguments count in.  The engine builds
+        both once per step and block
+        (:func:`repro.engine.ensemble_engine.flat_planes`,
+        :func:`repro.engine.ensemble_engine.flat_pair_indices`); the
+        matrices of one call may be column slices of the step's, so a
+        kernel must not assume they are contiguous.
 
         Rows never interact.  Responder states are read from the planes as
         they are at call time (start of the batch); initiator writes may

@@ -28,21 +28,18 @@ of the stacked outputs), so each trial still yields its own
 :class:`repro.engine.api.RunResult`-compatible series via
 :attr:`EnsembleRunResult.trial_results`.
 
-This module is the only one that knows the stacked layout.  Once per set
-of planes it cuts the stack into cache-sized trial blocks and builds each
-block's flat plane views (:func:`flat_planes`), ``np.intp`` row offsets
-(:func:`row_offsets`) and random source; it drops them whenever a plane or
-the random source is replaced.  Once per step and block it adds the offsets
-to the step's pairs (:func:`flat_pair_indices` does the same for a caller
-holding ``(rows, n)`` planes); every kernel call of that block gets the
-views and a column slice of those flat coordinates, so the kernels index
+This module is the only one that knows the stacked layout.  Once per step
+and trial block it builds flat views of the block's planes
+(:func:`flat_planes`) and the ``np.intp`` flat coordinates of the step's
+pairs (:func:`flat_pair_indices`); every kernel call of that block gets
+those views and a column slice of those coordinates, so the kernels index
 flat planes and never rebuild either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -51,13 +48,7 @@ from repro.engine.batch_engine import VectorizedProtocol
 from repro.engine.errors import CheckpointError, ConfigurationError
 from repro.engine.rng import RandomSource, RowStreams
 
-__all__ = [
-    "EnsembleRunResult",
-    "EnsembleSimulator",
-    "flat_pair_indices",
-    "flat_planes",
-    "row_offsets",
-]
+__all__ = ["EnsembleRunResult", "EnsembleSimulator", "flat_pair_indices", "flat_planes"]
 
 
 def flat_planes(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
@@ -81,15 +72,6 @@ def flat_planes(arrays: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
     return flat
 
 
-def row_offsets(rows: int, n: int) -> np.ndarray:
-    """The ``(rows, 1)`` ``np.intp`` offsets ``row * n`` of a block's rows.
-
-    Added to a ``(rows, count)`` slot matrix they give its flat
-    coordinates (:func:`flat_pair_indices`).
-    """
-    return np.arange(0, rows * n, n, dtype=np.intp)[:, None]
-
-
 def flat_pair_indices(
     initiators: np.ndarray, responders: np.ndarray, n: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -109,37 +91,8 @@ def flat_pair_indices(
     ``rows * n >= 2**31`` slots cannot wrap int32 coordinates to negative
     (which ``take`` would silently read from the end of the plane).
     """
-    offsets = row_offsets(initiators.shape[0], n)
+    offsets = np.arange(0, initiators.shape[0] * n, n, dtype=np.intp)[:, None]
     return np.add(initiators, offsets), np.add(responders, offsets)
-
-
-class _TrialBlock(NamedTuple):
-    """One cache-sized block of stacked rows, as the step loop hands it out."""
-
-    start: int
-    stop: int
-    planes: dict[str, np.ndarray]
-    offsets: np.ndarray
-    rng: RandomSource | RowStreams
-
-
-class _BlockLayout(NamedTuple):
-    """The trial blocks of one set of planes and one random source."""
-
-    planes: tuple[tuple[str, np.ndarray], ...]
-    rng: RandomSource | RowStreams
-    blocks: tuple[_TrialBlock, ...]
-
-    def fits(self, planes: tuple[tuple[str, np.ndarray], ...], rng: object) -> bool:
-        """Whether the layout was built for exactly these plane objects and source."""
-        return (
-            rng is self.rng
-            and len(planes) == len(self.planes)
-            and all(
-                key == built_key and plane is built
-                for (key, plane), (built_key, built) in zip(planes, self.planes)
-            )
-        )
 
 
 @dataclass
@@ -231,7 +184,6 @@ class EnsembleSimulator(ArrayStateEngine):
             )
         self.trials = int(trials)
         self.sub_batches = int(sub_batches)
-        self._layout: _BlockLayout | None = None
         self._snapshot_times: list[int] = []
         self._snapshot_sizes: list[int] = []
         self._trial_minimum: list[np.ndarray] = []
@@ -340,7 +292,6 @@ class EnsembleSimulator(ArrayStateEngine):
                 f"checkpoint stacks {trials!r} trials, this engine stacks {self.trials}"
             )
         super()._restore_payload(state)
-        self._layout = None
 
     # ------------------------------------------------------------------ resize
 
@@ -357,8 +308,6 @@ class EnsembleSimulator(ArrayStateEngine):
         current = self.size
         if target == current:
             return
-        # Let the replaced planes go now, not at the next step's layout check.
-        self._layout = None
         if target < current:
             # Per-row random subsets in one vectorised draw: rank a uniform
             # matrix along each row and keep the first `target` columns.
@@ -425,34 +374,6 @@ class EnsembleSimulator(ArrayStateEngine):
         )
         return cls._rows_in_budget(n * sum(arr.itemsize for arr in planes.values()), rows)
 
-    def _trial_blocks(self, n: int) -> tuple[_TrialBlock, ...]:
-        """The trial blocks of the current planes and random source.
-
-        Built on first use and kept while :attr:`arrays` holds the same
-        plane objects and :attr:`rng` the same source; replacing either
-        (a resize, a checkpoint restore, a direct assignment) rebuilds them
-        at the next step.  Restoring a checkpoint sets the sources' states
-        in place, so their blocks stay valid.
-        """
-        planes = tuple(self.arrays.items())
-        layout = self._layout
-        if layout is None or not layout.fits(planes, self.rng):
-            block = self._trial_block(n)
-            blocks = []
-            for start in range(0, self.trials, block):
-                stop = min(start + block, self.trials)
-                blocks.append(
-                    _TrialBlock(
-                        start,
-                        stop,
-                        flat_planes({key: arr[start:stop] for key, arr in planes}),
-                        row_offsets(stop - start, n),
-                        self.rng.row_block(start, stop),
-                    )
-                )
-            layout = self._layout = _BlockLayout(planes, self.rng, tuple(blocks))
-        return layout.blocks
-
     def step_parallel_round(self) -> None:
         """Execute one parallel time step (``n`` interactions) in every trial.
 
@@ -463,9 +384,8 @@ class EnsembleSimulator(ArrayStateEngine):
         at a time — the responder snapshot refreshes once per sub-batch,
         the generator call count does not grow with ``sub_batches``, and
         each block's state planes stay cache-resident across its
-        sub-batches.  A block's flat pair coordinates are built once per
-        step, before its first sub-batch; its flat plane views, row offsets
-        and random source once per set of planes (:meth:`_trial_blocks`).
+        sub-batches.  A block's flat plane views and flat pair coordinates
+        are built once, before its first sub-batch.
         """
         n = self._require_interactable()
         index_dtype = np.int32 if self.trials * n < 2**31 else np.int64
@@ -473,15 +393,18 @@ class EnsembleSimulator(ArrayStateEngine):
             n, self.trials, n, dtype=index_dtype
         )
         chunk = max(1, n // self.sub_batches)
-        for block in self._trial_blocks(n):
-            flat_u = np.add(initiators[block.start : block.stop], block.offsets)
-            flat_v = np.add(responders[block.start : block.stop], block.offsets)
+        block = self._trial_block(n)
+        for g0 in range(0, self.trials, block):
+            g1 = min(g0 + block, self.trials)
+            planes = flat_planes({key: arr[g0:g1] for key, arr in self.arrays.items()})
+            flat_u, flat_v = flat_pair_indices(initiators[g0:g1], responders[g0:g1], n)
+            block_rng = self.rng.row_block(g0, g1)
             for start in range(0, n, chunk):
                 self.protocol.interact_ensemble(
-                    block.planes,
+                    planes,
                     flat_u[:, start : start + chunk],
                     flat_v[:, start : start + chunk],
-                    block.rng,
+                    block_rng,
                 )
         self.interactions_executed += n * self.trials
         self.parallel_time += 1

@@ -301,10 +301,9 @@ class RandomSource:
         coordinate space fits, halving the draw bandwidth).  The draw
         dtype is part of the stream: PCG64 yields different values for
         int32 and int64 draws, so widening it would change every run.  The
-        engine widens to ``np.intp`` after the draw instead, when it adds
-        the ``np.intp`` row offsets of
-        :func:`repro.engine.ensemble_engine.row_offsets` to build the flat
-        coordinates.
+        engine widens to ``np.intp`` after the draw instead, when
+        :func:`repro.engine.ensemble_engine.flat_pair_indices` builds the
+        flat coordinates.
         """
         if n < 2:
             raise ValueError(f"need at least two agents, got {n}")

@@ -220,8 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="A,B[,...]",
         help=(
-            "Comma-separated engines to compare (default: batched,ensemble,counts); "
-            "cases of at most 64 agents also run the exact sequential engine."
+            "Comma-separated engines to compare, run exactly as given (default: "
+            "batched,ensemble,counts, plus the exact sequential engine on cases "
+            "of at most 64 agents)."
         ),
     )
     fuzz_parser.add_argument(
@@ -489,25 +490,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    from repro.scenarios.fuzz import (
-        DEFAULT_ENGINES,
-        case_engines,
-        check_conformance,
-        generate_cases,
-    )
+    from repro.scenarios.fuzz import check_conformance, generate_cases
 
     if args.count < 1:
         return _fail(f"--count must be at least 1, got {args.count}")
-    engines = (
-        tuple(e.strip() for e in args.engines.split(",") if e.strip())
-        if args.engines is not None
-        else DEFAULT_ENGINES
-    )
-    for engine in engines:
-        if engine not in engine_names():
-            return _fail(
-                f"unknown engine {engine!r}; available: {', '.join(engine_names())}"
-            )
+    engines = None
+    if args.engines is not None:
+        engines = tuple(e.strip() for e in args.engines.split(",") if e.strip())
+        for engine in engines:
+            if engine not in engine_names():
+                return _fail(
+                    f"unknown engine {engine!r}; available: {', '.join(engine_names())}"
+                )
     cases = generate_cases(args.seed, args.count)
     if args.list_only:
         for case in cases:
@@ -519,24 +513,24 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     started = time.time()
     failures = 0
     runs = 0
+    reruns = 0
     for case in cases:
-        runs += len(case_engines(case, engines))
         report = check_conformance(case, engines=engines, trials=args.trials)
+        runs += len(report.engines)
+        reruns += len(report.reruns)
         verdict = "ok" if report.ok else "FAIL"
         print(
             f"[{case.name}] {case.family}  n={case.n} horizon={case.horizon}  {verdict}"
         )
+        for pair in report.confirmed():
+            print(f"    {pair.describe()}")
         for pair in report.failures():
             failures += 1
-            print(
-                f"    {pair.engine_a} vs {pair.engine_b} on {pair.statistic}: "
-                f"KS={pair.ks:.4f} > critical={pair.critical:.4f}",
-                file=sys.stderr,
-            )
+            print(f"    {pair.describe()}", file=sys.stderr)
     elapsed = time.time() - started
     print(
         f"[fuzz] seed={args.seed}: {len(cases)} case(s), "
-        f"{runs} engine runs, "
+        f"{runs} engine runs and {reruns} confirmation run(s), "
         f"{failures} conformance failure(s) in {elapsed:.1f}s"
     )
     return 0 if failures == 0 else 1

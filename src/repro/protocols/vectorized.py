@@ -12,10 +12,9 @@ of ``(rows, n)`` stacked state with ``(rows, batch)`` index matrices,
 following the synchronous-rounds semantics (responder states read at the
 start of the batch, overlapping writes resolved last-writer-wins, monotone
 variables merged with ``np.maximum.at``).  The engine owns the stacked
-layout: it passes flat views of the planes (kept per set of planes) and
-``np.intp`` flat coordinates (the offsets of
-:func:`repro.engine.ensemble_engine.row_offsets` added once per step), which
-visit the lanes in the same row-major order as broadcast 2-D
+layout: it passes flat views of the planes and ``np.intp`` flat coordinates
+(:func:`repro.engine.ensemble_engine.flat_pair_indices`, built once per
+step), which visit the lanes in the same row-major order as broadcast 2-D
 indexing, so the kernels only gather and scatter.
 
 The mapping from scalar protocol classes to these implementations lives in

@@ -12,7 +12,8 @@ seeds, the same machinery as ``tests/test_statistical_conformance.py``,
 via :mod:`repro.analysis.stats`).  Cases small enough for the exact
 sequential engine (``n <= EXACT_REFERENCE_MAX_N``) run it as well, so the
 approximate engines are also checked against an exact reference, not only
-against each other.
+against each other.  A comparison that fails is run again on a fresh,
+larger sample and counts only if it fails there too.
 
 Everything is deterministic: case ``i`` of ``generate_cases(seed, count)``
 is drawn from ``np.random.default_rng([seed, i])``, so the same seed
@@ -51,6 +52,7 @@ from repro.scenarios.spec import ScenarioPoint, ScenarioSpec, canonical_json
 from repro.scenarios.traces import bundled_trace
 
 __all__ = [
+    "CONFIRMATION_FACTOR",
     "EXACT_REFERENCE_MAX_N",
     "FuzzCase",
     "ConformancePair",
@@ -58,7 +60,6 @@ __all__ = [
     "generate_cases",
     "register_fuzz_scenarios",
     "unregister_fuzz_scenarios",
-    "case_engines",
     "check_conformance",
     "run_fuzz",
 ]
@@ -85,9 +86,17 @@ DEFAULT_ENGINES = ("batched", "ensemble", "counts")
 #: few seconds (a schedule that grows the population costs more).
 EXACT_REFERENCE_MAX_N = 64
 
+#: Trials per engine of a confirmation sample, as a multiple of the first
+#: sample's: four times the trials halve the KS critical value.
+CONFIRMATION_FACTOR = 4
+
 #: Distinct base seeds per engine: shared seeds would make exact-trajectory
 #: engines vacuously identical, distinct seeds make an honest two-sample test.
 _ENGINE_SEEDS = {"batched": 7103, "ensemble": 7207, "counts": 7311, "sequential": 7401}
+
+#: Added to an engine's base seed for its confirmation sample, so that the
+#: fresh sample shares no seed with any case's first one.
+_CONFIRMATION_SEED_SHIFT = 1_000_000
 
 #: Metric extractors every fuzz spec composes (phase_stats contributes no
 #: columns for cases without phases, so one shared tuple serves them all).
@@ -329,25 +338,54 @@ def unregister_fuzz_scenarios(names: Sequence[str]) -> None:
 
 @dataclass(frozen=True)
 class ConformancePair:
-    """One engine-pair KS comparison on one per-trial statistic."""
+    """One engine-pair KS comparison on one per-trial statistic.
+
+    A comparison that fails carries the same comparison on a fresh, larger
+    sample as its ``confirmation``, and fails only if that fails too.
+    """
 
     engine_a: str
     engine_b: str
     statistic: str
     ks: float
     critical: float
+    confirmation: ConformancePair | None = None
 
     @property
     def ok(self) -> bool:
-        return self.ks <= self.critical
+        if self.ks <= self.critical:
+            return True
+        return self.confirmation is not None and self.confirmation.ok
+
+    def describe(self) -> str:
+        """One line: the engines, the statistic and each sample's verdict."""
+        line = (
+            f"{self.engine_a} vs {self.engine_b} on {self.statistic}: "
+            f"KS={self.ks:.4f} {'<=' if self.ks <= self.critical else '>'} "
+            f"critical={self.critical:.4f}"
+        )
+        if self.confirmation is not None:
+            again = self.confirmation
+            line += (
+                f"; on a fresh sample KS={again.ks:.4f} "
+                f"{'<=' if again.ks <= again.critical else '>'} "
+                f"critical={again.critical:.4f}"
+            )
+        return line
 
 
 @dataclass(frozen=True)
 class ConformanceReport:
-    """All pairwise comparisons for one fuzz case."""
+    """All pairwise comparisons for one fuzz case.
+
+    ``engines`` ran ``trials`` repetitions each; ``reruns`` are the engines
+    that ran a confirmation sample because one of their pairs failed.
+    """
 
     case: FuzzCase
+    engines: tuple[str, ...]
     pairs: tuple[ConformancePair, ...]
+    reruns: tuple[str, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -355,6 +393,12 @@ class ConformanceReport:
 
     def failures(self) -> tuple[ConformancePair, ...]:
         return tuple(pair for pair in self.pairs if not pair.ok)
+
+    def confirmed(self) -> tuple[ConformancePair, ...]:
+        """The pairs whose first sample failed and whose confirmation passed."""
+        return tuple(
+            pair for pair in self.pairs if pair.ok and pair.confirmation is not None
+        )
 
 
 def _trial_statistics(
@@ -391,53 +435,13 @@ def _trial_statistics(
     return {"final_error": np.array(final), "tracking_error": np.array(tracking)}
 
 
-def case_engines(case: FuzzCase, engines: Sequence[str]) -> tuple[str, ...]:
-    """The engines one case runs: ``engines``, plus the exact reference if small."""
-    engines = tuple(engines)
-    if case.n <= EXACT_REFERENCE_MAX_N and "sequential" not in engines:
-        engines += ("sequential",)
-    return engines
-
-
-def check_conformance(
-    case: FuzzCase,
-    *,
-    engines: Sequence[str] = DEFAULT_ENGINES,
-    trials: int = 24,
-    alpha: float = 0.001,
-) -> ConformanceReport:
-    """Cross-engine KS conformance for one generated workload.
-
-    Each engine runs ``trials`` independent repetitions of the case's
-    workload from its own base seed, and every engine pair is compared on
-    the per-trial final/tracking error distributions at significance
-    ``alpha``.  A case of at most :data:`EXACT_REFERENCE_MAX_N` agents adds
-    the exact ``sequential`` engine to ``engines`` (see
-    :func:`case_engines`).  Fully seeded — the verdict is deterministic.
-    """
-    from repro.experiments.figures import _trace_engine_factory
-
-    params = case.resolved_params()
-    factory = partial(
-        _trace_engine_factory,
-        n=case.n,
-        params=params,
-        resize_schedule=tuple(case.schedule),
-        initial_estimate=None,
-    )
-    engines = case_engines(case, engines)
-    samples = {}
-    for engine in engines:
-        base = _ENGINE_SEEDS.get(engine, 7000) + 131 * case.index
-        series_list = run_engine_trials(
-            factory,
-            engine=engine,
-            trials=trials,
-            seed=base,
-            parallel_time=case.horizon,
-        )
-        samples[engine] = _trial_statistics(series_list, params, case.n)
-
+def _compare(
+    samples: Mapping[str, Mapping[str, np.ndarray]],
+    engines: Sequence[str],
+    trials: int,
+    alpha: float,
+) -> tuple[ConformancePair, ...]:
+    """Every pair of ``engines`` on both statistics, at significance ``alpha``."""
     critical = ks_critical(trials, trials, alpha)
     pairs = []
     for i, engine_a in enumerate(engines):
@@ -455,14 +459,99 @@ def check_conformance(
                         critical=critical,
                     )
                 )
-    return ConformanceReport(case=case, pairs=tuple(pairs))
+    return tuple(pairs)
+
+
+def check_conformance(
+    case: FuzzCase,
+    *,
+    engines: Sequence[str] | None = None,
+    trials: int = 24,
+    alpha: float = 0.001,
+) -> ConformanceReport:
+    """Cross-engine KS conformance for one generated workload.
+
+    Each engine runs ``trials`` independent repetitions of the case's
+    workload from its own base seed, and every engine pair is compared on
+    the per-trial final/tracking error distributions at significance
+    ``alpha``.  ``engines=None`` runs :data:`DEFAULT_ENGINES`, plus the
+    exact ``sequential`` engine when the case starts with at most
+    :data:`EXACT_REFERENCE_MAX_N` agents; an explicit list runs exactly as
+    given.
+
+    Each comparison is judged at ``alpha`` on its own, so over the hundreds
+    of comparisons of a fuzz run a sample that fails by chance is to be
+    expected now and then.  A pair that fails is therefore compared again
+    on a fresh sample (new base seeds, :data:`CONFIRMATION_FACTOR` times
+    the trials) of both its engines, and counts as a failure only if it
+    fails there too; an engine that really diverges fails both.  Fully
+    seeded — the verdict is deterministic.
+    """
+    from repro.experiments.figures import _trace_engine_factory
+
+    if engines is None:
+        engines = DEFAULT_ENGINES
+        if case.n <= EXACT_REFERENCE_MAX_N:
+            engines += ("sequential",)
+    engines = tuple(engines)
+    params = case.resolved_params()
+    factory = partial(
+        _trace_engine_factory,
+        n=case.n,
+        params=params,
+        resize_schedule=tuple(case.schedule),
+        initial_estimate=None,
+    )
+
+    def sample(engine: str, count: int, shift: int) -> dict[str, np.ndarray]:
+        base = _ENGINE_SEEDS.get(engine, 7000) + 131 * case.index + shift
+        series_list = run_engine_trials(
+            factory,
+            engine=engine,
+            trials=count,
+            seed=base,
+            parallel_time=case.horizon,
+        )
+        return _trial_statistics(series_list, params, case.n)
+
+    pairs = _compare(
+        {engine: sample(engine, trials, 0) for engine in engines},
+        engines,
+        trials,
+        alpha,
+    )
+    reruns = tuple(
+        engine
+        for engine in engines
+        if any(not pair.ok and engine in (pair.engine_a, pair.engine_b) for pair in pairs)
+    )
+    if reruns:
+        fresh_trials = CONFIRMATION_FACTOR * trials
+        fresh = {
+            engine: sample(engine, fresh_trials, _CONFIRMATION_SEED_SHIFT)
+            for engine in reruns
+        }
+        confirmations = {
+            (pair.engine_a, pair.engine_b, pair.statistic): pair
+            for pair in _compare(fresh, reruns, fresh_trials, alpha)
+        }
+        pairs = tuple(
+            pair
+            if pair.ok
+            else dataclasses.replace(
+                pair,
+                confirmation=confirmations[pair.engine_a, pair.engine_b, pair.statistic],
+            )
+            for pair in pairs
+        )
+    return ConformanceReport(case=case, engines=engines, pairs=pairs, reruns=reruns)
 
 
 def run_fuzz(
     seed: int,
     count: int,
     *,
-    engines: Sequence[str] = DEFAULT_ENGINES,
+    engines: Sequence[str] | None = None,
     trials: int = 24,
     alpha: float = 0.001,
 ) -> tuple[ConformanceReport, ...]:
