@@ -58,6 +58,14 @@ def test_bench_counts_speedup_vs_batched(suite_cases, effort):
     (per-agent work), the counts engine ~0.02 s amortized (~0.007 s at
     steady state) — about 6-8x (6.0-6.7x in four runs after the one-gather
     kernel, 6.0-8.4x in four before it), below the asserted 10x floor.
+    The quiet-step rule does not reach this probe: its 8 batched steps
+    start from the initial configuration and none is quiet, so they pay
+    only the certificate (12-14 ms at the first step, where every ``max``
+    is 1, and ~0.6 ms per later step).  Re-measured with it: 7.7-9.4x in
+    four runs against 6.5-8.1x for the engine without it (alternating, on
+    a box whose per-step times spread by a third); interleaved in one
+    process, 8 steps read 0.119 s per step with the certificate and 0.124 s
+    with it forced off (medians of five).
     Before the batched engine became a one-row ensemble it spent ~0.25-0.35
     s per step and the ratio read 12-16x; ROADMAP's counts item tracks the
     gap.

@@ -18,7 +18,9 @@ cross-validation against the exact engine.
 The engine owns the stacked layout: the kernel receives flat plane views
 and flat pair coordinates, built once per step by
 :mod:`repro.engine.ensemble_engine`, and only gathers and scatters through
-them.
+them.  Steps in which no reset, backup or adoption can fire (most steps
+between reset waves) run lines 13-15 alone, bit-identically
+(:meth:`VectorizedDynamicCounting.interact_step`).
 """
 
 from __future__ import annotations
@@ -214,7 +216,12 @@ class VectorizedDynamicCounting(VectorizedProtocol):
           CDF (:meth:`repro.engine.rng.RandomSource.geometric_max_array`)
           rather than ``k`` geometric draws per resetting agent, drawn per
           lane (``geometric_max_lanes``) so that a stack with one stream
-          per row draws each row's maxima from its own stream.
+          per row draws each row's maxima from its own stream;
+        * a quiet step never reaches this kernel: :meth:`interact_step`
+          certifies once per step that no sub-batch of it can reset, back
+          up or adopt (:meth:`_quiet_certificate` states the certificate
+          and proves it) and then runs lines 13-15 alone, which is what
+          this kernel would do on each of its sub-batches.
 
         ``tests/test_engine_equivalence.py`` cross-validates the result
         statistically against the exact sequential engine, and
@@ -346,6 +353,135 @@ class VectorizedDynamicCounting(VectorizedProtocol):
 
         if reset_lanes.size:
             tally_resets(arrays["resets"], flat_u[reset_lanes])
+
+    def interact_step(
+        self,
+        arrays: dict[str, np.ndarray],
+        initiators: np.ndarray,
+        responders: np.ndarray,
+        chunk: int,
+        rng: RandomSource,
+    ) -> bool:
+        """One parallel step of a block: the common rule alone when the step is quiet.
+
+        Between reset waves most steps are *quiet*: every agent of a row
+        holds the same ``max`` and no countdown or counter of the step can
+        reach a reset, a backup or an adoption, so every sub-batch of
+        :meth:`interact_ensemble` would run only lines 13-15, with the share
+        test true.  :meth:`_quiet_certificate` proves that once per step,
+        from the planes and the step's pairs.  A certified step runs each
+        ``chunk``-wide sub-batch on that common rule alone: ``lastMax <-
+        max(lastMax_u, lastMax_v)``, ``time <- max(time_u, time_v) - 1``,
+        ``interactions += 1``, gathered, computed and scattered (last writer
+        wins) as the staged kernel does, with no ``max`` write, reset tally
+        or random draw.  When every row's ``lastMax`` plane holds one value,
+        as it does in almost every quiet step, the share cannot change it
+        and the step leaves ``lastMax`` alone too.  The planes end bit for
+        bit as the staged kernel leaves them, and every random stream is
+        consumed as before.  Any other step runs the staged kernel on every
+        sub-batch, unchanged.  Returns whether the quiet rule ran.
+        """
+        constants = self._typed_constants(arrays["max"].dtype, arrays["interactions"].dtype)
+        if not self._quiet_certificate(arrays, initiators, constants):
+            return super().interact_step(arrays, initiators, responders, chunk, rng)
+        one, one_count = constants[-2:]
+        last_flat = arrays["last_max"]
+        time_flat = arrays["time"]
+        inter_flat = arrays["interactions"]
+        # A row whose lastMax is one value keeps it: the share's maximum of
+        # two copies of a value is that value.
+        last_rows = last_flat.reshape(initiators.shape[0], -1)
+        share = not (last_rows.min(axis=1) == last_rows.max(axis=1)).all()
+        for start in range(0, initiators.shape[1], chunk):
+            sub_u = initiators[:, start : start + chunk]
+            lanes = sub_u.size
+            both = np.concatenate((sub_u, responders[:, start : start + chunk])).ravel()
+            flat_u = both[:lanes]
+            if share:
+                b_last = last_flat.take(both)
+                last_flat[flat_u] = np.maximum(b_last[:lanes], b_last[lanes:])
+            b_time = time_flat.take(both)
+            u_inter = inter_flat.take(flat_u)
+            u_time = np.maximum(b_time[:lanes], b_time[lanes:])
+            u_time -= one
+            u_inter += one_count
+            time_flat[flat_u] = u_time
+            inter_flat[flat_u] = u_inter
+        return True
+
+    @staticmethod
+    def _quiet_certificate(
+        arrays: dict[str, np.ndarray], initiators: np.ndarray, constants: tuple[np.ndarray, ...]
+    ) -> bool:
+        """Whether no sub-batch of the block's step can reset, back up or adopt.
+
+        ``initiators`` are the ``(rows, n)`` flat coordinates of the block's
+        whole step, and ``k`` is each agent's number of initiations in it
+        (one ``np.bincount``).  Every threshold is computed as the kernel
+        computes it: the typed ``constants`` in the planes' dtype.  A row
+        is quiet when
+
+        (a) its ``max`` plane is a constant ``M``;
+        (b) ``interactions + k - 1 <= backup_ratio * (tau2 * M)`` for every
+            agent;
+        (c) ``time - k >= 0`` for every agent, and either ``time - k >= tau3
+            * L`` for every agent, with ``L = max(M, max lastMax)``, or
+            ``max time < tau2 * M``.
+
+        and the step is quiet when every row of the block is.  (a) is tested
+        first, so warm-up and reset-wave steps pay two row reductions, not
+        the whole certificate.  (As ``M >= 1``, the first branch of (c)
+        implies ``time - k >= 0``; testing it for both branches keeps the
+        certificate sound on any planes.)
+
+        Proof.  Follow a certified row through its sub-batches while none has
+        fired a rare branch.  ``max`` is never written, so it stays ``M``
+        and the hold->exchange reset (``max_u != max_v``) and the adoption
+        (``max_u < max_v``) read false.  ``lastMax`` changes only through the
+        share, a maximum of two ``lastMax`` values, so it only rises and
+        stays ``<= L``: every scale ``max(max, lastMax)`` lies in ``[M, L]``,
+        and as rounding is monotone, the kernel's thresholds ``tau3 *
+        scale``, ``tau2 * scale`` and ``backup_ratio * (tau2 * scale)`` lie
+        at or below ``tau3 * L`` and at or above ``tau2 * M`` and
+        ``backup_ratio * (tau2 * M)``.  An agent's ``time`` changes only when
+        it initiates, to ``max(time_u, time_v) - 1 >= time_u - 1`` (exact,
+        as ``time_u >= 1`` below), and its counter only to the value read
+        plus one; a sub-batch reads both at its start, so at its ``j``-th
+        initiation of the step an agent reads ``time >= time_0 - (j - 1) >=
+        time_0 - k + 1 >= 1`` and ``interactions <= interactions_0 + k - 1``,
+        and as a responder it reads ``time >= time_0 - k``.  So the
+        wrap-around reset (``time_u <= 0``) reads false by (c), and the
+        backup test (``interactions_u > backup_ratio * (tau2 * scale)``) by
+        (b).  Under the first branch of (c) no initiator or responder is
+        ever in the reset phase (``time >= time_0 - k >= tau3 * L >= tau3 *
+        scale``), so neither the reset->exchange reset nor the share's
+        exception (``u`` exchanging while ``v`` resets) fires.  Under the
+        second, the row's largest ``time`` never grows (every write is some
+        ``time`` minus one), so no agent is ever in the exchange phase
+        (``time < tau2 * M <= tau2 * scale``) and both read false again.
+        Every test of lines 2-12 reads false and the share test reads true:
+        the staged kernel draws nothing and writes exactly what the quiet
+        rule writes, sub-batch by sub-batch.
+        """
+        _, tau2, tau3, backup_ratio, zero, _, _ = constants
+        rows = initiators.shape[0]
+        max_rows = arrays["max"].reshape(rows, -1)
+        top = max_rows.max(axis=1)
+        if not (max_rows.min(axis=1) == top).all():
+            return False
+        initiations = np.bincount(initiators.ravel(), minlength=max_rows.size)
+        low = (arrays["time"] - initiations).reshape(rows, -1).min(axis=1)
+        if not (low >= zero).all():
+            return False
+        most = (arrays["interactions"] + initiations).reshape(rows, -1).max(axis=1)
+        if not (most - 1 <= backup_ratio * (tau2 * top)).all():
+            return False
+        reach = np.maximum(top, arrays["last_max"].reshape(rows, -1).max(axis=1))
+        quiet = low >= tau3 * reach
+        if quiet.all():
+            return True
+        quiet |= arrays["time"].reshape(rows, -1).max(axis=1) < tau2 * top
+        return bool(quiet.all())
 
     # ---------------------------------------------------------------- outputs
 

@@ -55,7 +55,9 @@ class VectorizedProtocol(abc.ABC):
     ``n``, how to apply one batch of interactions to a stack of ``(trials,
     n)`` planes (through the flat layout of :meth:`interact_ensemble`), and
     how to compute the reported output per agent of the ``(trials, n)``
-    stack.  The exact single-pair transition is the scalar protocol's
+    stack.  The engine hands a block's whole step to :meth:`interact_step`,
+    whose default loops :meth:`interact_ensemble` over the step's
+    sub-batches.  The exact single-pair transition is the scalar protocol's
     ``interact``, run by the sequential engine.
     """
 
@@ -102,6 +104,39 @@ class VectorizedProtocol(abc.ABC):
         they are at call time (start of the batch); initiator writes may
         overlap, in which case later interactions of the batch win.
         """
+
+    def interact_step(
+        self,
+        arrays: dict[str, np.ndarray],
+        initiators: np.ndarray,
+        responders: np.ndarray,
+        chunk: int,
+        rng: RandomSource,
+    ) -> bool:
+        """Apply one parallel step of a stacked block: its sub-batches in order.
+
+        The engine calls this once per step and trial block.  ``arrays``
+        are the block's flat plane views and ``initiators`` /
+        ``responders`` the ``(rows, n)`` flat coordinates of the block's
+        whole step, as for :meth:`interact_ensemble`; the step is cut into
+        ``chunk``-wide column slices, each one sub-batch with its own
+        responder snapshot, applied left to right.  This default runs
+        :meth:`interact_ensemble` on every slice and returns ``False``.
+
+        A protocol may override it to run a step more cheaply when it can
+        prove, from the planes and the step's pairs, that the cheaper rule
+        writes exactly what the sub-batches of :meth:`interact_ensemble`
+        would and draws nothing they would not; it returns ``True`` when
+        that quiet rule ran, which the engine counts.
+        """
+        for start in range(0, initiators.shape[1], chunk):
+            self.interact_ensemble(
+                arrays,
+                initiators[:, start : start + chunk],
+                responders[:, start : start + chunk],
+                rng,
+            )
+        return False
 
     @abc.abstractmethod
     def output_array(self, arrays: dict[str, np.ndarray]) -> np.ndarray:

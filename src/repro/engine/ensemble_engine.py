@@ -10,7 +10,10 @@ of 2-D arrays") and advances *all* trials per parallel step with a single
 batched transition: one :meth:`repro.engine.rng.RandomSource.
 ordered_pair_matrix` call draws the ``(trials, batch)`` interaction pairs of
 every trial, and the protocol applies its transition to the whole stack via
-:meth:`repro.engine.batch_engine.VectorizedProtocol.interact_ensemble`.
+:meth:`repro.engine.batch_engine.VectorizedProtocol.interact_step`, one
+call per step and trial block, which by default runs
+:meth:`~repro.engine.batch_engine.VectorizedProtocol.interact_ensemble` on
+each sub-batch.
 The registry builds it as ``"ensemble"`` (one stack per point, drawing
 from one shared stream) and as ``"batched"``, whose stacks give every row
 its own stream through :class:`repro.engine.rng.RowStreams`.
@@ -31,9 +34,11 @@ of the stacked outputs), so each trial still yields its own
 This module is the only one that knows the stacked layout.  Once per step
 and trial block it builds flat views of the block's planes
 (:func:`flat_planes`) and the ``np.intp`` flat coordinates of the step's
-pairs (:func:`flat_pair_indices`); every kernel call of that block gets
-those views and a column slice of those coordinates, so the kernels index
-flat planes and never rebuild either.
+pairs (:func:`flat_pair_indices`) and hands them to one
+:meth:`~repro.engine.batch_engine.VectorizedProtocol.interact_step` call;
+every kernel call of that step gets those views and a column slice of
+those coordinates, so the kernels index flat planes and never rebuild
+either.
 """
 
 from __future__ import annotations
@@ -126,7 +131,7 @@ class EnsembleSimulator(ArrayStateEngine):
     ----------
     protocol:
         A :class:`repro.engine.batch_engine.VectorizedProtocol`; its
-        ``interact_ensemble`` advances the whole stack at once.
+        ``interact_step`` advances a block of the stack by one step.
     n:
         Population size of every trial.
     trials:
@@ -189,6 +194,8 @@ class EnsembleSimulator(ArrayStateEngine):
         self._trial_minimum: list[np.ndarray] = []
         self._trial_median: list[np.ndarray] = []
         self._trial_maximum: list[np.ndarray] = []
+        #: Block-steps of the current run() whose interact_step ran a quiet rule.
+        self._quiet_steps = 0
         super().__init__(protocol, n, rng=rng, seed=seed, resize_schedule=resize_schedule)
         self.arrays = self._build_initial_arrays(n, initial_arrays)
         self._validate_arrays(n)
@@ -385,7 +392,10 @@ class EnsembleSimulator(ArrayStateEngine):
         the generator call count does not grow with ``sub_batches``, and
         each block's state planes stay cache-resident across its
         sub-batches.  A block's flat plane views and flat pair coordinates
-        are built once, before its first sub-batch.
+        are built once and handed, with the sub-batch width, to one
+        :meth:`~repro.engine.batch_engine.VectorizedProtocol.interact_step`
+        call, which applies the sub-batches; the block-steps it reports as
+        quiet are counted into the result's ``metadata["quiet_steps"]``.
         """
         n = self._require_interactable()
         index_dtype = np.int32 if self.trials * n < 2**31 else np.int64
@@ -399,19 +409,15 @@ class EnsembleSimulator(ArrayStateEngine):
             planes = flat_planes({key: arr[g0:g1] for key, arr in self.arrays.items()})
             flat_u, flat_v = flat_pair_indices(initiators[g0:g1], responders[g0:g1], n)
             block_rng = self.rng.row_block(g0, g1)
-            for start in range(0, n, chunk):
-                self.protocol.interact_ensemble(
-                    planes,
-                    flat_u[:, start : start + chunk],
-                    flat_v[:, start : start + chunk],
-                    block_rng,
-                )
+            if self.protocol.interact_step(planes, flat_u, flat_v, chunk, block_rng):
+                self._quiet_steps += 1
         self.interactions_executed += n * self.trials
         self.parallel_time += 1
 
     # -------------------------------------------------------------- snapshots
 
     def _on_run_start(self) -> None:
+        self._quiet_steps = 0
         self._snapshot_times.clear()
         self._snapshot_sizes.clear()
         self._trial_minimum.clear()
@@ -482,6 +488,7 @@ class EnsembleSimulator(ArrayStateEngine):
                 "protocol": self.protocol.describe(),
                 "engine": self.name,
                 "trials": self.trials,
+                "quiet_steps": self._quiet_steps,
             },
             trials=self.trials,
             trial_results=trial_results,

@@ -222,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "Comma-separated engines to compare, run exactly as given (default: "
             "batched,ensemble,counts, plus the exact sequential engine on cases "
-            "of at most 64 agents)."
+            "that never hold more than 64 agents)."
         ),
     )
     fuzz_parser.add_argument(

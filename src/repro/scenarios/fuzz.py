@@ -10,10 +10,11 @@ same stochastic process, so the distributions of per-trial tracking
 statistics must agree (two-sample Kolmogorov-Smirnov on distinct base
 seeds, the same machinery as ``tests/test_statistical_conformance.py``,
 via :mod:`repro.analysis.stats`).  Cases small enough for the exact
-sequential engine (``n <= EXACT_REFERENCE_MAX_N``) run it as well, so the
-approximate engines are also checked against an exact reference, not only
-against each other.  A comparison that fails is run again on a fresh,
-larger sample and counts only if it fails there too.
+sequential engine (no population of the case above
+``EXACT_REFERENCE_MAX_N``) run it as well, so the approximate engines are
+also checked against an exact reference, not only against each other.  A
+comparison that fails is run again on a fresh, larger sample and counts
+only if it fails there too.
 
 Everything is deterministic: case ``i`` of ``generate_cases(seed, count)``
 is drawn from ``np.random.default_rng([seed, i])``, so the same seed
@@ -61,6 +62,7 @@ __all__ = [
     "register_fuzz_scenarios",
     "unregister_fuzz_scenarios",
     "check_conformance",
+    "default_engines",
     "run_fuzz",
 ]
 
@@ -79,11 +81,11 @@ FAMILIES = (
 #: Engines checked against each other on every case.
 DEFAULT_ENGINES = ("batched", "ensemble", "counts")
 
-#: Largest initial population whose case also runs the exact ``sequential``
-#: engine as a reference.  That engine is O(n) Python per parallel step:
-#: 16 trials of 64 agents over the longest generated horizon (400) take
-#: about 6 s on two cores, so the bound keeps a case's reference run to a
-#: few seconds (a schedule that grows the population costs more).
+#: Largest population a case may reach, at its start or at any resize, and
+#: still run the exact ``sequential`` engine as a reference.  That engine is
+#: O(n) Python per parallel step: 16 trials of 64 agents over the longest
+#: generated horizon (400) take about 6 s on two cores, so the bound keeps a
+#: case's reference run to a few seconds.
 EXACT_REFERENCE_MAX_N = 64
 
 #: Trials per engine of a confirmation sample, as a multiple of the first
@@ -462,6 +464,20 @@ def _compare(
     return tuple(pairs)
 
 
+def default_engines(case: FuzzCase) -> tuple[str, ...]:
+    """The engines ``check_conformance(case, engines=None)`` runs.
+
+    :data:`DEFAULT_ENGINES`, plus the exact ``sequential`` reference when
+    the case never holds more than :data:`EXACT_REFERENCE_MAX_N` agents:
+    neither at its start nor at any target of its schedule, since the
+    reference's cost follows the largest population it simulates.
+    """
+    largest = max((case.n, *(target for _, target in case.schedule)))
+    if largest <= EXACT_REFERENCE_MAX_N:
+        return DEFAULT_ENGINES + ("sequential",)
+    return DEFAULT_ENGINES
+
+
 def check_conformance(
     case: FuzzCase,
     *,
@@ -474,10 +490,10 @@ def check_conformance(
     Each engine runs ``trials`` independent repetitions of the case's
     workload from its own base seed, and every engine pair is compared on
     the per-trial final/tracking error distributions at significance
-    ``alpha``.  ``engines=None`` runs :data:`DEFAULT_ENGINES`, plus the
-    exact ``sequential`` engine when the case starts with at most
-    :data:`EXACT_REFERENCE_MAX_N` agents; an explicit list runs exactly as
-    given.
+    ``alpha``.  ``engines=None`` runs :func:`default_engines`:
+    :data:`DEFAULT_ENGINES`, plus the exact ``sequential`` engine when the
+    case never holds more than :data:`EXACT_REFERENCE_MAX_N` agents; an
+    explicit list runs exactly as given.
 
     Each comparison is judged at ``alpha`` on its own, so over the hundreds
     of comparisons of a fuzz run a sample that fails by chance is to be
@@ -489,11 +505,7 @@ def check_conformance(
     """
     from repro.experiments.figures import _trace_engine_factory
 
-    if engines is None:
-        engines = DEFAULT_ENGINES
-        if case.n <= EXACT_REFERENCE_MAX_N:
-            engines += ("sequential",)
-    engines = tuple(engines)
+    engines = default_engines(case) if engines is None else tuple(engines)
     params = case.resolved_params()
     factory = partial(
         _trace_engine_factory,

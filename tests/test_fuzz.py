@@ -20,6 +20,7 @@ from repro.scenarios.fuzz import (
     FAMILIES,
     ConformancePair,
     check_conformance,
+    default_engines,
     generate_cases,
     register_fuzz_scenarios,
     unregister_fuzz_scenarios,
@@ -112,10 +113,31 @@ class TestConformance:
             for p in report.failures()
         ]
 
+    @pytest.mark.parametrize(
+        ("seed", "index", "exact"),
+        [
+            # A bundled trace that starts at 30 agents and grows to 300.
+            (20240807, 3, False),
+            # A random_churn draw that never leaves its 51 agents.
+            (7, 2, True),
+            # No schedule, 16 agents.
+            (34, 0, True),
+        ],
+    )
+    def test_the_exact_reference_is_bounded_by_the_largest_population(
+        self, seed, index, exact
+    ):
+        case = generate_cases(seed, index + 1)[index]
+        largest = max((case.n, *(target for _, target in case.schedule)))
+        assert case.n <= EXACT_REFERENCE_MAX_N
+        assert (largest <= EXACT_REFERENCE_MAX_N) == exact
+        expected = DEFAULT_ENGINES + ("sequential",) if exact else DEFAULT_ENGINES
+        assert default_engines(case) == expected
+
     def test_small_case_is_checked_against_the_exact_engine(self):
         # Seed 7 case 2 is a 51-agent random_churn draw (pinned by determinism).
         case = generate_cases(7, 3)[2]
-        assert case.n <= EXACT_REFERENCE_MAX_N
+        assert default_engines(case) == DEFAULT_ENGINES + ("sequential",)
         report = check_conformance(case, trials=8)
         assert report.engines == DEFAULT_ENGINES + ("sequential",)
         exact = [p for p in report.pairs if "sequential" in (p.engine_a, p.engine_b)]

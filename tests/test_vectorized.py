@@ -7,11 +7,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.params import empirical_parameters, theory_parameters
 from repro.core.state import CountingState
 from repro.core.vectorized import VectorizedDynamicCounting
+from repro.engine.batch_engine import VectorizedProtocol
+from repro.engine.ensemble_engine import flat_pair_indices, flat_planes
 from repro.engine.protocol import InteractionContext
 from repro.engine.registry import make_engine
 from repro.engine.rng import RandomSource
@@ -422,3 +426,288 @@ class TestLaneOracle:
         for dtypes in ((np.float32, np.int32), (np.float64, np.int64), (np.float32, np.int32)):
             self.drive(kernel, dtypes, 3, 40, range(6), branches, stacked_kernel)
         assert all(count > 0 for count in branches.values()), branches
+
+
+class _CountingGrvs:
+    """A random source that counts the GRVs a kernel draws and returns 3s."""
+
+    def __init__(self) -> None:
+        self.draws = 0
+
+    def geometric_max_lanes(self, k: int, lanes: np.ndarray, width: int) -> np.ndarray:
+        self.draws += lanes.size
+        return np.full(lanes.size, 3.0)
+
+
+def run_step(protocol, planes, initiators, responders, chunk, *, staged=False):
+    """One block-step on copies of ``(rows, n)`` planes, as the engine makes it.
+
+    ``staged`` runs :class:`VectorizedProtocol`'s default, the loop of
+    ``interact_ensemble`` over the ``chunk``-wide sub-batches, instead of
+    the protocol's own ``interact_step``.  Returns the planes, whether the
+    quiet rule ran, and how many GRVs were drawn.
+    """
+    arrays = {key: plane.copy() for key, plane in planes.items()}
+    n = arrays["max"].shape[1]
+    flat_u, flat_v = flat_pair_indices(np.asarray(initiators), np.asarray(responders), n)
+    step = VectorizedProtocol.interact_step if staged else type(protocol).interact_step
+    grvs = _CountingGrvs()
+    quiet = step(protocol, flat_planes(arrays), flat_u, flat_v, chunk, grvs)
+    return arrays, quiet, grvs.draws
+
+
+#: The two plane layouts the ensemble engine builds: the empirical
+#: constants narrowed to float32/int32, the theory constants in float64/int64.
+QUIET_CONSTANTS = {
+    "empirical-float32": (empirical_parameters(), np.float32, np.int32),
+    "theory-float64": (theory_parameters(k=2), np.float64, np.int64),
+}
+
+
+def random_step(gen, rows, n):
+    """A step's ``(rows, n)`` pairs of distinct agents and each agent's initiations."""
+    initiators = gen.integers(0, n, (rows, n))
+    responders = (initiators + gen.integers(1, n, (rows, n))) % n
+    initiations = np.stack([np.bincount(row, minlength=n) for row in initiators])
+    return initiators, responders, initiations
+
+
+def boundary_planes(params, float_dtype, int_dtype, initiations, gen):
+    """``(rows, n)`` planes at the edges of the quiet-step certificate.
+
+    Per row: a constant ``max`` level ``M``; ``lastMax`` one value (``M``, or
+    one level above or below it) in about half the rows, and otherwise
+    ``M`` with some agents above and some below; ``time - k`` on either
+    branch of clause (c); and counters ``interactions + k - 1`` around the
+    backup threshold ``tau' / tau2 * (tau2 * M)``.  Most agents sit at a
+    threshold or one unit inside it, some far inside; in about one row in
+    eight, one agent sits one unit past a clause (for ``max``: one unit off
+    ``M``).  Thresholds are computed in the planes' dtype, as the kernel
+    computes them.
+    """
+    rows, n = initiations.shape
+    real = np.dtype(float_dtype)
+    tau2, tau3, ratio = (
+        np.array(value, dtype=real)
+        for value in (params.tau2, params.tau3, params.tau_prime / params.tau2)
+    )
+    over = params.overestimation
+
+    def margins(far):
+        """Units inside a threshold: 0 or 1, some up to ``far``; -1 is past it."""
+        inside = gen.integers(0, 2, (rows, n)).astype(np.float64)
+        spread = gen.random((rows, n)) < 0.3
+        inside[spread] += gen.integers(0, int(far) + 1, int(spread.sum()))
+        for row in np.flatnonzero(gen.random(rows) < 0.12):
+            inside[row, gen.integers(n)] = -1
+        return inside
+
+    level = (over * gen.integers(1, 8, rows)).astype(real)
+    max_value = np.repeat(level[:, None], n, axis=1)
+    for row in np.flatnonzero(gen.random(rows) < 0.12):
+        max_value[row, gen.integers(n)] += gen.choice((-1, 1))
+    last_max = max_value.copy()
+    varied = (gen.random(rows) < 0.5)[:, None]
+    above = varied & (gen.random((rows, n)) < 0.3)
+    last_max[above] += over * gen.integers(1, 3, int(above.sum()))
+    below = varied & (gen.random((rows, n)) < 0.1) & (max_value > over)
+    last_max[below] -= over
+    last_max[~varied[:, 0]] += over * gen.integers(-1, 2, (int((~varied).sum()), 1))
+    last_max = np.maximum(last_max, over)
+    reach = np.maximum(level, last_max.max(axis=1))
+
+    # Clause (c): the first branch's floor tau3 * L, or the second's
+    # ceiling tau2 * M with time - k >= 0 below it.
+    first = gen.random(rows) < 0.5
+    floor = (tau3 * reach).astype(np.float64)
+    ceiling = (tau2 * level).astype(np.float64)
+    time = np.where(
+        first[:, None],
+        floor[:, None] + initiations + margins(params.tau1 * float(reach.max())),
+        np.minimum(initiations + margins(float(ceiling.max())), ceiling[:, None] - 1),
+    )
+    for row in np.flatnonzero(~first):
+        time[row, gen.integers(n)] = ceiling[row] - 1 + (gen.random() < 0.12)
+
+    backup = np.floor((ratio * (tau2 * level)).astype(np.float64))
+    interactions = backup[:, None] - initiations + 1 - margins(backup.max())
+    return {
+        "max": max_value.astype(real),
+        "last_max": last_max.astype(real),
+        "time": time.astype(real),
+        "interactions": np.maximum(interactions, 0).astype(int_dtype),
+        "resets": gen.integers(0, 5, (rows, n)).astype(np.int64),
+    }
+
+
+class TestQuietStep:
+    """A step certified quiet runs lines 13-15 alone, bit for bit as the staged kernel.
+
+    The certificate (``VectorizedDynamicCounting._quiet_certificate``) is
+    sound when every step it accepts leaves the planes exactly as the
+    staged loop of ``interact_ensemble`` does, without a draw; each clause
+    is tight when the first state past it is one the staged kernel treats
+    differently: a reset, a backup draw, an adoption or a blocked share.
+    """
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        constants=st.sampled_from(sorted(QUIET_CONSTANTS)),
+        rows=st.integers(1, 4),
+        n=st.integers(2, 80),
+        chunk_share=st.floats(0.0, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_a_certified_step_is_the_staged_step(self, constants, rows, n, chunk_share, seed):
+        params, float_dtype, int_dtype = QUIET_CONSTANTS[constants]
+        protocol = VectorizedDynamicCounting(params)
+        gen = np.random.default_rng(seed)
+        initiators, responders, initiations = random_step(gen, rows, n)
+        planes = boundary_planes(params, float_dtype, int_dtype, initiations, gen)
+        chunk = 1 + int(chunk_share * (n - 1))
+
+        quiet_planes, quiet, quiet_draws = run_step(
+            protocol, planes, initiators, responders, chunk
+        )
+        staged_planes, staged, staged_draws = run_step(
+            protocol, planes, initiators, responders, chunk, staged=True
+        )
+
+        assert not staged
+        if quiet:
+            assert quiet_draws == staged_draws == 0
+        for key, plane in staged_planes.items():
+            assert quiet_planes[key].dtype == plane.dtype, key
+            assert np.array_equal(quiet_planes[key], plane), key
+
+    def test_the_boundary_property_meets_both_outcomes(self):
+        """The generator above puts steps on both sides of the certificate.
+
+        Certified steps come with one ``lastMax`` value per row, which the
+        quiet rule leaves alone, and with rows where it varies.
+        """
+        protocol = VectorizedDynamicCounting()
+        outcomes = []
+        for seed in range(200):
+            gen = np.random.default_rng(seed)
+            n = 2 + seed % 79
+            initiators, responders, initiations = random_step(gen, 1 + seed % 4, n)
+            planes = boundary_planes(protocol.params, np.float32, np.int32, initiations, gen)
+            last = planes["last_max"]
+            constant = bool((last.min(axis=1) == last.max(axis=1)).all())
+            quiet = run_step(protocol, planes, initiators, responders, n)[1]
+            outcomes.append((quiet, constant))
+        certified = [constant for quiet, constant in outcomes if quiet]
+        assert 0.2 < len(certified) / len(outcomes) < 0.8
+        assert 0.1 < np.mean(certified) < 0.9
+
+    #: One row of three agents with ``max = 10`` (tau1 = 6, tau2 = 4,
+    #: tau3 = 2, tau' = 20): the exchange phase starts at time 40, the
+    #: reset phase ends at 20, and the backup threshold is 5 * 40 = 200.
+    BASE = {"max": [10, 10, 10], "last_max": [10, 10, 10], "time": [60, 60, 60]}
+
+    @staticmethod
+    def planes(**columns):
+        values = {**TestQuietStep.BASE, "interactions": [0, 0, 0], **columns}
+        dtypes = {"max": np.float32, "last_max": np.float32, "time": np.float32}
+        planes = {
+            key: np.array([value], dtype=dtypes.get(key, np.int32))
+            for key, value in values.items()
+        }
+        planes["resets"] = np.zeros((1, 3), dtype=np.int64)
+        return planes
+
+    def check(self, safe, past, initiators, responders):
+        """``safe`` is certified and matches the staged step; ``past`` is not.
+
+        Returns the staged step's planes and draws on ``past``.
+        """
+        protocol = VectorizedDynamicCounting()
+        quiet_planes, quiet, draws = run_step(protocol, safe, initiators, responders, 1)
+        staged_planes, _, _ = run_step(protocol, safe, initiators, responders, 1, staged=True)
+        assert quiet and draws == 0
+        for key, plane in staged_planes.items():
+            assert np.array_equal(quiet_planes[key], plane), key
+        _, quiet, _ = run_step(protocol, past, initiators, responders, 1)
+        assert not quiet
+        staged_planes, _, draws = run_step(protocol, past, initiators, responders, 1, staged=True)
+        return staged_planes, draws
+
+    def test_a_max_one_unit_off_is_adopted(self):
+        # Clause (a): agent 1 holds max 11; both endpoints exchange, so
+        # agent 0 adopts it, a write to max the quiet rule never makes.
+        staged, draws = self.check(
+            self.planes(),
+            self.planes(max=[10, 11, 10], last_max=[10, 11, 10]),
+            [[0]],
+            [[1]],
+        )
+        assert staged["max"][0].tolist() == [11, 11, 10] and draws == 0
+
+    def test_a_counter_one_past_the_backup_threshold_draws(self):
+        # Clause (b): agent 0 initiates twice (k = 2), so its second
+        # initiation reads interactions + 1; at 200 that is 201 > 200.
+        staged, draws = self.check(
+            self.planes(interactions=[199, 0, 0]),
+            self.planes(interactions=[200, 0, 0]),
+            [[0, 0]],
+            [[1, 2]],
+        )
+        # The backup restarts the counter, and line 15 counts the interaction.
+        assert draws == 1 and staged["interactions"][0, 0] == 1
+
+    def test_a_responder_one_past_tau3_L_blocks_the_share(self):
+        # Clause (c), first branch, with L = 12 > M = 10 (agent 1's lastMax),
+        # so tau3 * L = 24 against tau3 * M = 20.  Agent 1 initiates first
+        # (k = 1), meeting agent 2 at time 24, and drops to time - 1; then
+        # agent 0, exchanging, meets it as a responder.  From time 25 it is
+        # still holding; from 24 it reads 23 < 24, in the reset phase, and
+        # agent 0 does not take its lastMax.  Time 24 passes tau3 * M = 20:
+        # a certificate testing M instead of L would accept this step.
+        safe_time, past_time = [60, 25, 24], [60, 24, 24]
+        staged, draws = self.check(
+            self.planes(last_max=[10, 12, 10], time=safe_time),
+            self.planes(last_max=[10, 12, 10], time=past_time),
+            [[1, 0]],
+            [[2, 1]],
+        )
+        assert staged["last_max"][0].tolist() == [10, 12, 10] and draws == 0
+
+    @pytest.mark.parametrize(
+        ("safe_time", "past_time", "initiators", "responders"),
+        [
+            # max time < tau2 * M: at 40 agent 1 exchanges, so agent 0, in
+            # the reset phase, resets on meeting it.
+            ([5, 39, 39], [5, 40, 39], [[0]], [[1]]),
+            # time - k >= 0: agent 0 initiates twice, with agent 1 then
+            # agent 2; from time 1 its first initiation leaves max(1, 1) - 1
+            # = 0 and its second wraps around and resets.
+            ([2, 1, 1], [1, 1, 1], [[0, 0]], [[1, 2]]),
+        ],
+        ids=["exchange-at-tau2-M", "countdown-reaches-zero"],
+    )
+    def test_a_countdown_one_past_the_second_branch_resets(
+        self, safe_time, past_time, initiators, responders
+    ):
+        # Clause (c), second branch: no agent exchanges and no countdown of
+        # the step reaches zero.  The first branch fails here throughout
+        # (time - k < tau3 * L = 20).
+        staged, draws = self.check(
+            self.planes(time=safe_time), self.planes(time=past_time), initiators, responders
+        )
+        assert draws == 1 and staged["resets"][0, 0] == 1
+
+    def test_most_steps_of_a_converged_run_are_quiet(self):
+        """The engine counts the quiet block-steps of each run into its metadata.
+
+        Three trials of 2000 agents make one trial block, so a block-step
+        is a step.  From the initial configuration (``max = 1``, ``time =
+        tau1``) some agent initiates more than ``tau1 - tau3 = 4`` times in
+        a step, so no early step is certified; once the estimates have
+        converged, most steps are.
+        """
+        engine = make_engine("ensemble", VectorizedDynamicCounting(), 2000, trials=3, seed=1)
+        assert engine._trial_block(2000) == 3
+        assert engine.run(10).metadata["quiet_steps"] == 0
+        engine.run(90)
+        assert engine.run(200).metadata["quiet_steps"] >= 100
