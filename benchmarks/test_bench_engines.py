@@ -1,4 +1,4 @@
-"""Engine x protocol benchmark matrix (engineering, not in the paper).
+"""Engine benchmark matrix (engineering, not in the paper).
 
 Every workload is timed with ``conftest.measure`` and recorded as one
 case dict via the ``suite_cases`` collector (written to
@@ -6,9 +6,9 @@ case dict via the ``suite_cases`` collector (written to
 
 Covered here:
 
-* the engine x protocol matrix — every registered engine (sequential /
-  batched / ensemble / counts) on every protocol with a vectorised
-  counterpart, across a sweep of population sizes;
+* the engine matrix — every registered engine (sequential / batched /
+  ensemble / counts) on dynamic size counting, the one protocol with
+  vectorised and counts kernels, across a sweep of population sizes;
 * a larger single-cell probe of the batched engine;
 * the Fig. 3-preset speedup of the stacked engines (``ensemble``, and
   ``batched`` through the trial runner) over the per-trial loop of
@@ -30,20 +30,9 @@ from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.engine.registry import ENGINE_NAMES, make_engine
 from repro.engine.rng import SeedTree
 from repro.experiments.figures import run_estimate_trace
-from repro.protocols.epidemic import MaxEpidemic
-from repro.protocols.junta import JuntaElection
-from repro.protocols.majority import ApproximateMajority
 
 #: Suite file the ``suite_cases`` collector writes under ``REPRO_BENCH_DIR``.
 BENCH_SUITE_FILENAME = "BENCH_engines.json"
-
-#: Scalar protocol factories with registered vectorised counterparts.
-PROTOCOLS = {
-    "dynamic-counting": DynamicSizeCounting,
-    "max-epidemic": MaxEpidemic,
-    "junta-election": JuntaElection,
-    "approximate-majority": ApproximateMajority,
-}
 
 #: Population sizes per effort level.  The exact engine is O(n) Python
 #: work per parallel step, so the sweep stays modest below ``paper``.
@@ -57,8 +46,7 @@ PARALLEL_TIME = 10
 
 
 @pytest.mark.parametrize("engine", ENGINE_NAMES)
-@pytest.mark.parametrize("protocol_name", sorted(PROTOCOLS))
-def test_bench_engine_matrix(suite_cases, effort, engine, protocol_name):
+def test_bench_engine_matrix(suite_cases, effort, engine):
     sizes = SIZES[effort]
     interactions = 0
 
@@ -66,7 +54,7 @@ def test_bench_engine_matrix(suite_cases, effort, engine, protocol_name):
         nonlocal interactions
         interactions = 0
         for n in sizes:
-            simulator = make_engine(engine, PROTOCOLS[protocol_name](), n, seed=1)
+            simulator = make_engine(engine, DynamicSizeCounting(), n, seed=1)
             result = simulator.run(PARALLEL_TIME)
             assert result.parallel_time == PARALLEL_TIME
             interactions += result.interactions
@@ -75,8 +63,8 @@ def test_bench_engine_matrix(suite_cases, effort, engine, protocol_name):
     assert interactions == sum(sizes) * PARALLEL_TIME
     suite_cases.append(
         dict(
-            case_id=f"engine-matrix:{protocol_name}[engine={engine}]@{effort}",
-            scenario=f"engine-matrix:{protocol_name}",
+            case_id=f"engine-matrix:dynamic-counting[engine={engine}]@{effort}",
+            scenario="engine-matrix:dynamic-counting",
             engine=engine,
             effort=effort,
             seconds=timing,

@@ -3,7 +3,8 @@
 The package is organised into layers; see the subpackages for the full surface:
 
 * :mod:`repro.engine` — simulation substrate (scheduler, population, adversaries).
-* :mod:`repro.protocols` — toolbox protocols and baselines.
+* :mod:`repro.protocols` — toolbox protocols and baselines (scalar rules,
+  run on the ``sequential`` engine).
 * :mod:`repro.core` — the paper's dynamic size counting protocol and phase clock.
 * :mod:`repro.analysis` — metrics, theory bounds and result post-processing.
 * :mod:`repro.scenarios` — declarative scenario API (specs, registry, sweeps).

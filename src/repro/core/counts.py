@@ -72,7 +72,6 @@ class DynamicCountingCountsKernel(PackedCountsKernel):
     """Algorithm 2 on interaction-count cells (see module docstring)."""
 
     name = "counts-dynamic-size-counting"
-    two_way = False
     responder_fields = ("max", "last_max", "time")
 
     def __init__(self, params: ProtocolParameters | None = None) -> None:
@@ -183,12 +182,7 @@ class DynamicCountingCountsKernel(PackedCountsKernel):
         v: dict[str, np.ndarray],
         multiplicity: np.ndarray,
         rng: RandomSource,
-    ) -> tuple[
-        dict[str, np.ndarray],
-        np.ndarray,
-        dict[str, np.ndarray] | None,
-        np.ndarray | None,
-    ]:
+    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
         p = self.params
         tau2, tau3 = int(p.tau2), int(p.tau3)
         u_max, u_last = u["max"], u["last_max"]
@@ -267,7 +261,7 @@ class DynamicCountingCountsKernel(PackedCountsKernel):
             name: np.concatenate([fields[name] for fields in out_fields])
             for name in ("max", "last_max", "time", "interactions")
         }
-        return merged, np.concatenate(out_mult), None, None
+        return merged, np.concatenate(out_mult)
 
     def _expand_grv(
         self, multiplicity: np.ndarray, rng: RandomSource

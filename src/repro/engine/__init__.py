@@ -87,18 +87,9 @@ from repro.engine.runner import (
     run_engine_trials,
 )
 from repro.engine.simulator import SimulationResult, Simulator
-from repro.engine.streaming import (
-    BoundedRowBuffer,
-    P2Quantile,
-    ReservoirBuffer,
-    RunningColumnStats,
-    RunningExtrema,
-    StreamingEstimateRecorder,
-)
 
 __all__ = [
     "AggregatedSeries",
-    "BoundedRowBuffer",
     "CallbackRecorder",
     "CheckpointError",
     "CheckpointInterrupted",
@@ -126,7 +117,6 @@ __all__ = [
     "MemoryRecorder",
     "OneWayProtocol",
     "PhaseOccupancyRecorder",
-    "P2Quantile",
     "Population",
     "PopulationSizeRecorder",
     "Protocol",
@@ -134,18 +124,14 @@ __all__ = [
     "ProtocolEvent",
     "RandomSource",
     "Recorder",
-    "ReservoirBuffer",
     "RowStreams",
     "RunResult",
-    "RunningColumnStats",
-    "RunningExtrema",
     "SeedTree",
     "ShardPool",
     "ShardTiming",
     "SimulationResult",
     "Simulator",
     "SnapshotStats",
-    "StreamingEstimateRecorder",
     "TrialShard",
     "UnknownAgentError",
     "VectorizedProtocol",

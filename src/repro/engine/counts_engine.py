@@ -10,15 +10,16 @@ vector directly (Gillespie / tau-leaping style):
   population, drawn **without replacement** via a multivariate
   hypergeometric marginal draw (:func:`multiset_sample`) — which is also
   what guarantees counts never go negative;
-* their responders are drawn from the batch-start state distribution
-  (mirroring the batched engine's responder snapshot): with replacement via
-  one vectorised multinomial for one-way protocols, and without replacement
-  (a second hypergeometric draw plus a random contingency-table pairing)
-  for protocols that write the responder too;
+* their responders are drawn with replacement from the batch-start state
+  distribution (mirroring the batched engine's responder snapshot), via
+  one vectorised multinomial;
 * the protocol's :class:`CountsKernel` then turns the ordered
   (initiator-state, responder-state) interaction counts into transition
-  deltas on the count vector, splitting cells by random outcome (GRV draws,
-  coin flips) with one more multinomial per sub-batch.
+  deltas on the count vector, splitting cells by random outcome (GRV
+  draws) with one more multinomial per sub-batch.
+
+Kernels are one-way: a transition writes the initiator only, as
+Algorithm 2 does.
 
 The responder and GRV multinomials take their categories in
 descending-probability order and map the drawn columns back.  NumPy's
@@ -268,12 +269,6 @@ class CountsKernel(abc.ABC):
     #: Name used in run metadata.
     name: str = "counts-kernel"
 
-    #: Whether the transition writes the responder too.  Two-way kernels
-    #: receive responders drawn *without* replacement (full state indices);
-    #: one-way kernels receive responder classes drawn with replacement
-    #: from the batch-start distribution.
-    two_way: bool = False
-
     @abc.abstractmethod
     def initial_state(self, n: int, rng: RandomSource) -> CountsState:
         """Count state of ``n`` fresh agents in the protocol's initial state."""
@@ -289,16 +284,15 @@ class CountsKernel(abc.ABC):
         initiator_idx: np.ndarray,
         responder_idx: np.ndarray,
         pair_counts: np.ndarray,
-        responder_columns: Mapping[str, np.ndarray] | None,
+        responder_columns: Mapping[str, np.ndarray],
         rng: RandomSource,
     ) -> None:
         """Apply ``pair_counts[j]`` ordered interactions per (state, class) cell.
 
         ``initiator_idx`` indexes ``state``; ``responder_idx`` indexes the
-        responder classes of :meth:`responder_view` (``responder_columns``
-        carries their fields) for one-way kernels, and ``state`` itself
-        (``responder_columns is None``) for two-way kernels.  Mutates
-        ``state`` in place; must preserve the total count.
+        responder classes of :meth:`responder_view`, whose fields
+        ``responder_columns`` carries.  Only initiators change state.
+        Mutates ``state`` in place; must preserve the total count.
         """
 
     def responder_view(
@@ -462,21 +456,15 @@ class PackedCountsKernel(CountsKernel):
         v: dict[str, np.ndarray],
         multiplicity: np.ndarray,
         rng: RandomSource,
-    ) -> tuple[
-        dict[str, np.ndarray],
-        np.ndarray,
-        dict[str, np.ndarray] | None,
-        np.ndarray | None,
-    ]:
+    ) -> tuple[dict[str, np.ndarray], np.ndarray]:
         """Cell-level transition on gathered initiator/responder fields.
 
         ``u`` / ``v`` hold one entry per (initiator-state, responder-class)
         cell; ``multiplicity[j]`` is how many such ordered interactions the
-        sub-batch drew.  Returns ``(u_fields, u_mult, v_fields, v_mult)``:
-        the post-interaction initiator states with multiplicities (cells may
-        expand — GRV and coin outcomes split a cell into sub-cells — as long
-        as ``u_mult`` sums to ``multiplicity``'s total), plus the responder
-        contributions for two-way kernels (``None, None`` for one-way).
+        sub-batch drew.  Returns ``(u_fields, u_mult)``: the
+        post-interaction initiator states with multiplicities.  Cells may
+        expand — GRV outcomes split a cell into sub-cells — as long as
+        ``u_mult`` sums to ``multiplicity``'s total.
         """
 
     def apply(
@@ -485,7 +473,7 @@ class PackedCountsKernel(CountsKernel):
         initiator_idx: np.ndarray,
         responder_idx: np.ndarray,
         pair_counts: np.ndarray,
-        responder_columns: Mapping[str, np.ndarray] | None,
+        responder_columns: Mapping[str, np.ndarray],
         rng: RandomSource,
     ) -> None:
         responder_fields = (
@@ -496,24 +484,11 @@ class PackedCountsKernel(CountsKernel):
         u = {
             name: state.columns[name][initiator_idx] for name, _ in self.fields
         }
-        source = state.columns if responder_columns is None else responder_columns
-        v = {name: source[name][responder_idx] for name in responder_fields}
-        u_new, u_mult, v_new, v_mult = self.transition(u, v, pair_counts, rng)
+        v = {name: responder_columns[name][responder_idx] for name in responder_fields}
+        u_new, u_mult = self.transition(u, v, pair_counts, rng)
 
         np.subtract.at(state.counts, initiator_idx, pair_counts)
-        extra_keys = self.pack(u_new)
-        extra_counts = np.asarray(u_mult, dtype=np.int64)
-        if self.two_way:
-            if v_new is None or v_mult is None:
-                raise ConfigurationError(
-                    f"two-way kernel {self.name!r} returned no responder states"
-                )
-            np.subtract.at(state.counts, responder_idx, pair_counts)
-            extra_keys = np.concatenate([extra_keys, self.pack(v_new)])
-            extra_counts = np.concatenate(
-                [extra_counts, np.asarray(v_mult, dtype=np.int64)]
-            )
-        self.merge_into(state, extra_keys, extra_counts)
+        self.merge_into(state, self.pack(u_new), np.asarray(u_mult, dtype=np.int64))
 
 
 class CountsSimulator(Engine):
@@ -631,8 +606,6 @@ class CountsSimulator(Engine):
         remaining = n
         while remaining > 0:
             batch = min(chunk, remaining)
-            if self.kernel.two_way:
-                batch = min(batch, n // 2)
             self._run_sub_batch(batch)
             remaining -= batch
         self.parallel_time += 1
@@ -646,15 +619,9 @@ class CountsSimulator(Engine):
         occupied = np.flatnonzero(initiators)
         if occupied.size == 0:
             return
-        if self.kernel.two_way:
-            initiator_idx, responder_idx, pair_counts = self._pair_without_replacement(
-                initiators, occupied, batch
-            )
-            responder_columns = None
-        else:
-            initiator_idx, responder_idx, pair_counts, responder_columns = (
-                self._pair_with_replacement(initiators, occupied)
-            )
+        initiator_idx, responder_idx, pair_counts, responder_columns = (
+            self._pair_with_replacement(initiators, occupied)
+        )
         if pair_counts.size == 0:
             return
         self.kernel.apply(
@@ -664,8 +631,8 @@ class CountsSimulator(Engine):
 
     def _pair_with_replacement(
         self, initiators: np.ndarray, occupied: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray] | None]:
-        """Ordered pair counts for one-way kernels: i.i.d. responders.
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[str, np.ndarray]]:
+        """Ordered pair counts: i.i.d. responders.
 
         Responders are drawn from the batch-start state distribution —
         exactly the batched engine's responder snapshot.  (Like that
@@ -692,46 +659,6 @@ class CountsSimulator(Engine):
             class_columns
             if class_columns is not None
             else {name: column for name, column in state.columns.items()}
-        )
-
-    def _pair_without_replacement(
-        self, initiators: np.ndarray, occupied: np.ndarray, batch: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ordered pair counts for two-way kernels: disjoint participants.
-
-        Responders are a second without-replacement draw from the agents
-        not already acting as initiators, then matched to initiator states
-        by a uniformly random contingency table (sequential conditional
-        hypergeometric rows) — every interaction touches two distinct
-        agents and every agent at most one interaction per sub-batch, so
-        both updates apply without write conflicts.
-        """
-        generator = self.rng.generator
-        state = self.state
-        responders = multiset_sample(generator, state.counts - initiators, batch)
-        initiator_rows = []
-        responder_rows = []
-        count_rows = []
-        remaining = responders
-        for position, state_index in enumerate(occupied):
-            if position == occupied.size - 1:
-                row = remaining
-            else:
-                row = multiset_sample(generator, remaining, int(initiators[state_index]))
-                remaining = remaining - row
-            cols = np.flatnonzero(row)
-            if cols.size == 0:
-                continue
-            initiator_rows.append(np.full(cols.size, state_index, dtype=np.int64))
-            responder_rows.append(cols)
-            count_rows.append(row[cols])
-        if not count_rows:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, empty
-        return (
-            np.concatenate(initiator_rows),
-            np.concatenate(responder_rows),
-            np.concatenate(count_rows),
         )
 
     # ------------------------------------------------------------ checkpoints

@@ -16,10 +16,12 @@ experiment code:
 
 The four built-in engines — ``"sequential"`` / ``"batched"`` /
 ``"ensemble"`` / ``"counts"`` — register when this module is imported;
-the default protocol registrations (dynamic size counting, the uniform
-phase clock, epidemics, junta election, approximate majority) are loaded
-lazily on first lookup, so importing this module stays cheap and free of
-circular imports.
+the default protocol registrations (dynamic size counting and the uniform
+phase clock) are loaded lazily on first lookup, so importing this module
+stays cheap and free of circular imports.  The toolbox protocols of
+:mod:`repro.protocols` have no registration: they run on ``"sequential"``
+only, and the other engines reject them with a
+:class:`~repro.engine.errors.ConfigurationError`.
 
 Example
 -------
@@ -241,21 +243,6 @@ def _ensure_default_registrations() -> None:
     from repro.core.dynamic_counting import DynamicSizeCounting
     from repro.core.phase_clock import UniformPhaseClock
     from repro.core.vectorized import VectorizedDynamicCounting
-    from repro.protocols.counts import (
-        ApproximateMajorityCountsKernel,
-        InfectionEpidemicCountsKernel,
-        JuntaElectionCountsKernel,
-        MaxEpidemicCountsKernel,
-    )
-    from repro.protocols.epidemic import InfectionEpidemic, MaxEpidemic
-    from repro.protocols.junta import JuntaElection
-    from repro.protocols.majority import ApproximateMajority
-    from repro.protocols.vectorized import (
-        VectorizedApproximateMajority,
-        VectorizedInfectionEpidemic,
-        VectorizedJuntaElection,
-        VectorizedMaxEpidemic,
-    )
 
     register_vectorized(
         DynamicSizeCounting, lambda p: VectorizedDynamicCounting(p.params)
@@ -266,35 +253,13 @@ def _ensure_default_registrations() -> None:
     register_vectorized(
         UniformPhaseClock, lambda p: VectorizedDynamicCounting(p.params)
     )
-    register_vectorized(
-        MaxEpidemic, lambda p: VectorizedMaxEpidemic(p.initial_value, p.one_way)
-    )
-    register_vectorized(
-        InfectionEpidemic, lambda p: VectorizedInfectionEpidemic(p.one_way)
-    )
-    register_vectorized(JuntaElection, lambda p: VectorizedJuntaElection(p.max_level))
-    register_vectorized(
-        ApproximateMajority, lambda p: VectorizedApproximateMajority(p.initial_opinion)
-    )
 
     # Counts kernels: registered for the scalar protocols *and* their
-    # vectorised counterparts, so code paths that already resolved a
+    # vectorised counterpart, so code paths that already resolved a
     # VectorizedProtocol (the generic trace builder, scenario executors)
     # can switch to the counts engine without re-plumbing.
     for cls in (DynamicSizeCounting, UniformPhaseClock, VectorizedDynamicCounting):
         register_counts_kernel(cls, lambda p: DynamicCountingCountsKernel(p.params))
-    for cls in (MaxEpidemic, VectorizedMaxEpidemic):
-        register_counts_kernel(
-            cls, lambda p: MaxEpidemicCountsKernel(p.initial_value, p.one_way)
-        )
-    for cls in (InfectionEpidemic, VectorizedInfectionEpidemic):
-        register_counts_kernel(cls, lambda p: InfectionEpidemicCountsKernel(p.one_way))
-    for cls in (JuntaElection, VectorizedJuntaElection):
-        register_counts_kernel(cls, lambda p: JuntaElectionCountsKernel(p.max_level))
-    for cls in (ApproximateMajority, VectorizedApproximateMajority):
-        register_counts_kernel(
-            cls, lambda p: ApproximateMajorityCountsKernel(p.initial_opinion)
-        )
 
 
 def has_vectorized(protocol: Any) -> bool:

@@ -16,7 +16,7 @@ The module also provides the primitive random quantities the protocols need:
   scheduler).
 
 The stacked engines draw through a small shared interface — pair
-matrices, lane-addressed GRV maxima and coins, uniform matrices, per-row
+matrices, lane-addressed GRV maxima, uniform matrices, per-row
 initial-state sources and a checkpointable ``state`` — that both
 :class:`RandomSource` (one stream shared by every row) and
 :class:`RowStreams` (one stream per row) implement.
@@ -363,10 +363,6 @@ class RandomSource:
         """GRV maxima for ``lanes``: one :meth:`geometric_max_array` call."""
         return self.geometric_max_array(k, lanes.size)
 
-    def coin_lanes(self, lanes: np.ndarray, width: int) -> np.ndarray:
-        """Fair coins (``True`` = heads) for ``lanes``, in lane order."""
-        return self.generator.integers(0, 2, size=lanes.size).astype(bool)
-
     def shuffled(self, items: Sequence[int]) -> list[int]:
         """Return a shuffled copy of ``items``."""
         arr = np.array(items, dtype=np.int64)
@@ -471,11 +467,3 @@ class RowStreams:
             for source, row_lanes in self._split_lanes(lanes, width)
         ]
         return np.concatenate(parts) if parts else np.empty(0, dtype=np.float64)
-
-    def coin_lanes(self, lanes: np.ndarray, width: int) -> np.ndarray:
-        """Fair coins for ``lanes``, each row's from its own stream."""
-        parts = [
-            source.coin_lanes(row_lanes, width)
-            for source, row_lanes in self._split_lanes(lanes, width)
-        ]
-        return np.concatenate(parts) if parts else np.empty(0, dtype=bool)

@@ -3,7 +3,8 @@
 Substrates the paper's protocol builds on (epidemics, CHVP, detection) and
 the protocols it is compared against or motivated by (static counting
 baselines, the Doty–Eftekhari dynamic baseline, non-uniform phase clocks,
-majority payloads).
+majority payloads).  They are scalar ``interact`` rules with no vectorised
+or counts kernel, so they run on the exact ``sequential`` engine only.
 """
 
 from repro.protocols.chvp import CHVP, CLVP
@@ -25,12 +26,6 @@ from repro.protocols.static_counting import (
     MaxGrvCounting,
 )
 from repro.protocols.token_counting import TokenCounting, TokenCountingState
-from repro.protocols.vectorized import (
-    VectorizedApproximateMajority,
-    VectorizedInfectionEpidemic,
-    VectorizedJuntaElection,
-    VectorizedMaxEpidemic,
-)
 
 __all__ = [
     "CHVP",
@@ -56,8 +51,4 @@ __all__ = [
     "PhasedMajorityState",
     "TokenCounting",
     "TokenCountingState",
-    "VectorizedApproximateMajority",
-    "VectorizedInfectionEpidemic",
-    "VectorizedJuntaElection",
-    "VectorizedMaxEpidemic",
 ]

@@ -6,10 +6,32 @@ import multiprocessing
 
 import numpy as np
 import pytest
+from max_epidemic import MaxEpidemicCountsKernel, VectorizedMaxEpidemic
 
+from repro.engine import registry
 from repro.engine.ensemble_engine import flat_pair_indices, flat_planes
 from repro.engine.protocol import InteractionContext, ProtocolEvent
 from repro.engine.rng import RandomSource
+from repro.protocols.epidemic import MaxEpidemic
+
+
+@pytest.fixture
+def max_epidemic_kernels():
+    """Run the scalar ``MaxEpidemic`` on every engine through the test kernels.
+
+    Registers ``max_epidemic``'s vectorised protocol and counts kernel for
+    :class:`MaxEpidemic` and restores both registries afterwards.
+    """
+    registry.registered_protocols()  # load the default registrations first
+    tables = (registry._REGISTRY, registry._COUNTS_REGISTRY)
+    saved = [dict(table) for table in tables]
+    registry.register_vectorized(MaxEpidemic, lambda p: VectorizedMaxEpidemic())
+    registry.register_counts_kernel(MaxEpidemic, lambda p: MaxEpidemicCountsKernel())
+    yield
+    for table, entries in zip(tables, saved):
+        table.clear()
+        table.update(entries)
+    registry.note_registry_change()
 
 
 @pytest.fixture(autouse=True)

@@ -6,38 +6,16 @@ from functools import partial
 
 import numpy as np
 import pytest
+from max_epidemic import VectorizedMaxEpidemic
 
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.vectorized import VectorizedDynamicCounting
-from repro.engine.batch_engine import VectorizedProtocol
 from repro.engine.ensemble_engine import EnsembleSimulator
 from repro.engine.errors import ConfigurationError
 from repro.engine.registry import make_engine
 from repro.engine.rng import RandomSource, RowStreams, SeedTree
 from repro.engine.runner import run_engine_trials
 from repro.protocols.epidemic import MaxEpidemic
-from repro.protocols.junta import JuntaElection
-from repro.protocols.majority import ApproximateMajority
-from repro.protocols.vectorized import (
-    VectorizedApproximateMajority,
-    VectorizedMaxEpidemic as RegisteredMaxEpidemic,
-)
-
-
-class VectorizedMaxEpidemic(VectorizedProtocol):
-    """Minimal vectorised protocol used to test the engine in isolation."""
-
-    name = "vectorized-max-epidemic"
-
-    def initial_arrays(self, n, rng):
-        return {"value": np.zeros(n, dtype=np.float64)}
-
-    def interact_ensemble(self, arrays, initiators, responders, rng):
-        value = arrays["value"]
-        value[initiators] = np.maximum(value[initiators], value[responders])
-
-    def output_array(self, arrays):
-        return arrays["value"]
 
 
 class TestConstruction:
@@ -267,26 +245,18 @@ def _counting_shrink_grow(n):
     return DynamicSizeCounting(), None, ((3, max(2, n // 3)), (6, n + n // 2))
 
 
-def _junta(n):
-    return JuntaElection(), None, ()
-
-
 def _max_epidemic(n):
-    return MaxEpidemic(), RegisteredMaxEpidemic().seeded_arrays(n, peak=7.0, count=2), ()
-
-
-def _majority(n):
-    a = n // 2 + 1
-    return ApproximateMajority(), VectorizedApproximateMajority().arrays_from_counts(a, n - a), ()
+    # The scalar protocol, run through the test kernels' registration.
+    value = np.zeros(n)
+    value[:2] = 7.0
+    return MaxEpidemic(), {"value": value}, ()
 
 
 STACK_CASES = {
     "counting": _counting,
     "counting-estimate": _counting_estimate,
     "counting-shrink-grow": _counting_shrink_grow,
-    "junta": _junta,
     "max-epidemic": _max_epidemic,
-    "majority": _majority,
 }
 
 STACK_HORIZON = 8
@@ -330,6 +300,7 @@ def _looped(case, n, trials):
     return series
 
 
+@pytest.mark.usefixtures("max_epidemic_kernels")
 class TestStackedTrials:
     """``run_engine_trials(engine="batched")`` equals the per-trial loop bit for bit."""
 
@@ -363,7 +334,7 @@ class TestStackedTrials:
         assert built == [(5, 2), (3, 2), (1, 1)]
         assert series == _looped("counting", 3000, 5)
 
-    @pytest.mark.parametrize("case", ["counting", "counting-shrink-grow", "junta"])
+    @pytest.mark.parametrize("case", ["counting", "counting-shrink-grow", "max-epidemic"])
     def test_grouping_does_not_change_results(self, case, monkeypatch):
         monkeypatch.setattr(EnsembleSimulator, "_BLOCK_STATE_BYTES", 1)
         one_row = _stacked(case, 50, 6)

@@ -239,6 +239,26 @@ class TestEngineCheckpoint:
         third.restore_checkpoint(path)
         assert third.run(4).series() == {key: baseline[key][4:] for key in baseline}
 
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_malformed_payload_rejected(self, engine):
+        built = make_engine(engine, DynamicSizeCounting(), N, rng=RandomSource.from_seed(7))
+        for payload in ([], {"engine": engine}):
+            with pytest.raises(CheckpointError, match="malformed engine checkpoint payload"):
+                built.apply_checkpoint_payload(payload)
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_rng_state_that_does_not_fit_is_rejected(self, engine):
+        def build():
+            return make_engine(engine, DynamicSizeCounting(), N, rng=RandomSource.from_seed(7))
+
+        first = build()
+        first.run(2)
+        payload = first.checkpoint_payload()
+        # One row's state in the per-row list form of a stacked engine's streams.
+        payload["rng_state"] = [payload["rng_state"]]
+        with pytest.raises(CheckpointError, match="RNG state does not fit this engine"):
+            build().apply_checkpoint_payload(payload)
+
     def test_restore_into_wrong_engine_rejected(self, tmp_path):
         sequential = make_engine(
             "sequential", DynamicSizeCounting(), N, rng=RandomSource.from_seed(7)
@@ -419,6 +439,23 @@ class TestCheckpointFailureModes:
     def test_cadence_must_be_multiple_of_snapshot_cadence(self, tmp_path):
         with pytest.raises(ConfigurationError, match="multiple"):
             _run("sequential", 1, checkpoint_every=3, checkpoint_dir=tmp_path)
+
+    def test_checkpoint_dir_requires_a_cadence(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="checkpoint_every is required"):
+            _run("sequential", 1, checkpoint_dir=tmp_path)
+
+    def test_resume_from_a_directory_without_manifest_requires_a_cadence(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="checkpoint_every is required"):
+            _run("sequential", 1, resume_from=tmp_path)
+
+    def test_checkpoint_every_must_be_positive(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="at least 1, got 0"):
+            _run("sequential", 1, checkpoint_every=0, checkpoint_dir=tmp_path)
+
+    def test_manifest_without_a_cadence_fails_resume(self, tmp_path):
+        (tmp_path / "manifest.json").write_text(json.dumps({"trials": TRIALS}))
+        with pytest.raises(CheckpointError, match="unreadable checkpoint manifest"):
+            _run("sequential", 1, resume_from=tmp_path)
 
     def test_checkpoint_every_requires_directory(self):
         with pytest.raises(ConfigurationError, match="checkpoint_dir"):

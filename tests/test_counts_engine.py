@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from max_epidemic import MaxEpidemicCountsKernel
 
 import repro.engine.counts_engine as counts_engine
 from repro.analysis.stats import chi_square_critical
@@ -25,15 +26,9 @@ from repro.engine.counts_engine import (
     multiset_sample,
     weighted_quantiles,
 )
-from repro.engine.errors import ConfigurationError
+from repro.engine.errors import CheckpointError, ConfigurationError
 from repro.engine.registry import make_engine
 from repro.engine.rng import RandomSource
-from repro.protocols.counts import (
-    ApproximateMajorityCountsKernel,
-    InfectionEpidemicCountsKernel,
-    JuntaElectionCountsKernel,
-    MaxEpidemicCountsKernel,
-)
 from repro.protocols.epidemic import MaxEpidemic
 
 # ------------------------------------------------------------------ sampling
@@ -168,7 +163,6 @@ class ToyKernel(PackedCountsKernel):
     """Minimal packed kernel (identity transition) for packing tests."""
 
     name = "toy"
-    two_way = False
     fields = (("a", 5), ("b", 7))
 
     def initial_state(self, n, rng):
@@ -179,7 +173,7 @@ class ToyKernel(PackedCountsKernel):
         return state.columns["a"].astype(np.float64)
 
     def transition(self, u, v, multiplicity, rng):
-        return {"a": u["a"], "b": u["b"]}, multiplicity, None, None
+        return {"a": u["a"], "b": u["b"]}, multiplicity
 
 
 class TestPackedKernel:
@@ -200,6 +194,13 @@ class TestPackedKernel:
 
         with pytest.raises(ConfigurationError, match="pack"):
             Overflowing()._check_packing()
+
+    def test_packing_rejects_an_empty_field_range(self):
+        class Empty(ToyKernel):
+            fields = (("a", 5), ("b", 0))
+
+        with pytest.raises(ConfigurationError, match="'b' has non-positive cardinality 0"):
+            Empty()._check_packing()
 
     def test_state_from_columns_merges_duplicates(self):
         kernel = ToyKernel()
@@ -264,10 +265,19 @@ class TestCountsSimulatorConstruction:
             CountsSimulator(kernel, 100, seed=1, sub_batches=0)
 
     def test_rejects_mismatched_initial_state(self):
-        kernel = ApproximateMajorityCountsKernel()
-        state = kernel.state_from_opinion_counts(3, 4)
+        kernel = MaxEpidemicCountsKernel()
+        state = kernel.initial_state(7, RandomSource.from_seed(1))
         with pytest.raises(ConfigurationError):
             CountsSimulator(kernel, 100, seed=1, initial_state=state)
+
+    def test_rejects_negative_initial_counts(self):
+        # The counts total 10, as the population size asks, but one is negative.
+        kernel = MaxEpidemicCountsKernel()
+        state = kernel.state_from_columns(
+            {"value": np.array([0, 3], dtype=np.int64)}, np.array([12, -2], dtype=np.int64)
+        )
+        with pytest.raises(ConfigurationError, match="non-negative"):
+            CountsSimulator(kernel, 10, seed=1, initial_state=state)
 
     def test_rejects_bad_resize_events(self):
         kernel = DynamicCountingCountsKernel()
@@ -321,30 +331,24 @@ class TestCountsSimulatorRuns:
         with pytest.raises(ConfigurationError):
             engine.resize_to(1)
 
-    def test_two_way_majority_resolves(self):
-        kernel = ApproximateMajorityCountsKernel()
-        engine = CountsSimulator(
-            kernel, 32, seed=8, initial_state=kernel.state_from_opinion_counts(30, 2)
-        )
-        result = engine.run(25)
-        assert result.snapshots[-1].median == 1.0
-        assert engine.size == 32
+    def test_resize_to_the_current_size_changes_nothing(self):
+        engine = CountsSimulator(DynamicCountingCountsKernel(), 400, seed=4)
+        engine.run(3)
+        keys, counts = engine.state.keys.copy(), engine.state.counts.copy()
+        rng_state = engine.rng.state
+        engine.resize_to(400)
+        assert np.array_equal(engine.state.keys, keys)
+        assert np.array_equal(engine.state.counts, counts)
+        assert engine.rng.state == rng_state
 
-    def test_two_way_infection_spreads_to_everyone(self):
-        kernel = InfectionEpidemicCountsKernel(one_way=False)
-        state = kernel.state_from_columns(
-            {"infected": np.array([1, 0], dtype=np.int64)},
-            np.array([1, 99], dtype=np.int64),
-        )
-        engine = CountsSimulator(kernel, 100, seed=15, initial_state=state)
-        result = engine.run(30)
-        assert result.snapshots[-1].minimum == 1.0
+    def test_restore_rejects_another_kernels_checkpoint(self):
+        counting = CountsSimulator(DynamicCountingCountsKernel(), 64, seed=4)
+        counting.run(2)
+        epidemic = CountsSimulator(MaxEpidemicCountsKernel(), 64, seed=4)
+        with pytest.raises(CheckpointError, match="columns"):
+            epidemic.apply_checkpoint_payload(counting.checkpoint_payload())
 
-    def test_junta_elects_a_nonempty_junta(self):
-        engine = CountsSimulator(JuntaElectionCountsKernel(max_level=20), 256, seed=17)
-        result = engine.run(30)
-        assert result.snapshots[-1].maximum == 1.0
-
+    @pytest.mark.usefixtures("max_epidemic_kernels")
     def test_one_way_epidemic_through_make_engine_initial_arrays(self):
         value = np.zeros(64)
         value[0] = 9.0
@@ -357,14 +361,14 @@ class TestCountsSimulatorRuns:
         assert result.snapshots[-1].minimum == 9.0
 
     def test_kernel_grow_injects_fresh_agents(self):
-        kernel = MaxEpidemicCountsKernel(initial_value=2, one_way=True)
-        engine = CountsSimulator(kernel, 50, seed=3)
+        kernel = MaxEpidemicCountsKernel()
+        state = kernel.state_from_arrays({"value": np.full(50, 5)})
+        engine = CountsSimulator(kernel, 50, seed=3, initial_state=state)
         engine.resize_to(80)
         assert engine.size == 80
         # The 30 newcomers arrive in the kernel's initial configuration.
-        assert weighted_quantiles(
-            kernel.output_values(engine.state), engine.state.counts
-        )[0] == 2.0
+        values = engine.state.columns["value"].tolist()
+        assert dict(zip(values, engine.state.counts.tolist())) == {0: 30, 5: 50}
 
 
 class TestDynamicCountingKernelDetails:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from max_epidemic import MaxEpidemicCountsKernel
 
+import repro.protocols as toolbox
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.phase_clock import UniformPhaseClock
 from repro.core.params import ProtocolParameters
@@ -12,9 +14,11 @@ from repro.core.vectorized import VectorizedDynamicCounting
 from repro.engine.api import RunResult
 from repro.engine.ensemble_engine import EnsembleSimulator
 from repro.engine.errors import ConfigurationError
+from repro.engine.protocol import Protocol
 from repro.engine.recorder import EstimateRecorder
 from repro.engine.registry import (
     ENGINE_NAMES,
+    LARGE_POPULATION_THRESHOLD,
     choose_engine,
     has_vectorized,
     make_engine,
@@ -24,14 +28,23 @@ from repro.engine.registry import (
 )
 from repro.engine.simulator import Simulator
 from repro.protocols.doty_eftekhari import DotyEftekhariCounting
-from repro.protocols.epidemic import InfectionEpidemic, MaxEpidemic
-from repro.protocols.junta import JuntaElection
+from repro.protocols.epidemic import MaxEpidemic
 from repro.protocols.majority import ApproximateMajority
-from repro.protocols.vectorized import (
-    VectorizedApproximateMajority,
-    VectorizedInfectionEpidemic,
-    VectorizedJuntaElection,
-    VectorizedMaxEpidemic,
+
+
+def _toolbox_protocols():
+    """One default instance of every protocol :mod:`repro.protocols` exports."""
+    classes = [getattr(toolbox, name) for name in toolbox.__all__]
+    return [
+        cls(log_n_estimate=5.0) if cls is toolbox.NonUniformPhaseClock else cls()
+        for cls in classes
+        if isinstance(cls, type) and issubclass(cls, Protocol)
+    ]
+
+
+#: The toolbox: scalar rules with no vectorised or counts kernel.
+TOOLBOX = pytest.mark.parametrize(
+    "protocol", _toolbox_protocols(), ids=lambda protocol: protocol.name
 )
 
 
@@ -46,25 +59,6 @@ class TestVectorizedLookup:
         vectorized = vectorized_for(UniformPhaseClock())
         assert isinstance(vectorized, VectorizedDynamicCounting)
 
-    def test_epidemic_dispatch_carries_flags(self):
-        vectorized = vectorized_for(MaxEpidemic(initial_value=3, one_way=False))
-        assert isinstance(vectorized, VectorizedMaxEpidemic)
-        assert vectorized.initial_value == 3
-        assert vectorized.one_way is False
-
-        infection = vectorized_for(InfectionEpidemic(one_way=True))
-        assert isinstance(infection, VectorizedInfectionEpidemic)
-        assert infection.one_way is True
-
-    def test_junta_and_majority_dispatch(self):
-        junta = vectorized_for(JuntaElection(max_level=12))
-        assert isinstance(junta, VectorizedJuntaElection)
-        assert junta.max_level == 12
-
-        majority = vectorized_for(ApproximateMajority(initial_opinion="A"))
-        assert isinstance(majority, VectorizedApproximateMajority)
-        assert majority.initial_opinion == "A"
-
     def test_vectorized_protocol_passes_through(self):
         protocol = VectorizedDynamicCounting()
         assert vectorized_for(protocol) is protocol
@@ -78,16 +72,15 @@ class TestVectorizedLookup:
         assert not has_vectorized(DotyEftekhariCounting())
 
     def test_registered_protocols_lists_defaults(self):
-        names = registered_protocols()
-        for expected in (
-            "DynamicSizeCounting",
-            "UniformPhaseClock",
-            "MaxEpidemic",
-            "InfectionEpidemic",
-            "JuntaElection",
-            "ApproximateMajority",
-        ):
-            assert expected in names
+        assert registered_protocols() == ["DynamicSizeCounting", "UniformPhaseClock"]
+
+    @pytest.mark.parametrize("engine", ["batched", "ensemble"])
+    @TOOLBOX
+    def test_toolbox_protocol_is_rejected_by_the_stacked_engines(self, protocol, engine):
+        # Toolbox protocols are scalar rules only: they run on sequential.
+        with pytest.raises(ConfigurationError, match=type(protocol).__name__):
+            make_engine(engine, protocol, 10, seed=1)
+        assert not has_vectorized(protocol)
 
     def test_custom_registration_and_subclass_lookup(self):
         class CustomCounting(DynamicSizeCounting):
@@ -113,6 +106,22 @@ class TestVectorizedLookup:
 class TestChooseEngine:
     def test_non_vectorizable_protocol_needs_sequential(self):
         assert choose_engine(DotyEftekhariCounting(), trials=96, n=10_000) == "sequential"
+
+    @TOOLBOX
+    def test_toolbox_protocol_runs_sequential(self, protocol):
+        # At every tier: one trial, several, and past the counts threshold.
+        assert choose_engine(protocol, 16, 1000) == "sequential"
+        assert choose_engine(protocol, 1, 1000) == "sequential"
+        assert choose_engine(protocol, 4, LARGE_POPULATION_THRESHOLD) == "sequential"
+
+    @TOOLBOX
+    def test_toolbox_protocol_runs_on_the_chosen_engine(self, protocol):
+        engine = make_engine(choose_engine(protocol, 1, 20), protocol, 20, seed=3)
+        result = engine.run(3)
+        assert engine.name == "sequential"
+        assert result.interactions == 60
+        assert [s.population_size for s in result.snapshots] == [20, 20, 20]
+        assert len(engine.outputs()) == 20
 
     @pytest.mark.parametrize("n", (2, 10, 32, 64, 128))
     def test_small_population_has_no_tier_of_its_own(self, n):
@@ -420,37 +429,18 @@ class TestCountsKernelLookup:
             counts_kernel_for(VectorizedDynamicCounting()), DynamicCountingCountsKernel
         )
 
-    def test_toolbox_dispatch_carries_flags(self):
-        from repro.protocols.counts import (
-            ApproximateMajorityCountsKernel,
-            InfectionEpidemicCountsKernel,
-            JuntaElectionCountsKernel,
-            MaxEpidemicCountsKernel,
-        )
-        from repro.engine.registry import counts_kernel_for
+    @TOOLBOX
+    def test_toolbox_protocol_is_rejected_by_the_counts_engine(self, protocol):
+        from repro.engine.registry import has_counts_kernel
 
-        epidemic = counts_kernel_for(MaxEpidemic(initial_value=3, one_way=False))
-        assert isinstance(epidemic, MaxEpidemicCountsKernel)
-        assert epidemic.initial_value == 3
-        assert epidemic.two_way is True
-
-        infection = counts_kernel_for(InfectionEpidemic(one_way=True))
-        assert isinstance(infection, InfectionEpidemicCountsKernel)
-        assert infection.two_way is False
-
-        junta = counts_kernel_for(JuntaElection(max_level=12))
-        assert isinstance(junta, JuntaElectionCountsKernel)
-        assert junta.max_level == 12
-
-        majority = counts_kernel_for(ApproximateMajority(initial_opinion="A"))
-        assert isinstance(majority, ApproximateMajorityCountsKernel)
-        assert majority.initial_opinion == "A"
+        with pytest.raises(ConfigurationError, match=type(protocol).__name__):
+            make_engine("counts", protocol, 10, seed=1)
+        assert not has_counts_kernel(protocol)
 
     def test_kernel_instance_passes_through(self):
-        from repro.protocols.counts import InfectionEpidemicCountsKernel
         from repro.engine.registry import counts_kernel_for, has_counts_kernel
 
-        kernel = InfectionEpidemicCountsKernel()
+        kernel = MaxEpidemicCountsKernel()
         assert counts_kernel_for(kernel) is kernel
         assert has_counts_kernel(kernel)
 
@@ -480,8 +470,6 @@ class TestCountsKernelLookup:
 
 class TestChooseEngineCountsTier:
     def test_large_population_prefers_counts(self):
-        from repro.engine.registry import LARGE_POPULATION_THRESHOLD
-
         protocol = DynamicSizeCounting()
         assert (
             choose_engine(protocol, trials=1, n=LARGE_POPULATION_THRESHOLD) == "counts"
@@ -493,13 +481,13 @@ class TestChooseEngineCountsTier:
         )
 
     def test_below_threshold_keeps_historical_tiers(self):
-        from repro.engine.registry import LARGE_POPULATION_THRESHOLD
-
         protocol = DynamicSizeCounting()
         below = LARGE_POPULATION_THRESHOLD - 1
         assert choose_engine(protocol, trials=1, n=below) == "batched"
         assert choose_engine(protocol, trials=8, n=below) == "ensemble"
 
+    @pytest.mark.usefixtures("max_epidemic_kernels")
     def test_counts_tier_for_toolbox_protocols(self):
+        # A toolbox protocol given kernels takes the tiers dynamic counting takes.
         assert choose_engine(MaxEpidemic(), trials=4, n=2_000_000) == "counts"
-        assert choose_engine(JuntaElection(), trials=1, n=2_000_000) == "counts"
+        assert choose_engine(MaxEpidemic(), trials=4, n=1000) == "ensemble"

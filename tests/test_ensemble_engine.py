@@ -3,10 +3,11 @@
 Covers the acceptance surface of the ensemble work: registry round-trips,
 `RunResult`-compatible per-trial series, statistical equivalence with looped
 one-row `batched` trials, per-trial stream independence, resize schedules
-applied across all rows, the `interact_ensemble` kernels against the exact
-scalar `interact` rules, every vectorised protocol at the smallest
-populations (two and three agents), the `run_engine_trials` ensemble mode,
-and the `--engine ensemble` experiment path.
+applied across all rows, the stacked layout the kernels receive (the
+tests' max-epidemic kernel against its exact scalar `interact` rule),
+every engine at the smallest populations (two and three agents), the
+`run_engine_trials` ensemble mode, and the `--engine ensemble` experiment
+path.
 """
 
 from __future__ import annotations
@@ -15,8 +16,10 @@ import copy
 
 import numpy as np
 import pytest
+from max_epidemic import VectorizedMaxEpidemic
 
 from repro.core.dynamic_counting import DynamicSizeCounting
+from repro.core.phase_clock import UniformPhaseClock
 from repro.core.vectorized import VectorizedDynamicCounting
 from repro.engine.ensemble_engine import (
     EnsembleRunResult,
@@ -24,22 +27,17 @@ from repro.engine.ensemble_engine import (
     flat_pair_indices,
     flat_planes,
 )
-from repro.engine.errors import ConfigurationError
+from repro.engine.errors import CheckpointError, ConfigurationError
+from repro.engine.population import Population
 from repro.engine.protocol import InteractionContext
-from repro.engine.registry import ENGINE_NAMES, make_engine
+from repro.engine.registry import ENGINE_NAMES, make_engine, registered_protocols
 from repro.engine.runner import aggregate_series, run_engine_trials
 from repro.engine.rng import RandomSource, RowStreams, SeedTree, spawn_streams
 from repro.experiments.base import ExperimentPreset
 from repro.experiments.fig3_relative_error import run_fig3
 from repro.protocols.epidemic import InfectionEpidemic, MaxEpidemic
-from repro.protocols.junta import JuntaElection, JuntaState
+from repro.protocols.junta import JuntaElection
 from repro.protocols.majority import ApproximateMajority
-from repro.protocols.vectorized import (
-    VectorizedApproximateMajority,
-    VectorizedInfectionEpidemic,
-    VectorizedJuntaElection,
-    VectorizedMaxEpidemic,
-)
 
 
 def _ensemble_factory(engine_name, rng, trials):
@@ -73,6 +71,18 @@ class TestRegistry:
             EnsembleSimulator(VectorizedDynamicCounting(), 10, trials=0, seed=1)
         with pytest.raises(ConfigurationError):
             EnsembleSimulator(VectorizedDynamicCounting(), 10, trials=2, seed=1, sub_batches=0)
+
+    def test_rejects_row_streams_for_another_trial_count(self):
+        streams = RowStreams([RandomSource.from_seed(seed) for seed in (1, 2)])
+        with pytest.raises(ConfigurationError, match="2 row streams for an engine of 3 trials"):
+            EnsembleSimulator(VectorizedDynamicCounting(), 10, trials=3, rng=streams)
+
+    def test_restore_rejects_a_checkpoint_of_another_trial_count(self):
+        three = EnsembleSimulator(VectorizedDynamicCounting(), 10, trials=3, seed=1)
+        three.run(2)
+        four = EnsembleSimulator(VectorizedDynamicCounting(), 10, trials=4, seed=1)
+        with pytest.raises(CheckpointError, match="stacks 3 trials, this engine stacks 4"):
+            four.apply_checkpoint_payload(three.checkpoint_payload())
 
 
 class TestResultShape:
@@ -177,9 +187,7 @@ class TestResizeSchedule:
 
     def test_shrunk_rows_are_independent_subsets(self):
         """Decimation keeps an independently drawn subset per trial."""
-        engine = EnsembleSimulator(
-            VectorizedMaxEpidemic(initial_value=0), 64, trials=6, seed=8
-        )
+        engine = EnsembleSimulator(VectorizedMaxEpidemic(), 64, trials=6, seed=8)
         # Give every agent a distinct value per row so kept subsets are visible.
         engine.arrays["value"] = np.tile(np.arange(64, dtype=np.float64), (6, 1))
         engine.resize_to(16)
@@ -195,104 +203,33 @@ def _disjoint_pairs(rng, trials, n, batch):
 
 class TestEnsembleKernels:
     @pytest.mark.parametrize(
-        ("protocol", "scalar", "low", "high"),
-        [
-            (VectorizedMaxEpidemic(one_way=True), MaxEpidemic(one_way=True), 0, 9),
-            (VectorizedMaxEpidemic(one_way=False), MaxEpidemic(one_way=False), 0, 9),
-            (VectorizedInfectionEpidemic(one_way=True), InfectionEpidemic(one_way=True), 0, 2),
-            (VectorizedInfectionEpidemic(one_way=False), InfectionEpidemic(one_way=False), 0, 2),
-            (VectorizedApproximateMajority(), ApproximateMajority(), -1, 2),
-        ],
-        ids=["max-one-way", "max-two-way", "infection-one-way", "infection-two-way", "majority"],
+        ("protocol", "scalar"),
+        [(VectorizedMaxEpidemic(), MaxEpidemic(one_way=True))],
+        ids=["max-one-way"],
     )
-    def test_matches_exact_single_pair_rule(self, protocol, scalar, low, high, stacked_kernel):
-        """Deterministic protocols agree lane-for-lane with the scalar ``interact``.
+    def test_matches_exact_single_pair_rule(self, protocol, scalar, stacked_kernel):
+        """A deterministic kernel agrees lane-for-lane with the scalar ``interact``.
 
         On a sub-batch where no agent appears in two pairs, batch semantics
         (responders read at the start of the batch, last writer wins) and
-        sequential semantics coincide, so the stacked kernel must leave
-        exactly the state the exact scalar rule leaves, applied pair by
-        pair.  Majority opinions map through
-        :attr:`VectorizedApproximateMajority.CODES`.
+        sequential semantics coincide, so the kernel, handed the stacked
+        layout's flat planes and pair coordinates, must leave exactly the
+        state the exact scalar rule leaves, applied pair by pair in every row.
         """
-        codes = VectorizedApproximateMajority.CODES
-        states = {code: state for state, code in codes.items()}
-        majority = isinstance(scalar, ApproximateMajority)
         ctx = InteractionContext(RandomSource.from_seed(0))
         trials, n, batch = 4, 40, 12
         rng = np.random.default_rng(21)
-        ((key, plane),) = protocol.initial_arrays(n, RandomSource.from_seed(0)).items()
-        exact = rng.integers(low, high, size=(trials, n)).astype(plane.dtype)
-        stacked = {key: exact.copy()}
+        exact = rng.integers(0, 9, size=(trials, n)).astype(np.float64)
+        stacked = {"value": exact.copy()}
         for _ in range(5):
             initiators, responders = _disjoint_pairs(rng, trials, n, batch)
             stacked_kernel(protocol, stacked, initiators, responders, None)
             for t in range(trials):
-                row = [states[int(x)] if majority else int(x) for x in exact[t]]
+                row = [int(x) for x in exact[t]]
                 for u, v in zip(initiators[t], responders[t]):
                     row[u], row[v] = scalar.interact(row[u], row[v], ctx)
-                exact[t] = [codes[x] if majority else x for x in row]
-            assert np.array_equal(stacked[key], exact)
-
-    def test_junta_matches_exact_rule_under_shared_coins(self, stacked_kernel):
-        """The coin-using junta kernel agrees lane-for-lane with the scalar rule.
-
-        Both sides read one pre-drawn coin per pair: the kernel through
-        ``coin_lanes`` (row-major lane order), the scalar rule through
-        ``coin()``.  Levels start near the cap so capped climbs are covered.
-        """
-
-        class LaneCoins:
-            def __init__(self, coins):
-                self.coins = coins
-
-            def coin_lanes(self, lanes, width):
-                return self.coins.ravel()[lanes]
-
-        class PairCoin:
-            heads = False
-
-            def coin(self):
-                return self.heads
-
-        max_level = 6
-        scalar = JuntaElection(max_level=max_level)
-        protocol = VectorizedJuntaElection(max_level=max_level)
-        pair_coin = PairCoin()
-        ctx = InteractionContext(pair_coin)
-        trials, n, batch = 4, 40, 12
-        rng = np.random.default_rng(23)
-        stacked = {
-            "level": rng.integers(0, max_level + 1, size=(trials, n)),
-            "climbing": rng.integers(0, 2, size=(trials, n)).astype(np.int8),
-            "max_seen": rng.integers(0, max_level + 1, size=(trials, n)),
-        }
-        exact = [
-            [
-                JuntaState(int(level), bool(climbing), int(seen))
-                for level, climbing, seen in zip(*(stacked[k][t] for k in stacked))
-            ]
-            for t in range(trials)
-        ]
-        for _ in range(5):
-            initiators, responders = _disjoint_pairs(rng, trials, n, batch)
-            coins = rng.integers(0, 2, size=(trials, batch)).astype(bool)
-            stacked_kernel(protocol, stacked, initiators, responders, LaneCoins(coins))
-            for t, row in enumerate(exact):
-                for i, (u, v) in enumerate(zip(initiators[t], responders[t])):
-                    pair_coin.heads = bool(coins[t, i])
-                    row[u], row[v] = scalar.interact(row[u], row[v], ctx)
-            for key, attr in (
-                ("level", "level"),
-                ("climbing", "climbing"),
-                ("max_seen", "max_seen_level"),
-            ):
-                expected = [[int(getattr(state, attr)) for state in row] for row in exact]
-                assert stacked[key].tolist() == expected, key
-        assert np.array_equal(
-            protocol.output_array(stacked),
-            [[float(scalar.output(state)) for state in row] for row in exact],
-        )
+                exact[t] = row
+            assert np.array_equal(stacked["value"], exact)
 
     def test_flat_pair_indices_follow_row_major_lane_order(self):
         initiators = np.array([[0, 2], [1, 1]], dtype=np.int32)
@@ -355,27 +292,40 @@ class TestEnsembleKernels:
                     assert (rows == np.arange(g1 - g0)[:, None]).all()
 
     def test_every_registered_protocol_runs_on_ensemble(self):
-        for protocol in (MaxEpidemic(initial_value=1), ApproximateMajority("A")):
+        protocols = (DynamicSizeCounting(), UniformPhaseClock())
+        assert [type(p).__name__ for p in protocols] == registered_protocols()
+        for protocol in protocols:
             result = make_engine("ensemble", protocol, 30, trials=3, seed=9).run(4)
             assert result.parallel_time == 4
             assert len(result.trial_results) == 3
 
 
-def _tiny_workload(key, n):
-    """A vectorised protocol and its seeded initial arrays at size ``n``."""
+def _tiny_workload(key, engine, n):
+    """A protocol and its seeded initial configuration at size ``n``.
+
+    Returns ``(protocol, population, initial_arrays)``: the stacked engines
+    get the vectorised protocol, the counts engine the scalar one (its
+    kernel found through the registry), and the sequential engine the
+    scalar one with a seeded ``Population``.
+    """
     if key == "dynamic-counting":
-        return VectorizedDynamicCounting(), None
+        if engine in ("batched", "ensemble"):
+            return VectorizedDynamicCounting(), n, None
+        return DynamicSizeCounting(), n, None
     if key == "max-epidemic":
-        protocol = VectorizedMaxEpidemic(one_way=True)
-        return protocol, protocol.seeded_arrays(n, 5.0)
+        if engine == "sequential":
+            return MaxEpidemic(), Population([5] + [0] * (n - 1)), None
+        value = np.zeros(n)
+        value[0] = 5.0
+        protocol = MaxEpidemic() if engine == "counts" else VectorizedMaxEpidemic()
+        return protocol, n, {"value": value}
+    # The toolbox protocols run on the sequential engine only.
     if key == "infection":
-        protocol = VectorizedInfectionEpidemic(one_way=True)
-        return protocol, protocol.seeded_arrays(n)
+        return InfectionEpidemic(one_way=True), Population([1] + [0] * (n - 1)), None
     if key == "junta":
-        return VectorizedJuntaElection(max_level=20), None
+        return JuntaElection(max_level=20), n, None
     if key == "majority":
-        protocol = VectorizedApproximateMajority()
-        return protocol, protocol.arrays_from_counts(1, 1, n - 2)
+        return ApproximateMajority(), Population(["A", "B"] + ["U"] * (n - 2)), None
     raise KeyError(key)
 
 
@@ -448,59 +398,71 @@ class TestReplacedState:
         assert engine.rng.state == twin.rng.state
 
 
+TINY_CASES = [
+    *(
+        (key, engine)
+        for key in ("dynamic-counting", "max-epidemic")
+        for engine in ("batched", "ensemble", "counts", "sequential")
+    ),
+    *((key, "sequential") for key in ("infection", "junta", "majority")),
+]
+
+
+@pytest.mark.usefixtures("max_epidemic_kernels")
 class TestTinyPopulations:
-    """Every vectorised protocol on the stacked engines at n = 2 and n = 3.
+    """Every engine at n = 2 and n = 3.
 
     With no small-population tier, an auto point this small runs on
-    ``batched`` (one trial) or ``ensemble`` (several).  A sub-batch here
-    holds a single pair, and each protocol must still reach its absorbing
-    state within the horizon.
+    ``batched`` (one trial) or ``ensemble`` (several) for a protocol with a
+    vectorised kernel, and on ``sequential`` for a toolbox protocol; the
+    counts engine runs it when pinned.  A sub-batch here holds a single
+    pair, and each protocol must still reach its absorbing state within the
+    horizon.
     """
 
     HORIZON = 30
 
     @pytest.mark.parametrize("n", (2, 3))
-    @pytest.mark.parametrize("engine", ("batched", "ensemble"))
     @pytest.mark.parametrize(
-        "key", ("dynamic-counting", "max-epidemic", "infection", "junta", "majority")
+        ("key", "engine"), TINY_CASES, ids=[f"{key}-{engine}" for key, engine in TINY_CASES]
     )
     def test_protocol_runs_to_its_absorbing_state(self, key, engine, n):
-        protocol, initial = _tiny_workload(key, n)
+        protocol, population, initial = _tiny_workload(key, engine, n)
         trials = 4 if engine == "ensemble" else 1
         simulator = make_engine(
             engine,
             protocol,
-            n,
+            population,
             seed=17,
             initial_arrays=initial,
-            trials=None if engine == "batched" else trials,
+            trials=trials if engine == "ensemble" else None,
         )
         result = simulator.run(self.HORIZON)
 
         assert result.interactions == trials * n * self.HORIZON
-        for trial_result in result.trial_results:
-            assert [s.population_size for s in trial_result.snapshots] == [
-                n
-            ] * self.HORIZON
-        outputs = simulator.outputs()
-        assert outputs.shape == (trials, n)
+        runs = result.trial_results if engine in ("batched", "ensemble") else [result]
+        for run in runs:
+            assert [s.population_size for s in run.snapshots] == [n] * self.HORIZON
+        if key == "junta":
+            # Every climb has stopped, the top level has spread to everyone,
+            # and the agents on it form a non-empty junta.
+            states = simulator.states()
+            top = max(state.level for state in states)
+            assert not any(state.climbing for state in states)
+            assert all(state.max_seen_level == top for state in states)
+            assert simulator.outputs() == [state.level == top for state in states]
+            return
+        if key == "majority":
+            # One A against one B: the population reaches consensus on one of them.
+            outputs = simulator.outputs()
+            assert outputs[0] in ("A", "B") and outputs == [outputs[0]] * n
+            return
+        outputs = np.asarray(simulator.outputs(), dtype=float).reshape(trials, n)
         assert np.isfinite(outputs).all()
-        arrays = simulator.arrays
         if key == "max-epidemic":
             assert (outputs == 5.0).all()
         elif key == "infection":
             assert (outputs == 1.0).all()
-        elif key == "majority":
-            # One A against one B: every row reaches consensus on one of them.
-            for row in outputs:
-                assert row[0] != 0 and (row == row[0]).all()
-        elif key == "junta":
-            # Every climb has stopped, the top level has spread to everyone,
-            # and the agents on it form a non-empty junta.
-            assert (arrays["climbing"] == 0).all()
-            top = arrays["level"].max(axis=1, keepdims=True)
-            assert (arrays["max_seen"] == top).all()
-            assert np.array_equal(outputs, (arrays["level"] == top).astype(float))
         else:
             assert (outputs >= 0).all()
 
@@ -561,6 +523,32 @@ class TestInitialArrays:
         engine = EnsembleSimulator(protocol, 10, trials=2, seed=15, initial_arrays=initial)
         assert engine.arrays["time"].dtype == np.float64
         assert engine.arrays["max"].dtype == np.float64
+
+    def test_inexact_initial_values_skip_narrowing(self):
+        """A value float32 cannot hold exactly keeps every plane at its own dtype."""
+        protocol = VectorizedDynamicCounting()
+        initial = protocol.initial_arrays_with_estimate(10, 4.0)
+        initial["last_max"] = np.full(10, 0.1)
+        engine = EnsembleSimulator(protocol, 10, trials=2, seed=16, initial_arrays=initial)
+        assert {key: plane.dtype for key, plane in engine.arrays.items()} == {
+            key: plane.dtype for key, plane in initial.items()
+        }
+        assert (engine.arrays["last_max"] == 0.1).all()
+
+    def test_protocol_without_state_arrays_is_rejected(self):
+        class Stateless(VectorizedMaxEpidemic):
+            def initial_arrays(self, n, rng):
+                return {}
+
+        with pytest.raises(ConfigurationError, match="no state arrays"):
+            EnsembleSimulator(Stateless(), 10, trials=2, seed=17)
+
+    def test_planes_of_unequal_length_are_rejected(self):
+        initial = {"value": np.zeros(10), "extra": np.zeros(9)}
+        with pytest.raises(ConfigurationError, match="inconsistent shapes"):
+            EnsembleSimulator(
+                VectorizedMaxEpidemic(), 10, trials=2, seed=18, initial_arrays=initial
+            )
 
 
 class TestEnsembleTrials:

@@ -129,6 +129,13 @@ class TestSeedTree:
         with pytest.raises(ValueError):
             tree.trial(-1)
 
+    def test_rejects_negative_entropy_and_stream_count(self):
+        with pytest.raises(ValueError, match="entropy must be non-negative"):
+            SeedTree(entropy=-1)
+        with pytest.raises(ValueError, match="count must be non-negative"):
+            SeedTree.from_seed(1).streams(-1)
+        assert SeedTree.from_seed(1).streams(0) == []
+
     def test_from_seed_none_materialises_entropy_once(self):
         tree = SeedTree.from_seed(None)
         a = tree.trial(0).generator().integers(0, 10**9, 8)

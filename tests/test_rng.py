@@ -191,6 +191,10 @@ class TestRowStreams:
             assert initiators[row].tolist() == expected[0][0].tolist()
             assert responders[row].tolist() == expected[1][0].tolist()
 
+    def test_needs_at_least_one_source(self):
+        with pytest.raises(ValueError, match="at least one source"):
+            RowStreams([])
+
     def test_row_count_must_match(self):
         with pytest.raises(ValueError):
             self._streams(2).ordered_pair_matrix(10, 3, 5)
@@ -208,19 +212,13 @@ class TestRowStreams:
         )
         # The row without lanes drew nothing.
         assert streams.sources[1].state == RandomSource.from_seed(101).state
-        coins = self._streams(3).coin_lanes(lanes, 4)
-        assert coins.tolist() == (
-            RandomSource.from_seed(100).coin_lanes(lanes[:2], 4).tolist()
-            + RandomSource.from_seed(102).coin_lanes(lanes[2:], 4).tolist()
-        )
 
     @pytest.mark.parametrize(
         ("rows", "lanes"),
         [(1, [0, 2, 3]), (4, [1, 2, 13, 14]), (3, [8, 9, 11]), (3, [])],
         ids=["single-row", "middle-rows-empty", "last-row-only", "no-lanes"],
     )
-    @pytest.mark.parametrize("draw", ["geometric_max_lanes", "coin_lanes"])
-    def test_lane_draws_are_each_rows_one_row_draws(self, rows, lanes, draw):
+    def test_lane_draws_are_each_rows_one_row_draws(self, rows, lanes):
         """Every source makes exactly the draws of a one-row engine on its row.
 
         A one-row kernel draws for its own lanes (positions below the
@@ -228,22 +226,16 @@ class TestRowStreams:
         """
         width = 4
         lanes = np.array(lanes, dtype=np.intp)
-
-        def call(source, own):
-            if draw == "geometric_max_lanes":
-                return source.geometric_max_lanes(5, own, width)
-            return source.coin_lanes(own, width)
-
         streams = self._streams(rows)
-        drawn = call(streams, lanes)
+        drawn = streams.geometric_max_lanes(5, lanes, width)
         expected = []
         for row in range(rows):
             one_row = RandomSource.from_seed(100 + row)
             own = lanes[(lanes >= row * width) & (lanes < (row + 1) * width)] - row * width
             if own.size:
-                expected.append(call(one_row, own))
+                expected.append(one_row.geometric_max_lanes(5, own, width))
             assert streams.sources[row].state == one_row.state, row
-        assert drawn.dtype == {"geometric_max_lanes": np.float64, "coin_lanes": bool}[draw]
+        assert drawn.dtype == np.float64
         assert drawn.tolist() == (np.concatenate(expected).tolist() if expected else [])
 
     def test_state_round_trip_and_mismatch(self):

@@ -16,12 +16,13 @@ across ``workers=1`` vs ``workers>1`` and the sharded vs single-stack
 ensemble paths.  The same comparison runs again at both ends of the
 small-population range (n = 10 and n = 128), which has no engine tier of
 its own and runs on ``batched`` or ``ensemble`` unless pinned.  A second
-battery checks every protocol that ships a counts kernel (epidemics,
-junta election, approximate majority): the counts engine against the
-batched engine, and the exact sequential engine (the scalar ``interact``
-rules) against each stacked engine.  The counts engine is also checked on
-a population-drop workload and for its count-vector invariants
-(non-negative, sums to the population size).
+battery runs the tests' max-epidemic kernels (``tests/max_epidemic.py``),
+so the engines' scheduling is checked on a protocol other than the one
+they ship: the counts engine against the batched engine, and the exact
+sequential engine (the scalar ``interact`` rule) against each of the
+others.  The counts engine is also checked on a population-drop workload
+and for its count-vector invariants (non-negative, sums to the population
+size).
 
 Every run is fully seeded, so the sample sets — and therefore the test
 verdicts — are deterministic: there is no flakiness to tolerate, and the
@@ -58,15 +59,7 @@ from repro.engine.population import Population
 from repro.engine.registry import make_engine
 from repro.engine.rng import RandomSource
 from repro.engine.runner import run_engine_trials
-from repro.protocols.epidemic import InfectionEpidemic, MaxEpidemic
-from repro.protocols.junta import JuntaElection
-from repro.protocols.majority import ApproximateMajority
-from repro.protocols.vectorized import (
-    VectorizedApproximateMajority,
-    VectorizedInfectionEpidemic,
-    VectorizedJuntaElection,
-    VectorizedMaxEpidemic,
-)
+from repro.protocols.epidemic import MaxEpidemic
 
 
 class TestStatisticHelpers:
@@ -304,120 +297,62 @@ class TestSmallPopulationConformance:
         )
 
 
-# ------------------------------- counts kernels across toolbox protocols
+# ------------------------------------- the engine kernels on a second protocol
 
-#: Workload for the per-protocol counts-vs-batched battery: small enough to
-#: run the batched engine 24 times per protocol, large enough that the
-#: compared statistics have real spread.
+#: Workload of the max-epidemic battery: small enough to run the batched
+#: engine 24 times, large enough that the compared statistic has real
+#: spread.
 COUNTS_N = 96
 COUNTS_TRIALS = 24
 COUNTS_HORIZON = 30
 COUNTS_NEVER = float(COUNTS_HORIZON + 10)
 
-#: Protocols that ship a counts kernel, with the initial configuration the
-#: battery seeds them with (``None`` uses the protocol default).
-COUNTS_PROTOCOLS = ("max-epidemic", "infection", "junta", "majority")
+#: The test-written protocol the battery runs (``tests/max_epidemic.py``):
+#: one seeded peak that the one-way epidemic spreads.
+COUNTS_PROTOCOLS = ("max-epidemic",)
 
 
-def _counts_battery_protocol(key):
-    if key == "max-epidemic":
-        return VectorizedMaxEpidemic(initial_value=0, one_way=True)
-    if key == "infection":
-        return VectorizedInfectionEpidemic(one_way=False)
-    if key == "junta":
-        return VectorizedJuntaElection(max_level=20)
-    if key == "majority":
-        return VectorizedApproximateMajority()
-    raise KeyError(key)
+def _battery_arrays(n):
+    value = np.zeros(n, dtype=np.float64)
+    value[0] = 5.0  # one seeded peak; the epidemic spreads it
+    return {"value": value}
 
 
-def _counts_battery_arrays(key, n):
-    if key == "max-epidemic":
-        value = np.zeros(n, dtype=np.float64)
-        value[0] = 5.0  # one seeded peak; the epidemic spreads it
-        return {"value": value}
-    if key == "infection":
-        infected = np.zeros(n, dtype=np.float64)
-        infected[0] = 1.0  # patient zero
-        return {"infected": infected}
-    if key == "junta":
-        return None  # everyone starts climbing from level 0
-    if key == "majority":
-        # A 60/36 split: A should win, but the margin keeps the race real.
-        return VectorizedApproximateMajority().arrays_from_counts(60, 36)
-    raise KeyError(key)
-
-
-def _counts_battery_statistic(key, series):
-    """One scalar per trial, chosen so its distribution has spread."""
+def _spread_time(series):
+    """Time to full spread of the seeded peak: one scalar per trial."""
     pairs = zip(series["parallel_time"], series["minimum"])
-    if key == "max-epidemic":  # time to full spread of the seeded peak
-        return float(next((t for t, lo in pairs if lo >= 5.0), COUNTS_NEVER))
-    if key == "infection":  # time until every agent is infected
-        return float(next((t for t, lo in pairs if lo >= 1.0), COUNTS_NEVER))
-    if key == "junta":  # time until some agent believes it is in the junta
-        highs = zip(series["parallel_time"], series["maximum"])
-        return float(next((t for t, hi in highs if hi >= 1.0), COUNTS_NEVER))
-    if key == "majority":  # time until opinion A holds the median agent
-        medians = zip(series["parallel_time"], series["median"])
-        return float(next((t for t, med in medians if med >= 1.0), COUNTS_NEVER))
-    raise KeyError(key)
+    return float(next((t for t, lo in pairs if lo >= 5.0), COUNTS_NEVER))
 
 
-def _counts_battery_factory(engine_name, rng, ensemble_trials, *, key):
-    """Module-level factory (partial-bound) for the per-protocol battery."""
+def _battery_factory(engine_name, rng, ensemble_trials):
+    """Module-level factory for the max-epidemic battery."""
+    if engine_name == "sequential":
+        population = Population([5] + [0] * (COUNTS_N - 1))
+        return make_engine(engine_name, MaxEpidemic(), population, rng=rng)
     return make_engine(
         engine_name,
-        _counts_battery_protocol(key),
+        MaxEpidemic(),
         COUNTS_N,
         rng=rng,
-        initial_arrays=_counts_battery_arrays(key, COUNTS_N),
+        initial_arrays=_battery_arrays(COUNTS_N),
         trials=ensemble_trials if engine_name == "ensemble" else None,
     )
 
 
-class _CodedMajority(ApproximateMajority):
-    """Scalar majority whose output is the vectorised opinion code, so the
-    sequential engine's snapshots carry the numeric min/median/max the
-    battery statistic reads."""
-
-    def output(self, state):
-        return VectorizedApproximateMajority.CODES[state]
-
-
-def _sequential_battery_factory(engine_name, rng, ensemble_trials, *, key):
-    """The battery workload on the scalar rules, as a seeded ``Population``."""
-    rest = COUNTS_N - 1
-    if key == "max-epidemic":
-        protocol = MaxEpidemic(initial_value=0, one_way=True)
-        population = Population([5] + [0] * rest)
-    elif key == "infection":
-        protocol = InfectionEpidemic(one_way=False)
-        population = Population([1] + [0] * rest)
-    elif key == "majority":
-        protocol = _CodedMajority()
-        population = Population([ApproximateMajority.A] * 60 + [ApproximateMajority.B] * 36)
-    else:
-        raise KeyError(key)
-    return make_engine(engine_name, protocol, population, rng=rng)
-
-
-def _battery_samples(key, engine, seed, statistic=_counts_battery_statistic):
-    factory = (
-        _sequential_battery_factory if engine == "sequential" else _counts_battery_factory
-    )
+def _battery_samples(engine, seed):
     series = run_engine_trials(
-        partial(factory, key=key),
+        _battery_factory,
         engine=engine,
         trials=COUNTS_TRIALS,
         seed=seed,
         parallel_time=COUNTS_HORIZON,
     )
-    return np.array([statistic(key, s) for s in series])
+    return np.array([_spread_time(s) for s in series])
 
 
+@pytest.mark.usefixtures("max_epidemic_kernels")
 class TestCountsKernelProtocolConformance:
-    """Counts engine vs batched engine on every counts-kernel protocol.
+    """Counts engine vs batched engine on the tests' max-epidemic kernels.
 
     The same honest-two-sample setup as the main battery: distinct base
     seeds per engine, fully deterministic samples, KS at ``ALPHA``.
@@ -425,8 +360,8 @@ class TestCountsKernelProtocolConformance:
 
     @pytest.mark.parametrize("key", COUNTS_PROTOCOLS)
     def test_counts_matches_batched(self, key):
-        counts = _battery_samples(key, "counts", 1600)
-        batched = _battery_samples(key, "batched", 1700)
+        counts = _battery_samples("counts", 1600)
+        batched = _battery_samples("batched", 1700)
         d = ks_statistic(counts, batched)
         assert d <= ks_critical(COUNTS_TRIALS, COUNTS_TRIALS, ALPHA), (
             f"{key}: counts vs batched diverge, D={d:.3f}"
@@ -436,7 +371,7 @@ class TestCountsKernelProtocolConformance:
     def test_battery_statistic_is_informative(self, key):
         """Sanity anchor: the compared statistic actually fires (it is not a
         column of NEVER sentinels) on the counts engine."""
-        counts = _battery_samples(key, "counts", 1600)
+        counts = _battery_samples("counts", 1600)
         assert (counts < COUNTS_NEVER).mean() >= 0.5
 
 
@@ -444,87 +379,32 @@ class TestCountsKernelProtocolConformance:
 #: counts battery's.
 REFERENCE_SEEDS = {"sequential": 2000, "batched": 2100, "ensemble": 2200, "counts": 2300}
 
-#: Protocols whose battery workload has an informative snapshot statistic
-#: (a spread of values across seeded trials).  Junta membership has none —
-#: some agent is a member from the first snapshot on — so the junta is
-#: compared on the top level reached instead.
-REFERENCE_PROTOCOLS = ("max-epidemic", "infection", "majority")
-
-
-def _reference_statistic(key, series):
-    """Time to full spread (epidemics) or to consensus on A (majority)."""
-    if key == "majority":
-        lows = zip(series["parallel_time"], series["minimum"])
-        return float(next((t for t, lo in lows if lo >= 1.0), COUNTS_NEVER))
-    return _counts_battery_statistic(key, series)
-
-
-def _reference_samples(key, engine):
-    return _battery_samples(key, engine, REFERENCE_SEEDS[engine], _reference_statistic)
-
-
-def _junta_top_levels(engine: str) -> np.ndarray:
-    """Highest coin level any agent reached by the horizon, per trial."""
-    seed, protocol = REFERENCE_SEEDS[engine], JuntaElection(max_level=20)
-    if engine == "ensemble":
-        stack = make_engine(engine, protocol, COUNTS_N, seed=seed, trials=COUNTS_TRIALS)
-        stack.run(COUNTS_HORIZON)
-        return stack.arrays["level"].max(axis=1).astype(float)
-    tops = []
-    for trial in range(COUNTS_TRIALS):
-        single = make_engine(engine, protocol, COUNTS_N, seed=seed + trial)
-        single.run(COUNTS_HORIZON)
-        if engine == "sequential":
-            tops.append(max(state.level for state in single.population.states()))
-        elif engine == "counts":
-            occupied = single.state.counts > 0
-            tops.append(single.state.columns["level"][occupied].max())
-        else:
-            tops.append(single.arrays["level"].max())
-    return np.array(tops, dtype=float)
-
 
 @pytest.fixture(scope="module")
-def sequential_reference() -> dict[str, np.ndarray]:
-    """The battery statistics on the exact engine (seeded)."""
-    reference = {key: _reference_samples(key, "sequential") for key in REFERENCE_PROTOCOLS}
-    reference["junta"] = _junta_top_levels("sequential")
-    return reference
+def sequential_reference() -> np.ndarray:
+    """The battery statistic on the exact engine (seeded)."""
+    return _battery_samples("sequential", REFERENCE_SEEDS["sequential"])
 
 
-def _assert_matches_reference(exact, other, label):
-    assert len(set(exact.tolist())) >= 3, f"{label}: the statistic has no spread"
-    d = ks_statistic(exact, other)
-    assert d <= ks_critical(COUNTS_TRIALS, COUNTS_TRIALS, ALPHA), (
-        f"{label} diverge, D={d:.3f}"
-    )
-
-
+@pytest.mark.usefixtures("max_epidemic_kernels")
 class TestSequentialReferenceAcrossProtocols:
-    """The exact engine against every stacked engine on the toolbox protocols.
+    """The exact engine against every other engine on the max-epidemic kernels.
 
-    The sequential engine applies the scalar ``interact`` rules one ordered
-    pair at a time, so it is the reference the vectorised and counts kernels
-    must match in distribution, on the counts battery's workload and at its
-    KS level.
+    The sequential engine applies the scalar ``interact`` rule one ordered
+    pair at a time, so it is the reference the stacked engines' sub-batch
+    scheduling and the counts engine's multiset pairing must match in
+    distribution, on the battery's workload and at its KS level.
     """
 
     @pytest.mark.parametrize("engine", ("batched", "ensemble", "counts"))
-    @pytest.mark.parametrize("key", REFERENCE_PROTOCOLS)
+    @pytest.mark.parametrize("key", COUNTS_PROTOCOLS)
     def test_engine_matches_sequential(self, sequential_reference, key, engine):
-        _assert_matches_reference(
-            sequential_reference[key],
-            _reference_samples(key, engine),
-            f"{key}: sequential vs {engine}",
-        )
-
-    @pytest.mark.parametrize("engine", ("batched", "ensemble", "counts"))
-    def test_junta_top_level_matches_sequential(self, sequential_reference, engine):
-        """The coin draws: the maximum of ``n`` geometric climbs."""
-        _assert_matches_reference(
-            sequential_reference["junta"],
-            _junta_top_levels(engine),
-            f"junta top level: sequential vs {engine}",
+        exact = sequential_reference
+        other = _battery_samples(engine, REFERENCE_SEEDS[engine])
+        assert len(set(exact.tolist())) >= 3, f"{key}: the statistic has no spread"
+        d = ks_statistic(exact, other)
+        assert d <= ks_critical(COUNTS_TRIALS, COUNTS_TRIALS, ALPHA), (
+            f"{key}: sequential vs {engine} diverge, D={d:.3f}"
         )
 
 
