@@ -69,9 +69,13 @@ def suite_cases(request, effort) -> list[dict[str, Any]]:
     path.write_text(json.dumps({"effort": effort, "cases": cases}, indent=2) + "\n")
 
 
-def run_experiment_benchmark(benchmark, runner, effort: str):
-    """Run an experiment once under pytest-benchmark and attach its rows."""
-    result = benchmark.pedantic(lambda: runner(effort=effort), rounds=1, iterations=1)
+def run_experiment_benchmark(benchmark, scenario: str, effort: str):
+    """Run a registered scenario once under pytest-benchmark and attach its rows."""
+    from repro.scenarios import run_scenario
+
+    result = benchmark.pedantic(
+        lambda: run_scenario(scenario, effort=effort), rounds=1, iterations=1
+    )
     benchmark.extra_info["experiment"] = result.experiment
     benchmark.extra_info["preset"] = result.metadata.get("preset")
     benchmark.extra_info["rows"] = result.rows

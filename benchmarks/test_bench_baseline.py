@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from conftest import run_experiment_benchmark
 
-from repro.experiments.baseline_comparison import run_baseline_comparison
-
 
 def test_bench_baseline_comparison(benchmark, effort):
-    result = run_experiment_benchmark(benchmark, run_baseline_comparison, effort)
+    result = run_experiment_benchmark(benchmark, "baseline", effort)
     by_protocol = {}
     for row in result.rows:
         by_protocol.setdefault(row["protocol"], []).append(row)

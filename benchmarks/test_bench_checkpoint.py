@@ -23,6 +23,7 @@ from pathlib import Path
 
 from conftest import measure
 
+from repro.engine.options import ExecutionOptions
 from repro.experiments.figures import run_estimate_trace
 
 #: Suite file the ``suite_cases`` collector writes under ``REPRO_BENCH_DIR``.
@@ -53,10 +54,9 @@ def test_bench_checkpoint_overhead(suite_cases, effort):
             parallel_time,
             trials=trials,
             seed=1,
-            engine="sequential",
             snapshot_every=snapshot_every,
-            workers=1,  # plain and checkpointed runs share this shard plan
-            **knobs,
+            # Plain and checkpointed runs share the workers=1 shard plan.
+            options=ExecutionOptions(engine="sequential", workers=1, **knobs),
         )
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-checkpoint-"))

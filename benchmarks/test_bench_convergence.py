@@ -8,11 +8,9 @@ from __future__ import annotations
 
 from conftest import run_experiment_benchmark
 
-from repro.experiments.convergence_table import run_convergence_table
-
 
 def test_bench_convergence_table(benchmark, effort):
-    result = run_experiment_benchmark(benchmark, run_convergence_table, effort)
+    result = run_experiment_benchmark(benchmark, "convergence", effort)
     for row in result.rows:
         assert row["converged"], f"run did not converge: {row}"
         assert row["convergence_time"] >= 0

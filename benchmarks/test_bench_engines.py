@@ -27,6 +27,7 @@ import pytest
 from conftest import measure
 
 from repro.core.dynamic_counting import DynamicSizeCounting
+from repro.engine.options import ExecutionOptions
 from repro.engine.registry import ENGINE_NAMES, make_engine
 from repro.engine.rng import SeedTree
 from repro.experiments.figures import run_estimate_trace
@@ -157,7 +158,11 @@ def test_bench_ensemble_speedup_fig3_preset(suite_cases, effort):
             engine: min(
                 measure(
                     lambda n=n, engine=engine: run_estimate_trace(
-                        n, parallel_time, trials=trials, seed=1, engine=engine
+                        n,
+                        parallel_time,
+                        trials=trials,
+                        seed=1,
+                        options=ExecutionOptions(engine=engine),
                     ),
                     warmup=0,
                     repeats=1,

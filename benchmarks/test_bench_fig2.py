@@ -10,11 +10,9 @@ from __future__ import annotations
 
 from conftest import run_experiment_benchmark
 
-from repro.experiments.fig2_size_estimate import run_fig2
-
 
 def test_bench_fig2_size_estimate(benchmark, effort):
-    result = run_experiment_benchmark(benchmark, run_fig2, effort)
+    result = run_experiment_benchmark(benchmark, "fig2", effort)
     for row in result.rows:
         # The steady-state estimate is a constant-factor approximation of
         # log2 n (the max-of-GRVs offset makes it sit above log2 n).

@@ -8,11 +8,9 @@ from __future__ import annotations
 
 from conftest import run_experiment_benchmark
 
-from repro.experiments.fig3_relative_error import run_fig3
-
 
 def test_bench_fig3_relative_error(benchmark, effort):
-    result = run_experiment_benchmark(benchmark, run_fig3, effort)
+    result = run_experiment_benchmark(benchmark, "fig3", effort)
     rows = sorted(result.rows, key=lambda row: row["n"])
     for row in rows:
         assert row["relative_minimum"] >= 0.4

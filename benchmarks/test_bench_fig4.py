@@ -7,14 +7,11 @@ clock rounds.
 
 from __future__ import annotations
 
-
 from conftest import run_experiment_benchmark
-
-from repro.experiments.fig4_population_drop import run_fig4
 
 
 def test_bench_fig4_population_drop(benchmark, effort):
-    result = run_experiment_benchmark(benchmark, run_fig4, effort)
+    result = run_experiment_benchmark(benchmark, "fig4", effort)
     for row in result.rows:
         # Before the drop the estimate tracks the original population size.
         assert row["median_before_drop"] >= 0.5 * row["log2_n"]

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from conftest import run_experiment_benchmark
 
-from repro.experiments.fig5_initial_estimate import run_fig5
-
 
 def test_bench_fig5_initial_estimate(benchmark, effort):
-    result = run_experiment_benchmark(benchmark, run_fig5, effort)
+    result = run_experiment_benchmark(benchmark, "fig5", effort)
     rows = sorted(result.rows, key=lambda row: row["n"])
     # The largest population always forgets the over-estimate within the
     # horizon (its clock rounds are short relative to the horizon).

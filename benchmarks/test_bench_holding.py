@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from conftest import run_experiment_benchmark
 
-from repro.experiments.holding_table import run_holding_table
-
 
 def test_bench_holding_table(benchmark, effort):
-    result = run_experiment_benchmark(benchmark, run_holding_table, effort)
+    result = run_experiment_benchmark(benchmark, "holding", effort)
     for row in result.rows:
         assert row["held_until_end_of_run"], f"estimates became invalid: {row}"
         assert row["observed_rounds_held"] > 1

@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from conftest import run_experiment_benchmark
 
-from repro.experiments.memory_table import run_memory_table
-
 
 def test_bench_memory_table(benchmark, effort):
-    result = run_experiment_benchmark(benchmark, run_memory_table, effort)
+    result = run_experiment_benchmark(benchmark, "memory", effort)
     rows = sorted(result.rows, key=lambda row: row["n"])
     for row in rows:
         assert row["doty_eftekhari_steady_bits"] > row["ours_steady_bits"]

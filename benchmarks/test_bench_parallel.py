@@ -31,6 +31,7 @@ import os
 
 from conftest import measure
 
+from repro.engine.options import ExecutionOptions
 from repro.experiments.figures import run_estimate_trace
 
 #: Suite file the ``suite_cases`` collector writes under ``REPRO_BENCH_DIR``.
@@ -69,8 +70,7 @@ def test_bench_parallel_shard_scaling(suite_cases, effort):
                     parallel_time,
                     trials=trials,
                     seed=1,
-                    engine=engine,
-                    workers=workers,
+                    options=ExecutionOptions(engine=engine, workers=workers),
                 )
 
             timing = measure(point, warmup=0, repeats=1)

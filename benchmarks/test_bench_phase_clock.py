@@ -9,11 +9,9 @@ from __future__ import annotations
 
 from conftest import run_experiment_benchmark
 
-from repro.experiments.phase_clock_experiment import run_phase_clock_experiment
-
 
 def test_bench_phase_clock(benchmark, effort):
-    result = run_experiment_benchmark(benchmark, run_phase_clock_experiment, effort)
+    result = run_experiment_benchmark(benchmark, "phase_clock", effort)
     for row in result.rows:
         assert row["exact_burst_fraction"] >= 0.6
         assert row["mean_overlap_interactions"] > row["mean_burst_interactions"]

@@ -30,6 +30,12 @@ A row's verdict:
 One more row per workload compares the share of failed operations; a
 larger share on the working tree is a ``regression``.
 
+The ``paired Q3-Q1`` column is the quartile distance of the differences
+head - base within each pair.  Both runs of a pair share a seed and run
+back to back, so machine drift they share drops out of it, and it can be
+far below ``base Q3-Q1`` on a noisy workload.  It is information only:
+every verdict above uses the unpaired base quartile distance.
+
 Prints the table as markdown.  Exit status: 0 without a regression, 1 with
 one, 2 when a run fails or prints no result line (no verdict then).  Uses
 the standard library only and never imports the package under test.
@@ -128,7 +134,11 @@ def quartile_distance(values: list[float]) -> float:
 
 
 def metric_row(metric: dict[str, Any], base: list[float], head: list[float]) -> dict[str, Any]:
-    """Medians, wins, base quartile distance and verdict of one metric."""
+    """Medians, wins, base and paired quartile distances and verdict of one metric.
+
+    ``paired_spread`` (the quartile distance of the per-pair differences)
+    is reported only; the verdict never reads it.
+    """
     sign = 1.0 if metric["better"] == "lower" else -1.0
     base_median, head_median = statistics.median(base), statistics.median(head)
     worse_by = sign * (head_median - base_median)
@@ -151,6 +161,7 @@ def metric_row(metric: dict[str, Any], base: list[float], head: list[float]) -> 
         "change": (head_median - base_median) / base_median if base_median else 0.0,
         "wins": f"{wins}/{len(base)}",
         "spread": spread,
+        "paired_spread": quartile_distance([h - b for b, h in zip(base, head)]),
         "verdict": verdict,
     }
 
@@ -171,6 +182,7 @@ def failure_row(base_runs: list[dict[str, Any]], head_runs: list[dict[str, Any]]
         "change": None,
         "wins": "",
         "spread": None,
+        "paired_spread": None,
         "verdict": "regression" if worse else "no change",
     }
 
@@ -200,16 +212,20 @@ def markdown(table: list[tuple[str, dict[str, Any]]]) -> str:
         return value if isinstance(value, str) else f"{value:.4g}"
 
     lines = [
-        "| workload | metric | base | head | change | head wins | base Q3-Q1 | verdict |",
-        "|---|---|---|---|---|---|---|---|",
+        "| workload | metric | base | head | change | head wins | base Q3-Q1 | paired Q3-Q1 "
+        "| verdict |",
+        "|---|---|---|---|---|---|---|---|---|",
     ]
     for workload, row in table:
         unit = f" ({row['unit']})" if row["unit"] else ""
         change = "" if row["change"] is None else f"{row['change']:+.1%}"
-        spread = "" if row["spread"] is None else number(row["spread"])
+        spread, paired = (
+            "" if row[key] is None else number(row[key]) for key in ("spread", "paired_spread")
+        )
         lines.append(
             f"| {workload} | {row['metric']}{unit} | {number(row['base'])} | "
-            f"{number(row['head'])} | {change} | {row['wins']} | {spread} | {row['verdict']} |"
+            f"{number(row['head'])} | {change} | {row['wins']} | {spread} | {paired} | "
+            f"{row['verdict']} |"
         )
     return "\n".join(lines)
 

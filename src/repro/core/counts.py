@@ -90,7 +90,6 @@ class DynamicCountingCountsKernel(PackedCountsKernel):
         # backup rule once it passes tau_prime * value_cap, so the +1 of
         # line 15 caps it one above that.
         value_cap = over * GRV_VALUE_CAP
-        self.value_cap = value_cap
         self.fields = (
             ("max", value_cap + 1),
             ("last_max", value_cap + 1),
@@ -115,30 +114,6 @@ class DynamicCountingCountsKernel(PackedCountsKernel):
             "max": np.array([1], dtype=np.int64),
             "last_max": np.array([1], dtype=np.int64),
             "time": np.array([tau1], dtype=np.int64),
-            "interactions": np.array([0], dtype=np.int64),
-        }
-        return self.state_from_columns(columns, np.array([n], dtype=np.int64))
-
-    def initial_state_with_estimate(self, n: int, estimate: float) -> CountsState:
-        """Population seeded with a fixed estimate (the Fig. 5 workload)."""
-        if estimate <= 0:
-            raise ConfigurationError(f"estimate must be positive, got {estimate}")
-        stored = estimate * self.params.overestimation
-        if float(stored) != int(stored):
-            raise ConfigurationError(
-                f"counts engine needs an integer stored estimate, got {stored!r}"
-            )
-        stored = int(stored)
-        if stored > self.value_cap:
-            raise ConfigurationError(
-                f"stored estimate {stored} exceeds the kernel's value cap "
-                f"{self.value_cap}"
-            )
-        tau1 = int(self.params.tau1)
-        columns = {
-            "max": np.array([stored], dtype=np.int64),
-            "last_max": np.array([stored], dtype=np.int64),
-            "time": np.array([tau1 * stored], dtype=np.int64),
             "interactions": np.array([0], dtype=np.int64),
         }
         return self.state_from_columns(columns, np.array([n], dtype=np.int64))

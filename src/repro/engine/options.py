@@ -2,11 +2,12 @@
 
 Engine, workers and the four checkpoint fields are how a workload
 runs, never what it computes.  :class:`ExecutionOptions` is the one place
-they are declared and validated: :func:`repro.scenarios.runner.run_scenario`
-and :func:`repro.scenarios.runner.run_sweep` take them only as
-``options=ExecutionOptions(...)``, next to the ``effort``/``preset``
-keywords that choose what runs.  :func:`execution_metadata` stamps the
-resolved settings into ``metadata["execution"]``.
+they are declared and validated: :func:`repro.scenarios.runner.run_scenario`,
+:func:`repro.scenarios.runner.run_sweep` and
+:func:`repro.experiments.figures.run_estimate_trace` take them only as
+``options=ExecutionOptions(...)``, next to the keywords that choose what
+runs.  :func:`execution_metadata` stamps the resolved settings into
+``metadata["execution"]``.
 """
 
 from __future__ import annotations

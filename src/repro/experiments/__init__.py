@@ -1,33 +1,29 @@
-"""Experiment harness: one module per figure/table of the paper's evaluation."""
+"""The paper's evaluation: one module per figure/table, each registering its scenario.
 
+Importing this package registers the nine :class:`~repro.scenarios.spec.ScenarioSpec`
+declarations (``fig2``–``fig5``, ``convergence``, ``holding``, ``memory``,
+``phase_clock`` and ``baseline``); run any of them with
+:func:`repro.scenarios.run_scenario`.
+"""
+
+from repro.experiments import baseline_comparison  # noqa: F401
+from repro.experiments import convergence_table  # noqa: F401
+from repro.experiments import fig2_size_estimate  # noqa: F401
+from repro.experiments import fig3_relative_error  # noqa: F401
+from repro.experiments import fig4_population_drop  # noqa: F401
+from repro.experiments import fig5_initial_estimate  # noqa: F401
+from repro.experiments import holding_table  # noqa: F401
+from repro.experiments import memory_table  # noqa: F401
+from repro.experiments import phase_clock_experiment  # noqa: F401
 from repro.experiments.base import ExperimentPreset, ExperimentResult
-from repro.experiments.baseline_comparison import run_baseline_comparison
-from repro.experiments.config import PRESETS, get_preset, list_presets
-from repro.experiments.convergence_table import run_convergence_table
-from repro.experiments.fig2_size_estimate import run_fig2
-from repro.experiments.fig3_relative_error import run_fig3
-from repro.experiments.fig4_population_drop import run_fig4
-from repro.experiments.fig5_initial_estimate import run_fig5
+from repro.experiments.config import PRESETS, list_presets
 from repro.experiments.figures import EstimateTrace, run_estimate_trace
-from repro.experiments.holding_table import run_holding_table
-from repro.experiments.memory_table import run_memory_table
-from repro.experiments.phase_clock_experiment import run_phase_clock_experiment
 
 __all__ = [
     "EstimateTrace",
     "ExperimentPreset",
     "ExperimentResult",
     "PRESETS",
-    "get_preset",
     "list_presets",
-    "run_baseline_comparison",
-    "run_convergence_table",
     "run_estimate_trace",
-    "run_fig2",
-    "run_fig3",
-    "run_fig4",
-    "run_fig5",
-    "run_holding_table",
-    "run_memory_table",
-    "run_phase_clock_experiment",
 ]

@@ -1,9 +1,10 @@
 """Common experiment infrastructure.
 
-Every experiment module exposes a ``run_*`` function that takes an
-:class:`ExperimentPreset` and returns an :class:`ExperimentResult`.  The
-result carries the regenerated series/rows (the same quantities the paper
-plots), a human-readable table, and enough metadata to reproduce the run.
+Every scenario runs at an :class:`ExperimentPreset` and
+:func:`repro.scenarios.runner.run_scenario` returns an
+:class:`ExperimentResult`.  The result carries the regenerated series/rows
+(the same quantities the paper plots), a human-readable table, and enough
+metadata to reproduce the run.
 
 Results can be persisted with :meth:`ExperimentResult.save`, which writes a
 CSV per series plus a JSON manifest under the chosen output directory.

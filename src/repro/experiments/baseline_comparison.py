@@ -27,19 +27,17 @@ import math
 from typing import Any
 
 from repro.core.dynamic_counting import DynamicSizeCounting
-from repro.engine.options import ExecutionOptions
 from repro.engine.recorder import EstimateRecorder, MemoryRecorder
 from repro.engine.rng import RandomSource, spawn_streams
 from repro.engine.simulator import Simulator
-from repro.experiments.base import ExperimentPreset, ExperimentResult
+from repro.experiments.base import ExperimentResult
 from repro.experiments.config import decimation_knobs
 from repro.protocols.doty_eftekhari import DotyEftekhariCounting
 from repro.protocols.static_counting import MaxGrvCounting
 from repro.scenarios.registry import register
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["run_baseline_comparison", "BASELINE"]
+__all__ = ["BASELINE"]
 
 
 def _run_protocol(
@@ -166,19 +164,3 @@ BASELINE = register(
         knobs=("drop_time", "keep"),
     )
 )
-
-
-def run_baseline_comparison(
-    preset: ExperimentPreset | None = None,
-    *,
-    effort: str = "quick",
-    engine: str = "sequential",
-) -> ExperimentResult:
-    """Compare our protocol, Doty–Eftekhari, and static counting under decimation."""
-    return run_scenario(
-        BASELINE, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run_baseline_comparison(effort="quick").table())

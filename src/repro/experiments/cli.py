@@ -24,23 +24,14 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any
 
 from repro.engine.checkpoint import CheckpointInterrupted
 from repro.engine.errors import ConfigurationError, EngineError
 from repro.engine.options import ExecutionOptions
-from repro.engine.registry import engine_names
+from repro.engine.registry import engine_names, validate_engine_request
 from repro.experiments.base import ExperimentResult
-from repro.experiments.baseline_comparison import run_baseline_comparison
 from repro.experiments.config import list_presets
-from repro.experiments.convergence_table import run_convergence_table
-from repro.experiments.fig2_size_estimate import run_fig2
-from repro.experiments.fig3_relative_error import run_fig3
-from repro.experiments.fig4_population_drop import run_fig4
-from repro.experiments.fig5_initial_estimate import run_fig5
-from repro.experiments.holding_table import run_holding_table
-from repro.experiments.memory_table import run_memory_table
-from repro.experiments.phase_clock_experiment import run_phase_clock_experiment
 from repro.scenarios.registry import get_scenario, has_scenario, iter_scenarios, scenario_names
 from repro.scenarios.runner import (
     resolve_preset,
@@ -50,21 +41,7 @@ from repro.scenarios.runner import (
 )
 from repro.scenarios.spec import SweepSpec
 
-__all__ = ["main", "build_parser", "EXPERIMENT_RUNNERS"]
-
-#: Legacy experiment id -> runner function (kept for programmatic users; the
-#: CLI itself routes everything through the scenario registry).
-EXPERIMENT_RUNNERS: dict[str, Callable[..., ExperimentResult]] = {
-    "fig2": run_fig2,
-    "fig3": run_fig3,
-    "fig4": run_fig4,
-    "fig5": run_fig5,
-    "convergence": run_convergence_table,
-    "holding": run_holding_table,
-    "memory": run_memory_table,
-    "phase_clock": run_phase_clock_experiment,
-    "baseline": run_baseline_comparison,
-}
+__all__ = ["main", "build_parser"]
 
 
 def _parse_workers(text: str) -> int | str:
@@ -390,28 +367,15 @@ def _cmd_run(args: argparse.Namespace) -> int:
             resolve_preset(spec, args.effort)
         except ConfigurationError as exc:
             return _fail(str(exc))
-        reason = None
-        if (
-            args.engine is not None
-            and args.engine != "auto"
-            and not spec.supports_engine(args.engine)
-        ):
-            reason = (
-                f"scenario {name!r} supports engine(s) {', '.join(spec.engines)}, "
-                f"got {args.engine!r}"
-            )
-        else:
-            try:
-                validate_executor_options(spec, options)
-            except ConfigurationError as exc:
-                reason = str(exc)
-        if reason is not None:
-            if run_all:
-                # `all` skips the scenarios that cannot run with the given
-                # engine or options instead of aborting the sweep.
-                skipped[name] = reason
-            else:
-                return _fail(reason)
+        try:
+            validate_engine_request(args.engine, spec)
+            validate_executor_options(spec, options)
+        except ConfigurationError as exc:
+            if not run_all:
+                return _fail(str(exc))
+            # `all` skips the scenarios that cannot run with the given
+            # engine or options instead of aborting the sweep.
+            skipped[name] = str(exc)
 
     for name in selected:
         if name in skipped:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.experiments.base import ExperimentPreset
 
-__all__ = ["PRESETS", "get_preset", "list_presets", "decimation_knobs"]
+__all__ = ["PRESETS", "list_presets", "decimation_knobs"]
 
 
 def decimation_knobs(preset: ExperimentPreset) -> tuple[int, int]:
@@ -196,22 +196,6 @@ PRESETS: dict[str, dict[str, ExperimentPreset]] = {
         "paper": _fig_preset("paper", (100_000,), 5_000, 48, outage_divisor=10),
     },
 }
-
-
-def get_preset(experiment: str, effort: str = "quick") -> ExperimentPreset:
-    """Look up a preset; raises ``KeyError`` with the available options listed."""
-    try:
-        by_effort = PRESETS[experiment]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown experiment {experiment!r}; available: {sorted(PRESETS)}"
-        ) from exc
-    try:
-        return by_effort[effort]
-    except KeyError as exc:
-        raise KeyError(
-            f"unknown effort {effort!r} for {experiment!r}; available: {sorted(by_effort)}"
-        ) from exc
 
 
 def list_presets() -> dict[str, list[str]]:

@@ -18,15 +18,12 @@ from __future__ import annotations
 import math
 
 from repro.analysis.convergence import measure_convergence
-from repro.engine.options import ExecutionOptions
 from repro.engine.recorder import SnapshotStats
-from repro.experiments.base import ExperimentPreset, ExperimentResult
 from repro.experiments.figures import EstimateTrace
 from repro.scenarios.registry import register
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioPoint, ScenarioSpec
 
-__all__ = ["run_convergence_table", "trace_to_snapshots", "CONVERGENCE"]
+__all__ = ["trace_to_snapshots", "CONVERGENCE"]
 
 
 def trace_to_snapshots(trace: EstimateTrace) -> list[SnapshotStats]:
@@ -101,19 +98,3 @@ CONVERGENCE = register(
         tags=("paper",),
     )
 )
-
-
-def run_convergence_table(
-    preset: ExperimentPreset | None = None,
-    *,
-    effort: str = "quick",
-    engine: str = "batched",
-) -> ExperimentResult:
-    """Measure convergence time across population sizes and initial estimates."""
-    return run_scenario(
-        CONVERGENCE, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run_convergence_table(effort="quick").table())

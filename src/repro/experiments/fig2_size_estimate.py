@@ -9,23 +9,21 @@ concentrates around ``log2 n + 4``) and then stay there — the protocol's
 long holding time in action.
 
 The workload is declared as a :class:`repro.scenarios.spec.ScenarioSpec`
-(registered as ``"fig2"``); :func:`run_fig2` is a thin compatibility wrapper
-over :func:`repro.scenarios.runner.run_scenario`.  The spec pins the
-``batched`` engine so that default outputs stay bit-identical to the
-published runs; pass ``engine="auto"`` (or another engine name) to override.
+registered as ``"fig2"``, which :func:`repro.scenarios.runner.run_scenario`
+runs.  The spec pins the ``batched`` engine so that default outputs stay
+bit-identical to the published runs; pass
+``options=ExecutionOptions(engine="auto")`` (or another engine name) to
+override.
 """
 
 from __future__ import annotations
 
 import math
 
-from repro.engine.options import ExecutionOptions
-from repro.experiments.base import ExperimentPreset, ExperimentResult
 from repro.scenarios.registry import register
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioPoint, ScenarioSpec
 
-__all__ = ["run_fig2", "FIG2"]
+__all__ = ["FIG2"]
 
 
 def _points(preset, params):
@@ -70,20 +68,3 @@ FIG2 = register(
         tags=("paper",),
     )
 )
-
-
-def run_fig2(
-    preset: ExperimentPreset | None = None,
-    *,
-    effort: str = "quick",
-    engine: str = "batched",
-) -> ExperimentResult:
-    """Regenerate Fig. 2: estimate of ``log n`` over parallel time."""
-    return run_scenario(
-        FIG2, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    result = run_fig2(effort="quick")
-    print(result.table())

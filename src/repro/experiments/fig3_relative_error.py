@@ -16,13 +16,10 @@ from __future__ import annotations
 
 import math
 
-from repro.engine.options import ExecutionOptions
-from repro.experiments.base import ExperimentPreset, ExperimentResult
 from repro.scenarios.registry import register
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["run_fig3", "FIG3"]
+__all__ = ["FIG3"]
 
 
 def _row(trace, point, preset, params):
@@ -52,19 +49,3 @@ FIG3 = register(
         tags=("paper",),
     )
 )
-
-
-def run_fig3(
-    preset: ExperimentPreset | None = None,
-    *,
-    effort: str = "quick",
-    engine: str = "batched",
-) -> ExperimentResult:
-    """Regenerate Fig. 3: relative deviation from ``log n`` for varying ``n``."""
-    return run_scenario(
-        FIG3, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run_fig3(effort="quick").table())

@@ -17,14 +17,11 @@ from __future__ import annotations
 
 import math
 
-from repro.engine.options import ExecutionOptions
-from repro.experiments.base import ExperimentPreset, ExperimentResult
 from repro.experiments.config import decimation_knobs
 from repro.scenarios.registry import register
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioPoint, ScenarioSpec
 
-__all__ = ["run_fig4", "adaptation_time", "FIG4"]
+__all__ = ["adaptation_time", "FIG4"]
 
 
 def adaptation_time(
@@ -114,19 +111,3 @@ FIG4 = register(
         knobs=("drop_time", "keep"),
     )
 )
-
-
-def run_fig4(
-    preset: ExperimentPreset | None = None,
-    *,
-    effort: str = "quick",
-    engine: str = "batched",
-) -> ExperimentResult:
-    """Regenerate Fig. 4: estimate over time with a decimation event."""
-    return run_scenario(
-        FIG4, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run_fig4(effort="quick").table())

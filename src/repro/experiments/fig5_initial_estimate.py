@@ -17,13 +17,10 @@ from __future__ import annotations
 
 import math
 
-from repro.engine.options import ExecutionOptions
-from repro.experiments.base import ExperimentPreset, ExperimentResult
 from repro.scenarios.registry import register
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioPoint, ScenarioSpec
 
-__all__ = ["run_fig5", "forgetting_time", "FIG5"]
+__all__ = ["forgetting_time", "FIG5"]
 
 
 def forgetting_time(
@@ -87,19 +84,3 @@ FIG5 = register(
         tags=("paper",),
     )
 )
-
-
-def run_fig5(
-    preset: ExperimentPreset | None = None,
-    *,
-    effort: str = "quick",
-    engine: str = "batched",
-) -> ExperimentResult:
-    """Regenerate Fig. 5: recovery from an initial estimate of 60."""
-    return run_scenario(
-        FIG5, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run_fig5(effort="quick").table())

@@ -33,7 +33,8 @@ from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.params import ProtocolParameters, empirical_parameters
 from repro.core.vectorized import VectorizedDynamicCounting
 from repro.engine.api import Engine
-from repro.engine.parallel import ShardTiming, resolve_workers
+from repro.engine.options import ExecutionOptions
+from repro.engine.parallel import ShardTiming
 from repro.engine.registry import choose_engine, make_engine
 from repro.engine.rng import RandomSource
 from repro.engine.runner import aggregate_series, run_engine_trials
@@ -72,59 +73,6 @@ class EstimateTrace:
         }
 
 
-def _build_trace_engine(
-    engine: str,
-    n: int,
-    rng: RandomSource,
-    params: ProtocolParameters,
-    resize_schedule: Sequence[tuple[int, int]],
-    initial_estimate: float | None,
-    sub_batches: int | None = None,
-    trials: int | None = None,
-) -> Engine:
-    """Build one engine for the estimate-trace workload.
-
-    All engines run the same protocol family — the scalar
-    :class:`DynamicSizeCounting` on the sequential engine, the
-    struct-of-arrays :class:`VectorizedDynamicCounting` on the approximate
-    batched/ensemble engines (and, mapped to its counts kernel by the
-    registry, on the counts engine) — so only the workload
-    translation (initial estimate to population/arrays) lives here; the
-    engine dispatch itself is :func:`repro.engine.registry.make_engine`,
-    which also refuses a ``sub_batches`` the engine cannot honour.
-    """
-    if engine == "sequential":
-        protocol = DynamicSizeCounting(params)
-        if initial_estimate is not None:
-            population: int | object = protocol.make_estimate_population(
-                n, initial_estimate, rng
-            )
-        else:
-            population = n
-        return make_engine(
-            engine,
-            protocol,
-            population,
-            rng=rng,
-            resize_schedule=resize_schedule,
-            sub_batches=sub_batches,
-        )
-    vectorized = VectorizedDynamicCounting(params)
-    initial_arrays = None
-    if initial_estimate is not None:
-        initial_arrays = vectorized.initial_arrays_with_estimate(n, initial_estimate)
-    return make_engine(
-        engine,
-        vectorized,
-        n,
-        rng=rng,
-        resize_schedule=resize_schedule,
-        initial_arrays=initial_arrays,
-        sub_batches=sub_batches,
-        trials=trials if engine == "ensemble" else None,
-    )
-
-
 def _trace_engine_factory(
     engine_name: str,
     rng: RandomSource,
@@ -136,21 +84,51 @@ def _trace_engine_factory(
     initial_estimate: float | None,
     sub_batches: int | None = None,
 ) -> Engine:
-    """Picklable engine factory for :func:`run_engine_trials`.
+    """Build one engine for the estimate-trace workload.
 
-    A module-level function (bound via :func:`functools.partial` over
-    plain-data keywords) rather than a closure, so the sharded execution
-    layer can ship it to worker processes.
+    The engine factory of :func:`run_engine_trials`: a module-level function
+    (bound via :func:`functools.partial` over plain-data keywords) rather
+    than a closure, so the sharded execution layer can ship it to worker
+    processes.
+
+    All engines run the same protocol family — the scalar
+    :class:`DynamicSizeCounting` on the sequential engine, the
+    struct-of-arrays :class:`VectorizedDynamicCounting` on the approximate
+    batched/ensemble engines (and, mapped to its counts kernel by the
+    registry, on the counts engine) — so only the workload
+    translation (initial estimate to population/arrays) lives here; the
+    engine dispatch itself is :func:`repro.engine.registry.make_engine`,
+    which also refuses a ``sub_batches`` the engine cannot honour.
     """
-    return _build_trace_engine(
+    if engine_name == "sequential":
+        protocol = DynamicSizeCounting(params)
+        if initial_estimate is not None:
+            population: int | object = protocol.make_estimate_population(
+                n, initial_estimate, rng
+            )
+        else:
+            population = n
+        return make_engine(
+            engine_name,
+            protocol,
+            population,
+            rng=rng,
+            resize_schedule=resize_schedule,
+            sub_batches=sub_batches,
+        )
+    vectorized = VectorizedDynamicCounting(params)
+    initial_arrays = None
+    if initial_estimate is not None:
+        initial_arrays = vectorized.initial_arrays_with_estimate(n, initial_estimate)
+    return make_engine(
         engine_name,
+        vectorized,
         n,
-        rng,
-        params,
-        resize_schedule,
-        initial_estimate,
-        sub_batches,
-        trials=ensemble_trials,
+        rng=rng,
+        resize_schedule=resize_schedule,
+        initial_arrays=initial_arrays,
+        sub_batches=sub_batches,
+        trials=ensemble_trials if engine_name == "ensemble" else None,
     )
 
 
@@ -165,12 +143,7 @@ def run_estimate_trace(
     initial_estimate: float | None = None,
     snapshot_every: int = 1,
     sub_batches: int | None = None,
-    engine: str | None = "batched",
-    workers: int | str | None = None,
-    checkpoint_every: int | None = None,
-    checkpoint_dir: Any = None,
-    resume_from: Any = None,
-    interrupt_after: int | None = None,
+    options: ExecutionOptions | None = None,
 ) -> EstimateTrace:
     """Run ``trials`` independent simulations of one workload and aggregate.
 
@@ -195,36 +168,34 @@ def run_estimate_trace(
         Fidelity knob of the approximate engines; ``None`` (default) keeps
         their default of 8.  The exact engine refuses any value with
         :class:`~repro.engine.errors.ConfigurationError`.
-    engine:
-        Engine name: ``"sequential"``, ``"batched"`` (default),
-        ``"ensemble"``, ``"counts"``, or ``None``/``"auto"`` to pick the best
-        engine for the workload via
-        :func:`repro.engine.registry.choose_engine`.  All engines report the
-        same snapshot series; the exact engine is practical only for small
-        ``n``, the batched and ensemble engines run trials in stacked passes
-        (one stream per row, or one shared stream), and the counts engine
-        makes huge populations (``n >= 10^7``) affordable.
-    workers:
-        Sharded execution (see :mod:`repro.engine.parallel`): ``None``
-        (default) keeps the serial path, ``"auto"`` uses the capped CPU
-        count, an integer fans the trial row-shards over that many worker
-        processes.  Per-trial results are bit-identical across worker
-        counts (and, for every engine but ``ensemble``, identical to the
-        serial path); per-shard wall-clock timings land in the returned
-        trace's ``shard_timings``.
-    checkpoint_every / checkpoint_dir / resume_from / interrupt_after:
-        Crash recovery for long-horizon runs, forwarded verbatim to
-        :func:`repro.engine.runner.run_engine_trials`: checkpoint every
-        ``checkpoint_every`` parallel time units into ``checkpoint_dir``,
-        resume an interrupted run from ``resume_from``.  A resumed trace
-        is bit-identical to an uninterrupted one.
+    options:
+        How to execute, as a frozen
+        :class:`repro.engine.options.ExecutionOptions` (defaults apply when
+        omitted):
+
+        * ``engine`` — ``"sequential"``, ``"batched"``, ``"ensemble"`` or
+          ``"counts"``; ``"auto"`` picks the best engine for the workload
+          via :func:`repro.engine.registry.choose_engine`, and unset
+          (``None``) runs ``batched``.  All engines report the same
+          snapshot series; the exact engine is practical only for small
+          ``n``, the batched and ensemble engines run trials in stacked
+          passes (one stream per row, or one shared stream), and the counts
+          engine makes huge populations (``n >= 10^7``) affordable.
+        * ``workers`` and the four checkpoint fields — forwarded verbatim
+          to :func:`repro.engine.runner.run_engine_trials`, which documents
+          them.  Per-trial results are bit-identical across worker counts
+          (and, for every engine but ``ensemble``, identical to the serial
+          path), and a resumed trace is bit-identical to an uninterrupted
+          one.  Per-shard wall-clock timings land in the returned trace's
+          ``shard_timings``.
     """
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
+    opts = options if options is not None else ExecutionOptions()
     params = params or empirical_parameters()
     resize_schedule = tuple(resize_schedule)
-    workers = resolve_workers(workers)
-    if engine is None or engine == "auto":
+    engine = opts.engine or "batched"
+    if engine == "auto":
         engine = choose_engine(DynamicSizeCounting(params), trials, n)
 
     per_trial_min: list[list[float]] = []
@@ -248,12 +219,12 @@ def run_estimate_trace(
         seed=seed,
         parallel_time=parallel_time,
         snapshot_every=snapshot_every,
-        workers=workers,
+        workers=opts.workers,
         timing_sink=timing_sink,
-        checkpoint_every=checkpoint_every,
-        checkpoint_dir=checkpoint_dir,
-        resume_from=resume_from,
-        interrupt_after=interrupt_after,
+        checkpoint_every=opts.checkpoint_every,
+        checkpoint_dir=opts.checkpoint_dir,
+        resume_from=opts.resume_from,
+        interrupt_after=opts.interrupt_after,
     )
 
     for series in trial_series:

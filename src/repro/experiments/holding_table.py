@@ -18,14 +18,11 @@ from __future__ import annotations
 import math
 
 from repro.analysis.convergence import loose_stabilization_report
-from repro.engine.options import ExecutionOptions
-from repro.experiments.base import ExperimentPreset, ExperimentResult
 from repro.experiments.convergence_table import trace_to_snapshots
 from repro.scenarios.registry import register
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["run_holding_table", "HOLDING"]
+__all__ = ["HOLDING"]
 
 
 def _row(trace, point, preset, params):
@@ -67,19 +64,3 @@ HOLDING = register(
         tags=("paper",),
     )
 )
-
-
-def run_holding_table(
-    preset: ExperimentPreset | None = None,
-    *,
-    effort: str = "quick",
-    engine: str = "batched",
-) -> ExperimentResult:
-    """Measure how long the converged estimate band holds within the horizon."""
-    return run_scenario(
-        HOLDING, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run_holding_table(effort="quick").table())

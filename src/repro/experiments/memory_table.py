@@ -22,17 +22,15 @@ import math
 
 from repro.analysis.memory import summarize_memory
 from repro.core.dynamic_counting import DynamicSizeCounting
-from repro.engine.options import ExecutionOptions
 from repro.engine.recorder import MemoryRecorder
 from repro.engine.rng import RandomSource, spawn_streams
 from repro.engine.simulator import Simulator
-from repro.experiments.base import ExperimentPreset, ExperimentResult
+from repro.experiments.base import ExperimentResult
 from repro.protocols.doty_eftekhari import DotyEftekhariCounting
 from repro.scenarios.registry import register
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["run_memory_table", "measure_protocol_memory", "MEMORY"]
+__all__ = ["measure_protocol_memory", "MEMORY"]
 
 
 def measure_protocol_memory(
@@ -106,19 +104,3 @@ MEMORY = register(
         tags=("paper", "baseline"),
     )
 )
-
-
-def run_memory_table(
-    preset: ExperimentPreset | None = None,
-    *,
-    effort: str = "quick",
-    engine: str = "sequential",
-) -> ExperimentResult:
-    """Regenerate the space-complexity comparison (ours vs Doty–Eftekhari)."""
-    return run_scenario(
-        MEMORY, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run_memory_table(effort="quick").table())

@@ -24,16 +24,14 @@ import math
 
 from repro.analysis.synchronization import analyze_synchrony
 from repro.core.phase_clock import UniformPhaseClock
-from repro.engine.options import ExecutionOptions
 from repro.engine.recorder import EventRecorder
 from repro.engine.rng import RandomSource, spawn_streams
 from repro.engine.simulator import Simulator
-from repro.experiments.base import ExperimentPreset, ExperimentResult
+from repro.experiments.base import ExperimentResult
 from repro.scenarios.registry import register
-from repro.scenarios.runner import run_scenario
 from repro.scenarios.spec import ScenarioSpec
 
-__all__ = ["run_phase_clock_experiment", "PHASE_CLOCK"]
+__all__ = ["PHASE_CLOCK"]
 
 
 def _execute(spec, preset, params, engine) -> ExperimentResult:
@@ -100,19 +98,3 @@ PHASE_CLOCK = register(
         tags=("paper",),
     )
 )
-
-
-def run_phase_clock_experiment(
-    preset: ExperimentPreset | None = None,
-    *,
-    effort: str = "quick",
-    engine: str = "sequential",
-) -> ExperimentResult:
-    """Measure the burst/overlap structure of the clock (Theorem 2.2)."""
-    return run_scenario(
-        PHASE_CLOCK, effort=effort, preset=preset, options=ExecutionOptions(engine=engine)
-    )
-
-
-if __name__ == "__main__":  # pragma: no cover - manual invocation helper
-    print(run_phase_clock_experiment(effort="quick").table())

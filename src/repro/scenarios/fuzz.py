@@ -18,7 +18,9 @@ only if it fails there too.
 
 Everything is deterministic: case ``i`` of ``generate_cases(seed, count)``
 is drawn from ``np.random.default_rng([seed, i])``, so the same seed
-reproduces the same specs, presets, and cache keys, bit for bit.
+reproduces the same specs, presets, and cache keys, bit for bit.  A fuzz
+run is :func:`check_conformance` on each generated case, as
+``repro-experiments fuzz --seed S --count N`` does.
 
 Every fuzz case doubles as a registry scenario:
 :func:`register_fuzz_scenarios` registers the generated specs (with quick
@@ -63,7 +65,6 @@ __all__ = [
     "unregister_fuzz_scenarios",
     "check_conformance",
     "default_engines",
-    "run_fuzz",
 ]
 
 #: Schedule families the generator draws from, in a fixed order (the draw
@@ -557,18 +558,3 @@ def check_conformance(
             for pair in pairs
         )
     return ConformanceReport(case=case, engines=engines, pairs=pairs, reruns=reruns)
-
-
-def run_fuzz(
-    seed: int,
-    count: int,
-    *,
-    engines: Sequence[str] | None = None,
-    trials: int = 24,
-    alpha: float = 0.001,
-) -> tuple[ConformanceReport, ...]:
-    """Generate ``count`` cases and conformance-check each; returns reports."""
-    return tuple(
-        check_conformance(case, engines=engines, trials=trials, alpha=alpha)
-        for case in generate_cases(seed, count)
-    )

@@ -90,8 +90,9 @@ def _ensure_catalog_loaded() -> None:
     if _catalog_loaded:
         return
     _catalog_loaded = True
-    # The nine legacy experiment modules each register their spec on import;
-    # the catalog module adds the adversarial scenarios beyond the paper.
+    # The nine figure and table modules of repro.experiments each register
+    # their spec on import; the catalog module adds the adversarial
+    # scenarios beyond the paper.
     import repro.experiments  # noqa: F401
     import repro.scenarios.catalog  # noqa: F401
 

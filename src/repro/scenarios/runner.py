@@ -211,31 +211,28 @@ def run_scenario(
     from repro.experiments.figures import run_estimate_trace
 
     opts = options if options is not None else ExecutionOptions()
-    engine, interrupt_after = opts.engine, opts.interrupt_after
-    checkpoint_every, checkpoint_dir = opts.checkpoint_every, opts.checkpoint_dir
-    resume_from = opts.resume_from
-
     spec = _resolve_spec(spec_or_name)
-    validate_engine_request(engine, spec)
+    validate_engine_request(opts.engine, spec)
     validate_executor_options(spec, opts)
-    requested_workers = opts.workers
     workers = resolve_workers(opts.workers)
     preset = resolve_preset(spec, effort, preset)
     params = resolve_params(spec, preset)
-    checkpointing = opts.checkpointing
-    if checkpointing:
-        if checkpoint_dir is None:
-            checkpoint_dir = resume_from
-        if checkpoint_every is None and resume_from is not None:
-            checkpoint_every = recorded_checkpoint_every(resume_from, depth=1)
+    if opts.checkpointing:
+        if opts.checkpoint_dir is None:
+            opts = opts.replace(checkpoint_dir=opts.resume_from)
+        if opts.checkpoint_every is None and opts.resume_from is not None:
+            # Point subdirectories hold the manifests: */manifest.json.
+            opts = opts.replace(
+                checkpoint_every=recorded_checkpoint_every(opts.resume_from, depth=1)
+            )
 
     if spec.executor is not None:
         resolved = _engine_for_point(
-            spec, engine, preset.trials, max(preset.population_sizes, default=2), params
+            spec, opts.engine, preset.trials, max(preset.population_sizes, default=2), params
         )
         result = spec.executor(spec, preset, params, resolved)
         execution = execution_metadata(
-            requested_engine=engine,
+            requested_engine=opts.engine,
             engines_used=[resolved],
             workers=None,  # bespoke executors always run serially
         )
@@ -262,7 +259,7 @@ def run_scenario(
             phases[point.series_label] = [
                 dict(boundary) for boundary in point.info["phases"]
             ]
-        point_engine = _engine_for_point(spec, engine, point.trials, point.n, params)
+        point_engine = _engine_for_point(spec, opts.engine, point.trials, point.n, params)
         engines_used.append(point_engine)
         trace = run_estimate_trace(
             point.n,
@@ -272,12 +269,12 @@ def run_scenario(
             params=params,
             resize_schedule=point.resize_schedule,
             initial_estimate=point.initial_estimate,
-            engine=point_engine,
-            workers=workers,
-            checkpoint_every=checkpoint_every,
-            checkpoint_dir=_subdir(checkpoint_dir, point.series_label),
-            resume_from=_subdir(resume_from, point.series_label),
-            interrupt_after=interrupt_after,
+            options=opts.replace(
+                engine=point_engine,
+                workers=workers,
+                checkpoint_dir=_subdir(opts.checkpoint_dir, point.series_label),
+                resume_from=_subdir(opts.resume_from, point.series_label),
+            ),
         )
         row: dict[str, Any] = {}
         for metric in spec.metrics:
@@ -290,17 +287,17 @@ def run_scenario(
 
     engine_label = engines_used[0] if len(set(engines_used)) == 1 else "auto"
     execution = execution_metadata(
-        requested_engine=engine,
+        requested_engine=opts.engine,
         engines_used=engines_used,
         workers=workers,
     )
-    execution["workers_requested"] = requested_workers
-    if checkpointing:
-        execution["checkpoint_every"] = checkpoint_every
+    execution["workers_requested"] = opts.workers
+    if opts.checkpointing:
+        execution["checkpoint_every"] = opts.checkpoint_every
         execution["checkpoint_dir"] = (
-            None if checkpoint_dir is None else str(checkpoint_dir)
+            None if opts.checkpoint_dir is None else str(opts.checkpoint_dir)
         )
-        execution["resumed_from"] = None if resume_from is None else str(resume_from)
+        execution["resumed_from"] = None if opts.resume_from is None else str(opts.resume_from)
     metadata: dict[str, Any] = {
         "preset": preset.name,
         "params": params.describe(),

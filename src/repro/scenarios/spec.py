@@ -4,8 +4,7 @@ A *scenario* is a workload on the dynamic population model: a protocol, an
 adversarial size schedule, a horizon, a trial count, and the metrics
 extracted from the resulting estimate traces.  :class:`ScenarioSpec` captures
 all of that as frozen data so that a new workload is ~20 lines of spec
-instead of a bespoke ``run_*`` module with its own trial loop and engine
-plumbing.  Specs are registered in :mod:`repro.scenarios.registry` and
+instead of a bespoke module with its own trial loop and engine plumbing.  Specs are registered in :mod:`repro.scenarios.registry` and
 executed by :func:`repro.scenarios.runner.run_scenario`, which auto-selects
 the best engine via :func:`repro.engine.registry.choose_engine` unless the
 spec pins one.

@@ -16,6 +16,7 @@ import repro.engine.counts_engine as counts_engine
 from repro.analysis.stats import chi_square_critical
 from repro.core.counts import DynamicCountingCountsKernel
 from repro.core.dynamic_counting import DynamicSizeCounting
+from repro.core.vectorized import VectorizedDynamicCounting
 from repro.engine.api import quantiles
 from repro.engine.counts_engine import (
     GRV_VALUE_CAP,
@@ -382,10 +383,20 @@ class TestDynamicCountingKernelDetails:
             DynamicCountingCountsKernel(params)
 
     def test_initial_state_with_estimate_matches_outputs(self):
-        kernel = DynamicCountingCountsKernel()
-        state = kernel.initial_state_with_estimate(1000, 60)
-        assert state.total() == 1000
-        assert kernel.output_values(state).tolist() == [60.0]
+        arrays = VectorizedDynamicCounting().initial_arrays_with_estimate(1000, 60)
+        engine = make_engine("counts", DynamicSizeCounting(), 1000, initial_arrays=arrays)
+        assert engine.state.total() == 1000
+        assert engine.kernel.output_values(engine.state).tolist() == [60.0]
+
+    @pytest.mark.parametrize(
+        ("estimate", "reason"),
+        [(0.03, "holds non-integral values"), (65, "leaves the kernel's value range")],
+        ids=["non-integral", "above-value-cap"],
+    )
+    def test_estimate_the_kernel_cannot_hold_is_rejected(self, estimate, reason):
+        arrays = VectorizedDynamicCounting().initial_arrays_with_estimate(1000, estimate)
+        with pytest.raises(ConfigurationError, match=f"state plane 'max' {reason}"):
+            make_engine("counts", DynamicSizeCounting(), 1000, initial_arrays=arrays)
 
     def test_tick_total_accumulates(self):
         kernel = DynamicCountingCountsKernel()

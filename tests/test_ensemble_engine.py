@@ -28,16 +28,17 @@ from repro.engine.ensemble_engine import (
     flat_planes,
 )
 from repro.engine.errors import CheckpointError, ConfigurationError
+from repro.engine.options import ExecutionOptions
 from repro.engine.population import Population
 from repro.engine.protocol import InteractionContext
 from repro.engine.registry import ENGINE_NAMES, make_engine, registered_protocols
 from repro.engine.runner import aggregate_series, run_engine_trials
 from repro.engine.rng import RandomSource, RowStreams, SeedTree, spawn_streams
 from repro.experiments.base import ExperimentPreset
-from repro.experiments.fig3_relative_error import run_fig3
 from repro.protocols.epidemic import InfectionEpidemic, MaxEpidemic
 from repro.protocols.junta import JuntaElection
 from repro.protocols.majority import ApproximateMajority
+from repro.scenarios import run_scenario
 
 
 def _ensemble_factory(engine_name, rng, trials):
@@ -578,8 +579,10 @@ class TestExperimentPath:
         preset = ExperimentPreset(
             name="test", population_sizes=(40, 80), parallel_time=30, trials=4
         )
-        looped = run_fig3(preset, engine="batched")
-        stacked = run_fig3(preset, engine="ensemble")
+        looped = run_scenario("fig3", preset=preset, options=ExecutionOptions(engine="batched"))
+        stacked = run_scenario(
+            "fig3", preset=preset, options=ExecutionOptions(engine="ensemble")
+        )
         assert len(stacked.rows) == len(looped.rows)
         assert [row["n"] for row in stacked.rows] == [row["n"] for row in looped.rows]
         assert all(row["trials"] == 4 for row in stacked.rows)

@@ -1,9 +1,9 @@
 """The ExecutionOptions API: the one spelling of every execution setting.
 
-One frozen bundle, validated in one place.  ``run_scenario`` and
-``run_sweep`` take it as ``options=`` next to the ``effort``/``preset``
-keywords; a flat execution keyword is a ``TypeError``, so each setting has
-exactly one spelling.
+One frozen bundle, validated in one place.  ``run_scenario``,
+``run_sweep`` and ``run_estimate_trace`` take it as ``options=`` next to
+the keywords that choose what runs; a flat execution keyword is a
+``TypeError``, so each setting has exactly one spelling.
 """
 
 from __future__ import annotations
@@ -100,6 +100,51 @@ class TestRunSweep:
         sweep = SweepSpec.from_mapping("oscillate", {"n": (60,)})
         with pytest.raises(TypeError):
             run_sweep(sweep, workers=2)
+
+
+class TestRunEstimateTrace:
+    def test_unset_engine_runs_batched(self):
+        batched = _estimate_trace(options=ExecutionOptions(engine="batched"))
+        assert _estimate_trace().series() == batched.series()
+        assert _estimate_trace(options=ExecutionOptions()).series() == batched.series()
+
+    def test_auto_engine_is_the_chosen_engine(self):
+        # Two trials of a vectorisable protocol: choose_engine picks ensemble,
+        # whose shared stream gives other series than batched's row streams.
+        auto = _estimate_trace(options=ExecutionOptions(engine="auto"))
+        ensemble = _estimate_trace(options=ExecutionOptions(engine="ensemble"))
+        assert auto.series() == ensemble.series()
+        assert auto.series() != _estimate_trace().series()
+
+    def test_workers_shard_the_trials(self):
+        trace = _estimate_trace(options=ExecutionOptions(workers=1))
+        assert [timing["trials"] for timing in trace.shard_timings] == [2]
+        assert trace.series() == _estimate_trace().series()
+
+    def test_run_scenario_hands_each_point_its_options(self, monkeypatch, tmp_path):
+        import repro.experiments.figures as figures
+
+        real, seen = figures.run_estimate_trace, []
+
+        def recording(*args, options, **kwargs):
+            seen.append(options)
+            return real(*args, options=options, **kwargs)
+
+        monkeypatch.setattr(figures, "run_estimate_trace", recording)
+        run_scenario(
+            "fig3",
+            preset=tiny_preset(population_sizes=(40, 80)),
+            options=ExecutionOptions(workers=1, checkpoint_every=10, checkpoint_dir=tmp_path),
+        )
+        assert seen == [
+            ExecutionOptions(
+                engine="batched",
+                workers=1,
+                checkpoint_every=10,
+                checkpoint_dir=str(tmp_path / label),
+            )
+            for label in ("n_40", "n_80")
+        ]
 
 
 class TestRunEngineTrials:
@@ -214,7 +259,12 @@ def _engine_info(**kwargs):
 
 
 class TestRemovedSpellings:
-    """The compiled backend's knobs fail loudly at every layer, never drop silently."""
+    """Removed knobs fail loudly at every layer, never drop silently.
+
+    The compiled backend's ``jit`` switches, and ``run_estimate_trace``'s
+    flat execution keywords, which are ``options=ExecutionOptions(...)``
+    fields now.
+    """
 
     @pytest.mark.parametrize(
         ("call", "keyword"),
@@ -245,6 +295,25 @@ class TestRemovedSpellings:
     def test_keyword_is_a_type_error(self, call, keyword, value):
         with pytest.raises(TypeError, match=keyword):
             call(**{keyword: value})
+
+    @pytest.mark.parametrize(
+        ("keyword", "value"),
+        [
+            ("engine", "batched"),
+            ("workers", 1),
+            ("checkpoint_every", 5),
+            ("checkpoint_dir", "ckpt"),
+            ("resume_from", "ckpt"),
+            ("interrupt_after", 1),
+        ],
+    )
+    def test_estimate_trace_execution_keyword_is_a_type_error(
+        self, keyword, value, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(TypeError, match=keyword):
+            _estimate_trace(**{keyword: value})
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         ("module", "name"),

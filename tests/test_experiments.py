@@ -1,4 +1,4 @@
-"""Tests for the experiment harness (presets, runners, CLI, persistence).
+"""Tests for the experiment harness (presets, scenarios, CLI, persistence).
 
 The experiment tests use tiny custom presets so that the whole module runs
 in seconds; the ``quick`` presets themselves are exercised by the benchmark
@@ -7,23 +7,36 @@ suite.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
 from repro.engine.errors import ConfigurationError
+from repro.engine.options import ExecutionOptions
+from repro.engine.registry import engine_names, validate_engine_request
 from repro.experiments.base import ExperimentPreset, ExperimentResult
-from repro.experiments.baseline_comparison import run_baseline_comparison
-from repro.experiments.cli import EXPERIMENT_RUNNERS, main
-from repro.experiments.config import PRESETS, get_preset, list_presets
-from repro.experiments.convergence_table import run_convergence_table, trace_to_snapshots
-from repro.experiments.fig2_size_estimate import run_fig2
-from repro.experiments.fig3_relative_error import run_fig3
-from repro.experiments.fig4_population_drop import adaptation_time, run_fig4
-from repro.experiments.fig5_initial_estimate import forgetting_time, run_fig5
+from repro.experiments.cli import main
+from repro.experiments.config import PRESETS, list_presets
+from repro.experiments.convergence_table import trace_to_snapshots
+from repro.experiments.fig4_population_drop import adaptation_time
+from repro.experiments.fig5_initial_estimate import forgetting_time
 from repro.experiments.figures import run_estimate_trace
-from repro.experiments.memory_table import run_memory_table
-from repro.experiments.phase_clock_experiment import run_phase_clock_experiment
+from repro.scenarios.registry import get_scenario
+from repro.scenarios.runner import resolve_preset, run_scenario
+
+#: The paper's figures and tables, one registered scenario each.
+PAPER_SCENARIOS = (
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "convergence",
+    "holding",
+    "memory",
+    "phase_clock",
+    "baseline",
+)
 
 
 def tiny(**extra) -> ExperimentPreset:
@@ -42,11 +55,12 @@ class TestPresets:
         for experiment, levels in PRESETS.items():
             assert set(levels) == {"quick", "default", "paper"}, experiment
 
-    def test_get_preset_errors(self):
-        with pytest.raises(KeyError):
-            get_preset("nonexistent")
-        with pytest.raises(KeyError):
-            get_preset("fig2", "gigantic")
+    def test_resolve_preset_errors(self):
+        with pytest.raises(ConfigurationError, match="has no 'gigantic' preset"):
+            resolve_preset(get_scenario("fig2"), "gigantic")
+        unpreset = dataclasses.replace(get_scenario("fig3"), name="nonexistent")
+        with pytest.raises(ConfigurationError, match="has no presets registered"):
+            resolve_preset(unpreset, "quick")
 
     def test_list_presets(self):
         listing = list_presets()
@@ -54,15 +68,15 @@ class TestPresets:
         assert listing["fig4"] == ["default", "paper", "quick"]
 
     def test_paper_presets_match_paper_parameters(self):
-        fig4 = get_preset("fig4", "paper")
+        fig4 = resolve_preset(get_scenario("fig4"), "paper")
         assert fig4.extra["drop_time"] == 1350
         assert fig4.extra["keep"] == 500
         assert fig4.parallel_time == 5000
         assert fig4.trials == 96
-        assert 1_000_000 in get_preset("fig2", "paper").population_sizes
+        assert 1_000_000 in resolve_preset(get_scenario("fig2"), "paper").population_sizes
 
     def test_with_overrides(self):
-        preset = get_preset("fig2", "quick").with_overrides(trials=1, extra={"foo": 1})
+        preset = PRESETS["fig2"]["quick"].with_overrides(trials=1, extra={"foo": 1})
         assert preset.trials == 1
         assert preset.extra["foo"] == 1
 
@@ -89,33 +103,38 @@ class TestEstimateTrace:
 
     def test_rejects_unknown_engine(self):
         with pytest.raises(ConfigurationError):
-            run_estimate_trace(100, 10, trials=1, seed=3, engine="warp")
+            run_estimate_trace(
+                100, 10, trials=1, seed=3, options=ExecutionOptions(engine="warp")
+            )
 
     @pytest.mark.parametrize("engine", ("sequential",))
     def test_exact_engines_support_workload_knobs(self, engine):
+        options = ExecutionOptions(engine=engine)
         trace = run_estimate_trace(
-            100, 30, trials=1, seed=4, engine=engine, resize_schedule=[(10, 40)]
+            100, 30, trials=1, seed=4, options=options, resize_schedule=[(10, 40)]
         )
         assert trace.population_size[-1] == 40
         trace = run_estimate_trace(
-            80, 10, trials=1, seed=4, engine=engine, initial_estimate=60.0
+            80, 10, trials=1, seed=4, options=options, initial_estimate=60.0
         )
         assert trace.maximum[0] == 60.0
 
 
     def test_sub_batches_is_refused_on_the_exact_engine(self):
+        sequential = ExecutionOptions(engine="sequential")
         with pytest.raises(ConfigurationError, match="sub_batches"):
-            run_estimate_trace(50, 5, trials=1, seed=4, engine="sequential", sub_batches=3)
+            run_estimate_trace(50, 5, trials=1, seed=4, options=sequential, sub_batches=3)
 
     def test_unset_sub_batches_is_the_approximate_default(self):
-        unset = run_estimate_trace(200, 20, trials=2, seed=4, engine="batched")
-        explicit = run_estimate_trace(200, 20, trials=2, seed=4, engine="batched", sub_batches=8)
+        batched = ExecutionOptions(engine="batched")
+        unset = run_estimate_trace(200, 20, trials=2, seed=4, options=batched)
+        explicit = run_estimate_trace(200, 20, trials=2, seed=4, options=batched, sub_batches=8)
         assert unset.series() == explicit.series()
 
 
 class TestFigureRunners:
     def test_fig2_rows_and_series(self):
-        result = run_fig2(tiny())
+        result = run_scenario("fig2", preset=tiny())
         assert result.experiment == "fig2"
         assert len(result.rows) == 1
         assert "n_200" in result.series
@@ -124,19 +143,19 @@ class TestFigureRunners:
         assert row["steady_median"] >= 0.5 * row["log2_n"]
 
     def test_fig3_relative_deviation_positive(self):
-        result = run_fig3(tiny())
+        result = run_scenario("fig3", preset=tiny())
         row = result.rows[0]
         assert row["relative_median"] >= 0.5
         assert row["relative_minimum"] <= row["relative_maximum"]
 
     def test_fig4_detects_adaptation(self):
-        result = run_fig4(tiny(drop_time=40, keep=20))
+        result = run_scenario("fig4", preset=tiny(drop_time=40, keep=20))
         row = result.rows[0]
         assert row["keep"] == 20
         assert row["median_before_drop"] > 0
 
     def test_fig5_tracks_initial_estimate(self):
-        result = run_fig5(tiny(initial_estimate=30.0))
+        result = run_scenario("fig5", preset=tiny(initial_estimate=30.0))
         row = result.rows[0]
         assert row["initial_estimate"] == 30.0
 
@@ -156,7 +175,7 @@ class TestFigureRunners:
 
 class TestTableRunners:
     def test_convergence_table(self):
-        result = run_convergence_table(tiny(initial_estimates=(1.0,)))
+        result = run_scenario("convergence", preset=tiny(initial_estimates=(1.0,)))
         assert len(result.rows) == 1
         assert result.rows[0]["converged"]
 
@@ -170,7 +189,7 @@ class TestTableRunners:
         preset = ExperimentPreset(
             name="tiny", population_sizes=(80,), parallel_time=60, trials=1, seed=5
         )
-        result = run_memory_table(preset)
+        result = run_scenario("memory", preset=preset)
         row = result.rows[0]
         assert row["doty_eftekhari_steady_bits"] > row["ours_steady_bits"]
 
@@ -178,7 +197,7 @@ class TestTableRunners:
         preset = ExperimentPreset(
             name="tiny", population_sizes=(60,), parallel_time=900, trials=1, seed=5
         )
-        result = run_phase_clock_experiment(preset)
+        result = run_scenario("phase_clock", preset=preset)
         row = result.rows[0]
         assert row["mean_period_interactions"] > 0
 
@@ -191,7 +210,7 @@ class TestTableRunners:
             seed=5,
             extra={"drop_time": 100, "keep": 20},
         )
-        result = run_baseline_comparison(preset)
+        result = run_scenario("baseline", preset=preset)
         by_protocol = {row["protocol"]: row for row in result.rows}
         assert by_protocol["dynamic-size-counting (ours)"]["adapted_to_drop"]
         assert not by_protocol["static-max-grv"]["adapted_to_drop"]
@@ -199,7 +218,7 @@ class TestTableRunners:
 
 class TestResultPersistenceAndCli:
     def test_save_writes_csv_and_manifest(self, tmp_path):
-        result = run_fig2(tiny())
+        result = run_scenario("fig2", preset=tiny())
         out = result.save(tmp_path)
         assert (out / "rows.csv").exists()
         assert (out / "manifest.json").exists()
@@ -219,13 +238,13 @@ class TestResultPersistenceAndCli:
     def test_cli_runner_registry_complete(self):
         from repro.scenarios import scenario_names
 
-        # Every registered scenario has presets, and the legacy runner map
-        # is a subset of the registry (the nine paper experiments).
+        # Every registered scenario has presets, and the nine paper
+        # experiments are a subset of the registry.
         assert set(scenario_names()) == set(PRESETS)
-        assert set(EXPERIMENT_RUNNERS) < set(scenario_names())
+        assert set(PAPER_SCENARIOS) < set(scenario_names())
 
     def test_save_load_round_trip(self, tmp_path):
-        result = run_fig2(tiny())
+        result = run_scenario("fig2", preset=tiny())
         saved = result.save(tmp_path)
         loaded = ExperimentResult.load(saved)
         assert loaded.rows == result.rows
@@ -240,28 +259,30 @@ class TestResultPersistenceAndCli:
 
 
 class TestEngineSelectors:
-    def test_every_runner_accepts_engine_keyword(self):
-        """Every experiment runner exposes the ``engine=`` selector."""
-        import inspect
-
-        for name, runner in EXPERIMENT_RUNNERS.items():
-            assert "engine" in inspect.signature(runner).parameters, name
+    def test_every_paper_scenario_takes_an_engine_through_options(self):
+        """Every paper scenario takes ``ExecutionOptions(engine=...)`` for its engines."""
+        for name in PAPER_SCENARIOS:
+            spec = get_scenario(name)
+            for engine in engine_names():
+                if engine in spec.engines:
+                    validate_engine_request(engine, spec)
+                else:
+                    with pytest.raises(ConfigurationError, match="supports engine"):
+                        validate_engine_request(engine, spec)
 
     def test_fig2_engine_metadata_and_agreement(self):
         preset = ExperimentPreset(
             name="tiny", population_sizes=(60,), parallel_time=40, trials=2, seed=9
         )
-        sequential = run_fig2(preset, engine="sequential")
+        sequential = run_scenario(
+            "fig2", preset=preset, options=ExecutionOptions(engine="sequential")
+        )
         assert sequential.metadata["engine"] == "sequential"
 
     def test_sequential_only_experiments_reject_other_engines(self):
-        for runner in (
-            run_memory_table,
-            run_phase_clock_experiment,
-            run_baseline_comparison,
-        ):
+        for name in ("memory", "phase_clock", "baseline"):
             with pytest.raises(ConfigurationError):
-                runner(tiny(), engine="batched")
+                run_scenario(name, preset=tiny(), options=ExecutionOptions(engine="batched"))
 
     def test_cli_all_skips_unsupported_engine_combinations(self, capsys, monkeypatch):
         """`all --engine batched` runs the supporting experiments and skips the rest."""
@@ -298,6 +319,31 @@ class TestEngineSelectors:
         assert main(["run", "memory", "--effort", "quick", "--engine", "batched"]) == 2
         captured = capsys.readouterr()
         assert "error" in captured.err
+
+    def test_cli_engine_mismatch_is_the_shared_engine_check(self, capsys, monkeypatch):
+        """`run` fails and `run all` skips with ``validate_engine_request``'s message."""
+        import repro.experiments.cli as cli_module
+
+        with pytest.raises(ConfigurationError) as excinfo:
+            validate_engine_request("batched", get_scenario("memory"))
+        message = str(excinfo.value)
+        assert message == "scenario 'memory' supports engine(s) sequential, got 'batched'"
+        assert main(["run", "memory", "--effort", "quick", "--engine", "batched"]) == 2
+        assert capsys.readouterr().err == f"repro-experiments: error: {message}\n"
+
+        ran = []
+
+        def fake_run(name, *, effort, options):
+            ran.append(name)
+            return ExperimentResult(
+                experiment=name, description="fake", rows=[{"n": 1}], metadata={}
+            )
+
+        monkeypatch.setattr(cli_module, "run_scenario", fake_run)
+        assert main(["run", "all", "--effort", "quick", "--engine", "batched"]) == 0
+        assert f"[memory] skipped: {message}\n" in capsys.readouterr().out
+        assert "memory" not in ran
+        assert "fig2" in ran
 
     @pytest.mark.parametrize("name", ["memory", "phase_clock", "baseline"])
     def test_cli_one_combination_sweep_of_a_bespoke_scenario_rejects_workers(

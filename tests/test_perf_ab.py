@@ -181,6 +181,20 @@ class TestVerdicts:
         assert row["head"] == row["base"] == 5.0
         assert row["verdict"] == "no change"
 
+    def test_paired_spread_drops_a_shift_both_runs_of_a_pair_share(self):
+        # A constant shift: every pair differs by 0.4 s, so the paired spread
+        # is 0 while the base runs keep their 2.25 s quartile distance.
+        row = perf_ab.metric_row(METRICS["adjusted_wall_s"], WIDE, [w + 0.4 for w in WIDE])
+        assert row["spread"] == pytest.approx(2.25)
+        assert row["paired_spread"] == pytest.approx(0.0)
+        # Information only: the verdict still reads the unpaired spread.
+        assert row["verdict"] == "unresolved"
+
+    def test_paired_spread_is_the_quartile_distance_of_the_differences(self):
+        row = perf_ab.metric_row(METRICS["adjusted_wall_s"], TIGHT, [w * 1.3 for w in TIGHT])
+        assert row["paired_spread"] == pytest.approx(0.3 * perf_ab.quartile_distance(TIGHT))
+        assert row["verdict"] == "regression"
+
     def test_zero_base_median_reports_no_relative_change(self):
         row = perf_ab.metric_row(METRICS["setup_s"], [0.0, 0.0], [0.0, 0.0])
         assert (row["change"], row["verdict"]) == (0.0, "no change")
@@ -259,19 +273,23 @@ class TestMarkdown:
             "change",
             "head wins",
             "base Q3-Q1",
+            "paired Q3-Q1",
             "verdict",
         ]
         assert rule == "|" + "---|" * len(columns)
 
     def test_failure_row_has_no_unit_change_or_spread(self):
         last = self.table([5.0], [5.0], failed=1)[-1]
-        assert last == "| per_agent | failed operations | 0/12 | 1/12 |  |  |  | regression |"
+        assert last == (
+            "| per_agent | failed operations | 0/12 | 1/12 |  |  |  |  | regression |"
+        )
 
     def test_numbers_keep_four_significant_digits(self):
         lines = self.table([1234.5678, 1234.5678], [0.000123456, 0.000123456])
         cells = [cell.strip() for cell in lines[2].strip("|").split("|")]
         assert cells[2:6] == ["1235", "0.0001235", "-100.0%", "2/2"]
-        assert cells[7] == "gain"
+        assert cells[6:8] == ["0", "0"]
+        assert cells[8] == "gain"
 
 
 class TestExitStatus:
@@ -608,7 +626,7 @@ class TestMain:
         assert out.startswith(
             "Base `HEAD~1` against the working tree: 2 alternating pairs of 1-second runs.\n"
         )
-        assert "| toy | adjusted_wall_s (s) | 1 | 0.7 | -30.0% | 2/2 | 0 | gain |" in out
+        assert "| toy | adjusted_wall_s (s) | 1 | 0.7 | -30.0% | 2/2 | 0 | 0 | gain |" in out
 
     def test_identical_head_is_no_change_and_passes(self, repo, capsys):
         write(repo, {"src/speed.txt": "1.0"})
@@ -629,8 +647,8 @@ class TestMain:
         assert perf_ab.main(["--base", "HEAD~1", "--pairs", "2", "--seconds", "1"]) == 1
         out = capsys.readouterr().out
         # The timings agree; the failed operations alone fail the gate.
-        assert "| toy | adjusted_wall_s (s) | 1 | 1 | +0.0% | 0/2 | 0 | no change |" in out
-        assert "| toy | failed operations | 0/8 | 2/8 |  |  |  | regression |" in out
+        assert "| toy | adjusted_wall_s (s) | 1 | 1 | +0.0% | 0/2 | 0 | 0 | no change |" in out
+        assert "| toy | failed operations | 0/8 | 2/8 |  |  |  |  | regression |" in out
 
     def test_a_crashed_head_run_exits_2_naming_the_run(self, repo, tmp_path, capsys):
         log = tmp_path / "calls.jsonl"

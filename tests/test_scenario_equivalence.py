@@ -1,9 +1,9 @@
 """Equivalence tests pinning the scenario rewrite to the legacy outputs.
 
 ``tests/data/golden_experiments.json`` was generated by the pre-scenario
-implementation of the nine ``run_*`` experiment runners (the ad-hoc trial
-loops), under tiny deterministic presets.  These tests assert that the
-declarative specs running through ``run_scenario`` reproduce those outputs
+implementation of the nine paper experiments (the ad-hoc trial loops),
+under tiny deterministic presets.  These tests assert that the declarative
+specs running through ``run_scenario`` reproduce those outputs
 *bit-identically* — rows, series, description and the legacy metadata keys —
 for the default engines and for explicit sequential/ensemble runs.
 """
@@ -16,16 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.engine.options import ExecutionOptions
 from repro.experiments.base import ExperimentPreset
-from repro.experiments.baseline_comparison import run_baseline_comparison
-from repro.experiments.convergence_table import run_convergence_table
-from repro.experiments.fig2_size_estimate import run_fig2
-from repro.experiments.fig3_relative_error import run_fig3
-from repro.experiments.fig4_population_drop import run_fig4
-from repro.experiments.fig5_initial_estimate import run_fig5
-from repro.experiments.holding_table import run_holding_table
-from repro.experiments.memory_table import run_memory_table
-from repro.experiments.phase_clock_experiment import run_phase_clock_experiment
 from repro.scenarios import run_scenario
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_experiments.json"
@@ -42,44 +34,24 @@ def _preset(sizes, t, trials, seed, **extra) -> ExperimentPreset:
     )
 
 
-#: case id -> (runner, preset, runner kwargs); mirrors the generator script.
+#: case id -> (scenario, preset, engine); mirrors the generator script.
+#: ``None`` runs the scenario's pinned engine.
 CASES = {
-    "fig2": (run_fig2, _preset((200,), 150, 2, 7), {}),
-    "fig3": (run_fig3, _preset((200,), 150, 2, 7), {}),
-    "fig4": (run_fig4, _preset((200,), 150, 2, 7, drop_time=40, keep=20), {}),
-    "fig5": (run_fig5, _preset((200,), 150, 2, 7, initial_estimate=30.0), {}),
+    "fig2": ("fig2", _preset((200,), 150, 2, 7), None),
+    "fig3": ("fig3", _preset((200,), 150, 2, 7), None),
+    "fig4": ("fig4", _preset((200,), 150, 2, 7, drop_time=40, keep=20), None),
+    "fig5": ("fig5", _preset((200,), 150, 2, 7, initial_estimate=30.0), None),
     "convergence": (
-        run_convergence_table,
+        "convergence",
         _preset((200,), 150, 2, 7, initial_estimates=(1.0, 30.0)),
-        {},
+        None,
     ),
-    "holding": (run_holding_table, _preset((200,), 150, 2, 7), {}),
-    "memory": (run_memory_table, _preset((80,), 60, 1, 5), {}),
-    "phase_clock": (run_phase_clock_experiment, _preset((60,), 300, 1, 5), {}),
-    "baseline": (
-        run_baseline_comparison,
-        _preset((150,), 300, 1, 5, drop_time=100, keep=20),
-        {},
-    ),
-    "fig2_sequential": (run_fig2, _preset((60,), 40, 2, 9), {"engine": "sequential"}),
-    "fig4_ensemble": (
-        run_fig4,
-        _preset((120,), 80, 3, 11, drop_time=30, keep=20),
-        {"engine": "ensemble"},
-    ),
-}
-
-#: case id -> scenario name for the run_scenario round (engine-default cases).
-SCENARIO_CASES = {
-    "fig2": "fig2",
-    "fig3": "fig3",
-    "fig4": "fig4",
-    "fig5": "fig5",
-    "convergence": "convergence",
-    "holding": "holding",
-    "memory": "memory",
-    "phase_clock": "phase_clock",
-    "baseline": "baseline",
+    "holding": ("holding", _preset((200,), 150, 2, 7), None),
+    "memory": ("memory", _preset((80,), 60, 1, 5), None),
+    "phase_clock": ("phase_clock", _preset((60,), 300, 1, 5), None),
+    "baseline": ("baseline", _preset((150,), 300, 1, 5, drop_time=100, keep=20), None),
+    "fig2_sequential": ("fig2", _preset((60,), 40, 2, 9), "sequential"),
+    "fig4_ensemble": ("fig4", _preset((120,), 80, 3, 11, drop_time=30, keep=20), "ensemble"),
 }
 
 
@@ -109,10 +81,11 @@ def golden():
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_legacy_runner_matches_golden(case, golden):
-    runner, preset, kwargs = CASES[case]
+def test_run_scenario_matches_golden(case, golden):
+    """The registry path (name -> run_scenario) is output-identical."""
+    name, preset, engine = CASES[case]
     expected = golden[case]
-    result = runner(preset, **kwargs)
+    result = run_scenario(name, preset=preset, options=ExecutionOptions(engine=engine))
     assert result.experiment == expected["experiment"]
     assert result.description == expected["description"]
     assert _equal(_canon(result.rows), expected["rows"]), f"{case}: rows diverged"
@@ -121,13 +94,3 @@ def test_legacy_runner_matches_golden(case, golden):
         assert _equal(_canon(result.metadata.get(key)), value), (
             f"{case}: metadata[{key!r}] diverged"
         )
-
-
-@pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
-def test_run_scenario_matches_golden(case, golden):
-    """The registry path (name -> run_scenario) is output-identical too."""
-    _, preset, _ = CASES[case]
-    expected = golden[case]
-    result = run_scenario(SCENARIO_CASES[case], preset=preset)
-    assert _equal(_canon(result.rows), expected["rows"]), f"{case}: rows diverged"
-    assert _equal(_canon(result.series), expected["series"]), f"{case}: series diverged"
