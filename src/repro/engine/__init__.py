@@ -14,7 +14,6 @@ size) — selectable by name through :func:`repro.engine.registry.make_engine`.
 from repro.engine.api import Engine, EngineSnapshot, RunResult, resize_events
 from repro.engine.batch_engine import VectorizedProtocol
 from repro.engine.counts_engine import (
-    CountsKernel,
     CountsSimulator,
     CountsState,
     PackedCountsKernel,
@@ -86,14 +85,13 @@ from repro.engine.runner import (
     aggregate_series,
     run_engine_trials,
 )
-from repro.engine.simulator import SimulationResult, Simulator
+from repro.engine.simulator import Simulator
 
 __all__ = [
     "AggregatedSeries",
     "CallbackRecorder",
     "CheckpointError",
     "CheckpointInterrupted",
-    "CountsKernel",
     "CountsSimulator",
     "CountsState",
     "DEFAULT_SHARD_SIZE",
@@ -129,7 +127,6 @@ __all__ = [
     "SeedTree",
     "ShardPool",
     "ShardTiming",
-    "SimulationResult",
     "Simulator",
     "SnapshotStats",
     "TrialShard",

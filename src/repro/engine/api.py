@@ -325,8 +325,8 @@ class Engine(abc.ABC):
         run-loop counters, the resize schedule's position, the RNG
         bit-generator state, and the engine-specific state from
         :meth:`_state_payload` (population, state planes, ...).  Persist it with
-        :meth:`save_checkpoint`, or embed it in a larger artifact (the
-        sharded executor stores one per shard).
+        :func:`repro.engine.checkpoint.write_checkpoint`, or embed it in a
+        larger artifact (the sharded executor stores one per shard).
 
         With ``copy=False`` the payload *aliases* live engine state instead
         of snapshotting it — it is only valid until the engine advances
@@ -365,18 +365,6 @@ class Engine(abc.ABC):
         self.parallel_time = int(payload["parallel_time"])
         self.interactions_executed = int(payload["interactions_executed"])
         self._resize_cursor = int(payload["resize_cursor"])
-
-    def save_checkpoint(self, path: Any) -> Any:
-        """Write :meth:`checkpoint_payload` to ``path`` (atomic, checksummed)."""
-        from repro.engine.checkpoint import write_checkpoint
-
-        return write_checkpoint(path, self.checkpoint_payload(), kind="engine")
-
-    def restore_checkpoint(self, path: Any) -> None:
-        """Restore from a file written by :meth:`save_checkpoint`."""
-        from repro.engine.checkpoint import read_checkpoint
-
-        self.apply_checkpoint_payload(read_checkpoint(path, kind="engine"))
 
     def _rng_checkpoint_state(self) -> Any:
         # ``state`` of a RandomSource, or one state per row of RowStreams.

@@ -13,7 +13,7 @@ vector directly (Gillespie / tau-leaping style):
 * their responders are drawn with replacement from the batch-start state
   distribution (mirroring the batched engine's responder snapshot), via
   one vectorised multinomial;
-* the protocol's :class:`CountsKernel` then turns the ordered
+* the protocol's :class:`PackedCountsKernel` then turns the ordered
   (initiator-state, responder-state) interaction counts into transition
   deltas on the count vector, splitting cells by random outcome (GRV
   draws) with one more multinomial per sub-batch.
@@ -61,7 +61,6 @@ from repro.engine.rng import RandomSource
 
 __all__ = [
     "CountsState",
-    "CountsKernel",
     "PackedCountsKernel",
     "CountsSimulator",
     "multiset_sample",
@@ -257,17 +256,31 @@ def merge_counts(
     return unique_keys[occupied], merged[occupied]
 
 
-class CountsKernel(abc.ABC):
+class PackedCountsKernel(abc.ABC):
     """Per-protocol adapter from agent-level transitions to count vectors.
 
     A kernel owns the state enumeration (fixed for finite protocols, lazily
     discovered for the log-n levels of dynamic counting), the transition on
     (initiator-state, responder-state) interaction counts, and the
     per-state output values the engine's snapshots aggregate.
+
+    Every state packs into one int64 key.  Subclasses declare ``fields`` —
+    ``(name, cardinality)`` pairs, where ``cardinality`` bounds the field's
+    value range ``[0, cardinality)`` — and implement :meth:`initial_state`,
+    :meth:`output_values` and :meth:`transition`, the cell-level
+    transition.  Packing, unpacking, table merging, per-agent array
+    conversion and the :meth:`apply` plumbing all live here.
     """
 
     #: Name used in run metadata.
     name: str = "counts-kernel"
+
+    #: ``(field name, cardinality)`` pairs; subclasses set this (usually in
+    #: ``__init__`` when the bounds depend on protocol parameters).
+    fields: tuple[tuple[str, int], ...] = ()
+
+    #: Responder fields the transition reads; defaults to every field.
+    responder_fields: tuple[str, ...] | None = None
 
     @abc.abstractmethod
     def initial_state(self, n: int, rng: RandomSource) -> CountsState:
@@ -276,24 +289,6 @@ class CountsKernel(abc.ABC):
     @abc.abstractmethod
     def output_values(self, state: CountsState) -> np.ndarray:
         """Per-state float outputs aligned with ``state.keys``."""
-
-    @abc.abstractmethod
-    def apply(
-        self,
-        state: CountsState,
-        initiator_idx: np.ndarray,
-        responder_idx: np.ndarray,
-        pair_counts: np.ndarray,
-        responder_columns: Mapping[str, np.ndarray],
-        rng: RandomSource,
-    ) -> None:
-        """Apply ``pair_counts[j]`` ordered interactions per (state, class) cell.
-
-        ``initiator_idx`` indexes ``state``; ``responder_idx`` indexes the
-        responder classes of :meth:`responder_view`, whose fields
-        ``responder_columns`` carries.  Only initiators change state.
-        Mutates ``state`` in place; must preserve the total count.
-        """
 
     def responder_view(
         self, state: CountsState
@@ -314,12 +309,6 @@ class CountsKernel(abc.ABC):
         extra = self.initial_state(count, rng)
         self.merge_into(state, extra.keys, extra.counts)
 
-    @abc.abstractmethod
-    def merge_into(
-        self, state: CountsState, extra_keys: np.ndarray, extra_counts: np.ndarray
-    ) -> None:
-        """Merge extra (keys, counts) rows into ``state`` and rebuild columns."""
-
     def tick_total(self) -> int | None:
         """Cumulative protocol ticks (resets) applied so far, if tracked."""
         return None
@@ -334,24 +323,6 @@ class CountsKernel(abc.ABC):
 
     def describe(self) -> dict[str, Any]:
         return {"name": self.name, "class": type(self).__name__}
-
-
-class PackedCountsKernel(CountsKernel):
-    """Shared machinery for kernels whose state packs into one int64 key.
-
-    Subclasses declare ``fields`` — ``(name, cardinality)`` pairs, where
-    ``cardinality`` bounds the field's value range ``[0, cardinality)`` —
-    and implement :meth:`transition`, the cell-level transition.  Packing,
-    unpacking, table merging, per-agent array conversion and the
-    :meth:`CountsKernel.apply` plumbing all live here.
-    """
-
-    #: ``(field name, cardinality)`` pairs; subclasses set this (usually in
-    #: ``__init__`` when the bounds depend on protocol parameters).
-    fields: tuple[tuple[str, int], ...] = ()
-
-    #: Responder fields the transition reads; defaults to every field.
-    responder_fields: tuple[str, ...] | None = None
 
     def _check_packing(self) -> None:
         """Validate that the declared field bounds fit one signed int64."""
@@ -442,6 +413,7 @@ class PackedCountsKernel(CountsKernel):
     def merge_into(
         self, state: CountsState, extra_keys: np.ndarray, extra_counts: np.ndarray
     ) -> None:
+        """Merge extra (keys, counts) rows into ``state`` and rebuild columns."""
         state.keys, state.counts = merge_counts(
             state.keys, state.counts, extra_keys, extra_counts
         )
@@ -476,6 +448,13 @@ class PackedCountsKernel(CountsKernel):
         responder_columns: Mapping[str, np.ndarray],
         rng: RandomSource,
     ) -> None:
+        """Apply ``pair_counts[j]`` ordered interactions per (state, class) cell.
+
+        ``initiator_idx`` indexes ``state``; ``responder_idx`` indexes the
+        responder classes of :meth:`responder_view`, whose fields
+        ``responder_columns`` carries.  Only initiators change state.
+        Mutates ``state`` in place and preserves the total count.
+        """
         responder_fields = (
             self.responder_fields
             if self.responder_fields is not None
@@ -497,7 +476,7 @@ class CountsSimulator(Engine):
     Parameters
     ----------
     kernel:
-        The protocol's :class:`CountsKernel` (see
+        The protocol's :class:`PackedCountsKernel` (see
         :func:`repro.engine.registry.counts_kernel_for` for the scalar
         protocol lookup).
     n:
@@ -520,7 +499,7 @@ class CountsSimulator(Engine):
 
     def __init__(
         self,
-        kernel: CountsKernel,
+        kernel: PackedCountsKernel,
         n: int,
         *,
         rng: RandomSource | None = None,
@@ -530,9 +509,9 @@ class CountsSimulator(Engine):
         initial_state: CountsState | None = None,
     ) -> None:
         super().__init__(resize_schedule)
-        if not isinstance(kernel, CountsKernel):
+        if not isinstance(kernel, PackedCountsKernel):
             raise ConfigurationError(
-                f"CountsSimulator needs a CountsKernel, got {type(kernel).__name__}"
+                f"CountsSimulator needs a PackedCountsKernel, got {type(kernel).__name__}"
             )
         if n < 2:
             raise ConfigurationError(f"population size must be at least 2, got {n}")

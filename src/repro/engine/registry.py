@@ -9,7 +9,7 @@ experiment code:
   asked to run a scalar protocol and look up the struct-of-arrays
   implementation themselves;
 * a **counts-kernel registry** doing the same for the multiset engine's
-  :class:`repro.engine.counts_engine.CountsKernel` adapters; and
+  :class:`repro.engine.counts_engine.PackedCountsKernel` adapters; and
 * an **engine table** (:class:`EngineInfo`) mapping engine names to
   builders plus capability flags, consumed by :func:`make_engine` — a new
   engine is a :func:`register_engine` call, not an edit to an if-chain.
@@ -41,7 +41,7 @@ import numpy as np
 
 from repro.engine.api import Engine
 from repro.engine.batch_engine import VectorizedProtocol
-from repro.engine.counts_engine import CountsKernel, CountsSimulator
+from repro.engine.counts_engine import CountsSimulator, PackedCountsKernel
 from repro.engine.ensemble_engine import EnsembleSimulator
 from repro.engine.errors import ConfigurationError, UnsupportedEngineError
 from repro.engine.parallel import note_registry_change
@@ -85,7 +85,7 @@ LARGE_POPULATION_THRESHOLD = 1_000_000
 #: Scalar protocol class -> factory building its vectorised counterpart.
 _REGISTRY: dict[type, Callable[[Any], VectorizedProtocol]] = {}
 #: Protocol class -> factory building its counts kernel.
-_COUNTS_REGISTRY: dict[type, Callable[[Any], CountsKernel]] = {}
+_COUNTS_REGISTRY: dict[type, Callable[[Any], PackedCountsKernel]] = {}
 _defaults_loaded = False
 
 
@@ -221,9 +221,9 @@ def register_vectorized(
 
 
 def register_counts_kernel(
-    protocol_cls: type, factory: Callable[[Any], CountsKernel]
+    protocol_cls: type, factory: Callable[[Any], PackedCountsKernel]
 ) -> None:
-    """Register ``factory(protocol) -> CountsKernel`` for a protocol class.
+    """Register ``factory(protocol) -> PackedCountsKernel`` for a protocol class.
 
     Mirrors :func:`register_vectorized` for the counts engine.  Registering
     both the scalar protocol class and its vectorised counterpart lets
@@ -297,17 +297,17 @@ def registered_protocols() -> list[str]:
     return sorted(cls.__name__ for cls in _REGISTRY)
 
 
-def counts_kernel_for(protocol: Any) -> CountsKernel:
+def counts_kernel_for(protocol: Any) -> PackedCountsKernel:
     """Build the counts kernel for a protocol instance.
 
-    A :class:`~repro.engine.counts_engine.CountsKernel` passed in is
+    A :class:`~repro.engine.counts_engine.PackedCountsKernel` passed in is
     returned unchanged; otherwise the lookup walks the protocol's MRO like
     :func:`vectorized_for`.  Raises :class:`ConfigurationError` when no
     kernel is registered *or* when the registered kernel rejects the
     protocol's parameterisation (e.g. the theory presets of dynamic
     counting overflow the packed state key).
     """
-    if isinstance(protocol, CountsKernel):
+    if isinstance(protocol, PackedCountsKernel):
         return protocol
     _ensure_default_registrations()
     for cls in type(protocol).__mro__:

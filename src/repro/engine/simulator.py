@@ -25,7 +25,6 @@ implement the shared :class:`repro.engine.api.Engine` contract and return
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
 from repro.engine.api import Engine, EngineSnapshot, RunResult, quantiles
@@ -43,17 +42,7 @@ from repro.engine.rng import RandomSource
 # the module name inside that method.
 _deepcopy = copy.deepcopy
 
-__all__ = ["SimulationResult", "Simulator"]
-
-
-@dataclass
-class SimulationResult(RunResult):
-    """Summary of one sequential simulation run.
-
-    A :class:`repro.engine.api.RunResult` under its historical name; kept as
-    a distinct type so that call sites can continue to spell out which
-    engine produced the result.
-    """
+__all__ = ["Simulator"]
 
 
 class Simulator(Engine):
@@ -234,8 +223,8 @@ class Simulator(Engine):
 
     def _build_result(
         self, snapshots: list[EngineSnapshot], stopped_early: bool
-    ) -> SimulationResult:
-        return SimulationResult(
+    ) -> RunResult:
+        return RunResult(
             parallel_time=self.parallel_time,
             interactions=self.interactions_executed,
             final_size=self.population.size,

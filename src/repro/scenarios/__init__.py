@@ -9,8 +9,8 @@ dynamic population model:
   :func:`scenario_names` — the registry (:mod:`repro.scenarios.registry`);
 * :func:`run_scenario` / :func:`run_sweep` — execution with automatic
   engine selection (:mod:`repro.scenarios.runner`);
-* :mod:`repro.scenarios.schedules` — typed :class:`Schedule` objects and
-  adversary schedule builders;
+* :mod:`repro.scenarios.schedules` — adversary schedule builders returning
+  plain ``(time, size)`` pairs;
 * :mod:`repro.scenarios.traces` — CSV load curves replayed as resize
   schedules (:class:`Trace`, :func:`bundled_trace`);
 * :mod:`repro.scenarios.phases` — multi-phase timelines (:class:`Phase`,
@@ -39,7 +39,6 @@ from repro.scenarios.registry import (
 from repro.scenarios.listing import scenario_listing
 from repro.scenarios.phases import Phase, chain_phases, phase_boundaries
 from repro.scenarios.runner import run_scenario, run_sweep
-from repro.scenarios.schedules import Schedule
 from repro.scenarios.spec import (
     ScenarioPoint,
     ScenarioSpec,
@@ -54,7 +53,6 @@ __all__ = [
     "Phase",
     "ScenarioPoint",
     "ScenarioSpec",
-    "Schedule",
     "SweepSpec",
     "Trace",
     "bundled_trace",

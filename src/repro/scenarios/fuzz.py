@@ -18,14 +18,10 @@ only if it fails there too.
 
 Everything is deterministic: case ``i`` of ``generate_cases(seed, count)``
 is drawn from ``np.random.default_rng([seed, i])``, so the same seed
-reproduces the same specs, presets, and cache keys, bit for bit.  A fuzz
-run is :func:`check_conformance` on each generated case, as
-``repro-experiments fuzz --seed S --count N`` does.
-
-Every fuzz case doubles as a registry scenario:
-:func:`register_fuzz_scenarios` registers the generated specs (with quick
-presets in :data:`repro.experiments.config.PRESETS`), which makes them
-runnable through the CLI and :mod:`repro.serve`.
+reproduces the same cases and cache keys, bit for bit.  A fuzz run is
+:func:`check_conformance` on each generated case, as
+``repro-experiments fuzz --seed S --count N`` does.  Cases are plain data
+run straight on the engines; they are not registered as scenarios.
 """
 
 from __future__ import annotations
@@ -40,18 +36,12 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from repro.analysis.stats import ks_critical, ks_statistic
-from repro.core.params import ProtocolParameters
+from repro.core.params import ProtocolParameters, empirical_parameters
 from repro.engine.runner import run_engine_trials
 from repro.scenarios import schedules
-from repro.scenarios.metrics import (
-    base_fields,
-    phase_stats,
-    schedule_fields,
-    tracking_stats,
-)
 from repro.scenarios.phases import Phase, chain_phases, phase_boundaries
-from repro.scenarios.registry import register, unregister
-from repro.scenarios.spec import ScenarioPoint, ScenarioSpec, canonical_json
+from repro.scenarios.runner import apply_params_overrides
+from repro.scenarios.spec import canonical_json
 from repro.scenarios.traces import bundled_trace
 
 __all__ = [
@@ -61,8 +51,6 @@ __all__ = [
     "ConformancePair",
     "ConformanceReport",
     "generate_cases",
-    "register_fuzz_scenarios",
-    "unregister_fuzz_scenarios",
     "check_conformance",
     "default_engines",
 ]
@@ -101,10 +89,6 @@ _ENGINE_SEEDS = {"batched": 7103, "ensemble": 7207, "counts": 7311, "sequential"
 #: fresh sample shares no seed with any case's first one.
 _CONFIRMATION_SEED_SHIFT = 1_000_000
 
-#: Metric extractors every fuzz spec composes (phase_stats contributes no
-#: columns for cases without phases, so one shared tuple serves them all).
-_FUZZ_METRICS = (base_fields, schedule_fields, tracking_stats, phase_stats)
-
 
 @dataclass(frozen=True)
 class FuzzCase:
@@ -141,67 +125,9 @@ class FuzzCase:
         digest = hashlib.sha256(canonical_json(self.encoding()).encode("ascii"))
         return digest.hexdigest()
 
-    def spec(self) -> ScenarioSpec:
-        """The case as a registrable :class:`ScenarioSpec`."""
-        return ScenarioSpec(
-            name=self.name,
-            description=(
-                f"fuzzed {self.family} workload "
-                f"(n={self.n}, horizon={self.horizon}, seed={self.seed})"
-            ),
-            points=_fuzz_points,
-            metrics=_FUZZ_METRICS,
-            tags=("fuzz", "adversarial"),
-            schedule_kind=self.family if self.family != "none" else None,
-        )
-
-    def preset(self) -> Any:
-        """The case's quick preset (schedule and phases travel in ``extra``)."""
-        from repro.experiments.base import ExperimentPreset
-
-        extra: dict[str, Any] = {"schedule": [list(event) for event in self.schedule]}
-        if self.phases:
-            extra["phases"] = [dict(boundary) for boundary in self.phases]
-        if self.params_overrides:
-            extra["params_overrides"] = dict(self.params_overrides)
-        return ExperimentPreset(
-            name="quick",
-            population_sizes=(self.n,),
-            parallel_time=self.horizon,
-            trials=self.trials,
-            extra=extra,
-        )
-
     def resolved_params(self) -> ProtocolParameters:
-        """Protocol constants with this case's overrides applied."""
-        from repro.scenarios.runner import resolve_params
-
-        return resolve_params(self.spec(), self.preset())
-
-
-def _fuzz_points(preset, params) -> tuple[ScenarioPoint, ...]:
-    """Shared points factory for every fuzz spec (stable callable identity).
-
-    The schedule and optional phase boundaries travel in ``preset.extra``
-    as plain data, so one module-level callable serves all generated specs
-    — per-spec closures would collide under the ``module:qualname`` spec
-    encoding and break cache keys.
-    """
-    schedule = tuple((int(t), int(s)) for t, s in preset.extra.get("schedule", ()))
-    info: dict[str, Any] = {}
-    if preset.extra.get("phases"):
-        info["phases"] = tuple(dict(b) for b in preset.extra["phases"])
-    return tuple(
-        ScenarioPoint(
-            n=n,
-            seed=preset.seed + n,
-            parallel_time=preset.parallel_time,
-            trials=preset.trials,
-            resize_schedule=schedule,
-            info=info,
-        )
-        for n in preset.population_sizes
-    )
+        """The paper's empirical constants with this case's overrides applied."""
+        return apply_params_overrides(empirical_parameters(), self.params_overrides)
 
 
 # ------------------------------------------------------------- generation
@@ -214,46 +140,41 @@ def _draw_schedule(
     if family == "none":
         return (), ()
     if family == "oscillation":
-        pairs = schedules.oscillation(
+        return schedules.oscillation(
             n,
             low=max(2, n // int(rng.integers(4, 17))),
             period=max(1, horizon // int(rng.integers(3, 9))),
             horizon=horizon,
-        )
-        return tuple(pairs), ()
+        ), ()
     if family == "growth_crash":
-        pairs = schedules.growth_crash(
+        return schedules.growth_crash(
             n,
             growth_factor=float(rng.choice((1.5, 2.0, 3.0))),
             growth_steps=int(rng.integers(2, 5)),
             period=max(1, horizon // int(rng.integers(6, 10))),
             crash_target=max(2, n // int(rng.integers(8, 21))),
             horizon=horizon,
-        )
-        return tuple(pairs), ()
+        ), ()
     if family == "random_churn":
-        pairs = schedules.random_churn(
+        return schedules.random_churn(
             n,
             low=max(2, n // int(rng.integers(4, 13))),
             high=n,
             period=max(1, horizon // int(rng.integers(6, 13))),
             horizon=horizon,
             seed=int(rng.integers(0, 2**31)),
-        )
-        return tuple(pairs), ()
+        ), ()
     if family == "repeated_decimation":
-        pairs = schedules.repeated_decimation(
+        return schedules.repeated_decimation(
             n,
             factor=float(rng.choice((1.5, 2.0, 3.0))),
             period=max(1, horizon // int(rng.integers(4, 9))),
             horizon=horizon,
             floor=max(2, min(16, n // 2)),
-        )
-        return tuple(pairs), ()
+        ), ()
     if family == "trace":
         name = str(rng.choice(("flash_crowd", "diurnal", "failover")))
-        pairs = bundled_trace(name).resample(horizon=horizon, n=n)
-        return tuple(pairs), ()
+        return bundled_trace(name).resample(horizon=horizon, n=n), ()
     if family == "multi_phase":
         first = max(1, horizon // int(rng.integers(3, 5)))
         second = max(1, horizon // int(rng.integers(3, 5)))
@@ -263,7 +184,7 @@ def _draw_schedule(
             Phase("crash", second, start_size=max(2, n // int(rng.integers(5, 13)))),
             Phase("recovery", third, start_size=n),
         )
-        return tuple(chain_phases(phases)), phase_boundaries(phases)
+        return chain_phases(phases), phase_boundaries(phases)
     raise ValueError(f"unknown schedule family {family!r}")
 
 
@@ -296,44 +217,12 @@ def generate_cases(seed: int, count: int) -> tuple[FuzzCase, ...]:
                 horizon=horizon,
                 trials=trials,
                 family=family,
-                schedule=tuple(schedule),
+                schedule=schedule,
                 phases=phases,
                 params_overrides=params_overrides,
             )
         )
     return tuple(cases)
-
-
-# ----------------------------------------------------------- registration
-
-
-def register_fuzz_scenarios(
-    seed: int, count: int, *, replace: bool = False
-) -> tuple[str, ...]:
-    """Register ``count`` generated scenarios (specs + quick presets).
-
-    Returns the registered names.  The presets land in
-    :data:`repro.experiments.config.PRESETS`, so the scenarios are
-    immediately runnable via CLI/serve.  Use
-    :func:`unregister_fuzz_scenarios` to undo.
-    """
-    from repro.experiments.config import PRESETS
-
-    names = []
-    for case in generate_cases(seed, count):
-        register(case.spec(), replace=replace)
-        PRESETS[case.name] = {"quick": case.preset()}
-        names.append(case.name)
-    return tuple(names)
-
-
-def unregister_fuzz_scenarios(names: Sequence[str]) -> None:
-    """Remove previously registered fuzz scenarios and their presets."""
-    from repro.experiments.config import PRESETS
-
-    for name in names:
-        unregister(name)
-        PRESETS.pop(name, None)
 
 
 # ------------------------------------------------------------ conformance

@@ -3,10 +3,9 @@
 A :class:`Phase` is a named segment of a run — "steady", "outage",
 "recovery" — with its own duration, an optional population size to jump to
 when the phase begins, and its own (phase-relative) resize events.
-:func:`chain_phases` concatenates phases into a single
-:class:`~repro.scenarios.schedules.Schedule` (kind ``"multi_phase"``), and
-:func:`phase_boundaries` reports where each phase starts and stops on the
-global timeline — the scenario runner stamps those boundaries into
+:func:`chain_phases` concatenates phases into one plain ``(time, size)``
+schedule, and :func:`phase_boundaries` reports where each phase starts and
+stops on the global timeline — the scenario runner stamps those boundaries into
 ``ExperimentResult.metadata["phases"]`` and the
 :func:`~repro.scenarios.metrics.phase_stats` extractor splits the tracking
 metrics by phase, so tables and figures can answer "how did the protocol
@@ -19,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from repro.engine.errors import InvalidScheduleError
-from repro.scenarios.schedules import Schedule
 
 __all__ = ["Phase", "chain_phases", "phase_boundaries"]
 
@@ -85,8 +83,8 @@ class Phase:
             previous = time
 
 
-def chain_phases(phases: Sequence[Phase]) -> Schedule:
-    """Concatenate phases into one global ``multi_phase`` schedule.
+def chain_phases(phases: Sequence[Phase]) -> tuple[tuple[int, int], ...]:
+    """Concatenate phases into one global schedule of ``(time, size)`` pairs.
 
     Each phase's relative events are shifted by the sum of the preceding
     durations; a phase's ``start_size`` becomes a resize event at the
@@ -108,8 +106,7 @@ def chain_phases(phases: Sequence[Phase]) -> Schedule:
             events.append((offset, phase.start_size))
         events.extend((offset + time, size) for time, size in phase.schedule)
         offset += phase.duration
-    label = " -> ".join(phase.name for phase in phases)
-    return Schedule(events, kind="multi_phase", label=label)
+    return tuple(events)
 
 
 def phase_boundaries(phases: Sequence[Phase]) -> tuple[dict[str, object], ...]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.core.dynamic_counting import DynamicSizeCounting
 from repro.core.params import ProtocolParameters
@@ -30,6 +30,7 @@ from repro.engine.errors import ConfigurationError
 from repro.engine.options import ExecutionOptions, execution_metadata
 from repro.engine.parallel import execute_shards, resolve_workers
 from repro.engine.registry import choose_engine, validate_engine_request
+from repro.engine.rng import RandomSource
 from repro.engine.runner import recorded_checkpoint_every
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import ScenarioSpec, SweepSpec
@@ -44,7 +45,9 @@ __all__ = [
     "run_sweep",
     "resolve_preset",
     "resolve_params",
+    "apply_params_overrides",
     "validate_executor_options",
+    "validate_points",
 ]
 
 
@@ -77,25 +80,32 @@ def resolve_preset(
 
 
 def resolve_params(spec: ScenarioSpec, preset: "ExperimentPreset") -> ProtocolParameters:
-    """Protocol constants for a run, with sweep overrides applied.
+    """Protocol constants for a run, with sweep overrides applied."""
+    return apply_params_overrides(
+        spec.params_factory(), preset.extra.get("params_overrides")
+    )
+
+
+def apply_params_overrides(
+    params: ProtocolParameters, overrides: Mapping[str, Any] | None
+) -> ProtocolParameters:
+    """``params`` with protocol-constant overrides applied.
 
     Overriding ``k`` without ``grv_samples`` re-derives the per-call sample
     count from the new ``k`` (the Algorithm 3 default), mirroring how
     :class:`~repro.core.params.ProtocolParameters` behaves at construction.
     """
-    params = spec.params_factory()
-    overrides = preset.extra.get("params_overrides")
-    if overrides:
-        overrides = dict(overrides)
-        if "k" in overrides and "grv_samples" not in overrides:
-            overrides["grv_samples"] = 0  # sentinel: re-derive from k
-        try:
-            params = dataclasses.replace(params, **overrides)
-        except (TypeError, ValueError) as exc:
-            raise ConfigurationError(
-                f"invalid protocol parameter overrides {overrides!r}: {exc}"
-            ) from exc
-    return params
+    if not overrides:
+        return params
+    overrides = dict(overrides)
+    if "k" in overrides and "grv_samples" not in overrides:
+        overrides["grv_samples"] = 0  # sentinel: re-derive from k
+    try:
+        return dataclasses.replace(params, **overrides)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"invalid protocol parameter overrides {overrides!r}: {exc}"
+        ) from exc
 
 
 def validate_executor_options(
@@ -140,6 +150,36 @@ def _engine_for_point(
     if chosen not in spec.engines:
         chosen = spec.engines[0]
     return chosen
+
+
+def validate_points(
+    spec: ScenarioSpec, preset: "ExperimentPreset", engine: str | None
+) -> None:
+    """Check every workload point of a run before the first simulation.
+
+    Resolving the protocol constants validates the parameter overrides, and
+    building the points validates population sizes, trial counts, resize
+    schedules and initial estimates.  Each point's engine (the one
+    :func:`run_scenario` picks for ``engine``) is then built on two agents,
+    which rejects what only that engine cannot hold, such as an initial
+    estimate off the counts kernel's integer lattice.  Bespoke-executor
+    specs have no points and skip both.
+    """
+    from repro.experiments.figures import _trace_engine_factory
+
+    params = resolve_params(spec, preset)
+    if spec.executor is not None:
+        return
+    for point in spec.points(preset, params):
+        _trace_engine_factory(
+            _engine_for_point(spec, engine, point.trials, point.n, params),
+            RandomSource.from_seed(0),
+            1,
+            n=2,
+            params=params,
+            resize_schedule=(),
+            initial_estimate=point.initial_estimate,
+        )
 
 
 def _checkpoint_slug(label: str) -> str:
@@ -342,10 +382,11 @@ def run_sweep(
     :func:`run_scenario`; ``preset`` is the base every combination
     overrides.
 
-    The whole grid is expanded and validated up front — protocol-parameter
-    axes *and* workload points (schedules, population sizes) — so a bad axis
-    value fails before the first simulation instead of mid-sweep after
-    earlier combinations already ran.
+    The whole grid is expanded and validated up front by
+    :func:`validate_points` — protocol-parameter axes, workload points
+    (schedules, population sizes, initial estimates) and each point's
+    engine — so a bad axis value fails before the first simulation instead
+    of mid-sweep after earlier combinations already ran.
 
     ``options.workers`` shards the sweep: with more than one combination,
     each grid point becomes an independent job and the jobs fan out over
@@ -380,11 +421,7 @@ def run_sweep(
                 checkpoint_every=recorded_checkpoint_every(resume_from, depth=2)
             )
     for _, combo_preset in expanded:
-        combo_params = resolve_params(spec, combo_preset)
-        if spec.executor is None:
-            # Point construction validates population sizes, trial counts
-            # and resize schedules for every engine.
-            tuple(spec.points(combo_preset, combo_params))
+        validate_points(spec, combo_preset, opts.engine)
 
     def combo_options(label: str, workers: int | str | None) -> ExecutionOptions:
         return opts.replace(

@@ -12,17 +12,14 @@ granularity).
 All builders are deterministic: :func:`random_churn` derives its sizes from
 an explicit seed, so a scenario's schedule is a pure function of its preset.
 
-Builders return a :class:`Schedule` — a ``tuple`` subclass carrying the
-schedule *kind* (its family: ``"oscillation"``, ``"trace"``, ...) and a
-human label alongside the pairs.  A ``Schedule`` compares, iterates,
-indexes, hashes and pickles exactly like the plain pair-tuple it wraps, so
-every consumer (``ScenarioPoint``, ``make_engine``, the engines) takes it
-as plain pairs.
+Builders return plain ``((time, size), ...)`` tuples.  A scenario's family
+(``"oscillation"``, ``"trace"``, ...) is recorded once, on its spec's
+``schedule_kind``, not on the schedule.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,8 +27,6 @@ from repro.engine.api import resize_events
 from repro.engine.errors import InvalidScheduleError
 
 __all__ = [
-    "Schedule",
-    "schedule_kind_of",
     "oscillation",
     "growth_crash",
     "random_churn",
@@ -42,53 +37,6 @@ __all__ = [
 Pairs = tuple[tuple[int, int], ...]
 
 
-class Schedule(tuple):
-    """A typed resize schedule: ``(time, size)`` pairs plus provenance.
-
-    Subclasses ``tuple`` so it is drop-in compatible with the plain
-    pair-tuples the engines and :class:`~repro.scenarios.spec.ScenarioPoint`
-    consume — equality against a plain tuple of the same pairs holds, and
-    pickling round-trips both the pairs and the ``kind``/``label``
-    metadata (carried in the instance ``__dict__``).
-    """
-
-    def __new__(
-        cls,
-        pairs: Iterable[tuple[int, int]] = (),
-        *,
-        kind: str = "custom",
-        label: str = "",
-    ) -> "Schedule":
-        normalized = tuple((int(t), int(s)) for t, s in pairs)
-        self = super().__new__(cls, normalized)
-        self._kind = str(kind)
-        self._label = str(label) if label else str(kind)
-        return self
-
-    @property
-    def kind(self) -> str:
-        """The schedule family this was built by (``"oscillation"``, ...)."""
-        return self._kind
-
-    @property
-    def label(self) -> str:
-        """Human one-liner describing the schedule (defaults to ``kind``)."""
-        return self._label
-
-    @property
-    def pairs(self) -> Pairs:
-        """The events as a plain pair-tuple."""
-        return tuple(self)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Schedule(kind={self._kind!r}, label={self._label!r}, pairs={tuple(self)!r})"
-
-
-def schedule_kind_of(pairs: Any) -> str | None:
-    """The ``kind`` of a schedule-like value, or ``None`` for plain pairs."""
-    return pairs.kind if isinstance(pairs, Schedule) else None
-
-
 def _check_positive(name: str, value: int) -> None:
     if value < 1:
         raise InvalidScheduleError(f"{name} must be at least 1, got {value}")
@@ -96,7 +44,7 @@ def _check_positive(name: str, value: int) -> None:
 
 def oscillation(
     n: int, *, low: int, period: int, horizon: int, start: int | None = None
-) -> Schedule:
+) -> Pairs:
     """Alternate the population between ``low`` and ``n`` every ``period``.
 
     The first event (at ``start``, default one period in) shrinks to
@@ -113,11 +61,7 @@ def oscillation(
         events.append((time, low if target_low else n))
         target_low = not target_low
         time += period
-    return Schedule(
-        events,
-        kind="oscillation",
-        label=f"oscillate {n}<->{low} every {period}",
-    )
+    return tuple(events)
 
 
 def growth_crash(
@@ -128,7 +72,7 @@ def growth_crash(
     period: int,
     crash_target: int,
     horizon: int,
-) -> Schedule:
+) -> Pairs:
     """Exponential growth for ``growth_steps`` periods, then a crash.
 
     The population is multiplied by ``growth_factor`` every ``period``
@@ -155,16 +99,12 @@ def growth_crash(
         time += period
     if time < horizon:
         events.append((time, crash_target))
-    return Schedule(
-        events,
-        kind="growth_crash",
-        label=f"x{growth_factor} for {growth_steps} steps, crash to {crash_target}",
-    )
+    return tuple(events)
 
 
 def random_churn(
     n: int, *, low: int, high: int, period: int, horizon: int, seed: int
-) -> Schedule:
+) -> Pairs:
     """Resize to a uniformly random size in ``[low, high]`` every ``period``.
 
     The sizes are drawn from ``numpy``'s seeded generator, so the schedule
@@ -182,11 +122,7 @@ def random_churn(
     while time < horizon:
         events.append((time, int(rng.integers(low, high + 1))))
         time += period
-    return Schedule(
-        events,
-        kind="random_churn",
-        label=f"uniform [{low}, {high}] every {period} (seed {seed})",
-    )
+    return tuple(events)
 
 
 def repeated_decimation(
@@ -197,7 +133,7 @@ def repeated_decimation(
     horizon: int,
     floor: int = 16,
     start: int | None = None,
-) -> Schedule:
+) -> Pairs:
     """Divide the population by ``factor`` every ``period``, down to ``floor``.
 
     Fig. 4's single decimation, repeated: each event shrinks the current
@@ -219,24 +155,15 @@ def repeated_decimation(
         if target <= floor:
             break
         time += period
-    return Schedule(
-        events,
-        kind="repeated_decimation",
-        label=f"/{factor} every {period} down to {floor}",
-    )
+    return tuple(events)
 
 
-def merge_schedules(*schedules: Sequence[tuple[int, int]]) -> Schedule:
+def merge_schedules(*schedules: Sequence[tuple[int, int]]) -> Pairs:
     """Merge several pair schedules into one time-sorted schedule.
 
-    Accepts plain pair sequences and :class:`Schedule` objects alike, and
-    validates the merge like every engine does
+    Validates the merge like every engine does
     (:func:`repro.engine.api.resize_events`): duplicate event times across
     the parts are rejected (the merged schedule would otherwise depend on
-    application order).  The result keeps the parts' kind when they all
-    agree, and is ``"merged"`` otherwise.
+    application order).
     """
-    merged = resize_events(event for schedule in schedules for event in schedule)
-    kinds = {kind for kind in map(schedule_kind_of, schedules) if kind is not None}
-    kind = kinds.pop() if len(kinds) == 1 else "merged"
-    return Schedule(merged, kind=kind)
+    return resize_events(event for schedule in schedules for event in schedule)

@@ -29,6 +29,7 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
@@ -156,7 +157,7 @@ class ScenarioPoint:
         point is built, not mid-run.
     initial_estimate:
         If set, all agents start with this estimate instead of the empty
-        initial configuration.
+        initial configuration; it must be positive and finite.
     label:
         Series key for this point in the result (defaults to ``n_<n>``).
     info:
@@ -181,6 +182,13 @@ class ScenarioPoint:
         if self.parallel_time < 1:
             raise ConfigurationError(
                 f"parallel_time must be at least 1, got {self.parallel_time}"
+            )
+        if self.initial_estimate is not None and not (
+            math.isfinite(self.initial_estimate) and self.initial_estimate > 0
+        ):
+            raise ConfigurationError(
+                "initial_estimate must be positive and finite, got "
+                f"{self.initial_estimate}"
             )
         normalized = tuple((int(t), int(s)) for t, s in self.resize_schedule)
         object.__setattr__(self, "resize_schedule", normalized)
@@ -253,10 +261,11 @@ class ScenarioSpec:
         Free-form labels (``"paper"``, ``"adversarial"``, ...) used by
         listings.
     schedule_kind:
-        The :class:`~repro.scenarios.schedules.Schedule` family this
-        scenario's adversary belongs to (``"oscillation"``, ``"trace"``,
-        ``"multi_phase"``, ...); ``None`` for scenarios without a resize
-        adversary.  Shown by CLI ``list`` and the serve listing.
+        The family this scenario's resize adversary belongs to
+        (``"oscillation"``, ``"trace"``, ``"multi_phase"``, ...); ``None``
+        for scenarios without one.  The schedules themselves are plain
+        pairs, so this is the one record of the family.  Shown by CLI
+        ``list`` and the serve listing.
     knobs:
         Workload knob names this scenario reads from ``preset.extra``
         beyond the keys its presets already carry (e.g. a knob with a

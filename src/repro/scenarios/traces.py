@@ -3,8 +3,9 @@
 The synthetic builders in :mod:`repro.scenarios.schedules` generate shapes;
 a :class:`Trace` instead carries a *measured* (or measured-looking) load
 curve — request rates over a day, a flash crowd, connection churn — and
-resamples it onto the simulation's interaction-time axis, so the protocol
-is evaluated under realistic population dynamics.
+resamples it onto the simulation's interaction-time axis as plain
+``(time, size)`` pairs, so the protocol is evaluated under realistic
+population dynamics.
 
 Two CSV layouts are understood, sniffed from the header row:
 
@@ -35,7 +36,6 @@ from pathlib import Path
 from typing import Sequence
 
 from repro.engine.errors import InvalidScheduleError
-from repro.scenarios.schedules import Schedule
 
 __all__ = ["Trace", "bundled_trace", "bundled_trace_names"]
 
@@ -147,7 +147,7 @@ class Trace:
         """The curve's starting size (mapped to the run's ``n``)."""
         return self.sizes[0]
 
-    def resample(self, *, horizon: int, n: int) -> Schedule:
+    def resample(self, *, horizon: int, n: int) -> tuple[tuple[int, int], ...]:
         """Map the curve onto a run: ``n`` agents over ``horizon`` time.
 
         The trace's first sample becomes the initial population (so the
@@ -170,11 +170,7 @@ class Trace:
             fraction = (time - self.times[0]) / span
             step = min(max(int(round(fraction * (horizon - 1))), 1), horizon - 1)
             events[step] = max(2, int(round(size * scale)))
-        return Schedule(
-            sorted(events.items()),
-            kind="trace",
-            label=f"trace {self.name} ({len(self.times)} samples) -> n={n}",
-        )
+        return tuple(sorted(events.items()))
 
 
 def _cell(name: str, row: Sequence[str], column: int, line: int) -> float:

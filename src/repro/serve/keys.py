@@ -18,15 +18,22 @@ invariant) of everything that can influence the produced artifact bytes:
   count does not change the simulated rows — determinism holds across it —
   but it is recorded in result metadata, so two runs differing in it
   produce different artifact bytes and must not share an entry),
-* the sweep grid, when the run is a sweep.
+* the sweep grid, when the run is a sweep,
+* the code that computes it: :func:`package_digest` of the ``repro``
+  package, its ``.py`` files and bundled trace CSVs.
 
 Two requests get the same key exactly when replaying either would write the
-other's artifacts.
+other's artifacts.  Any edit to the package, this encoding included,
+changes every key, so a cached result or a crashed job's checkpoints
+(whose directory serve names after the key) never outlive the code that
+produced them.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
+from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
 from repro.engine.parallel import resolve_workers
@@ -36,23 +43,41 @@ from repro.scenarios.spec import ScenarioSpec, SweepSpec, canonical_json
 if TYPE_CHECKING:  # pragma: no cover - type-only import (layering)
     from repro.experiments.base import ExperimentPreset
 
-__all__ = ["KEY_SCHEMA_VERSION", "canonical_cache_key", "normalize_engine_request", "run_encoding"]
+__all__ = [
+    "canonical_cache_key",
+    "normalize_engine_request",
+    "package_digest",
+    "run_encoding",
+]
 
-#: Bumped whenever the encoding below changes shape, or the same request
-#: starts producing different rows — old cache entries then miss (and are
-#: rewritten) instead of being served with stale semantics.
-#: v2: ScenarioSpec.canonical_encoding gained ``schedule_kind``/``knobs``.
-#: v3: the counts engine draws different rows for the same request (its
-#: multinomials take their categories in descending-probability order).
-#: v4: the ``batched`` engine is a one-row ensemble and draws different rows
-#: for the same request.
-#: v5: auto-selection no longer has a small-population tier, so auto points
-#: with ``n <= 128`` run on ``ensemble`` / ``batched`` and draw different
-#: rows for the same request.
-#: v6: ScenarioSpec.canonical_encoding lost ``protocol_factory``.
-#: v7: the encoding and result metadata lost the compiled-kernel request
-#: flag, with the compiled backend.
-KEY_SCHEMA_VERSION = 7
+#: Root of the ``repro`` package whose files :func:`package_digest` hashes.
+_PACKAGE_ROOT = Path(__file__).resolve().parents[1]
+
+
+def package_digest(root: str | Path) -> str:
+    """SHA-256 over a package tree's ``.py`` files and ``scenarios/data/*.csv``.
+
+    Files are taken in sorted relative-path order, ``__pycache__`` excluded,
+    and each contributes its relative path and the SHA-256 of its bytes, so
+    an edit, a rename, an added or a deleted file all change the digest.
+    """
+    root = Path(root)
+    files = {
+        path.relative_to(root).as_posix(): path
+        for path in (*root.rglob("*.py"), *(root / "scenarios" / "data").glob("*.csv"))
+        if "__pycache__" not in path.parts
+    }
+    digest = hashlib.sha256()
+    for relative in sorted(files):
+        content = hashlib.sha256(files[relative].read_bytes()).hexdigest()
+        digest.update(f"{relative}\0{content}\n".encode())
+    return digest.hexdigest()
+
+
+@functools.cache
+def _code_digest() -> str:
+    """:func:`package_digest` of the running package, computed once per process."""
+    return package_digest(_PACKAGE_ROOT)
 
 
 def normalize_engine_request(spec: ScenarioSpec, engine: str | None) -> str:
@@ -80,7 +105,8 @@ def run_encoding(
 ) -> dict[str, Any]:
     """The JSON-encodable identity of one run request (pre-hash).
 
-    ``seed`` overrides the preset's root seed when given (the preset already
+    ``code`` is the running package's :func:`package_digest`.  ``seed``
+    overrides the preset's root seed when given (the preset already
     carries one).  ``workers`` is resolved through
     :func:`repro.engine.parallel.resolve_workers` first, so ``"auto"`` keys
     on the concrete count it resolves to on this host.
@@ -89,7 +115,7 @@ def run_encoding(
     if seed is not None:
         preset = preset.with_overrides(seed=int(seed))
     return {
-        "schema": KEY_SCHEMA_VERSION,
+        "code": _code_digest(),
         "scenario": spec.canonical_encoding(),
         "preset": {
             "name": preset.name,

@@ -48,6 +48,7 @@ from repro.scenarios.runner import (
     run_scenario,
     run_sweep,
     validate_executor_options,
+    validate_points,
 )
 from repro.scenarios.spec import SweepSpec, apply_axis_overrides
 from repro.serve.availability import availability as serve_availability
@@ -189,12 +190,8 @@ class SimulationService:
             sweep = SweepSpec.from_mapping(request.scenario, dict(request.sweep))
             combinations = len(sweep.combinations())
         validate_executor_options(spec, options, combinations=combinations)
-        # Expanding the points validates population sizes, trial counts and
-        # resize schedules for every engine before admission.
-        if spec.executor is None and sweep is None:
-            from repro.scenarios.runner import resolve_params
-
-            tuple(spec.points(preset, resolve_params(spec, preset)))
+        if sweep is None:
+            validate_points(spec, preset, request.engine)
         key = canonical_cache_key(
             spec,
             preset,

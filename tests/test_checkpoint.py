@@ -151,8 +151,14 @@ class TestCheckpointContainer:
 # -------------------------------------------------------- engine round-trip
 
 
+def _through_file(engine, path):
+    """The engine's checkpoint payload, written to ``path`` and read back."""
+    write_checkpoint(path, engine.checkpoint_payload(), kind="engine")
+    return read_checkpoint(path, kind="engine")
+
+
 class TestEngineCheckpoint:
-    def test_engine_without_state_payload_refuses_to_checkpoint(self, tmp_path):
+    def test_engine_without_state_payload_refuses_to_checkpoint(self):
         # The engine table has no checkpoint flag: an engine that cannot
         # serialise its state says so when asked for a checkpoint.
         from repro.engine.api import Engine
@@ -176,9 +182,6 @@ class TestEngineCheckpoint:
         assert not hasattr(engine_info("batched"), "supports_checkpoint")
         with pytest.raises(CheckpointError, match="'stateless' does not support checkpoints"):
             Stateless().checkpoint_payload()
-        with pytest.raises(CheckpointError, match="does not support checkpoints"):
-            Stateless().save_checkpoint(tmp_path / "x.ckpt")
-        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_save_restore_continues_bit_identically(self, engine, tmp_path):
@@ -198,10 +201,10 @@ class TestEngineCheckpoint:
 
         first = build()
         first.run(4, snapshot_every=SNAPSHOT_EVERY)
-        path = first.save_checkpoint(tmp_path / "engine.ckpt")
+        payload = _through_file(first, tmp_path / "engine.ckpt")
 
         second = build()
-        second.restore_checkpoint(path)
+        second.apply_checkpoint_payload(payload)
         tail = second.run(6, snapshot_every=SNAPSHOT_EVERY).series()
         head_len = {key: len(baseline[key]) - len(tail[key]) for key in baseline}
         stitched = {
@@ -228,15 +231,15 @@ class TestEngineCheckpoint:
         payload = first.checkpoint_payload()
         assert payload["resize_cursor"] == 1
         assert "adversary" not in payload["state"]
-        path = first.save_checkpoint(tmp_path / "engine.ckpt")
+        path = write_checkpoint(tmp_path / "engine.ckpt", payload, kind="engine")
         second = build()
-        second.restore_checkpoint(path)
+        second.apply_checkpoint_payload(read_checkpoint(path, kind="engine"))
         second.resize_to(20)  # a stale first event would undo this at t = 5
         tail = second.run(4).series()
         assert tail["population_size"] == [20, 48, 48, 48]
         # Without the manual resize the resumed run is the baseline's tail.
         third = build()
-        third.restore_checkpoint(path)
+        third.apply_checkpoint_payload(read_checkpoint(path, kind="engine"))
         assert third.run(4).series() == {key: baseline[key][4:] for key in baseline}
 
     @pytest.mark.parametrize("engine", ENGINES)
@@ -264,12 +267,12 @@ class TestEngineCheckpoint:
             "sequential", DynamicSizeCounting(), N, rng=RandomSource.from_seed(7)
         )
         sequential.run(2)
-        path = sequential.save_checkpoint(tmp_path / "seq.ckpt")
+        payload = _through_file(sequential, tmp_path / "seq.ckpt")
         batched = make_engine(
             "batched", DynamicSizeCounting(), N, rng=RandomSource.from_seed(7)
         )
         with pytest.raises(CheckpointError, match="sequential"):
-            batched.restore_checkpoint(path)
+            batched.apply_checkpoint_payload(payload)
 
 
 # ----------------------------------------------------- determinism matrix

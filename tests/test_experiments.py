@@ -542,6 +542,15 @@ class TestScenarioCliCommands:
         err = capsys.readouterr().err
         assert "tau" in err
 
+    def test_sweep_non_positive_initial_estimate_is_one_line_error(self, capsys):
+        argv = ["sweep", "fig5", "--effort", "quick", "--set", "n=50"]
+        argv += ["--set", "parallel_time=20", "--set", "initial_estimate=0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [
+            "repro-experiments: error: initial_estimate must be positive and finite, got 0.0"
+        ]
+
     def test_sweep_unsupported_engine_is_an_error(self, capsys):
         assert main(["sweep", "memory", "--set", "n=50", "--engine", "batched"]) == 2
         assert "sequential" in capsys.readouterr().err

@@ -1,14 +1,16 @@
-"""The seeded scenario fuzzer: determinism, validity, registry integration.
+"""The seeded scenario fuzzer: determinism, validity, conformance.
 
 The expensive property — cross-engine statistical conformance over many
 generated cases — runs in CI's scenario-smoke job (``repro-experiments
 fuzz``); here one small case keeps the full path covered, and everything
-else pins the cheap invariants: same seed -> identical specs and cache
-keys, every generated schedule is engine-valid, and registered fuzz cases
-are first-class scenarios (CLI, listing, quick presets).
+else pins the cheap invariants: same seed -> identical cases and cache
+keys, every generated schedule is engine-valid, and a case's parameter
+overrides resolve through the scenario runner's rule.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import pytest
 
@@ -22,11 +24,7 @@ from repro.scenarios.fuzz import (
     check_conformance,
     default_engines,
     generate_cases,
-    register_fuzz_scenarios,
-    unregister_fuzz_scenarios,
 )
-from repro.scenarios.registry import get_scenario, has_scenario
-from repro.scenarios.runner import resolve_preset, run_scenario
 
 
 class TestDeterminism:
@@ -35,9 +33,6 @@ class TestDeterminism:
         second = generate_cases(11, 10)
         assert first == second
         assert [c.cache_key() for c in first] == [c.cache_key() for c in second]
-        assert [c.spec().cache_key() for c in first] == [
-            c.spec().cache_key() for c in second
-        ]
 
     def test_prefix_stable(self):
         # Case i only depends on (seed, i), never on count.
@@ -70,33 +65,13 @@ class TestValidity:
                 ]
 
 
-class TestRegistryIntegration:
-    def test_registered_cases_are_scenarios(self):
-        names = register_fuzz_scenarios(42, 2)
-        try:
-            assert all(has_scenario(name) for name in names)
-            # Each case registers its quick preset too.
-            for name in names:
-                assert resolve_preset(get_scenario(name), "quick").name == "quick"
-            result = run_scenario(names[0], effort="quick")
-            assert result.rows
-            assert result.metadata["scenario"] == names[0]
-        finally:
-            unregister_fuzz_scenarios(names)
-        assert not any(has_scenario(name) for name in names)
-
-    def test_multi_phase_case_records_boundaries(self):
-        # Seed 42 case 1 is a multi_phase draw (pinned by determinism).
-        case = generate_cases(42, 2)[1]
-        assert case.family == "multi_phase"
-        names = register_fuzz_scenarios(42, 2)
-        try:
-            result = run_scenario(case.name, effort="quick")
-            phases = result.metadata["phases"][f"n_{case.n}"]
-            assert [p["name"] for p in phases] == ["warmup", "crash", "recovery"]
-            assert phases[-1]["stop"] == case.horizon
-        finally:
-            unregister_fuzz_scenarios(names)
+class TestResolvedParams:
+    def test_overriding_k_rederives_grv_samples(self):
+        # The scenario runner's rule: k alone re-derives grv_samples (one per k).
+        case = dataclasses.replace(generate_cases(34, 1)[0], params_overrides={"k": 8})
+        assert case.resolved_params().grv_samples == 8
+        pinned = dataclasses.replace(case, params_overrides={"k": 32, "grv_samples": 3})
+        assert (pinned.resolved_params().k, pinned.resolved_params().grv_samples) == (32, 3)
 
 
 class TestConformance:

@@ -79,6 +79,11 @@ class TestScenarioPoint:
                 resize_schedule=((5, 4), (5, 6)),
             )
 
+    @pytest.mark.parametrize("estimate", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_an_initial_estimate_that_is_not_positive_and_finite(self, estimate):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            ScenarioPoint(n=10, seed=0, parallel_time=10, trials=1, initial_estimate=estimate)
+
     def test_normalizes_schedule_to_int_pairs(self):
         point = ScenarioPoint(
             n=10, seed=0, parallel_time=10, trials=1, resize_schedule=[(5.0, 4.0)]
@@ -567,4 +572,25 @@ class TestSweepFailFast:
         sweep = SweepSpec.from_mapping("fig4", {"keep": (40, 1), "drop_time": (5,)})
         with pytest.raises(InvalidScheduleError):
             run_sweep(sweep, preset=tiny_preset())
+        assert calls == []
+
+    def test_an_estimate_the_engine_cannot_hold_fails_before_any_simulation(
+        self, monkeypatch
+    ):
+        """Each point's engine is built on two agents up front: the counts
+        kernel holds an estimate of 60 but not one of 0.5."""
+        import repro.experiments.figures as figures
+
+        calls = []
+
+        def counting_trace(*args, **kwargs):
+            calls.append(args)
+            raise AssertionError("simulation should not have started")
+
+        monkeypatch.setattr(figures, "run_estimate_trace", counting_trace)
+        sweep = SweepSpec.from_mapping("fig5", {"initial_estimate": (60, 0.5)})
+        with pytest.raises(ConfigurationError, match="non-integral"):
+            run_sweep(
+                sweep, preset=tiny_preset(), options=ExecutionOptions(engine="counts")
+            )
         assert calls == []

@@ -5,17 +5,21 @@ same SHA-256 exactly when they denote the same computation.  These tests pin
 the three layers of that property — the canonical JSON encoding, the
 spec-level key, and the run-level key — plus golden hashes so an accidental
 encoding change (which would silently orphan every cached artifact) fails
-loudly here instead.
+loudly here instead, and the package digest that ties every run key to the
+code that computes it.
 """
 
 from __future__ import annotations
 
 import hashlib
+import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.engine.errors import ConfigurationError
 from repro.engine.parallel import resolve_workers
 from repro.experiments.base import ExperimentPreset
@@ -24,8 +28,12 @@ from repro.scenarios.spec import ScenarioSpec, SweepSpec, canonical_json
 from repro.serve.keys import (
     canonical_cache_key,
     normalize_engine_request,
+    package_digest,
     run_encoding,
 )
+
+#: The ``repro`` package tree the run keys' ``code`` digest covers.
+PACKAGE_ROOT = Path(repro.__file__).resolve().parent
 
 
 def metric_one(trace, point, preset, params):
@@ -231,7 +239,8 @@ class TestRunCacheKey:
 
 #: Pinned canonical encodings: changing these strings means every deployed
 #: cache key changes (all cached artifacts orphan).  If a change is
-#: intentional, bump repro.serve.keys.KEY_SCHEMA_VERSION and re-pin.
+#: intentional, re-pin; the edit changes the package digest in every run key
+#: as well.
 GOLDEN_ENCODINGS = {
     "scalar-mix": (
         {"b": [1, 2.5], "a": {"y": True, "x": None}, "c": 5.0},
@@ -263,18 +272,18 @@ class TestGoldenPins:
         assert digest == GOLDEN_HASHES[case]
 
     def test_run_encoding_shape_pinned(self):
-        # The key's *shape* is part of the contract: a field appearing or
-        # disappearing must be a conscious KEY_SCHEMA_VERSION bump.
+        # The key's *shape* is part of the contract; its ``code`` field is
+        # the digest of the package that computes the run.
         encoding = run_encoding(make_spec(), make_preset())
         assert sorted(encoding) == [
+            "code",
             "engine",
             "preset",
             "scenario",
-            "schema",
             "sweep",
             "workers",
         ]
-        assert encoding["schema"] == 7
+        assert encoding["code"] == package_digest(PACKAGE_ROOT)
         assert sorted(encoding["preset"]) == [
             "extra",
             "name",
@@ -311,11 +320,29 @@ class TestGoldenPins:
         3-trial point used to resolve to ``batched`` (the small tier's
         ``"array"`` was not listed, so the runner fell back to the first
         engine); it now resolves to ``ensemble``.  The request, and so
-        every other field of its key, is unchanged while its rows are not,
-        which is what the schema bump to 5 records.
+        every other field of its key, is unchanged while its rows are not;
+        the key's ``code`` digest records it, since the edit that changed
+        the rows changed the package.
         """
         spec = make_spec(engines=("batched", "ensemble"))
         preset = make_preset(population_sizes=(80,), parallel_time=20, trials=3)
         result = run_scenario(spec, preset=preset)
         assert result.metadata["execution"]["engine"] == "ensemble"
-        assert run_encoding(spec, preset)["schema"] == 7
+        assert run_encoding(spec, preset)["code"] == package_digest(PACKAGE_ROOT)
+
+
+class TestPackageDigest:
+    @pytest.mark.parametrize("edited", ["serve/keys.py", "scenarios/data/flash_crowd.csv"])
+    def test_a_one_byte_edit_to_a_copied_tree_changes_the_digest(self, tmp_path, edited):
+        copy = shutil.copytree(
+            PACKAGE_ROOT, tmp_path / "repro", ignore=shutil.ignore_patterns("__pycache__")
+        )
+        assert package_digest(copy) == package_digest(PACKAGE_ROOT)
+        # Compiled caches are not code the digest covers.
+        (copy / "__pycache__").mkdir()
+        (copy / "__pycache__" / "stale.py").write_text("x = 1\n")
+        assert package_digest(copy) == package_digest(PACKAGE_ROOT)
+        target = copy / edited
+        data = target.read_bytes()
+        target.write_bytes(data[:-1] + bytes([data[-1] ^ 1]))
+        assert package_digest(copy) != package_digest(PACKAGE_ROOT)

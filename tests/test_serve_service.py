@@ -184,6 +184,22 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             service.submit(request(sweep={"n": []}))
 
+    @pytest.mark.parametrize(
+        ("engine", "estimate", "match"),
+        [(None, 0, "positive and finite"), ("counts", 0.5, "non-integral")],
+    )
+    def test_an_initial_estimate_the_engine_cannot_hold(
+        self, tmp_path, engine, estimate, match
+    ):
+        # 0.5 is off the counts kernel's integer lattice; the point's engine,
+        # built on two agents at admission, refuses it before any job.
+        service, recorder = make_service(tmp_path)
+        overrides = {**QUICK, "initial_estimate": estimate}
+        with pytest.raises(ConfigurationError, match=match):
+            service.submit(RunRequest(scenario="fig5", engine=engine, overrides=overrides))
+        assert recorder.calls == []
+        assert sum(service.queue.depth().values()) == 0
+
 
 class TestLifecycle:
     def test_miss_then_hit(self, tmp_path):

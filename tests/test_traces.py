@@ -1,16 +1,15 @@
-"""Trace loading, typed schedules, and multi-phase timelines.
+"""Trace loading, schedule builders, and multi-phase timelines.
 
-Covers the ISSUE-specified edge cases (empty CSV, non-monotonic
-timestamps, duplicate steps, sizes below 2), both CSV layouts, the
-resampling contract, the :class:`Schedule` back-compat guarantees
-(tuple equality, iteration, pickling), and the multi-phase machinery
-including phase boundaries landing in ``ExperimentResult`` metadata.
+Covers the CSV edge cases (empty CSV, non-monotonic timestamps,
+duplicate steps, sizes below 2), both CSV layouts, the resampling
+contract, that every builder returns plain ``(time, size)`` pairs, and
+the multi-phase machinery including phase boundaries landing in
+``ExperimentResult`` metadata.
 """
 
 from __future__ import annotations
 
 import math
-import pickle
 
 import pytest
 
@@ -20,7 +19,6 @@ from repro.experiments.base import ExperimentPreset
 from repro.scenarios import schedules
 from repro.scenarios.phases import Phase, chain_phases, phase_boundaries
 from repro.scenarios.runner import run_scenario
-from repro.scenarios.schedules import Schedule, schedule_kind_of
 from repro.scenarios.traces import Trace, bundled_trace, bundled_trace_names
 
 
@@ -76,8 +74,6 @@ class TestResample:
     def test_scales_to_population_and_horizon(self):
         trace = Trace.from_text("timestamp,size\n0,100\n50,400\n100,50\n")
         schedule = trace.resample(horizon=200, n=1000)
-        assert isinstance(schedule, Schedule)
-        assert schedule.kind == "trace"
         # First sample is the initial size (no event); later samples scale
         # by n / initial and land at proportional steps.
         assert schedule == ((100, 4000), (199, 500))
@@ -104,7 +100,6 @@ class TestBundledTraces:
     def test_loadable_and_resamplable(self, name):
         trace = bundled_trace(name)
         schedule = trace.resample(horizon=600, n=2000)
-        assert schedule.kind == "trace"
         resize_events(schedule)
 
     def test_unknown_name_lists_available(self):
@@ -112,53 +107,24 @@ class TestBundledTraces:
             bundled_trace("does_not_exist")
 
 
-class TestTypedSchedule:
-    def test_tuple_backcompat(self):
-        schedule = Schedule(((5, 10), (9, 20)), kind="custom", label="x")
-        assert schedule == ((5, 10), (9, 20))
-        assert list(schedule) == [(5, 10), (9, 20)]
-        assert schedule.pairs == ((5, 10), (9, 20))
-        assert schedule.kind == "custom"
-
-    def test_pickle_roundtrip(self):
-        schedule = schedules.oscillation(100, low=10, period=5, horizon=20)
-        clone = pickle.loads(pickle.dumps(schedule))
-        assert clone == schedule
-        assert clone.kind == "oscillation"
-        assert clone.label == schedule.label
-
-    def test_builders_carry_kinds(self):
-        assert schedules.oscillation(100, low=10, period=5, horizon=20).kind == "oscillation"
-        assert (
+class TestPlainSchedules:
+    def test_builders_return_plain_pairs(self):
+        built = (
+            schedules.oscillation(100, low=10, period=5, horizon=20),
             schedules.growth_crash(
                 100, growth_factor=2.0, growth_steps=2, period=5, crash_target=10, horizon=30
-            ).kind
-            == "growth_crash"
+            ),
+            schedules.random_churn(100, low=10, high=100, period=5, horizon=30, seed=1),
+            schedules.repeated_decimation(100, factor=2.0, period=5, horizon=30),
+            schedules.merge_schedules(((7, 20),), ((3, 40),)),
+            bundled_trace("flash_crowd").resample(horizon=60, n=100),
+            chain_phases((Phase("a", 10), Phase("b", 10, start_size=30))),
         )
-        assert (
-            schedules.random_churn(100, low=10, high=100, period=5, horizon=30, seed=1).kind
-            == "random_churn"
-        )
-        assert (
-            schedules.repeated_decimation(100, factor=2.0, period=5, horizon=30).kind
-            == "repeated_decimation"
-        )
-        assert schedule_kind_of(((5, 10),)) is None
-
-    def test_validation_and_merge_accept_both(self):
-        typed = schedules.oscillation(100, low=10, period=5, horizon=20)
-        plain = tuple(typed)
-        assert resize_events(typed) == resize_events(plain) == plain
-        # Plain parts carry no kind, so they do not dilute provenance ...
-        merged = schedules.merge_schedules(typed, ((23, 50),))
-        assert isinstance(merged, Schedule)
-        assert merged.kind == "oscillation"
-        # ... but two distinct kinds collapse to "merged".
-        mixed = schedules.merge_schedules(
-            schedules.oscillation(100, low=10, period=7, horizon=40),
-            schedules.repeated_decimation(100, factor=2.0, period=9, horizon=40),
-        )
-        assert mixed.kind == "merged"
+        for pairs in built:
+            assert type(pairs) is tuple and pairs
+            assert all(type(pair) is tuple and len(pair) == 2 for pair in pairs)
+            assert all(type(value) is int for pair in pairs for value in pair)
+            assert resize_events(pairs) == tuple(sorted(pairs))
 
 
 class TestPhases:
@@ -182,8 +148,6 @@ class TestPhases:
             Phase("recovery", 80, start_size=400),
         )
         schedule = chain_phases(phases)
-        assert isinstance(schedule, Schedule)
-        assert schedule.kind == "multi_phase"
         assert schedule == ((100, 20), (150, 400))
         bounds = phase_boundaries(phases)
         assert [dict(b) for b in bounds] == [
